@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use fegen_ml::data::Dataset;
 use fegen_ml::svm::{Svm, SvmConfig};
-use fegen_ml::tree::{DecisionTree, TreeConfig};
+use fegen_ml::tree::{DecisionTree, Presorted, TreeConfig};
 
 /// Synthetic but structured dataset: labels depend on thresholds of a few
 /// features plus noise, similar in shape to the unroll-factor task.
@@ -51,6 +51,71 @@ fn bench_tree(c: &mut Criterion) {
     group.finish();
 }
 
+/// The search's fitness shape: 887 loops (≈790 training rows per internal
+/// split) with `width` tie-heavy feature columns — trip counts and small
+/// node counts repeat across loops — and 16 unroll-factor classes, skewed
+/// towards the low factors.
+fn fitness_dataset(width: usize) -> Dataset {
+    let n = 887;
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let distinct = [24u64, 7, 60, 12];
+    let mut xs = Vec::with_capacity(n);
+    let mut ys = Vec::with_capacity(n);
+    for _ in 0..n {
+        let row: Vec<f64> = distinct[..width]
+            .iter()
+            .map(|&d| ((next() % d) * (next() % 3 + 1)) as f64)
+            .collect();
+        let signal = row[0] as u64 / 6 + row.get(1).map_or(0, |&v| v as u64 % 3);
+        let noise = next() % 16;
+        let label = if next() % 4 == 0 {
+            noise
+        } else {
+            signal % 6 + noise / 8
+        };
+        xs.push(row);
+        ys.push(label as usize % 16);
+    }
+    Dataset::new(xs, ys, 16).expect("rectangular")
+}
+
+/// One fitness evaluation's training: three internal splits (each holding
+/// out a different ninth) trained through `train_on` over one shared
+/// `Presorted`, at base widths 1–4. `presort_w*` times the per-candidate
+/// presort of the whole dataset.
+fn bench_fitness_shape(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fitness");
+    for width in [1usize, 2, 4] {
+        let data = fitness_dataset(width);
+        let presorted = Presorted::new(&data);
+        let splits: Vec<Vec<usize>> = (0..3)
+            .map(|k| (0..data.len()).filter(|i| i % 9 != k).collect())
+            .collect();
+        let config = TreeConfig::default();
+        group.bench_function(format!("train_on_3_splits_w{width}"), |b| {
+            b.iter(|| {
+                splits
+                    .iter()
+                    .map(|idx| {
+                        DecisionTree::train_on(black_box(&data), &presorted, idx, &config)
+                            .n_leaves()
+                    })
+                    .sum::<usize>()
+            })
+        });
+        group.bench_function(format!("presort_w{width}"), |b| {
+            b.iter(|| Presorted::new(black_box(&data)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_svm(c: &mut Criterion) {
     let mut group = c.benchmark_group("svm");
     group.sample_size(10);
@@ -77,5 +142,5 @@ fn bench_svm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tree, bench_svm);
+criterion_group!(benches, bench_tree, bench_fitness_shape, bench_svm);
 criterion_main!(benches);

@@ -349,10 +349,10 @@ impl FeatureSearch {
         let tables: Vec<Vec<f64>> = examples.iter().map(|e| e.cycles.clone()).collect();
         let splits = internal_splits(cfg, examples.len());
         let score = |columns: &[Vec<f64>]| -> f64 {
-            let Some((data, presorted)) = fitness_model(columns, None, &labels, n_classes)
-            else {
+            let Some(data) = fitness_dataset(columns, None, &labels, n_classes) else {
                 return 0.0;
             };
+            let presorted = Presorted::new(&data);
             splits
                 .iter()
                 .map(|(train_idx, valid_idx)| {
@@ -445,6 +445,7 @@ impl FeatureSearch {
             tree: cfg.tree.clone(),
             budget: cfg.eval_budget_per_example,
             base_columns: Vec::new(),
+            base_presorted: Presorted::default(),
         })
     }
 }
@@ -479,6 +480,9 @@ pub(crate) struct FitnessHarness<'e> {
     tree: TreeConfig,
     budget: u64,
     base_columns: Vec<Vec<f64>>,
+    /// The base columns' orderings, sorted once as each is accepted: a
+    /// candidate then sorts only its own column.
+    base_presorted: Presorted,
 }
 
 impl<'e> FitnessHarness<'e> {
@@ -492,11 +496,13 @@ impl<'e> FitnessHarness<'e> {
     /// and never cancels.
     pub(crate) fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
         let column = self.pool.column_cancellable(expr, self.budget)?;
-        let Some((data, presorted)) =
-            fitness_model(&self.base_columns, Some(&column), &self.labels, self.n_classes)
+        let Some(data) =
+            fitness_dataset(&self.base_columns, Some(&column), &self.labels, self.n_classes)
         else {
             return Some(0.0);
         };
+        let mut presorted = self.base_presorted.clone();
+        presorted.push_column(&column);
         let total: f64 = self
             .splits
             .iter()
@@ -515,6 +521,7 @@ impl<'e> FitnessHarness<'e> {
 
     /// Appends an accepted feature's column to the base set.
     pub(crate) fn push_base_column(&mut self, column: Vec<f64>) {
+        self.base_presorted.push_column(&column);
         self.base_columns.push(column);
     }
 
@@ -550,19 +557,18 @@ impl<'e> FitnessHarness<'e> {
     }
 }
 
-/// Assembles one candidate's fitness dataset (the base feature columns plus
-/// the optional candidate column) and presorts its feature columns, once,
-/// for reuse across every internal split that judges the candidate.
+/// Assembles one candidate's fitness dataset: the base feature columns plus
+/// the optional candidate column, as rows.
 ///
 /// `None` when the dataset is malformed (the candidate then scores 0.0
 /// instead of crashing the search); columns are rectangular by construction
 /// so this does not happen in practice.
-fn fitness_model(
+fn fitness_dataset(
     base_columns: &[Vec<f64>],
     extra: Option<&Vec<f64>>,
     labels: &[usize],
     n_classes: usize,
-) -> Option<(Dataset, Presorted)> {
+) -> Option<Dataset> {
     let n = labels.len();
     let width = base_columns.len() + usize::from(extra.is_some());
     let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(width); n];
@@ -571,9 +577,7 @@ fn fitness_model(
             row.push(v);
         }
     }
-    let data = Dataset::new(rows, labels.to_vec(), n_classes).ok()?;
-    let presorted = Presorted::new(&data);
-    Some((data, presorted))
+    Dataset::new(rows, labels.to_vec(), n_classes).ok()
 }
 
 /// Fixed internal splits for the whole search, so every candidate is judged

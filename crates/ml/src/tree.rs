@@ -7,12 +7,20 @@
 //! are pruned with C4.5's pessimistic error estimate (confidence factor
 //! 0.25).
 //!
+//! Training runs on one column-major grower: [`Presorted`] sorts each
+//! feature column once, and every node is a range of the trained examples'
+//! sorted blocks, split by stable in-place partition, with entropy terms
+//! looked up in a per-thread table. DESIGN.md §19 argues why
+//! its trees are bit-identical to the straightforward recursive trainer,
+//! which the tests keep as a reference oracle.
+//!
 //! [`DecisionTree::predict_traced`] additionally records the decision path,
 //! which the experiment harness uses to print the Figure 3 / Figure 4 style
 //! path listings.
 
 use crate::data::Dataset;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Training configuration.
@@ -75,62 +83,90 @@ enum Node {
 ///
 /// C4.5 spends most of its time sorting candidate-split columns: the naive
 /// implementation re-sorts every feature at every node of the recursion.
-/// `Presorted` sorts each feature's example indices by value **once**; the
-/// recursion then keeps each node's index lists sorted by order-preserving
-/// partition (O(n) per node instead of O(n log n) per node *per feature*),
-/// and cross-validation folds restrict the same orderings by membership
-/// instead of re-sorting the fold.
+/// `Presorted` sorts each feature column **once**; training then keeps each
+/// node's examples sorted by order-preserving partition (O(n) per node
+/// instead of O(n log n) per node *per feature*), and cross-validation
+/// folds restrict the same orderings by membership instead of re-sorting
+/// the fold.
 ///
 /// Thresholds are only placed between *distinct* adjacent values and split
 /// statistics are cumulative label counts, so the relative order of equal
 /// values never affects a split decision: training through `Presorted`
 /// produces trees identical to the re-sorting implementation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Presorted {
-    /// `by_feature[f]` lists all example indices sorted ascending by the
-    /// value of feature `f` (stable in example order for ties).
-    by_feature: Vec<Vec<u32>>,
+    /// One sorted column per feature, in feature order.
+    columns: Vec<SortedColumn>,
+}
+
+/// One feature column in ascending value order.
+#[derive(Debug, Clone)]
+struct SortedColumn {
+    /// Example indices sorted by value under `f64::total_cmp` (ties in
+    /// example order), so NaNs sort deterministically: `-NaN` before
+    /// `-inf`, `NaN` after `+inf`. (`partial_cmp(..).unwrap_or(Equal)` is
+    /// not a total order once a NaN slips in, which made the sort, and so
+    /// the learned tree, nondeterministic.)
+    order: Vec<u32>,
+    /// `values[k]` is the value of example `order[k]`.
+    values: Vec<f64>,
 }
 
 impl Presorted {
     /// Sorts every feature column of `data` once.
     pub fn new(data: &Dataset) -> Presorted {
-        let n = data.len();
-        let by_feature = (0..data.n_features())
-            .map(|f| {
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: the
-                // latter is not a total order when a NaN feature value slips
-                // in, making the sort order — and thus the learned tree —
-                // nondeterministic. Under the total order NaNs sort after
-                // +inf, deterministically.
-                order.sort_by(|&a, &b| {
-                    data.row(a as usize)[f].total_cmp(&data.row(b as usize)[f])
-                });
-                order
-            })
-            .collect();
-        Presorted { by_feature }
+        Presorted {
+            columns: (0..data.n_features())
+                .map(|f| SortedColumn::new(data.len(), |i| data.row(i)[f]))
+                .collect(),
+        }
     }
 
-    /// The orderings restricted to the examples in `indices` (order within
-    /// each feature is preserved, so the result stays sorted by value).
-    fn restrict(&self, n: usize, indices: &[usize]) -> Vec<Vec<u32>> {
-        let mut member = vec![false; n];
-        for &i in indices {
-            member[i] = true;
-        }
-        self.by_feature
-            .iter()
-            .map(|order| {
-                order
-                    .iter()
-                    .copied()
-                    .filter(|&i| member[i as usize])
-                    .collect()
-            })
-            .collect()
+    /// Sorts `column` (one value per example) and appends it as the next
+    /// feature. Presorting a dataset's columns one by one gives exactly
+    /// [`Presorted::new`], so a caller that grows a dataset a column at a
+    /// time sorts only the new column.
+    pub fn push_column(&mut self, column: &[f64]) {
+        self.columns
+            .push(SortedColumn::new(column.len(), |i| column[i]));
     }
+
+    /// Number of presorted feature columns.
+    fn n_features(&self) -> usize {
+        self.columns.len()
+    }
+}
+
+impl SortedColumn {
+    /// Sorts the `n` values `value(0..n)`.
+    fn new(n: usize, value: impl Fn(usize) -> f64) -> SortedColumn {
+        // A stable sort on keys that order like `total_cmp`: the same
+        // order as a stable `total_cmp` sort of the values, without a float
+        // comparison (or a row lookup) per step. The key is a bijection of
+        // the value's bits, so it also gives the value back.
+        let keys: Vec<u64> = (0..n).map(|i| total_order_key(value(i))).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        let values = order
+            .iter()
+            .map(|&i| from_total_order_key(keys[i as usize]))
+            .collect();
+        SortedColumn { order, values }
+    }
+}
+
+/// An unsigned key that orders like `f64::total_cmp` (the same bit
+/// transform, with the sign bit flipped so `u64` order matches).
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits() as i64;
+    let key = bits ^ ((((bits >> 63) as u64) >> 1) as i64);
+    (key as u64) ^ (1 << 63)
+}
+
+/// The value whose [`total_order_key`] is `key`.
+fn from_total_order_key(key: u64) -> f64 {
+    let bits = (key ^ (1 << 63)) as i64;
+    f64::from_bits((bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64)
 }
 
 /// A trained decision tree.
@@ -163,8 +199,21 @@ impl DecisionTree {
         indices: &[usize],
         config: &TreeConfig,
     ) -> DecisionTree {
-        let sorted = presorted.restrict(data.len(), indices);
-        let mut root = grow(data, indices, &sorted, config, 0);
+        debug_assert_eq!(presorted.n_features(), data.n_features());
+        let mut root = if presorted.n_features() == 0 {
+            // No feature, no split: the root is the leaf.
+            let mut counts = vec![0usize; data.n_classes()];
+            for &i in indices {
+                counts[data.label(i)] += 1;
+            }
+            leaf(counts)
+        } else {
+            ENTROPY_MEMO.with(|memo| {
+                let mut memo = memo.borrow_mut();
+                memo.ensure(indices.len());
+                Grower::new(data, presorted, indices, config, &memo).grow(0, indices.len(), 0)
+            })
+        };
         if config.prune {
             prune(&mut root, config.prune_z);
         }
@@ -291,19 +340,99 @@ impl fmt::Display for DecisionTree {
     }
 }
 
-fn entropy(counts: &[usize], total: usize) -> f64 {
-    if total == 0 {
-        return 0.0;
+/// Largest node size whose entropy terms are tabled. The table for sizes up
+/// to `t` holds about `t² / 2` terms: 4.2 MB per thread at this cap, 2.5 MB
+/// for the search's fitness trees (≈790 examples). Larger nodes compute the
+/// same expression directly.
+const MEMO_MAX_TOTAL: usize = 1024;
+
+thread_local! {
+    /// Entropy terms shared by every tree trained on this thread.
+    static ENTROPY_MEMO: RefCell<EntropyMemo> = const { RefCell::new(EntropyMemo::new()) };
+}
+
+/// The entropy term `-p * log2(p)` for `p = c / t`, tabled per `(c, t)`.
+///
+/// Row `t` holds the terms for `c = 0..=t` and starts at `(t - 1)(t + 2) / 2`;
+/// entry `c = 0` is `0.0`, standing for the empty class the untabled sum
+/// skips. Rows are built on first use, in order, and never change
+/// afterwards. A tabled term is the bits the expression evaluates to.
+struct EntropyMemo {
+    terms: Vec<f64>,
+    /// Rows `1..=rows` are built.
+    rows: usize,
+}
+
+impl EntropyMemo {
+    const fn new() -> EntropyMemo {
+        EntropyMemo {
+            terms: Vec::new(),
+            rows: 0,
+        }
     }
-    let total_f = total as f64;
-    counts
+
+    /// Builds the rows up to node size `total` (at most [`MEMO_MAX_TOTAL`]).
+    fn ensure(&mut self, total: usize) {
+        let total = total.min(MEMO_MAX_TOTAL);
+        if total <= self.rows {
+            return;
+        }
+        self.terms
+            .reserve((total - 1) * (total + 2) / 2 + total + 1 - self.terms.len());
+        for t in self.rows + 1..=total {
+            let total_f = t as f64;
+            self.terms.push(0.0);
+            self.terms.extend((1..=t).map(|c| {
+                let p = c as f64 / total_f;
+                -p * p.log2()
+            }));
+        }
+        self.rows = total;
+    }
+
+    /// Entropy (bits) of a class histogram over `total` examples: the terms
+    /// of the non-empty classes summed in class order.
+    ///
+    /// Tabled rows add `0.0` for an empty class instead of branching
+    /// around it. That changes no partial sum except a zero's sign (a pure
+    /// histogram's entropy may come out `0.0` where the untabled sum gives
+    /// `-0.0`), and the sign of a zero entropy cannot reach a split's gain;
+    /// see DESIGN.md §19.
+    fn entropy(&self, counts: impl Iterator<Item = usize>, total: usize) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        if total <= self.rows {
+            let start = (total - 1) * (total + 2) / 2;
+            let row = &self.terms[start..=start + total];
+            counts.map(|c| row[c]).sum()
+        } else {
+            let total_f = total as f64;
+            counts
+                .filter(|&c| c > 0)
+                .map(|c| {
+                    let p = c as f64 / total_f;
+                    -p * p.log2()
+                })
+                .sum()
+        }
+    }
+}
+
+/// A leaf predicting the majority class of `dist` (ties to the lower class).
+fn leaf(dist: Vec<usize>) -> Node {
+    let n: usize = dist.iter().sum();
+    let (label, &n_max) = dist
         .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / total_f;
-            -p * p.log2()
-        })
-        .sum()
+        .enumerate()
+        .max_by_key(|(i, &c)| (c, usize::MAX - i))
+        .unwrap_or((0, &0));
+    Node::Leaf {
+        label,
+        n,
+        errors: n - n_max,
+        dist,
+    }
 }
 
 struct SplitChoice {
@@ -313,144 +442,235 @@ struct SplitChoice {
     gain_ratio: f64,
 }
 
-fn grow(
-    data: &Dataset,
-    indices: &[usize],
-    sorted: &[Vec<u32>],
-    config: &TreeConfig,
-    depth: usize,
-) -> Node {
-    let make_leaf = |indices: &[usize]| -> Node {
-        let mut counts = vec![0usize; data.n_classes()];
-        for &i in indices {
-            counts[data.label(i)] += 1;
-        }
-        let (label, &n_max) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, &c)| (c, usize::MAX - i))
-            .unwrap_or((0, &0));
-        Node::Leaf {
-            label,
-            n: indices.len(),
-            errors: indices.len() - n_max,
-            dist: counts,
-        }
-    };
-
-    if indices.len() < config.min_split || depth >= config.max_depth {
-        return make_leaf(indices);
-    }
-    let first_label = data.label(indices[0]);
-    if indices.iter().all(|&i| data.label(i) == first_label) {
-        return make_leaf(indices);
-    }
-
-    let Some(best) = best_split(data, indices, sorted) else {
-        return make_leaf(indices);
-    };
-
-    let goes_left = |i: usize| data.row(i)[best.feature] <= best.threshold;
-    let (left, right): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| goes_left(i));
-    if left.is_empty() || right.is_empty() {
-        return make_leaf(indices);
-    }
-    // Order-preserving partition keeps each child's orderings sorted by
-    // value without re-sorting.
-    let mut left_sorted = Vec::with_capacity(sorted.len());
-    let mut right_sorted = Vec::with_capacity(sorted.len());
-    for order in sorted {
-        let (l, r): (Vec<u32>, Vec<u32>) =
-            order.iter().partition(|&&i| goes_left(i as usize));
-        left_sorted.push(l);
-        right_sorted.push(r);
-    }
-    Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        left: Box::new(grow(data, &left, &left_sorted, config, depth + 1)),
-        right: Box::new(grow(data, &right, &right_sorted, config, depth + 1)),
-    }
+/// One trained example in a feature's sorted block.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    /// The example's value of the block's feature.
+    value: f64,
+    /// The example's index in the dataset.
+    row: u32,
+    label: u32,
 }
 
-/// Finds the best (feature, threshold) by gain ratio among splits with at
-/// least average positive gain. `sorted[f]` must list the node's examples
-/// sorted ascending by feature `f`.
-fn best_split(data: &Dataset, indices: &[usize], sorted: &[Vec<u32>]) -> Option<SplitChoice> {
-    let n = indices.len();
-    let n_classes = data.n_classes();
-    let mut total_counts = vec![0usize; n_classes];
-    for &i in indices {
-        total_counts[data.label(i)] += 1;
-    }
-    let base_entropy = entropy(&total_counts, n);
+/// Column-major tree grower for one `train_on` call.
+///
+/// The trained examples of feature `f` occupy block `[f * m, (f + 1) * m)`
+/// of `entries`, sorted by value. A node is a range `[lo, hi)` that holds
+/// the same examples in every block; splitting a node stably partitions
+/// each block's range into `[lo, mid)` and `[mid, hi)`, so both children
+/// stay sorted. Every buffer is sized once here: growing a node allocates
+/// nothing but its output.
+struct Grower<'a> {
+    config: &'a TreeConfig,
+    memo: &'a EntropyMemo,
+    /// Examples per block.
+    m: usize,
+    entries: Vec<Entry>,
+    /// First membership in the trained subset, then, per split, whether an
+    /// example goes left; indexed by example.
+    mask: Vec<bool>,
+    /// The right-going part of the range being partitioned.
+    spill: Vec<Entry>,
+    /// The node's class histogram.
+    total: Vec<usize>,
+    /// The classes present at the node being split, ascending.
+    present: Vec<usize>,
+    /// Class histogram left of the threshold being scanned.
+    left: Vec<usize>,
+    /// Each feature's best split at the node being split.
+    candidates: Vec<SplitChoice>,
+}
 
-    let mut candidates: Vec<SplitChoice> = Vec::new();
-    for (feature, order) in sorted.iter().enumerate() {
-        let value = |k: usize| data.row(order[k] as usize)[feature];
-        let mut left_counts = vec![0usize; n_classes];
-        let mut best_for_feature: Option<SplitChoice> = None;
-        for k in 0..n - 1 {
-            left_counts[data.label(order[k] as usize)] += 1;
-            // Candidate threshold only between distinct values.
-            if value(k) == value(k + 1) {
-                continue;
-            }
-            let n_left = k + 1;
-            let n_right = n - n_left;
-            let mut right_counts = vec![0usize; n_classes];
-            for (c, (&t, &l)) in right_counts
-                .iter_mut()
-                .zip(total_counts.iter().zip(left_counts.iter()))
-            {
-                *c = t - l;
-            }
-            let split_entropy = (n_left as f64 / n as f64) * entropy(&left_counts, n_left)
-                + (n_right as f64 / n as f64) * entropy(&right_counts, n_right);
-            let gain = base_entropy - split_entropy;
-            if gain <= 1e-12 {
-                continue;
-            }
-            let p_left = n_left as f64 / n as f64;
-            let split_info = -(p_left * p_left.log2() + (1.0 - p_left) * (1.0 - p_left).log2());
-            let gain_ratio = gain / split_info.max(1e-12);
-            let threshold = (value(k) + value(k + 1)) / 2.0;
-            // NaN rejection: a NaN or infinite feature value produces a
-            // non-finite threshold (NaN ≠ NaN, so the distinct-values guard
-            // above does not catch it); such a split can never be applied
-            // meaningfully at prediction time, so it is not a candidate.
-            if !threshold.is_finite() || !gain_ratio.is_finite() {
-                continue;
-            }
-            let cand = SplitChoice {
-                feature,
-                threshold,
-                gain,
-                gain_ratio,
-            };
-            if best_for_feature
-                .as_ref()
-                .is_none_or(|b| cand.gain_ratio > b.gain_ratio)
-            {
-                best_for_feature = Some(cand);
+impl<'a> Grower<'a> {
+    /// Restricts `presorted` to `indices` (which must hold no duplicates),
+    /// copying the values and labels into the blocks.
+    fn new(
+        data: &Dataset,
+        presorted: &Presorted,
+        indices: &[usize],
+        config: &'a TreeConfig,
+        memo: &'a EntropyMemo,
+    ) -> Grower<'a> {
+        let m = indices.len();
+        let n_features = presorted.n_features();
+        let mut mask = vec![false; data.len()];
+        for &i in indices {
+            mask[i] = true;
+        }
+        let mut entries = Vec::with_capacity(n_features * m);
+        for column in &presorted.columns {
+            for (&row, &value) in column.order.iter().zip(&column.values) {
+                if mask[row as usize] {
+                    let label = data.label(row as usize) as u32;
+                    entries.push(Entry { value, row, label });
+                }
             }
         }
-        if let Some(c) = best_for_feature {
-            candidates.push(c);
+        Grower {
+            config,
+            memo,
+            m,
+            entries,
+            mask,
+            spill: vec![Entry::default(); m],
+            total: vec![0; data.n_classes()],
+            present: Vec::with_capacity(data.n_classes()),
+            left: vec![0; data.n_classes()],
+            candidates: Vec::with_capacity(n_features),
         }
     }
-    if candidates.is_empty() {
-        return None;
+
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+        let n = hi - lo;
+        self.total.fill(0);
+        for e in &self.entries[lo..hi] {
+            self.total[e.label as usize] += 1;
+        }
+        let pure = self.total.contains(&n);
+        if n == 0 || n < self.config.min_split || depth >= self.config.max_depth || pure {
+            return leaf(self.total.clone());
+        }
+        let Some((feature, threshold)) = self.best_split(lo, hi) else {
+            return leaf(self.total.clone());
+        };
+
+        let block = feature * self.m;
+        let mut n_left = 0;
+        for e in &self.entries[block + lo..block + hi] {
+            let goes_left = e.value <= threshold;
+            self.mask[e.row as usize] = goes_left;
+            n_left += usize::from(goes_left);
+        }
+        if n_left == 0 || n_left == n {
+            return leaf(self.total.clone());
+        }
+        for block in (0..self.entries.len()).step_by(self.m) {
+            self.partition(block + lo, block + hi);
+        }
+        let mid = lo + n_left;
+        Node::Split {
+            feature,
+            threshold,
+            left: Box::new(self.grow(lo, mid, depth + 1)),
+            right: Box::new(self.grow(mid, hi, depth + 1)),
+        }
     }
-    let avg_gain: f64 = candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
-    candidates
-        .into_iter()
-        // C4.5: restrict gain-ratio selection to at-least-average gain.
-        .filter(|c| c.gain >= avg_gain - 1e-12)
-        // Total order: candidates all carry finite gain ratios (enforced at
-        // construction), and `total_cmp` keeps the selection deterministic
-        // even if that invariant is ever violated.
-        .max_by(|a, b| a.gain_ratio.total_cmp(&b.gain_ratio))
+
+    /// Stable partition of `[start, end)` by `mask`: left-goers move to the
+    /// front in place, right-goers go through the spill buffer. Branch-free:
+    /// every entry is written to both places and only the matching cursor
+    /// advances. Writing at `write <= k` is safe because that slot has been
+    /// read already, and a stale write there is overwritten later.
+    fn partition(&mut self, start: usize, end: usize) {
+        let mut write = start;
+        let mut spill = 0;
+        for k in start..end {
+            let entry = self.entries[k];
+            let goes_left = self.mask[entry.row as usize];
+            self.entries[write] = entry;
+            self.spill[spill] = entry;
+            write += usize::from(goes_left);
+            spill += usize::from(!goes_left);
+        }
+        self.entries[write..end].copy_from_slice(&self.spill[..spill]);
+    }
+
+    /// Finds the best (feature, threshold) by gain ratio among splits with
+    /// at least average positive gain. `self.total` must hold the node's
+    /// class histogram.
+    fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
+        let n = hi - lo;
+        let Grower {
+            memo,
+            m,
+            entries,
+            total,
+            present,
+            left,
+            candidates,
+            ..
+        } = self;
+        let base_entropy = memo.entropy(total.iter().copied(), n);
+        // A class absent from the node has empty counts on both sides of
+        // every threshold, and the entropy sums skip empty counts anyway:
+        // summing over the present classes adds the same terms in the same
+        // order.
+        present.clear();
+        present.extend((0..total.len()).filter(|&c| total[c] > 0));
+
+        candidates.clear();
+        for feature in 0..entries.len() / *m {
+            let block = feature * *m;
+            let node = &entries[block + lo..block + hi];
+            // Sorted by value: equal ends mean no two adjacent values
+            // differ, so the feature offers no threshold here.
+            if node[0].value == node[n - 1].value {
+                continue;
+            }
+            left.fill(0);
+            let mut best_for_feature: Option<SplitChoice> = None;
+            for (k, pair) in node.windows(2).enumerate() {
+                let (this, next) = (pair[0].value, pair[1].value);
+                left[pair[0].label as usize] += 1;
+                // Candidate threshold only between distinct values.
+                if this == next {
+                    continue;
+                }
+                let threshold = (this + next) / 2.0;
+                // NaN rejection: a NaN or infinite feature value produces a
+                // non-finite threshold (NaN ≠ NaN, so the distinct-values
+                // guard above does not catch it); such a split can never be
+                // applied meaningfully at prediction time.
+                if !threshold.is_finite() {
+                    continue;
+                }
+                let n_left = k + 1;
+                let n_right = n - n_left;
+                let left_counts = present.iter().map(|&c| left[c]);
+                let right_counts = present.iter().map(|&c| total[c] - left[c]);
+                let split_entropy = (n_left as f64 / n as f64) * memo.entropy(left_counts, n_left)
+                    + (n_right as f64 / n as f64) * memo.entropy(right_counts, n_right);
+                let gain = base_entropy - split_entropy;
+                if gain <= 1e-12 {
+                    continue;
+                }
+                let p_left = n_left as f64 / n as f64;
+                let split_info = -(p_left * p_left.log2() + (1.0 - p_left) * (1.0 - p_left).log2());
+                let gain_ratio = gain / split_info.max(1e-12);
+                if !gain_ratio.is_finite() {
+                    continue;
+                }
+                if best_for_feature
+                    .as_ref()
+                    .is_none_or(|b| gain_ratio > b.gain_ratio)
+                {
+                    best_for_feature = Some(SplitChoice {
+                        feature,
+                        threshold,
+                        gain,
+                        gain_ratio,
+                    });
+                }
+            }
+            if let Some(c) = best_for_feature {
+                candidates.push(c);
+            }
+        }
+        if candidates.is_empty() {
+            return None;
+        }
+        let avg_gain: f64 =
+            candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
+        candidates
+            .iter()
+            // C4.5: restrict gain-ratio selection to at-least-average gain.
+            .filter(|c| c.gain >= avg_gain - 1e-12)
+            // Total order: candidates all carry finite gain ratios (enforced
+            // at construction), and `total_cmp` keeps the selection
+            // deterministic even if that invariant is ever violated.
+            .max_by(|a, b| a.gain_ratio.total_cmp(&b.gain_ratio))
+            .map(|c| (c.feature, c.threshold))
+    }
 }
 
 /// C4.5 pessimistic error: upper confidence bound on the leaf error rate.
@@ -507,6 +727,9 @@ fn prune(node: &mut Node, z: f64) -> (Vec<usize>, f64) {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
