@@ -490,8 +490,8 @@ enum Attempted<T> {
 
 /// Runs `stage` under `catch_unwind` with retry, bounded backoff and the
 /// per-site deadline. `key` is the fault-injection key prefix; the attempt
-/// number is appended so `OnKeyPrefix` plans fire persistently while
-/// `OnCall` plans stay countable.
+/// number is appended so an `OnKeyPrefix` plan can fail one attempt or
+/// every attempt.
 fn attempt_with_retry<T>(
     shared: &Shared<'_>,
     key: &str,
@@ -535,8 +535,6 @@ fn attempt_with_retry<T>(
                 | FaultKind::SlowHeartbeat(_)
                 | FaultKind::TornFrame
                 | FaultKind::DuplicateFrame
-                | FaultKind::StallConn(_)
-                | FaultKind::KillWorker
                 | FaultKind::SlowHandshake(_),
             )
             | None => None,

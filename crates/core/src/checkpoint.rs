@@ -3,9 +3,10 @@
 //! A [`SearchCheckpoint`] captures everything the outer greedy loop and the
 //! in-flight GP run need to continue deterministically: the accepted feature
 //! list, the outer RNG stream, budget counters, and (when interrupted
-//! mid-GP) the full [`GpSnapshot`] — population, fitness memo and the GP
-//! run's own RNG stream. Expressions travel as their canonical text;
-//! print/parse round-trips are exact, so nothing is lost.
+//! mid-GP) the full [`IslandsSnapshot`] — per island the population,
+//! fitness memo and the GP run's own RNG stream, plus the migration ledger.
+//! Expressions travel as their canonical text; print/parse round-trips are
+//! exact, so nothing is lost.
 //!
 //! Derived data (feature columns, internal CV splits, the baseline and
 //! oracle speedups) is deliberately *not* stored: it is a deterministic
@@ -22,21 +23,23 @@
 //! leaves the previous checkpoint intact, and a crash immediately after
 //! the rename cannot lose the new one to an unflushed directory entry.
 //!
-//! Version 2 adds the optional [`IslandsSnapshot`]: the merged multi-island
-//! state (per-island populations, statuses, restart counters) plus the
-//! digest-guarded migration ledger. The checkpoint file is the wire format
-//! for island coordination — there is no second serialization path.
+//! Version 3 holds every in-flight GP run as an [`IslandsSnapshot`] — a
+//! single-population search is the one-island case — with per-island
+//! populations and statuses plus the digest-guarded migration ledger.
+//! Retries are telemetry-only, so no restart counter is stored. Older
+//! versions are refused with [`CheckpointError::VersionMismatch`]. The
+//! snapshot is also the wire format of process-level island workers —
+//! there is no second serialization path.
 
 use crate::error::CheckpointError;
 use crate::faults::fnv1a;
-use crate::gp::engine::GpSnapshot;
 use crate::gp::island::IslandsSnapshot;
 use crate::search::{SearchConfig, TrainingExample};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Format version written to and expected from checkpoint files.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// File name used inside a checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "search.ckpt.json";
@@ -62,7 +65,7 @@ pub struct SearchCheckpoint {
     /// Digest of the training examples.
     pub examples_digest: u64,
     /// Outer RNG stream state (already past the seed draw for the current
-    /// GP run when `gp` is present).
+    /// GP run when `islands` is present).
     pub rng: [u64; 4],
     /// Accepted features so far, printed.
     pub features: Vec<String>,
@@ -73,15 +76,10 @@ pub struct SearchCheckpoint {
     /// Consecutive failed additions.
     pub failed: usize,
     /// GP generations consumed by *completed* per-feature runs (the
-    /// in-flight run's generations live in `gp`).
+    /// in-flight run's generations live in `islands`).
     pub total_generations: usize,
-    /// The in-flight GP run, when the checkpoint was written mid-search;
+    /// The in-flight GP run's island states, captured at a round boundary;
     /// `None` at an outer-loop boundary.
-    pub gp: Option<GpSnapshot>,
-    /// The in-flight island states (topologies with more than one
-    /// island), captured at a round boundary; `None` for single-island
-    /// searches and at outer-loop boundaries. Mutually exclusive with
-    /// `gp`.
     pub islands: Option<IslandsSnapshot>,
 }
 
@@ -249,10 +247,35 @@ mod tests {
             best_speedup: 1.25,
             failed: 1,
             total_generations: 40,
-            gp: None,
             islands: None,
         }
     }
+
+    /// A version-2 checkpoint written mid-GP by a single-population search.
+    const V2_CHECKPOINT: &str = r#"{
+  "version": 2,
+  "config_fingerprint": 11,
+  "examples_digest": 22,
+  "rng": [1, 2, 3, 4],
+  "features": [],
+  "steps": [],
+  "best_speedup": 1.0,
+  "failed": 0,
+  "total_generations": 0,
+  "gp": {
+    "population": ["count(//*)"],
+    "best": null,
+    "stagnant": 0,
+    "generations": 1,
+    "evaluations": 1,
+    "panics": 0,
+    "panic_generations": 0,
+    "degraded": false,
+    "memo": [["count(//*)", 1.0]],
+    "rng": [5, 6, 7, 8]
+  },
+  "islands": null
+}"#;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -304,6 +327,29 @@ mod tests {
                 err,
                 CheckpointError::VersionMismatch { found, expected, .. }
                     if found == CHECKPOINT_VERSION + 7 && expected == CHECKPOINT_VERSION
+            ),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_refused_typed() {
+        // Version 2 stored single-population runs under `gp` and island
+        // restart counters; neither exists any more.
+        let dir = temp_dir("v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(CHECKPOINT_FILE);
+        std::fs::write(&path, V2_CHECKPOINT).unwrap();
+        let err = SearchCheckpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::VersionMismatch {
+                    found: 2,
+                    expected: 3,
+                    ..
+                }
             ),
             "{err}"
         );

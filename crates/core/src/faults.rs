@@ -16,8 +16,11 @@
 //! - [`FaultTrigger::OnKeyPrefix`] fires on every event whose key starts
 //!   with a given prefix — the natural trigger for non-fitness layers
 //!   (measurement workers key events as `measure:<bench>:<site>`, the
-//!   dataset store as `shard-write:<bench>`), where a test wants *one
-//!   specific* benchmark or site to fail persistently.
+//!   dataset store as `shard-write:<bench>`, the island supervisor as
+//!   `island:<id>:g<generation>#a<attempt>`), where a test wants *one
+//!   specific* benchmark, site or step to fail persistently. These
+//!   structured keys match prefix plans only and are not fitness calls,
+//!   so they never shift an `OnCall` schedule.
 //!
 //! Beyond the evaluator faults, two kinds model the I/O layer: a
 //! [`FaultKind::CorruptWrite`] tells a store to scribble over the bytes it
@@ -81,63 +84,56 @@ pub enum FaultKind {
     /// Corrupt the bytes a store just committed (torn write, bitrot). Only
     /// meaningful to I/O layers; the fitness path treats it as a no-op.
     CorruptWrite,
-    /// Kill the island worker attempting the keyed generation step: the
+    /// Kill the worker attempting the keyed island generation step: the
     /// attempt is abandoned before its results commit, exactly as if the
-    /// worker crashed mid-step. The island coordinator retries from the
-    /// island's last committed state with bounded backoff, and freezes the
-    /// island once its restart limit is exhausted. Keys look like
-    /// `island:<id>:g<generation>#a<attempt>`, so a plan can fail one
-    /// attempt (transient crash) or every attempt (dead island). Benign on
-    /// the fitness path.
+    /// worker crashed mid-step (a framed executor also drops its
+    /// connection, so the next attempt respawns the worker process). The
+    /// island supervisor retries from the island's last committed state
+    /// with bounded backoff, and freezes the island once its restart limit
+    /// is exhausted. Keys look like `island:<id>:g<generation>#a<attempt>`,
+    /// so a plan can fail one attempt (transient crash) or every attempt
+    /// (dead island). Benign on the fitness path.
     IslandKill,
-    /// Stall an island worker for the given number of milliseconds *after*
-    /// it published its heartbeat — a hung step. Wall-clock only: the
-    /// step's results are unchanged, so injected stalls can never alter
-    /// the search trajectory (the determinism rule the island tests pin).
-    /// Benign on the fitness path.
+    /// Stall the keyed island step attempt for the given number of
+    /// milliseconds *after* its heartbeat was published — a hung step or
+    /// a wedged connection. Wall-clock only: the step's results are
+    /// unchanged, so injected stalls can never alter the search
+    /// trajectory (the determinism rule the island tests pin). Benign on
+    /// the fitness path.
     IslandStall(u64),
     /// Delay an island worker's heartbeat publication by the given number
     /// of milliseconds — a late check-in. The deadline monitor reports a
     /// missed heartbeat; the step itself proceeds normally. Benign on the
     /// fitness path.
     SlowHeartbeat(u64),
-    /// Truncate the next frame the supervisor sends to a process-level
-    /// worker mid-header/mid-payload (a torn write). The worker rejects
-    /// the torn frame with a typed error and exits; the supervisor sees
-    /// the connection close, discards the attempt and respawns from the
-    /// last committed round. Keys look like
-    /// `worker:<id>:round<r>#a<attempt>`. Benign on the fitness path.
+    /// Truncate the frame carrying the keyed island step to a
+    /// process-level worker mid-header/mid-payload (a torn write). The
+    /// worker rejects the torn frame with a typed error and exits; the
+    /// supervisor sees the connection close, discards the attempt and
+    /// respawns from the island's last committed state. Does nothing
+    /// in-process. Benign on the fitness path.
     TornFrame,
-    /// Send the next supervisor frame twice with the same sequence number.
-    /// The receiver's dedup window drops the replay, so this fault is
-    /// *proven* neutral: the run's bytes cannot change. Benign on the
-    /// fitness path.
+    /// Send the frame carrying the keyed island step twice with the same
+    /// sequence number. The receiver's dedup window drops the replay, so
+    /// this fault is *proven* neutral: the run's bytes cannot change. Does
+    /// nothing in-process. Benign on the fitness path.
     DuplicateFrame,
-    /// Stall the supervisor's connection to a worker for the given number
-    /// of milliseconds before the attempt proceeds. Wall-clock only: the
-    /// heartbeat monitor may report the worker late, but the step results
-    /// are unchanged. Benign on the fitness path.
-    StallConn(u64),
-    /// Kill the process-level worker owning the keyed attempt before it is
-    /// used: the child is terminated (or the loopback channel dropped),
-    /// the attempt is discarded, and the supervisor respawns the worker
-    /// from the last committed round with bounded backoff — freezing the
-    /// worker's islands once the reconnect window is exhausted. Benign on
-    /// the fitness path.
-    KillWorker,
     /// Delay the supervisor→worker handshake by the given number of
-    /// milliseconds (a slow worker start). Wall-clock only. Benign on the
-    /// fitness path.
+    /// milliseconds when the keyed attempt has to (re)connect (a slow
+    /// worker start). Wall-clock only; does nothing in-process. Benign on
+    /// the fitness path.
     SlowHandshake(u64),
 }
 
 /// When a plan fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultTrigger {
-    /// Fire on the `n`th fitness call (1-based), once.
+    /// Fire on the `n`th fitness call (1-based), once. Only fitness calls
+    /// count: structured keys neither match nor advance the counter.
     OnCall(u64),
     /// Fire on every candidate whose expression-text hash `h` satisfies
     /// `h % modulus == residue`. Order-independent, thread-count-independent.
+    /// Matches fitness calls only, never structured keys.
     OnMatch {
         /// Hash modulus (0 is treated as "never fires").
         modulus: u64,
@@ -147,7 +143,9 @@ pub enum FaultTrigger {
     /// Fire on every event whose key starts with the prefix. Keys are the
     /// candidate's expression text on the fitness path, and structured
     /// `stage:detail` strings elsewhere (`measure:<bench>:<site>`,
-    /// `shard-write:<bench>`), so a test can target one site or shard.
+    /// `shard-write:<bench>`, `island:<id>:g<generation>#a<attempt>`), so a
+    /// test can target one site, shard or island step. The only trigger
+    /// structured keys can match.
     OnKeyPrefix(String),
 }
 
@@ -222,51 +220,55 @@ impl FaultInjector {
         }
     }
 
-    /// Reports one event keyed `key` and returns the fault to inject, if
-    /// any plan fires (checked in order; first match wins). The fitness
-    /// path calls this with the candidate's expression text; measurement
-    /// and store layers call it directly with structured keys.
+    /// Reports one event under the structured key `key` and returns the
+    /// fault to inject, if any [`FaultTrigger::OnKeyPrefix`] plan fires
+    /// (checked in order; first match wins). Measurement, store and island
+    /// layers call this; it does not count as a fitness call.
     pub fn fire(&self, key: &str) -> Option<FaultKind> {
-        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
-        let hash = fnv1a(key.as_bytes());
-        for plan in &self.plans {
-            if Self::plan_fires(plan, call, hash, key) {
-                self.injected.fetch_add(1, Ordering::SeqCst);
-                return Some(plan.kind);
-            }
-        }
-        None
+        self.fired(key, None).next()
     }
 
-    /// Reports one event keyed `key` and returns *every* fault whose plan
-    /// fires, in plan (insertion) order. Unlike [`FaultInjector::fire`],
-    /// overlapping [`FaultTrigger::OnKeyPrefix`] schedules compose: a
-    /// `worker:1:` kill and a `worker:1:round3` stall armed together both
-    /// fire on `worker:1:round3#a1`, kill first — deterministically, in
-    /// the order the plans were inserted. The transport supervisor uses
-    /// this so a single attempt can carry several faults (e.g. a stalled
-    /// connection that is then killed).
+    /// Reports one event under the structured key `key` and returns *every*
+    /// fault whose [`FaultTrigger::OnKeyPrefix`] plan fires, in plan
+    /// (insertion) order. Unlike [`FaultInjector::fire`], overlapping
+    /// schedules compose: an `island:1:` stall and an `island:1:g3` kill
+    /// armed together both fire on `island:1:g3#a1`, stall first. The
+    /// island supervisor uses this so a single step attempt can carry
+    /// several faults (e.g. a stalled connection that is then killed).
     pub fn fire_all(&self, key: &str) -> Vec<FaultKind> {
-        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
-        let hash = fnv1a(key.as_bytes());
-        let mut fired = Vec::new();
-        for plan in &self.plans {
-            if Self::plan_fires(plan, call, hash, key) {
-                self.injected.fetch_add(1, Ordering::SeqCst);
-                fired.push(plan.kind);
-            }
-        }
-        fired
+        self.fired(key, None).collect()
     }
 
-    fn plan_fires(plan: &FaultPlan, call: u64, hash: u64, key: &str) -> bool {
-        match &plan.trigger {
-            FaultTrigger::OnCall(n) => call == *n,
-            FaultTrigger::OnMatch { modulus, residue } => {
-                *modulus > 0 && hash % *modulus == *residue % *modulus
-            }
-            FaultTrigger::OnKeyPrefix(prefix) => key.starts_with(prefix.as_str()),
-        }
+    /// One fitness call on the candidate printed as `text`: advances the
+    /// call counter and checks every trigger kind.
+    fn fire_fitness(&self, text: &str) -> Option<FaultKind> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        self.fired(text, Some(call)).next()
+    }
+
+    /// The kinds of the plans firing on `key`, in plan order, each counted
+    /// as injected when yielded. `call` is the fitness-call number, `None`
+    /// for structured keys (which then match prefix plans only).
+    fn fired<'s>(
+        &'s self,
+        key: &'s str,
+        call: Option<u64>,
+    ) -> impl Iterator<Item = FaultKind> + 's {
+        let hash = call.map(|_| fnv1a(key.as_bytes()));
+        self.plans
+            .iter()
+            .filter(move |plan| match (&plan.trigger, call, hash) {
+                (FaultTrigger::OnKeyPrefix(prefix), _, _) => key.starts_with(prefix.as_str()),
+                (FaultTrigger::OnCall(n), Some(call), _) => call == *n,
+                (FaultTrigger::OnMatch { modulus, residue }, _, Some(hash)) => {
+                    *modulus > 0 && hash % *modulus == *residue % *modulus
+                }
+                _ => false,
+            })
+            .map(|plan| {
+                self.injected.fetch_add(1, Ordering::SeqCst);
+                plan.kind
+            })
     }
 }
 
@@ -278,7 +280,7 @@ pub struct InjectedFitness<'a, F> {
 
 impl<F: FitnessFn> FitnessFn for InjectedFitness<'_, F> {
     fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
-        match self.injector.fire(&expr.to_string()) {
+        match self.injector.fire_fitness(&expr.to_string()) {
             Some(FaultKind::Panic) => panic!("injected fault: evaluator panic"),
             Some(FaultKind::ExhaustBudget) => None,
             Some(FaultKind::NanFitness) => Some(f64::NAN),
@@ -299,8 +301,6 @@ impl<F: FitnessFn> FitnessFn for InjectedFitness<'_, F> {
                 | FaultKind::SlowHeartbeat(_)
                 | FaultKind::TornFrame
                 | FaultKind::DuplicateFrame
-                | FaultKind::StallConn(_)
-                | FaultKind::KillWorker
                 | FaultKind::SlowHandshake(_),
             )
             | None => self.inner.fitness(expr),
@@ -406,41 +406,71 @@ mod tests {
     fn overlapping_prefix_schedules_compose_in_insertion_order() {
         // Three plans whose prefixes all cover the same key: `fire` keeps
         // its historical first-match-wins contract, while `fire_all`
-        // returns every match in insertion order so transport schedules
-        // can stack a stall and a kill on one attempt.
+        // returns every match in insertion order so island schedules can
+        // stack a stall and a kill on one attempt.
         let inj = FaultInjector::new(vec![
             FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:1:".into()),
-                kind: FaultKind::StallConn(5),
+                trigger: FaultTrigger::OnKeyPrefix("island:1:".into()),
+                kind: FaultKind::IslandStall(5),
             },
             FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:1:round3".into()),
-                kind: FaultKind::KillWorker,
+                trigger: FaultTrigger::OnKeyPrefix("island:1:g3".into()),
+                kind: FaultKind::IslandKill,
             },
             FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:".into()),
+                trigger: FaultTrigger::OnKeyPrefix("island:".into()),
                 kind: FaultKind::TornFrame,
             },
         ]);
-        assert_eq!(inj.fire("worker:1:round3#a1"), Some(FaultKind::StallConn(5)));
+        assert_eq!(inj.fire("island:1:g3#a1"), Some(FaultKind::IslandStall(5)));
         assert_eq!(
-            inj.fire_all("worker:1:round3#a1"),
+            inj.fire_all("island:1:g3#a1"),
             vec![
-                FaultKind::StallConn(5),
-                FaultKind::KillWorker,
+                FaultKind::IslandStall(5),
+                FaultKind::IslandKill,
                 FaultKind::TornFrame
             ],
             "every overlapping plan fires, in insertion order"
         );
         assert_eq!(
-            inj.fire_all("worker:1:round2#a1"),
-            vec![FaultKind::StallConn(5), FaultKind::TornFrame],
+            inj.fire_all("island:1:g2#a1"),
+            vec![FaultKind::IslandStall(5), FaultKind::TornFrame],
             "non-matching plans are skipped without disturbing the order"
         );
-        assert_eq!(inj.fire_all("island:0:g1#a1"), vec![]);
-        // 1 (fire) + 3 + 2 injected events so far.
+        assert_eq!(inj.fire_all("measure:x:y#a1"), vec![]);
+        // 1 (fire) + 3 + 2 injected events so far; none was a fitness call.
         assert_eq!(inj.injected(), 6);
-        assert_eq!(inj.calls(), 4);
+        assert_eq!(inj.calls(), 0);
+    }
+
+    #[test]
+    fn structured_keys_match_only_prefix_plans_and_are_not_calls() {
+        let inj = FaultInjector::new(vec![
+            FaultPlan {
+                trigger: FaultTrigger::OnCall(2),
+                kind: FaultKind::ExhaustBudget,
+            },
+            FaultPlan {
+                trigger: FaultTrigger::OnMatch {
+                    modulus: 1,
+                    residue: 0,
+                },
+                kind: FaultKind::IslandKill,
+            },
+        ]);
+        for key in ["island:0:g1#a1", "measure:b:s#a1", "shard-write:b"] {
+            assert_eq!(inj.fire(key), None, "{key}");
+            assert_eq!(inj.fire_all(key), vec![], "{key}");
+        }
+        assert_eq!(inj.calls(), 0);
+        assert_eq!(inj.injected(), 0);
+        // The second *fitness* call is still the one `OnCall(2)` hits.
+        let inner = |_: &FeatureExpr| Some(1.0);
+        let wrapped = inj.wrap(&inner);
+        let f = feature("1");
+        assert_eq!(wrapped.fitness(&f), Some(1.0), "IslandKill is benign here");
+        assert_eq!(wrapped.fitness(&f), None);
+        assert_eq!(inj.calls(), 2);
     }
 
     #[test]

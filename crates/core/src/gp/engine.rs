@@ -261,7 +261,9 @@ pub struct GpState {
 }
 
 /// Per-generation observability summary; see [`GpState::last_gen`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Serializable so a process-level worker can report it with the stepped
+/// island.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GenStats {
     /// Generation number this summarises (1-based, equals
     /// `GpState::generations` right after the step).

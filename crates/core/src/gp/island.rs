@@ -1,11 +1,15 @@
-//! Supervised island-model GP runtime.
+//! The island round loop: every per-feature GP run of the search.
 //!
 //! The paper's feature searches ran for weeks, which makes worker failure
 //! the normal case, not the exception. This module makes the *island* the
-//! restartable unit of work: N populations advance independently on
-//! isolated RNG streams (each derived from the root seed), exchange elites
-//! through periodic deterministic migration rounds, and are driven by a
-//! coordinator that supervises every step.
+//! restartable unit of work: N populations (N = 1 is the classic
+//! single-population search) advance on isolated RNG streams (each derived
+//! from the root seed), exchange elites through periodic deterministic
+//! migration rounds, and are driven by one supervising loop,
+//! [`IslandCoordinator`]. *Where* a step computes is an
+//! [`IslandExecutor`]: [`InProcess`] calls the GP engine directly, the
+//! framed executor of [`super::worker_proc`] ships the island to a worker
+//! process. All robustness policy lives here, once, for both.
 //!
 //! # Determinism rule
 //!
@@ -14,11 +18,11 @@
 //! *content-deterministic* events may alter the trajectory:
 //!
 //! - A **round is a barrier**: every active island advances exactly one
-//!   generation per round, dispatched across however many worker threads
-//!   are available. Each step executes on a *clone* of the island's last
-//!   committed state; results are committed sequentially in island-id
-//!   order after all workers join, so the worker count can only change
-//!   wall-clock time, never state.
+//!   generation per round, dispatched across however many worker slots
+//!   are available. Each step works from the island's last committed
+//!   state; results are committed sequentially in island-id order after
+//!   every slot finished, so the worker count and the executor can only
+//!   change wall-clock time, never state.
 //! - **Crashes are keyed, not timed**: each step attempt consults the
 //!   fault injector under the key `island:<id>:g<generation>#a<attempt>`.
 //!   Whether an attempt crashes is a function of that key alone, so
@@ -28,6 +32,10 @@
 //!   consecutive failures the island is **frozen** — reported, never
 //!   silently dropped, and its last committed state still sends migrants
 //!   and joins the final merge.
+//! - **Retries are telemetry-only**: a retried attempt replays a pure
+//!   function of the committed state, so it leaves no trace in island
+//!   state or checkpoints (`island.restarts` is a counter). Freezing is
+//!   the one supervision outcome recorded in state.
 //! - **Wall-clock events are report-only**: heartbeat deadlines, stalls
 //!   and slow check-ins produce telemetry, never state changes.
 //! - **Cancellation discards, never commits, partial rounds**: if any
@@ -46,13 +54,15 @@
 
 use crate::faults::{CancelToken, FaultInjector, FaultKind};
 use crate::gp::engine::{Evaluated, GpEngine, GpRun, GpSnapshot, GpState, GpStatus};
+use crate::gp::transport::SendFault;
 use crate::gp::FitnessFn;
 use crate::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Island topology of a feature search. Part of
@@ -64,7 +74,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IslandTopology {
     /// Number of island populations (1 = the classic single-population
-    /// search; the island coordinator is bypassed entirely).
+    /// search: the same round loop over one island).
     pub islands: usize,
     /// Rounds between migration exchanges (each round advances every
     /// active island by one generation).
@@ -133,8 +143,17 @@ pub struct Island {
     pub gp: GpState,
     /// Supervision status.
     pub status: IslandStatus,
-    /// Crashed step attempts absorbed over the island's lifetime.
-    pub restarts: usize,
+}
+
+impl Island {
+    /// Captures the island in serializable form (checkpoint and wire).
+    pub fn snapshot(&self) -> IslandSnapshot {
+        IslandSnapshot {
+            id: self.id,
+            status: self.status,
+            gp: self.gp.snapshot(),
+        }
+    }
 }
 
 /// One recorded elite exchange.
@@ -171,14 +190,12 @@ pub struct IslandSnapshot {
     pub id: usize,
     /// Supervision status.
     pub status: IslandStatus,
-    /// Lifetime crashed attempts.
-    pub restarts: usize,
     /// The island's GP state.
     pub gp: GpSnapshot,
 }
 
-/// Serializable form of an [`IslandsState`] — the merged multi-island
-/// snapshot embedded in [`crate::checkpoint::SearchCheckpoint`]. The
+/// Serializable form of an [`IslandsState`] — the in-flight GP state
+/// embedded in [`crate::checkpoint::SearchCheckpoint`]. The
 /// migration ledger is guarded by a content digest so a truncated or
 /// hand-edited ledger is rejected at load, never partially adopted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,20 +270,30 @@ impl IslandsSnapshot {
 }
 
 impl IslandsState {
+    /// Derives the initial island states: per-island RNG streams are
+    /// seeded by consecutive draws from the outer RNG, in id order, so the
+    /// topology fully determines every stream (one island makes exactly
+    /// one draw, as the single-population search always has).
+    pub fn init(engine: &GpEngine<'_>, topology: &IslandTopology, rng: &mut StdRng) -> Self {
+        let islands = (0..topology.islands.max(1))
+            .map(|id| Island {
+                id,
+                gp: engine.init_state(StdRng::seed_from_u64(rng.gen())),
+                status: IslandStatus::Active,
+            })
+            .collect();
+        IslandsState {
+            islands,
+            round: 0,
+            ledger: Vec::new(),
+        }
+    }
+
     /// Captures the full state in serializable form.
     pub fn snapshot(&self) -> IslandsSnapshot {
         IslandsSnapshot {
             round: self.round,
-            islands: self
-                .islands
-                .iter()
-                .map(|i| IslandSnapshot {
-                    id: i.id,
-                    status: i.status,
-                    restarts: i.restarts,
-                    gp: i.gp.snapshot(),
-                })
-                .collect(),
+            islands: self.islands.iter().map(Island::snapshot).collect(),
             ledger: self.ledger.clone(),
             ledger_digest: ledger_digest(&self.ledger),
         }
@@ -283,7 +310,6 @@ impl IslandsState {
                 gp: GpState::from_snapshot(&s.gp)
                     .map_err(|e| format!("island {}: {e}", s.id))?,
                 status: s.status,
-                restarts: s.restarts,
             });
         }
         Ok(IslandsState {
@@ -311,16 +337,92 @@ pub enum RoundStatus {
     Interrupted,
 }
 
-/// Result of one supervised island step attempt sequence.
+/// Base of the bounded exponential backoff between step attempts: the
+/// `n`th retry waits `RESTART_BACKOFF_MS << min(n - 1, 5)` ms.
+const RESTART_BACKOFF_MS: u64 = 1;
+
+/// Faults only a framed executor can act on; [`InProcess`] ignores them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameFaults {
+    /// How the frame carrying the step is sent.
+    pub send: SendFault,
+    /// Delay before (re)connecting a worker, in milliseconds.
+    pub slow_handshake_ms: u64,
+}
+
+/// What one step attempt produced.
+#[derive(Debug)]
+pub enum Attempt {
+    /// The island after one generation, and whether it converged.
+    Stepped(Box<GpState>, GpStatus),
+    /// The attempt crashed or lost its worker; retry from the committed
+    /// state.
+    Failed,
+    /// Cancellation landed mid-step; the round is discarded.
+    Interrupted,
+}
+
+/// Where island steps execute. The [`IslandCoordinator`] owns every
+/// policy decision (retries, freezes, heartbeats, commit order); an
+/// executor only computes one generation of one island, on one of the
+/// round's worker slots.
+pub trait IslandExecutor: Sync {
+    /// Advances `island` — its last committed state, left untouched — by
+    /// one generation on worker slot `slot`.
+    fn step(&self, slot: usize, island: &Island, faults: FrameFaults) -> Attempt;
+
+    /// Drops slot `slot`'s worker after a failed attempt on `island`, so
+    /// the next attempt starts from a fresh one; `frozen` marks the
+    /// attempt that exhausted the island's restart budget.
+    fn reset(&self, slot: usize, island: usize, frozen: bool);
+}
+
+/// Steps islands in this process: a direct [`GpEngine::step_cancellable`]
+/// call on a clone of the committed state, under `catch_unwind` (a panic
+/// that escapes the engine's own per-candidate quarantine is a crashed
+/// attempt).
+pub struct InProcess<'a, 'g, F> {
+    engine: &'a GpEngine<'g>,
+    fitness: &'a F,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl<'a, 'g, F: FitnessFn> InProcess<'a, 'g, F> {
+    /// An executor stepping with `engine` and `fitness`, interruptible by
+    /// `cancel`.
+    pub fn new(engine: &'a GpEngine<'g>, fitness: &'a F, cancel: Option<&'a CancelToken>) -> Self {
+        InProcess {
+            engine,
+            fitness,
+            cancel,
+        }
+    }
+}
+
+impl<F: FitnessFn> IslandExecutor for InProcess<'_, '_, F> {
+    fn step(&self, _slot: usize, island: &Island, _faults: FrameFaults) -> Attempt {
+        let mut trial = island.gp.clone();
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            self.engine
+                .step_cancellable(&mut trial, self.fitness, self.cancel)
+        }));
+        match stepped {
+            Ok(Some(status)) => Attempt::Stepped(Box::new(trial), status),
+            Ok(None) => Attempt::Interrupted,
+            Err(_) => Attempt::Failed,
+        }
+    }
+
+    fn reset(&self, _slot: usize, _island: usize, _frozen: bool) {}
+}
+
+/// Result of one island's attempt ladder in a round: the final attempt
+/// (`Failed` once the restart budget is spent, i.e. frozen), the failed
+/// attempts before it, and the wall-clock time spent (including retries
+/// and backoff), for the slowest-island report.
 struct StepOutcome {
-    /// The stepped state, or `None` when the island froze.
-    stepped: Option<(GpState, GpStatus)>,
-    /// Crashed attempts absorbed while producing this outcome.
+    attempt: Attempt,
     restarts: usize,
-    /// The step was interrupted by cancellation; discard the round.
-    interrupted: bool,
-    /// Wall-clock time spent on this island this round (including retries
-    /// and backoff), for the slowest-island report.
     step_us: u64,
 }
 
@@ -329,101 +431,76 @@ const HB_QUEUED: u64 = u64::MAX;
 /// Heartbeat sentinel: the island finished its step this round.
 const HB_DONE: u64 = u64::MAX - 1;
 
-/// The supervising coordinator: drives one round at a time, owning the
-/// heartbeat monitor, per-island panic quarantine, restart-with-backoff
-/// and freeze-on-repeated-failure policy.
-pub struct IslandCoordinator<'a, 'g> {
-    engine: &'a GpEngine<'g>,
+fn millis_since(epoch: &Instant) -> u64 {
+    epoch.elapsed().as_millis() as u64
+}
+
+/// How an [`IslandCoordinator`] runs its rounds. Execution settings only:
+/// none of them changes results.
+pub struct Supervision<'a> {
+    /// Worker slots stepping islands each round. Slot 0 runs on the
+    /// calling thread, every other slot on a scoped thread.
+    pub workers: usize,
+    /// Heartbeat deadline in milliseconds; 0 disables the monitor. The
+    /// monitor is observational: a missed deadline is reported, never
+    /// acted on (wall-clock events must not alter the trajectory).
+    pub heartbeat_deadline_ms: u64,
+    /// Cooperative cancellation token, polled before every attempt.
+    pub cancel: Option<&'a CancelToken>,
+    /// Fault injector consulted once per step attempt (keys
+    /// `island:<id>:g<generation>#a<attempt>`).
+    pub injector: Option<&'a FaultInjector>,
+    /// Telemetry handle for supervision events.
+    pub telemetry: Telemetry,
+}
+
+/// The supervising round loop: drives one round at a time over an
+/// [`IslandExecutor`], owning the per-island attempt ladder, the heartbeat
+/// monitor, the id-order commit barrier, migration and the merge.
+pub struct IslandCoordinator<'a, E> {
+    executor: &'a E,
     topology: IslandTopology,
+    parsimony: bool,
     workers: usize,
     heartbeat_deadline_ms: u64,
-    restart_backoff_ms: u64,
     cancel: Option<&'a CancelToken>,
     injector: Option<&'a FaultInjector>,
     telemetry: Telemetry,
     /// Cumulative per-island step wall-clock, for the final report.
     step_us: Vec<u64>,
+    /// Cumulative per-island failed attempts (telemetry only).
+    restarts: Vec<usize>,
 }
 
-impl<'a, 'g> IslandCoordinator<'a, 'g> {
-    /// A coordinator over `engine` with the given topology. Defaults: one
-    /// worker, 2 s heartbeat deadline, 1 ms restart backoff base.
-    pub fn new(engine: &'a GpEngine<'g>, topology: IslandTopology) -> Self {
+impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
+    /// A coordinator stepping `topology`'s islands through `executor`
+    /// under `supervision`; `parsimony` is the GP configuration's
+    /// tie-break rule, used by the merge.
+    pub fn new(
+        executor: &'a E,
+        topology: IslandTopology,
+        parsimony: bool,
+        supervision: Supervision<'a>,
+    ) -> Self {
+        let Supervision {
+            workers,
+            heartbeat_deadline_ms,
+            cancel,
+            injector,
+            telemetry,
+        } = supervision;
         let islands = topology.islands.max(1);
         IslandCoordinator {
-            engine,
+            executor,
             topology,
-            workers: 1,
-            heartbeat_deadline_ms: 2_000,
-            restart_backoff_ms: 1,
-            cancel: None,
-            injector: None,
-            telemetry: Telemetry::disabled(),
+            parsimony,
+            workers,
+            heartbeat_deadline_ms,
+            cancel,
+            injector,
+            telemetry,
             step_us: vec![0; islands],
-        }
-    }
-
-    /// Worker threads stepping islands each round (execution knob: any
-    /// value produces byte-identical results).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Heartbeat deadline in milliseconds; 0 disables the monitor. The
-    /// monitor is observational: a missed deadline is reported, never
-    /// acted on (wall-clock events must not alter the trajectory).
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_deadline_ms = ms;
-        self
-    }
-
-    /// Base backoff (milliseconds) between restart attempts; grows
-    /// exponentially per consecutive failure, capped at 2 s.
-    pub fn restart_backoff_ms(mut self, ms: u64) -> Self {
-        self.restart_backoff_ms = ms;
-        self
-    }
-
-    /// Cooperative cancellation token, polled before and during steps.
-    pub fn cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Fault injector consulted per step attempt (keys
-    /// `island:<id>:g<generation>#a<attempt>`).
-    pub fn injector(mut self, injector: Option<&'a FaultInjector>) -> Self {
-        self.injector = injector;
-        self
-    }
-
-    /// Telemetry handle for supervision events.
-    pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
-    /// Derives the initial island states: per-island RNG streams are
-    /// seeded by consecutive draws from the outer RNG, in id order, so
-    /// the topology fully determines every stream.
-    pub fn init_state(
-        engine: &GpEngine<'_>,
-        topology: &IslandTopology,
-        rng: &mut StdRng,
-    ) -> IslandsState {
-        let islands = (0..topology.islands.max(1))
-            .map(|id| Island {
-                id,
-                gp: engine.init_state(StdRng::seed_from_u64(rng.gen())),
-                status: IslandStatus::Active,
-                restarts: 0,
-            })
-            .collect();
-        IslandsState {
-            islands,
-            round: 0,
-            ledger: Vec::new(),
+            restarts: vec![0; islands],
         }
     }
 
@@ -434,7 +511,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
     /// Advances every active island by one generation, then (on migration
     /// rounds) exchanges elites. All-or-nothing: an interrupted round
     /// commits nothing.
-    pub fn round<F: FitnessFn>(&mut self, state: &mut IslandsState, fitness: &F) -> RoundStatus {
+    pub fn round(&mut self, state: &mut IslandsState) -> RoundStatus {
         let active: Vec<usize> = state
             .islands
             .iter()
@@ -452,50 +529,44 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
         let heartbeats: Vec<AtomicU64> =
             active.iter().map(|_| AtomicU64::new(HB_QUEUED)).collect();
         let mut outcomes: Vec<Option<StepOutcome>> = active.iter().map(|_| None).collect();
-        let workers = self.workers.min(active.len()).max(1);
-        let chunk = active.len().div_ceil(workers);
-        {
-            let this = &*self;
-            let refs: Vec<&Island> = active.iter().map(|&id| &state.islands[id]).collect();
-            let pending = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for ((island_chunk, out_chunk), hb_chunk) in refs
-                    .chunks(chunk)
-                    .zip(outcomes.chunks_mut(chunk))
-                    .zip(heartbeats.chunks(chunk))
-                {
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    let pending = &pending;
-                    s.spawn(move || {
-                        for ((island, slot), hb) in island_chunk
-                            .iter()
-                            .zip(out_chunk.iter_mut())
-                            .zip(hb_chunk.iter())
-                        {
-                            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-                            let started = Instant::now();
-                            let mut outcome = this.step_island(island, fitness, hb, &epoch);
-                            outcome.step_us = started.elapsed().as_micros() as u64;
-                            let stop = outcome.interrupted;
-                            *slot = Some(outcome);
-                            hb.store(HB_DONE, Ordering::SeqCst);
-                            if stop {
-                                break;
-                            }
-                        }
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                this.monitor(&active, &heartbeats, &pending, &epoch);
-            });
-        }
+        let chunk = active.len().div_ceil(self.workers.clamp(1, active.len()));
+        let islands: Vec<&Island> = active.iter().map(|&id| &state.islands[id]).collect();
+        // Every slot holds a sender; the monitor's channel disconnects the
+        // moment the last slot finishes (or unwinds).
+        let (finished, slots_done) = mpsc::channel::<()>();
+        let this = &*self;
+        std::thread::scope(|s| {
+            if this.heartbeat_deadline_ms > 0 && this.telemetry.is_enabled() {
+                let (active, heartbeats, epoch) = (&active, &heartbeats, &epoch);
+                s.spawn(move || this.monitor(active, heartbeats, slots_done, epoch));
+            }
+            let mut slots = islands
+                .chunks(chunk)
+                .zip(outcomes.chunks_mut(chunk))
+                .zip(heartbeats.chunks(chunk))
+                .enumerate();
+            // The calling thread steps slot 0 itself: a single-population
+            // search never leaves the thread whose caches it warmed.
+            let first = slots.next();
+            for (slot, ((islands, outs), hbs)) in slots {
+                let (finished, epoch) = (finished.clone(), &epoch);
+                s.spawn(move || {
+                    this.run_slot(slot, islands, outs, hbs, epoch);
+                    drop(finished);
+                });
+            }
+            if let Some((slot, ((islands, outs), hbs))) = first {
+                this.run_slot(slot, islands, outs, hbs, &epoch);
+            }
+            drop(finished);
+        });
 
         // An interrupted step poisons the whole round: committing a
         // partial round would make the boundary worker-count-dependent.
-        if outcomes
-            .iter()
-            .any(|o| o.as_ref().is_none_or(|o| o.interrupted))
-            || self.is_cancelled()
+        if outcomes.iter().any(|o| {
+            o.as_ref()
+                .is_none_or(|o| matches!(o.attempt, Attempt::Interrupted))
+        }) || self.is_cancelled()
         {
             return RoundStatus::Interrupted;
         }
@@ -506,7 +577,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             self.step_us[id] += outcome.step_us;
             let island = &mut state.islands[id];
             if outcome.restarts > 0 {
-                island.restarts += outcome.restarts;
+                self.restarts[id] += outcome.restarts;
                 self.telemetry
                     .event("island_restart")
                     .u64("island", id as u64)
@@ -516,9 +587,13 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
                 self.telemetry
                     .counter_add("island.restarts", outcome.restarts as u64);
             }
-            match outcome.stepped {
-                Some((gp, status)) => {
-                    island.gp = gp;
+            match outcome.attempt {
+                Attempt::Stepped(gp, status) => {
+                    let advanced = gp.generations > island.gp.generations;
+                    island.gp = *gp;
+                    if advanced {
+                        emit_generation(&self.telemetry, island);
+                    }
                     if status == GpStatus::Converged {
                         island.status = IslandStatus::Converged;
                         self.telemetry
@@ -528,7 +603,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
                             .emit();
                     }
                 }
-                None => {
+                Attempt::Failed | Attempt::Interrupted => {
                     // Graceful degradation: frozen and reported, never
                     // silently dropped — the last committed state still
                     // migrates and merges.
@@ -537,13 +612,13 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
                         .event("island_frozen")
                         .u64("island", id as u64)
                         .u64("generations", island.gp.generations as u64)
-                        .u64("restarts", island.restarts as u64)
+                        .u64("restarts", self.restarts[id] as u64)
                         .emit();
                     self.telemetry.counter_add("island.frozen", 1);
                     self.telemetry.progress(&format!(
-                        "island {id} frozen after {} crashed attempt(s); \
+                        "island {id} frozen after {} failed attempt(s); \
                          its last state still joins the merge",
-                        island.restarts
+                        self.restarts[id]
                     ));
                 }
             }
@@ -563,118 +638,116 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
         }
     }
 
-    /// Supervised single-island step: clone the committed state, attempt
-    /// the generation, retry crashed attempts with bounded backoff.
-    fn step_island<F: FitnessFn>(
+    /// Steps one slot's islands in order, stopping at an interruption.
+    fn run_slot(
         &self,
-        island: &Island,
-        fitness: &F,
-        hb: &AtomicU64,
+        slot: usize,
+        islands: &[&Island],
+        outs: &mut [Option<StepOutcome>],
+        heartbeats: &[AtomicU64],
         epoch: &Instant,
-    ) -> StepOutcome {
-        let generation = island.gp.generations + 1;
-        let mut failures = 0usize;
-        loop {
-            if self.is_cancelled() {
-                return StepOutcome {
-                    stepped: None,
-                    restarts: failures,
-                    interrupted: true,
-                    step_us: 0,
-                };
-            }
-            let attempt = failures + 1;
-            let fault = self.injector.and_then(|inj| {
-                inj.fire(&format!("island:{}:g{generation}#a{attempt}", island.id))
+    ) {
+        for ((island, out), hb) in islands.iter().zip(outs).zip(heartbeats) {
+            hb.store(millis_since(epoch), Ordering::SeqCst);
+            let started = Instant::now();
+            let (attempt, restarts) = self.step_island(slot, island, hb, epoch);
+            hb.store(HB_DONE, Ordering::SeqCst);
+            let stop = matches!(attempt, Attempt::Interrupted);
+            *out = Some(StepOutcome {
+                attempt,
+                restarts,
+                step_us: started.elapsed().as_micros() as u64,
             });
-            // A slow heartbeat delays the check-in itself; a stall hangs
-            // the worker *after* it checked in. Both are wall-clock only.
-            if let Some(FaultKind::SlowHeartbeat(ms)) = fault {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-            match fault {
-                Some(FaultKind::IslandStall(ms) | FaultKind::Delay(ms)) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                Some(FaultKind::Cancel) => {
-                    if let Some(cancel) = self.cancel {
-                        cancel.cancel();
-                    }
-                }
-                _ => {}
-            }
-            let crashed = matches!(fault, Some(FaultKind::IslandKill | FaultKind::Panic));
-            if !crashed {
-                // Step on a clone; the committed state is untouched until
-                // the coordinator adopts the result — the island's "last
-                // atomic checkpoint" is always intact to restart from.
-                let mut trial = island.gp.clone();
-                let engine = self.engine;
-                let cancel = self.cancel;
-                let result = catch_unwind(AssertUnwindSafe(move || {
-                    let status = engine.step_cancellable(&mut trial, fitness, cancel);
-                    (trial, status)
-                }));
-                match result {
-                    Ok((trial, Some(status))) => {
-                        return StepOutcome {
-                            stepped: Some((trial, status)),
-                            restarts: failures,
-                            interrupted: false,
-                            step_us: 0,
-                        };
-                    }
-                    Ok((_, None)) => {
-                        return StepOutcome {
-                            stepped: None,
-                            restarts: failures,
-                            interrupted: true,
-                            step_us: 0,
-                        };
-                    }
-                    // A panic that escaped the engine's own quarantine:
-                    // treat it as a worker crash and retry.
-                    Err(_) => {}
-                }
-            }
-            failures += 1;
-            if failures > self.topology.restart_limit {
-                return StepOutcome {
-                    stepped: None,
-                    restarts: failures,
-                    interrupted: false,
-                    step_us: 0,
-                };
-            }
-            let backoff = self
-                .restart_backoff_ms
-                .saturating_mul(1 << (failures - 1).min(5))
-                .min(2_000);
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
+            if stop {
+                break;
             }
         }
     }
 
-    /// Observational heartbeat/deadline monitor, run on the coordinator
-    /// thread while workers step. Reports at most one miss per island per
-    /// round; never touches search state.
+    /// The attempt ladder of one island: consult the injector, step through
+    /// the executor, retry failed attempts from the committed state with
+    /// bounded backoff, give up (`Failed`: freeze) after `restart_limit + 1`
+    /// failures. Returns the final attempt and the failures before it.
+    fn step_island(
+        &self,
+        slot: usize,
+        island: &Island,
+        hb: &AtomicU64,
+        epoch: &Instant,
+    ) -> (Attempt, usize) {
+        let generation = island.gp.generations + 1;
+        let mut failures = 0usize;
+        loop {
+            if self.is_cancelled() {
+                return (Attempt::Interrupted, failures);
+            }
+            let attempt = failures + 1;
+            let faults = self.injector.map_or_else(Vec::new, |inj| {
+                inj.fire_all(&format!("island:{}:g{generation}#a{attempt}", island.id))
+            });
+            // A slow heartbeat delays the check-in itself; a stall hangs
+            // the attempt *after* it checked in. Both are wall-clock only.
+            for fault in &faults {
+                if let FaultKind::SlowHeartbeat(ms) = fault {
+                    std::thread::sleep(Duration::from_millis(*ms));
+                }
+            }
+            hb.store(millis_since(epoch), Ordering::SeqCst);
+            let mut frame = FrameFaults::default();
+            let mut crashed = false;
+            for fault in faults {
+                match fault {
+                    FaultKind::IslandKill | FaultKind::Panic => crashed = true,
+                    FaultKind::IslandStall(ms) | FaultKind::Delay(ms) => {
+                        std::thread::sleep(Duration::from_millis(ms));
+                    }
+                    FaultKind::Cancel => {
+                        if let Some(cancel) = self.cancel {
+                            cancel.cancel();
+                        }
+                    }
+                    FaultKind::TornFrame => frame.send = SendFault::Torn,
+                    FaultKind::DuplicateFrame => frame.send = SendFault::Duplicate,
+                    FaultKind::SlowHandshake(ms) => frame.slow_handshake_ms = ms,
+                    _ => {}
+                }
+            }
+            if self.is_cancelled() {
+                return (Attempt::Interrupted, failures);
+            }
+            if !crashed {
+                match self.executor.step(slot, island, frame) {
+                    Attempt::Failed => {}
+                    done => return (done, failures),
+                }
+            }
+            failures += 1;
+            let frozen = failures > self.topology.restart_limit;
+            self.executor.reset(slot, island.id, frozen);
+            if frozen {
+                return (Attempt::Failed, failures);
+            }
+            std::thread::sleep(Duration::from_millis(
+                RESTART_BACKOFF_MS << (failures - 1).min(5),
+            ));
+        }
+    }
+
+    /// Observational heartbeat/deadline monitor, run on a scoped thread
+    /// while the slots step. Wakes every quarter deadline and returns as
+    /// soon as `slots_done` disconnects (every slot finished); reports at
+    /// most one miss per island per round; never touches search state.
     fn monitor(
         &self,
         active: &[usize],
         heartbeats: &[AtomicU64],
-        pending: &AtomicUsize,
+        slots_done: Receiver<()>,
         epoch: &Instant,
     ) {
-        if self.heartbeat_deadline_ms == 0 {
-            return;
-        }
         let poll = Duration::from_millis((self.heartbeat_deadline_ms / 4).clamp(2, 250));
         let mut reported = vec![false; active.len()];
-        while pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(poll);
-            let now = epoch.elapsed().as_millis() as u64;
+        while let Err(RecvTimeoutError::Timeout) = slots_done.recv_timeout(poll) {
+            let now = millis_since(epoch);
             for (pos, hb) in heartbeats.iter().enumerate() {
                 let beat = hb.load(Ordering::SeqCst);
                 if beat == HB_QUEUED || beat == HB_DONE || reported[pos] {
@@ -696,10 +769,43 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
     }
 
     /// Deterministic ring migration: island `i` clones its best into the
-    /// last population slot of island `(i + 1) % n`. Frozen and converged
-    /// islands send but do not receive.
+    /// last population slot of island `(i + 1) % n`, every exchange
+    /// recorded in the digest-sealed ledger. Frozen and converged islands
+    /// send but do not receive.
     fn migrate(&self, state: &mut IslandsState) {
-        migrate_ring(state, &self.telemetry);
+        let n = state.islands.len();
+        if n < 2 {
+            return;
+        }
+        let donors: Vec<Option<Evaluated>> =
+            state.islands.iter().map(|i| i.gp.best.clone()).collect();
+        for (from, donor) in donors.iter().enumerate() {
+            let Some(best) = donor else { continue };
+            let to = (from + 1) % n;
+            if state.islands[to].status != IslandStatus::Active {
+                continue;
+            }
+            let population = &mut state.islands[to].gp.population;
+            let Some(slot) = population.len().checked_sub(1) else {
+                continue;
+            };
+            population[slot] = best.expr.clone();
+            state.ledger.push(MigrationRecord {
+                round: state.round,
+                from,
+                to,
+                feature: best.expr.to_string(),
+                quality: best.quality,
+            });
+            self.telemetry
+                .event("island_migration")
+                .u64("round", state.round as u64)
+                .u64("from", from as u64)
+                .u64("to", to as u64)
+                .f64("quality", best.quality)
+                .emit();
+            self.telemetry.counter_add("island.migrations", 1);
+        }
     }
 
     /// Merges the islands into one [`GpRun`]: best individual across all
@@ -707,90 +813,52 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
     /// islands included), summed counters. Emits one `island_done` event
     /// per island so the report can name the slowest.
     pub fn merge(&self, state: &IslandsState) -> GpRun {
-        merge_islands(
-            state,
-            self.engine.config().parsimony,
-            &self.step_us,
-            &self.telemetry,
-        )
-    }
-}
-
-/// The shared migration policy: island `i` clones its best into the last
-/// population slot of island `(i + 1) % n` (a deterministic ring), every
-/// exchange recorded in the digest-sealed ledger. Frozen and converged
-/// islands send but do not receive. Used by both the thread-level
-/// [`IslandCoordinator`] and the process-level
-/// [`super::worker_proc::ProcSupervisor`] so the two modes cannot drift.
-pub(crate) fn migrate_ring(state: &mut IslandsState, telemetry: &Telemetry) {
-    let n = state.islands.len();
-    if n < 2 {
-        return;
-    }
-    let donors: Vec<Option<Evaluated>> = state.islands.iter().map(|i| i.gp.best.clone()).collect();
-    for (from, donor) in donors.iter().enumerate() {
-        let Some(best) = donor else { continue };
-        let to = (from + 1) % n;
-        if state.islands[to].status != IslandStatus::Active {
-            continue;
-        }
-        let population = &mut state.islands[to].gp.population;
-        let Some(slot) = population.len().checked_sub(1) else {
-            continue;
-        };
-        population[slot] = best.expr.clone();
-        state.ledger.push(MigrationRecord {
-            round: state.round,
-            from,
-            to,
-            feature: best.expr.to_string(),
-            quality: best.quality,
-        });
-        telemetry
-            .event("island_migration")
-            .u64("round", state.round as u64)
-            .u64("from", from as u64)
-            .u64("to", to as u64)
-            .f64("quality", best.quality)
-            .emit();
-        telemetry.counter_add("island.migrations", 1);
-    }
-}
-
-/// The shared merge policy: best individual across all islands
-/// (parsimony-aware, ties to the lowest island id — frozen islands
-/// included), summed counters, one `island_done` event per island.
-pub(crate) fn merge_islands(
-    state: &IslandsState,
-    parsimony: bool,
-    step_us: &[u64],
-    telemetry: &Telemetry,
-) -> GpRun {
-    let mut best: Option<Evaluated> = None;
-    for island in &state.islands {
-        telemetry
-            .event("island_done")
-            .u64("island", island.id as u64)
-            .str("status", island.status.as_str())
-            .u64("generations", island.gp.generations as u64)
-            .u64("restarts", island.restarts as u64)
-            .u64("step_us", step_us.get(island.id).copied().unwrap_or(0))
-            .emit();
-        if let Some(candidate) = &island.gp.best {
-            if best
-                .as_ref()
-                .is_none_or(|b| candidate.better_than_with(b, parsimony))
-            {
-                best = Some(candidate.clone());
+        let mut best: Option<Evaluated> = None;
+        for island in &state.islands {
+            self.telemetry
+                .event("island_done")
+                .u64("island", island.id as u64)
+                .str("status", island.status.as_str())
+                .u64("generations", island.gp.generations as u64)
+                .u64("restarts", self.restarts[island.id] as u64)
+                .u64("step_us", self.step_us[island.id])
+                .emit();
+            if let Some(candidate) = &island.gp.best {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| candidate.better_than_with(b, self.parsimony))
+                {
+                    best = Some(candidate.clone());
+                }
             }
         }
+        GpRun {
+            best,
+            generations: state.generations(),
+            evaluations: state.islands.iter().map(|i| i.gp.evaluations).sum(),
+            panics: state.islands.iter().map(|i| i.gp.panics).sum(),
+        }
     }
-    GpRun {
-        best,
-        generations: state.generations(),
-        evaluations: state.islands.iter().map(|i| i.gp.evaluations).sum(),
-        panics: state.islands.iter().map(|i| i.gp.panics).sum(),
-    }
+}
+
+/// One `gp_generation` event for the generation `island` just committed.
+fn emit_generation(telemetry: &Telemetry, island: &Island) {
+    let Some(g) = island.gp.last_gen.filter(|_| telemetry.is_enabled()) else {
+        return;
+    };
+    telemetry
+        .event("gp_generation")
+        .u64("island", island.id as u64)
+        .u64("generation", g.generation as u64)
+        .f64("best", g.best)
+        .f64("gen_best", g.gen_best)
+        .f64("mean", g.mean)
+        .u64("valid", g.valid as u64)
+        .u64("invalid", g.invalid as u64)
+        .u64("stagnant", g.stagnant as u64)
+        .u64("evaluations", g.evaluations as u64)
+        .u64("panics", g.panics as u64)
+        .emit();
 }
 
 #[cfg(test)]
@@ -824,6 +892,8 @@ mod tests {
         }
     }
 
+    /// Runs `topology` to completion in process, returning the final
+    /// state, the merged run and the telemetry counters' handle.
     fn run_to_done(
         engine: &GpEngine<'_>,
         topology: IslandTopology,
@@ -831,22 +901,32 @@ mod tests {
         seed: u64,
         fitness: &impl FitnessFn,
         injector: Option<&FaultInjector>,
-    ) -> (IslandsState, GpRun) {
+    ) -> (IslandsState, GpRun, Telemetry) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = IslandCoordinator::init_state(engine, &topology, &mut rng);
-        let mut coordinator = IslandCoordinator::new(engine, topology)
-            .workers(workers)
-            .restart_backoff_ms(0)
-            .injector(injector);
+        let mut state = IslandsState::init(engine, &topology, &mut rng);
+        let telemetry = Telemetry::memory();
+        let executor = InProcess::new(engine, fitness, None);
+        let mut coordinator = IslandCoordinator::new(
+            &executor,
+            topology,
+            engine.config().parsimony,
+            Supervision {
+                workers,
+                heartbeat_deadline_ms: 2_000,
+                cancel: None,
+                injector,
+                telemetry: telemetry.clone(),
+            },
+        );
         loop {
-            match coordinator.round(&mut state, fitness) {
+            match coordinator.round(&mut state) {
                 RoundStatus::Running => {}
                 RoundStatus::Done => break,
                 RoundStatus::Interrupted => panic!("no cancellation in this test"),
             }
         }
         let run = coordinator.merge(&state);
-        (state, run)
+        (state, run, telemetry)
     }
 
     #[test]
@@ -854,11 +934,36 @@ mod tests {
         let (g, ir) = grammar_and_ir();
         let fitness = |e: &FeatureExpr| e.eval_with_budget(&ir, 10_000).ok();
         let engine = GpEngine::new(&g, quick_cfg());
-        let (s1, r1) = run_to_done(&engine, IslandTopology::ring(4), 1, 7, &fitness, None);
-        let (s4, r4) = run_to_done(&engine, IslandTopology::ring(4), 4, 7, &fitness, None);
+        let (s1, r1, _) = run_to_done(&engine, IslandTopology::ring(4), 1, 7, &fitness, None);
+        let (s4, r4, _) = run_to_done(&engine, IslandTopology::ring(4), 4, 7, &fitness, None);
         assert_eq!(r1.best, r4.best);
         assert_eq!(r1.generations, r4.generations);
         assert_eq!(s1.snapshot(), s4.snapshot(), "state must be byte-identical");
+    }
+
+    #[test]
+    fn one_island_is_the_single_population_run() {
+        // The round loop over one island replays `GpEngine::run` exactly:
+        // same seed draw, same generations, same best.
+        let (g, ir) = grammar_and_ir();
+        let fitness = |e: &FeatureExpr| e.eval_with_budget(&ir, 10_000).ok();
+        let engine = GpEngine::new(&g, quick_cfg());
+        let (state, run, telemetry) =
+            run_to_done(&engine, IslandTopology::single(), 1, 3, &fitness, None);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut direct = engine.init_state(StdRng::seed_from_u64(rng.gen()));
+        while let GpStatus::Running = engine.step(&mut direct, &fitness) {}
+        assert_eq!(state.islands[0].gp.snapshot(), direct.snapshot());
+        assert_eq!(run, direct.into_run());
+        let generations = telemetry
+            .drain_memory()
+            .iter()
+            .filter(|l| l.contains("\"kind\":\"gp_generation\""))
+            .count();
+        assert_eq!(
+            generations, run.generations,
+            "one event per committed generation"
+        );
     }
 
     #[test]
@@ -871,7 +976,7 @@ mod tests {
             migration_every: 2,
             restart_limit: 3,
         };
-        let (state, _) = run_to_done(&engine, topology, 2, 9, &fitness, None);
+        let (state, _, _) = run_to_done(&engine, topology, 2, 9, &fitness, None);
         assert!(
             !state.ledger.is_empty(),
             "three islands over six generations must migrate at least once"
@@ -902,12 +1007,13 @@ mod tests {
             Some(&injector),
         );
         assert!(injector.injected() >= 1, "the kill must have fired");
-        assert_eq!(clean.1, faulted.1, "a retried crash must not change results");
-        // Snapshots differ only in the restart counter.
-        let mut snap = faulted.0.snapshot();
-        assert_eq!(snap.islands[1].restarts, 1);
-        snap.islands[1].restarts = 0;
-        assert_eq!(snap, clean.0.snapshot());
+        assert_eq!(
+            clean.1, faulted.1,
+            "a retried crash must not change results"
+        );
+        // Retries are telemetry-only: the state is byte-identical.
+        assert_eq!(faulted.0.snapshot(), clean.0.snapshot());
+        assert_eq!(faulted.2.counter_value("island.restarts"), 1);
     }
 
     #[test]
@@ -926,14 +1032,54 @@ mod tests {
             migration_every: 2,
             restart_limit: 2,
         };
-        let (state, run) = run_to_done(&engine, topology, 1, 13, &fitness, Some(&injector));
+        let (state, run, telemetry) =
+            run_to_done(&engine, topology, 1, 13, &fitness, Some(&injector));
         assert_eq!(state.islands[0].status, IslandStatus::Frozen);
         assert_eq!(state.islands[0].gp.generations, 1);
-        assert_eq!(state.islands[0].restarts, 3, "limit + 1 attempts crashed");
+        assert_eq!(
+            telemetry.counter_value("island.restarts"),
+            3,
+            "limit + 1 attempts crashed"
+        );
+        assert_eq!(telemetry.counter_value("island.frozen"), 1);
         assert_eq!(state.islands[1].status, IslandStatus::Converged);
         // The frozen island's generations still count in the merge.
         assert_eq!(run.generations, state.generations());
         assert!(run.best.is_some(), "the healthy island still delivers");
+    }
+
+    #[test]
+    fn a_cheap_round_does_not_wait_for_the_monitor_poll() {
+        // At the default 2 s deadline the monitor polls every 250 ms; a
+        // round whose steps are cheap must still return as soon as they
+        // finish, not at the monitor's next poll.
+        let (g, _) = grammar_and_ir();
+        let engine = GpEngine::new(&g, quick_cfg());
+        let fitness = |_: &FeatureExpr| Some(1.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        let topology = IslandTopology::ring(2);
+        let mut state = IslandsState::init(&engine, &topology, &mut rng);
+        let telemetry = Telemetry::memory();
+        let executor = InProcess::new(&engine, &fitness, None);
+        let mut coordinator = IslandCoordinator::new(
+            &executor,
+            topology,
+            engine.config().parsimony,
+            Supervision {
+                workers: 2,
+                heartbeat_deadline_ms: 2_000,
+                cancel: None,
+                injector: None,
+                telemetry,
+            },
+        );
+        let started = Instant::now();
+        assert_eq!(coordinator.round(&mut state), RoundStatus::Running);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "a cheap round took {elapsed:?}"
+        );
     }
 
     #[test]
@@ -946,7 +1092,7 @@ mod tests {
             migration_every: 2,
             restart_limit: 3,
         };
-        let (state, _) = run_to_done(&engine, topology, 1, 9, &fitness, None);
+        let (state, _, _) = run_to_done(&engine, topology, 1, 9, &fitness, None);
         let good = state.snapshot();
         assert!(good.validate().is_ok());
 

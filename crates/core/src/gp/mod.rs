@@ -12,17 +12,15 @@
 //!   elitism, parsimony-aware comparison (shorter wins ties), memoised
 //!   fitness evaluation, and the paper's stopping rule (stop after 15
 //!   stagnant generations or 200 generations, whichever comes first).
-//! - [`island`] scales the loop out: N supervised island populations on
-//!   isolated RNG streams, deterministic ring migration, restart-with-
-//!   backoff and freeze-on-repeated-failure — byte-identical results for
-//!   a given (seed, topology) at any worker count.
-
-//!
-//! - [`transport`] and [`worker_proc`] move the islands across a process
-//!   boundary: a length-prefixed, digest-sealed frame protocol and a
-//!   supervisor/worker runtime with reconnect, respawn and
-//!   freeze-but-merge degradation — still byte-identical to the
-//!   in-process coordinator.
+//! - [`island`] runs every per-feature GP search as rounds over N
+//!   supervised island populations (N = 1 is the single-population search)
+//!   on isolated RNG streams: deterministic ring migration, restart-with-
+//!   backoff and freeze-on-repeated-failure — byte-identical results for a
+//!   given (seed, topology) at any worker count, on any executor.
+//! - [`transport`] and [`worker_proc`] move island steps across a process
+//!   boundary: a length-prefixed, digest-sealed frame protocol and the
+//!   framed executor the island loop drives — still byte-identical to the
+//!   in-process executor.
 
 pub mod engine;
 pub mod island;
@@ -32,11 +30,11 @@ pub mod worker_proc;
 
 pub use engine::{Evaluated, FitnessFn, GenStats, GpConfig, GpEngine, GpRun};
 pub use island::{
-    IslandCoordinator, IslandStatus, IslandTopology, IslandsSnapshot, IslandsState,
-    MigrationRecord, RoundStatus,
+    InProcess, IslandCoordinator, IslandExecutor, IslandStatus, IslandTopology, IslandsSnapshot,
+    IslandsState, MigrationRecord, RoundStatus, Supervision,
 };
 pub use ops::{crossover, mutate};
 pub use transport::{FrameTransport, LoopbackTransport, StreamTransport, TransportError};
 pub use worker_proc::{
-    run_stdio_worker, ChannelKind, ProcSupervisor, WorkerError, WorkerLauncher, WorkerSpec,
+    run_stdio_worker, ChannelKind, Framed, WorkerError, WorkerLauncher, WorkerSpec,
 };

@@ -3,7 +3,7 @@
 //!
 //! The supervisor and its workers exchange **frames**: a fixed 28-byte
 //! header followed by an opaque payload (in practice a JSON-encoded
-//! [`super::worker_proc::WireMsg`] carrying checkpoint-v2
+//! [`super::worker_proc::WireMsg`] carrying checkpoint-format
 //! [`super::island::IslandSnapshot`] fragments). Nothing off the wire is
 //! trusted: every frame is validated for magic, protocol version, length
 //! bounds and payload digest before a single payload byte is interpreted,

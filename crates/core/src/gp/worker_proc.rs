@@ -1,14 +1,12 @@
-//! Process-level island workers under a supervising parent.
+//! Process-level island workers: the framed island executor.
 //!
-//! This module promotes the thread-level [`super::island::IslandCoordinator`]
-//! to a supervisor/worker architecture: islands are stepped by separate OS
-//! processes (or in-process loopback workers that speak the identical byte
-//! protocol) connected to the supervisor by the frame transport of
-//! [`super::transport`]. The payloads are JSON-encoded [`WireMsg`]s carrying
-//! checkpoint-v2 [`IslandSnapshot`] fragments — the same serialization the
-//! checkpoint file uses, so everything that round-trips through a checkpoint
-//! round-trips over the wire, exactly (the vendored JSON layer prints `f64`
-//! in shortest-roundtrip form).
+//! Islands can be stepped by separate OS processes (or in-process loopback
+//! workers that speak the identical byte protocol) connected by the frame
+//! transport of [`super::transport`]. The payloads are JSON-encoded
+//! [`WireMsg`]s carrying [`IslandSnapshot`]s — the same serialization the
+//! checkpoint file uses, so everything that round-trips through a
+//! checkpoint round-trips over the wire, exactly (the vendored JSON layer
+//! prints `f64` in shortest-roundtrip form).
 //!
 //! # Division of labour
 //!
@@ -18,46 +16,21 @@
 //! state exactly one generation. It holds no retry logic, no timers, no
 //! policy — if anything is wrong it exits with a typed [`WorkerError`].
 //!
-//! The **supervisor** owns all robustness policy: per-worker heartbeat
-//! deadlines, frame-level validation (never trust a byte off the wire),
-//! retry-with-backoff respawn from the last committed round, and a bounded
-//! reconnect window after which a worker's islands are **frozen** — still
-//! merged, never silently dropped. The degradation ladder is
-//! `retry → respawn → freeze-but-merge`.
+//! The **[`Framed`] executor** owns the connections: it spawns and
+//! handshakes workers, validates every frame off the wire (never trust a
+//! byte) and drops a connection whose attempt failed. Everything else —
+//! retries, freezes, heartbeats, the round barrier — is the
+//! [`super::island::IslandCoordinator`]'s, shared with the in-process
+//! executor, so the two modes cannot drift.
 //!
-//! # Determinism
-//!
-//! The signature invariant — byte-identical results and checkpoints for a
-//! given `(seed, topology)` — holds at any worker count, over any launcher,
-//! and under any injected transport fault schedule, because:
-//!
-//! - **Rounds are barriers.** Each round sends every active island's last
-//!   committed state out, and commits replies in island-id order only after
-//!   every batch joined. Worker count changes wall-clock, never state.
-//! - **A retried batch replays a pure function.** The worker's step is a
-//!   deterministic function of `(spec, island snapshot)`; a respawned
-//!   worker re-stepping the same committed state produces the same bytes,
-//!   so transient kills, torn frames and duplicate frames are invisible in
-//!   results. Worker respawns and reconnects are *telemetry-only* — they
-//!   are never written into island state (unlike island-level fitness
-//!   crashes, which the thread coordinator records; transport faults are
-//!   infrastructure, not search events).
-//! - **Faults are keyed, not timed**: the injector is consulted once per
-//!   worker batch attempt under `worker:<id>:round<r>#a<attempt>`, so a
-//!   schedule reproduces identically at any speed.
-//! - **Exhaustion freezes deterministically.** For a fixed schedule and
-//!   worker count, which islands freeze is a function of the schedule alone
-//!   (and freezing *is* recorded in state, exactly as the thread
-//!   coordinator records it).
-//! - **Cancellation discards whole rounds**: an interrupted round commits
-//!   nothing; the state sits at the previous round boundary.
+//! A step is a deterministic function of `(spec, island snapshot)`, so a
+//! respawned worker re-stepping the same committed state produces the same
+//! bytes: transient kills, torn frames and duplicate frames are invisible
+//! in results, and respawns are telemetry-only.
 
-use crate::faults::{stable_hash, CancelToken, FaultInjector, FaultKind};
-use crate::gp::engine::{GpEngine, GpRun, GpState, GpStatus};
-use crate::gp::island::{
-    merge_islands, migrate_ring, IslandSnapshot, IslandStatus, IslandTopology, IslandsState,
-    RoundStatus,
-};
+use crate::faults::stable_hash;
+use crate::gp::engine::{GenStats, GpEngine, GpState, GpStatus};
+use crate::gp::island::{Attempt, FrameFaults, Island, IslandExecutor, IslandSnapshot};
 use crate::gp::transport::{
     duplex, FrameTransport, SendFault, StreamTransport, TransportError, TransportStats,
     PROTOCOL_VERSION,
@@ -69,9 +42,8 @@ use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything a worker needs to rebuild the deterministic fitness pipeline:
 /// the search configuration (with the *effective*, outer-budget-clamped GP
@@ -187,6 +159,10 @@ pub enum WireMsg {
         island: IslandSnapshot,
         /// The step hit the engine's convergence rule.
         converged: bool,
+        /// The generation's summary ([`GpState::last_gen`]), which the
+        /// snapshot does not carry, so `gp_generation` telemetry reads the
+        /// same in both execution modes.
+        stats: Option<GenStats>,
     },
     /// Worker → supervisor: the worker cannot proceed (typed detail); the
     /// connection is dead after this.
@@ -337,10 +313,10 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
                     island: IslandSnapshot {
                         id: island.id,
                         status: island.status,
-                        restarts: island.restarts,
                         gp: gp.snapshot(),
                     },
                     converged: status == Some(GpStatus::Converged),
+                    stats: gp.last_gen,
                 };
                 transport.send(&encode_msg(&reply)?)?;
             }
@@ -384,15 +360,6 @@ pub enum ChannelKind {
     UnixSocket,
 }
 
-impl ChannelKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            ChannelKind::Stdio => "stdio",
-            ChannelKind::UnixSocket => "unix-socket",
-        }
-    }
-}
-
 /// How the supervisor obtains a connected worker.
 #[derive(Debug, Clone)]
 pub enum WorkerLauncher {
@@ -412,10 +379,19 @@ pub enum WorkerLauncher {
 }
 
 impl WorkerLauncher {
-    fn kind(&self) -> &'static str {
+    /// Stable name of the carrier, for telemetry (`loopback`, `stdio`,
+    /// `unix-socket`).
+    pub fn kind(&self) -> &'static str {
         match self {
             WorkerLauncher::Loopback => "loopback",
-            WorkerLauncher::Command { channel, .. } => channel.as_str(),
+            WorkerLauncher::Command {
+                channel: ChannelKind::Stdio,
+                ..
+            } => "stdio",
+            WorkerLauncher::Command {
+                channel: ChannelKind::UnixSocket,
+                ..
+            } => "unix-socket",
         }
     }
 
@@ -434,7 +410,6 @@ impl WorkerLauncher {
                     transport: Some(Box::new(sup)),
                     child: None,
                     thread: Some(thread),
-                    reported: TransportStats::default(),
                 })
             }
             WorkerLauncher::Command { argv, channel } => {
@@ -470,7 +445,6 @@ fn spawn_stdio(program: &str, args: &[String]) -> Result<WorkerHandle, Transport
         transport: Some(Box::new(StreamTransport::new(stdout, stdin))),
         child: Some(child),
         thread: None,
-        reported: TransportStats::default(),
     })
 }
 
@@ -499,7 +473,6 @@ fn spawn_unix_socket(program: &str, args: &[String]) -> Result<WorkerHandle, Tra
         transport: Some(Box::new(StreamTransport::new(reader, parent_end))),
         child: Some(child),
         thread: None,
-        reported: TransportStats::default(),
     })
 }
 
@@ -514,8 +487,6 @@ struct WorkerHandle {
     transport: Option<Box<dyn FrameTransport>>,
     child: Option<Child>,
     thread: Option<std::thread::JoinHandle<()>>,
-    /// Transport stats already absorbed into supervisor counters.
-    reported: TransportStats,
 }
 
 impl WorkerHandle {
@@ -526,19 +497,11 @@ impl WorkerHandle {
             .as_mut()
     }
 
-    /// Stats accumulated since the last drain.
-    fn drain_stats(&mut self) -> TransportStats {
-        let Some(t) = self.transport.as_ref() else {
-            return TransportStats::default();
-        };
-        let now = t.stats();
-        let delta = TransportStats {
-            frames_tx: now.frames_tx - self.reported.frames_tx,
-            frames_rx: now.frames_rx - self.reported.frames_rx,
-            duplicates_dropped: now.duplicates_dropped - self.reported.duplicates_dropped,
-        };
-        self.reported = now;
-        delta
+    /// The connection's frame counters.
+    fn stats(&self) -> TransportStats {
+        self.transport
+            .as_ref()
+            .map_or_else(TransportStats::default, |t| t.stats())
     }
 
     /// Graceful shutdown: ask politely, sever the transport, wait.
@@ -573,443 +536,47 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Heartbeat sentinel: the batch has not been picked up this round.
-const HB_QUEUED: u64 = u64::MAX;
-/// Heartbeat sentinel: the batch finished this round.
-const HB_DONE: u64 = u64::MAX - 1;
-
-/// One island stepped by a worker, validated and decoded, awaiting the
-/// round's barrier commit.
-struct SteppedIsland {
-    id: usize,
-    gp: GpState,
-    converged: bool,
-    step_us: u64,
-}
-
-/// What one worker's batch attempt sequence left behind.
-#[derive(Default)]
-struct BatchOutcome {
-    stepped: Vec<SteppedIsland>,
-    frozen: bool,
-    interrupted: bool,
-    respawns: u64,
-    reconnects: u64,
-    digest_rejections: u64,
-    frames: TransportStats,
-}
-
-fn add_stats(total: &mut TransportStats, delta: TransportStats) {
-    total.frames_tx += delta.frames_tx;
-    total.frames_rx += delta.frames_rx;
-    total.duplicates_dropped += delta.duplicates_dropped;
-}
-
 /// Why a connect attempt failed.
 enum ConnectError {
     /// The worker answered the handshake with the wrong spec digest.
     DigestRejected,
-    /// Spawn, transport or protocol failure (detail for telemetry only).
+    /// Spawn, transport or protocol failure.
     Failed,
 }
 
-/// The supervising parent: drives rounds over a fleet of worker
-/// connections, owning heartbeats, respawn/backoff and the freeze policy.
-/// The structural twin of [`super::island::IslandCoordinator`] with the
-/// step function moved across a process boundary.
-pub struct ProcSupervisor<'a> {
+/// The framed [`IslandExecutor`]: each worker slot owns one connection to a
+/// worker (a child process or a loopback thread), kept across rounds of a
+/// GP run and re-established after a failed attempt. Every step ships the
+/// island's committed state in a `Step` frame and validates the `StepDone`
+/// reply before trusting it. Retry, freeze and heartbeat policy belong to
+/// the [`super::island::IslandCoordinator`] driving it.
+pub struct Framed {
     spec: WorkerSpec,
     spec_digest: u64,
     launcher: WorkerLauncher,
-    topology: IslandTopology,
-    workers: usize,
-    heartbeat_deadline_ms: u64,
-    backoff_ms: u64,
-    cancel: Option<&'a CancelToken>,
-    injector: Option<&'a FaultInjector>,
+    /// One connection per worker slot; a slot is only touched by the thread
+    /// stepping it, so the locks are uncontended.
+    slots: Vec<Mutex<Option<WorkerHandle>>>,
     telemetry: Telemetry,
-    /// Per-worker connections, kept across rounds. Mutex-wrapped so one
-    /// batch thread per slot can drive its connection while the supervisor
-    /// is shared immutably — a slot is only ever contended at shutdown.
-    handles: Vec<Mutex<Option<WorkerHandle>>>,
-    step_us: Vec<u64>,
-    parsimony: bool,
-    started: bool,
 }
 
-impl<'a> ProcSupervisor<'a> {
-    /// A supervisor stepping `topology` islands with workers built from
-    /// `spec` via `launcher`. Defaults: one worker, 2 s heartbeat deadline,
-    /// 1 ms backoff base.
-    pub fn new(spec: WorkerSpec, launcher: WorkerLauncher, topology: IslandTopology) -> Self {
-        let islands = topology.islands.max(1);
-        let parsimony = spec.config.gp.parsimony;
-        let spec_digest = spec.digest();
-        ProcSupervisor {
+impl Framed {
+    /// An executor with `workers` slots, each connecting workers built
+    /// from `spec` via `launcher` on first use.
+    pub fn new(spec: WorkerSpec, launcher: WorkerLauncher, workers: usize, telemetry: &Telemetry) -> Self {
+        Framed {
+            spec_digest: spec.digest(),
             spec,
-            spec_digest,
             launcher,
-            topology,
-            workers: 1,
-            heartbeat_deadline_ms: 2_000,
-            backoff_ms: 1,
-            cancel: None,
-            injector: None,
-            telemetry: Telemetry::disabled(),
-            handles: Vec::new(),
-            step_us: vec![0; islands],
-            parsimony,
-            started: false,
+            slots: (0..workers.max(1)).map(|_| Mutex::new(None)).collect(),
+            telemetry: telemetry.clone(),
         }
     }
 
-    /// Worker process count (execution knob: any value produces
-    /// byte-identical results and checkpoints).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Heartbeat deadline in milliseconds; 0 disables the monitor.
-    /// Observational only — a missed deadline is reported, never acted on.
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_deadline_ms = ms;
-        self
-    }
-
-    /// Base backoff (milliseconds) between reconnect attempts; grows
-    /// exponentially per consecutive failure, capped at 2 s.
-    pub fn backoff_ms(mut self, ms: u64) -> Self {
-        self.backoff_ms = ms;
-        self
-    }
-
-    /// Cooperative cancellation token, polled at attempt boundaries.
-    pub fn cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Fault injector consulted once per worker batch attempt (keys
-    /// `worker:<id>:round<r>#a<attempt>`).
-    pub fn injector(mut self, injector: Option<&'a FaultInjector>) -> Self {
-        self.injector = injector;
-        self
-    }
-
-    /// Telemetry handle for supervision events.
-    pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Advances every active island by one generation through the worker
-    /// fleet, then (on migration rounds) exchanges elites. All-or-nothing:
-    /// an interrupted round commits nothing.
-    pub fn round(&mut self, state: &mut IslandsState) -> RoundStatus {
-        if !self.started {
-            self.started = true;
-            self.telemetry
-                .event("workers_start")
-                .u64("workers", self.workers as u64)
-                .str("launcher", self.launcher.kind())
-                .u64("reconnect_limit", self.topology.restart_limit as u64)
-                .emit();
-        }
-        let active: Vec<usize> = state
-            .islands
-            .iter()
-            .filter(|i| i.status == IslandStatus::Active)
-            .map(|i| i.id)
-            .collect();
-        if active.is_empty() {
-            return RoundStatus::Done;
-        }
-        if self.is_cancelled() {
-            return RoundStatus::Interrupted;
-        }
-
-        // Deterministic assignment: island `i` is stepped by worker
-        // `i % workers`, whatever the fleet's health history.
-        let workers = self.workers;
-        let batches: Vec<Vec<usize>> = (0..workers)
-            .map(|w| {
-                active
-                    .iter()
-                    .copied()
-                    .filter(|id| id % workers == w)
-                    .collect()
-            })
-            .collect();
-        while self.handles.len() < workers {
-            self.handles.push(Mutex::new(None));
-        }
-        let round = state.round + 1;
-        let epoch = Instant::now();
-        let heartbeats: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(HB_QUEUED)).collect();
-        let mut outcomes: Vec<BatchOutcome> = (0..workers).map(|_| BatchOutcome::default()).collect();
-        {
-            let this = &*self;
-            let pending = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for ((w, batch), (out, hb)) in batches
-                    .iter()
-                    .enumerate()
-                    .zip(outcomes.iter_mut().zip(heartbeats.iter()))
-                {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let islands: Vec<IslandSnapshot> = batch
-                        .iter()
-                        .map(|&id| {
-                            let island = &state.islands[id];
-                            IslandSnapshot {
-                                id: island.id,
-                                status: island.status,
-                                restarts: island.restarts,
-                                gp: island.gp.snapshot(),
-                            }
-                        })
-                        .collect();
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    let pending = &pending;
-                    let epoch = &epoch;
-                    s.spawn(move || {
-                        hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-                        let mut slot = this.handles[w].lock().expect("worker slot lock");
-                        *out = this.run_batch(w, round, &islands, &mut slot, hb, epoch);
-                        drop(slot);
-                        hb.store(HB_DONE, Ordering::SeqCst);
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                this.monitor(&heartbeats, &pending, &epoch);
-            });
-        }
-
-        // An interrupted batch poisons the whole round: committing a
-        // partial round would make the boundary worker-count-dependent.
-        if outcomes.iter().any(|o| o.interrupted) || self.is_cancelled() {
-            return RoundStatus::Interrupted;
-        }
-
-        // Worker-level resilience telemetry, in worker-id order. All of it
-        // is observational: respawns and reconnects never enter island
-        // state, so a transiently flaky transport is byte-invisible.
-        for (w, out) in outcomes.iter().enumerate() {
-            if out.respawns > 0 {
-                self.telemetry
-                    .event("worker_respawn")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("respawns", out.respawns)
-                    .emit();
-                self.telemetry.counter_add("worker.respawns", out.respawns);
-            }
-            if out.reconnects > 0 {
-                self.telemetry
-                    .event("worker_reconnect")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("reconnects", out.reconnects)
-                    .emit();
-                self.telemetry
-                    .counter_add("worker.reconnects", out.reconnects);
-            }
-            if out.digest_rejections > 0 {
-                self.telemetry
-                    .counter_add("worker.digest_rejections", out.digest_rejections);
-            }
-            self.telemetry.counter_add("worker.frames_tx", out.frames.frames_tx);
-            self.telemetry.counter_add("worker.frames_rx", out.frames.frames_rx);
-            self.telemetry
-                .counter_add("worker.duplicates_dropped", out.frames.duplicates_dropped);
-            if out.frozen {
-                self.telemetry
-                    .event("worker_frozen")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("islands", batches[w].len() as u64)
-                    .emit();
-                self.telemetry
-                    .counter_add("worker.frozen_islands", batches[w].len() as u64);
-            }
-        }
-
-        // Deterministic commit, in island-id order (`active` ascends).
-        for &id in &active {
-            let w = id % workers;
-            let out = &mut outcomes[w];
-            let island = &mut state.islands[id];
-            if out.frozen {
-                // Graceful degradation, exactly like the thread
-                // coordinator's freeze: reported, never silently dropped —
-                // the last committed state still migrates and merges.
-                island.status = IslandStatus::Frozen;
-                self.telemetry
-                    .event("island_frozen")
-                    .u64("island", id as u64)
-                    .u64("generations", island.gp.generations as u64)
-                    .u64("restarts", island.restarts as u64)
-                    .emit();
-                self.telemetry.counter_add("island.frozen", 1);
-                self.telemetry.progress(&format!(
-                    "island {id} frozen: worker {w} exhausted its reconnect window; \
-                     its last state still joins the merge"
-                ));
-                continue;
-            }
-            let pos = out
-                .stepped
-                .iter()
-                .position(|s| s.id == id)
-                .expect("uninterrupted, unfrozen batch stepped all its islands");
-            let stepped = out.stepped.swap_remove(pos);
-            self.step_us[id] += stepped.step_us;
-            island.gp = stepped.gp;
-            if stepped.converged {
-                island.status = IslandStatus::Converged;
-                self.telemetry
-                    .event("island_converged")
-                    .u64("island", id as u64)
-                    .u64("generations", island.gp.generations as u64)
-                    .emit();
-            }
-        }
-        state.round += 1;
-        if state.round.is_multiple_of(self.topology.migration_every.max(1)) {
-            migrate_ring(state, &self.telemetry);
-        }
-        if state
-            .islands
-            .iter()
-            .any(|i| i.status == IslandStatus::Active)
-        {
-            RoundStatus::Running
-        } else {
-            RoundStatus::Done
-        }
-    }
-
-    /// One worker's batch for one round: the retry → respawn → freeze
-    /// ladder. Every attempt replays the *whole* batch from the round's
-    /// committed snapshots, so partial progress can never leak.
-    fn run_batch(
-        &self,
-        w: usize,
-        round: usize,
-        islands: &[IslandSnapshot],
-        slot: &mut Option<WorkerHandle>,
-        hb: &AtomicU64,
-        epoch: &Instant,
-    ) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        let mut attempt = 0usize;
-        loop {
-            if self.is_cancelled() {
-                out.interrupted = true;
-                return out;
-            }
-            attempt += 1;
-            if attempt > self.topology.restart_limit + 1 {
-                // Reconnect window exhausted: freeze-but-merge.
-                out.frozen = true;
-                return out;
-            }
-            let key = format!("worker:{w}:round{round}#a{attempt}");
-            let mut first_send = SendFault::Clean;
-            let mut kill = false;
-            let mut slow_handshake_ms = 0u64;
-            if let Some(injector) = self.injector {
-                for fault in injector.fire_all(&key) {
-                    match fault {
-                        FaultKind::KillWorker => kill = true,
-                        FaultKind::TornFrame => first_send = SendFault::Torn,
-                        FaultKind::DuplicateFrame => first_send = SendFault::Duplicate,
-                        FaultKind::SlowHandshake(ms) => slow_handshake_ms = ms,
-                        FaultKind::StallConn(ms)
-                        | FaultKind::IslandStall(ms)
-                        | FaultKind::Delay(ms) => {
-                            // Wall-clock only: the batch hangs, heartbeats
-                            // go overdue, nothing else changes.
-                            std::thread::sleep(Duration::from_millis(ms));
-                        }
-                        FaultKind::Cancel => {
-                            if let Some(cancel) = self.cancel {
-                                cancel.cancel();
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if kill {
-                // The worker dies before (or instead of) serving this
-                // attempt; sever and respawn on the next one.
-                if let Some(mut handle) = slot.take() {
-                    add_stats(&mut out.frames, handle.drain_stats());
-                }
-                out.respawns += 1;
-                self.backoff(attempt);
-                continue;
-            }
-            if slot.is_none() {
-                if slow_handshake_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(slow_handshake_ms));
-                }
-                match self.connect() {
-                    Ok(handle) => {
-                        *slot = Some(handle);
-                        if attempt > 1 {
-                            out.reconnects += 1;
-                        }
-                    }
-                    Err(ConnectError::DigestRejected) => {
-                        out.digest_rejections += 1;
-                        self.backoff(attempt);
-                        continue;
-                    }
-                    Err(ConnectError::Failed) => {
-                        self.backoff(attempt);
-                        continue;
-                    }
-                }
-            }
-            let handle = slot.as_mut().expect("connected above");
-            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-            match step_batch(handle, islands, first_send, hb, epoch) {
-                Ok(stepped) => {
-                    out.stepped = stepped;
-                    add_stats(&mut out.frames, handle.drain_stats());
-                    return out;
-                }
-                Err(_) => {
-                    // Typed frame errors are fatal to the connection (no
-                    // resync): absorb its counters, sever, retry from the
-                    // committed round.
-                    if let Some(mut handle) = slot.take() {
-                        add_stats(&mut out.frames, handle.drain_stats());
-                    }
-                    out.respawns += 1;
-                    self.backoff(attempt);
-                }
-            }
-        }
-    }
-
-    fn backoff(&self, attempt: usize) {
-        let ms = self
-            .backoff_ms
-            .saturating_mul(1 << attempt.saturating_sub(1).min(5))
-            .min(2_000);
-        if ms > 0 {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
+    fn slot(&self, slot: usize) -> std::sync::MutexGuard<'_, Option<WorkerHandle>> {
+        self.slots[slot]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Spawns and handshakes one worker, verifying it adopted the exact
@@ -1031,125 +598,113 @@ impl<'a> ProcSupervisor<'a> {
         }
     }
 
-    /// Observational heartbeat monitor, run on the supervisor thread while
-    /// batches are in flight. At most one miss reported per worker per
-    /// round; never touches search state.
-    fn monitor(&self, heartbeats: &[AtomicU64], pending: &AtomicUsize, epoch: &Instant) {
-        if self.heartbeat_deadline_ms == 0 {
-            return;
-        }
-        let poll = Duration::from_millis((self.heartbeat_deadline_ms / 4).clamp(2, 250));
-        let mut reported = vec![false; heartbeats.len()];
-        while pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(poll);
-            let now = epoch.elapsed().as_millis() as u64;
-            for (w, hb) in heartbeats.iter().enumerate() {
-                let beat = hb.load(Ordering::SeqCst);
-                if beat == HB_QUEUED || beat == HB_DONE || reported[w] {
-                    continue;
-                }
-                let overdue = now.saturating_sub(beat);
-                if overdue > self.heartbeat_deadline_ms {
-                    reported[w] = true;
-                    self.telemetry
-                        .event("worker_heartbeat_missed")
-                        .u64("worker", w as u64)
-                        .u64("overdue_ms", overdue)
-                        .u64("deadline_ms", self.heartbeat_deadline_ms)
-                        .emit();
-                    self.telemetry.counter_add("worker.heartbeat_missed", 1);
-                }
-            }
-        }
+    /// Adds the frames a connection moved to the counters, once, as it is
+    /// dropped.
+    fn count_frames(&self, handle: &WorkerHandle) {
+        let frames = handle.stats();
+        self.telemetry.counter_add("worker.frames_tx", frames.frames_tx);
+        self.telemetry.counter_add("worker.frames_rx", frames.frames_rx);
+        self.telemetry
+            .counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
     }
 
-    /// Merges the islands into one [`GpRun`] — the shared policy of
-    /// [`merge_islands`], so process-mode merges cannot drift from
-    /// thread-mode ones.
-    pub fn merge(&self, state: &IslandsState) -> GpRun {
-        merge_islands(state, self.parsimony, &self.step_us, &self.telemetry)
-    }
-
-    /// Shuts the fleet down gracefully: `Shutdown` message, EOF, reap.
-    /// Flushes the accumulated counters as `metric` events so `fegen
-    /// report` can render the worker-resilience tallies offline.
-    pub fn shutdown(mut self) {
-        for slot in self.handles.drain(..) {
-            let slot = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(mut handle) = slot {
-                let frames = handle.drain_stats();
-                self.telemetry.counter_add("worker.frames_tx", frames.frames_tx);
-                self.telemetry.counter_add("worker.frames_rx", frames.frames_rx);
-                self.telemetry
-                    .counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
+    /// Shuts every worker down gracefully: `Shutdown` message, EOF, reap.
+    pub fn shutdown(self) {
+        for slot in 0..self.slots.len() {
+            let handle = self.slot(slot).take();
+            if let Some(handle) = handle {
+                self.count_frames(&handle);
                 handle.shutdown();
             }
-        }
-        if self.started {
-            self.telemetry.emit_metrics("proc_supervisor");
         }
     }
 }
 
-/// Sends every island of the batch through one connection, one
-/// request/response pair at a time, validating each reply before trusting
-/// it. The first send of the attempt carries the injected send fault (if
-/// any); a torn first frame therefore fails the whole attempt, which
-/// retries from the committed round.
-fn step_batch(
-    handle: &mut WorkerHandle,
-    islands: &[IslandSnapshot],
-    first_send: SendFault,
-    hb: &AtomicU64,
-    epoch: &Instant,
-) -> Result<Vec<SteppedIsland>, TransportError> {
-    let mut out = Vec::with_capacity(islands.len());
-    for (pos, island) in islands.iter().enumerate() {
-        let started = Instant::now();
-        let msg = encode_msg(&WireMsg::Step {
-            island: island.clone(),
-        })?;
-        let fault = if pos == 0 { first_send } else { SendFault::Clean };
-        let t = handle.transport();
-        t.send_with(&msg, fault)?;
-        let reply = t.recv()?;
-        hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-        match decode_msg(&reply)? {
-            WireMsg::StepDone {
-                island: stepped,
-                converged,
-            } if stepped.id == island.id => {
-                let gp = GpState::from_snapshot(&stepped.gp)
-                    .map_err(TransportError::Malformed)?;
-                out.push(SteppedIsland {
-                    id: stepped.id,
-                    gp,
-                    converged,
-                    step_us: started.elapsed().as_micros() as u64,
-                });
+impl IslandExecutor for Framed {
+    fn step(&self, slot: usize, island: &Island, faults: FrameFaults) -> Attempt {
+        let mut guard = self.slot(slot);
+        if guard.is_none() {
+            if faults.slow_handshake_ms > 0 {
+                std::thread::sleep(Duration::from_millis(faults.slow_handshake_ms));
             }
-            WireMsg::StepDone { island: stepped, .. } => {
-                return Err(TransportError::Malformed(format!(
-                    "worker stepped island {}, supervisor asked for {}",
-                    stepped.id, island.id
-                )))
-            }
-            WireMsg::WorkerError { detail } => {
-                return Err(TransportError::Malformed(format!(
-                    "worker refused: {detail}"
-                )))
-            }
-            other => {
-                return Err(TransportError::Malformed(format!(
-                    "unexpected reply {} to Step",
-                    msg_name(&other)
-                )))
+            match self.connect() {
+                Ok(handle) => *guard = Some(handle),
+                Err(ConnectError::DigestRejected) => {
+                    self.telemetry.counter_add("worker.digest_rejections", 1);
+                    return Attempt::Failed;
+                }
+                Err(ConnectError::Failed) => return Attempt::Failed,
             }
         }
+        match step_one(guard.as_mut().expect("connected above"), island, faults.send) {
+            Ok((gp, status)) => Attempt::Stepped(Box::new(gp), status),
+            // Typed frame errors are fatal to the connection (no resync);
+            // the coordinator resets the slot and retries.
+            Err(_) => Attempt::Failed,
+        }
     }
-    Ok(out)
+
+    fn reset(&self, slot: usize, island: usize, frozen: bool) {
+        if let Some(handle) = self.slot(slot).take() {
+            self.count_frames(&handle);
+        }
+        self.telemetry
+            .event("worker_respawn")
+            .u64("worker", slot as u64)
+            .u64("island", island as u64)
+            .emit();
+        self.telemetry.counter_add("worker.respawns", 1);
+        if frozen {
+            self.telemetry
+                .event("worker_frozen")
+                .u64("worker", slot as u64)
+                .u64("island", island as u64)
+                .emit();
+        }
+    }
+}
+
+/// Sends one island through the connection and validates the reply before
+/// trusting it. The send carries the injected send fault (if any); a torn
+/// frame therefore fails the attempt, which retries from the committed
+/// state.
+fn step_one(
+    handle: &mut WorkerHandle,
+    island: &Island,
+    send: SendFault,
+) -> Result<(GpState, GpStatus), TransportError> {
+    let msg = encode_msg(&WireMsg::Step {
+        island: island.snapshot(),
+    })?;
+    let t = handle.transport();
+    t.send_with(&msg, send)?;
+    match decode_msg(&t.recv()?)? {
+        WireMsg::StepDone {
+            island: stepped,
+            converged,
+            stats,
+        } if stepped.id == island.id => {
+            let mut gp = GpState::from_snapshot(&stepped.gp).map_err(TransportError::Malformed)?;
+            gp.last_gen = stats;
+            let status = if converged {
+                GpStatus::Converged
+            } else {
+                GpStatus::Running
+            };
+            Ok((gp, status))
+        }
+        WireMsg::StepDone { island: stepped, .. } => Err(TransportError::Malformed(format!(
+            "worker stepped island {}, supervisor asked for {}",
+            stepped.id, island.id
+        ))),
+        WireMsg::WorkerError { detail } => Err(TransportError::Malformed(format!(
+            "worker refused: {detail}"
+        ))),
+        other => Err(TransportError::Malformed(format!(
+            "unexpected reply {} to Step",
+            msg_name(&other)
+        ))),
+    }
 }
 
 #[cfg(test)]

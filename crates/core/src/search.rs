@@ -16,12 +16,12 @@
 use crate::checkpoint::{self, SearchCheckpoint, StepRecord, CHECKPOINT_VERSION};
 use crate::error::{CheckpointError, SearchError};
 use crate::faults::{CancelToken, FaultInjector};
-use crate::gp::engine::{GpSnapshot, GpState, GpStatus};
 use crate::gp::island::{
-    IslandCoordinator, IslandTopology, IslandsSnapshot, IslandsState, RoundStatus,
+    InProcess, IslandCoordinator, IslandExecutor, IslandTopology, IslandsSnapshot, IslandsState,
+    RoundStatus, Supervision,
 };
-use crate::gp::worker_proc::{ProcSupervisor, WorkerLauncher, WorkerSpec};
-use crate::gp::{FitnessFn, GpConfig, GpEngine, GpRun};
+use crate::gp::worker_proc::{Framed, WorkerLauncher, WorkerSpec};
+use crate::gp::{GpConfig, GpEngine, GpRun};
 use crate::grammar::Grammar;
 use crate::ir::IrNode;
 use crate::lang::{EvalEngine, EvalPool, FeatureExpr};
@@ -31,7 +31,7 @@ use fegen_ml::metrics;
 use fegen_ml::tree::{DecisionTree, Presorted, TreeConfig};
 use fegen_ml::KFold;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -271,10 +271,9 @@ impl FeatureSearch {
             cancel: None,
             injector: None,
             telemetry: Telemetry::disabled(),
-            island_workers: 1,
+            workers: 1,
+            launcher: None,
             heartbeat_deadline_ms: 2_000,
-            proc_workers: 1,
-            proc_launcher: None,
         }
     }
 
@@ -596,21 +595,6 @@ fn internal_splits(cfg: &SearchConfig, n: usize) -> Vec<(Vec<usize>, Vec<usize>)
     }
 }
 
-/// Outer-loop progress at a checkpointable boundary, already in serialized
-/// form. Captured at the start of each per-feature GP run (with the RNG
-/// state *after* the run's seed draw) so mid-GP checkpoints can describe
-/// the enclosing search.
-struct OuterProgress {
-    fingerprint: u64,
-    digest: u64,
-    rng: [u64; 4],
-    features: Vec<String>,
-    steps: Vec<StepRecord>,
-    best_speedup: f64,
-    failed: usize,
-    total_generations: usize,
-}
-
 /// Configurable runner for a [`FeatureSearch`]: adds checkpoint/resume,
 /// cooperative cancellation and fault injection to the plain greedy loop.
 ///
@@ -632,10 +616,9 @@ pub struct SearchDriver<'a> {
     cancel: Option<CancelToken>,
     injector: Option<&'a FaultInjector>,
     telemetry: Telemetry,
-    island_workers: usize,
+    workers: usize,
+    launcher: Option<WorkerLauncher>,
     heartbeat_deadline_ms: u64,
-    proc_workers: usize,
-    proc_launcher: Option<WorkerLauncher>,
 }
 
 impl<'a> SearchDriver<'a> {
@@ -676,18 +659,19 @@ impl<'a> SearchDriver<'a> {
         self
     }
 
-    /// Worker threads the island coordinator steps islands with. An
-    /// execution knob, not a search parameter: any value produces
+    /// Worker slots the island coordinator steps islands with, in this
+    /// process: slot 0 on the calling thread, the rest on scoped threads.
+    /// An execution knob, not a search parameter: any value produces
     /// byte-identical results and checkpoints for a given
     /// [`SearchConfig::topology`] (which is why it lives on the driver,
-    /// outside the config fingerprint). Ignored for single-island
-    /// topologies.
+    /// outside the config fingerprint).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.island_workers = workers.max(1);
+        self.workers = workers.max(1);
+        self.launcher = None;
         self
     }
 
-    /// Heartbeat deadline for island workers, in milliseconds (0 disables
+    /// Heartbeat deadline for island steps, in milliseconds (0 disables
     /// the monitor). Observational only: a missed deadline is reported
     /// through telemetry, never acted on.
     pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
@@ -695,16 +679,15 @@ impl<'a> SearchDriver<'a> {
         self
     }
 
-    /// Steps islands in separate worker processes (or loopback workers)
-    /// instead of coordinator threads. Like [`SearchDriver::workers`], this
-    /// is an execution knob, not a search parameter: for a given
-    /// [`SearchConfig::topology`] any worker count, any launcher — and the
-    /// in-process thread coordinator itself — produce byte-identical
-    /// results and checkpoints. Ignored for single-island topologies (one
-    /// island has no round structure to distribute; it runs in-process).
+    /// Steps islands in `workers` separate worker processes (or loopback
+    /// workers) spawned by `launcher`, one per worker slot. Like
+    /// [`SearchDriver::workers`], this is an execution knob, not a search
+    /// parameter: for a given [`SearchConfig::topology`] any worker count
+    /// and any launcher — or none — produce byte-identical results and
+    /// checkpoints.
     pub fn process_workers(mut self, workers: usize, launcher: WorkerLauncher) -> Self {
-        self.proc_workers = workers.max(1);
-        self.proc_launcher = Some(launcher);
+        self.workers = workers.max(1);
+        self.launcher = Some(launcher);
         self
     }
 
@@ -842,7 +825,6 @@ impl<'a> SearchDriver<'a> {
         let mut best_speedup = baseline_speedup;
         let mut failed = 0usize;
         let mut total_generations = 0usize;
-        let mut pending_gp: Option<GpState> = None;
         let mut pending_islands: Option<IslandsState> = None;
         let resumed_from: Option<PathBuf> = resume.as_ref().map(|(path, _)| path.clone());
 
@@ -893,23 +875,6 @@ impl<'a> SearchDriver<'a> {
                 best_speedup = ckpt.best_speedup;
                 failed = ckpt.failed;
                 total_generations = ckpt.total_generations;
-                if ckpt.gp.is_some() && ckpt.islands.is_some() {
-                    return Err(CheckpointError::Corrupt {
-                        path: path.clone(),
-                        detail: "checkpoint holds both single-population and island GP state"
-                            .into(),
-                    }
-                    .into());
-                }
-                pending_gp = match &ckpt.gp {
-                    None => None,
-                    Some(snapshot) => Some(GpState::from_snapshot(snapshot).map_err(|e| {
-                        CheckpointError::Corrupt {
-                            path: path.clone(),
-                            detail: e,
-                        }
-                    })?),
-                };
                 pending_islands = match &ckpt.islands {
                     None => None,
                     Some(snapshot) => {
@@ -939,23 +904,25 @@ impl<'a> SearchDriver<'a> {
             }
         }
 
-        if cfg.topology.islands > 1 {
-            self.telemetry
-                .event("islands_start")
-                .u64("islands", cfg.topology.islands as u64)
-                .u64("migration_every", cfg.topology.migration_every as u64)
-                .u64("restart_limit", cfg.topology.restart_limit as u64)
-                .u64("workers", self.island_workers as u64)
-                .bool("resumed_mid_round", pending_islands.is_some())
-                .emit();
-        }
+        self.telemetry
+            .event("islands_start")
+            .u64("islands", cfg.topology.islands as u64)
+            .u64("migration_every", cfg.topology.migration_every as u64)
+            .u64("restart_limit", cfg.topology.restart_limit as u64)
+            .u64("workers", self.workers as u64)
+            .str(
+                "executor",
+                self.launcher
+                    .as_ref()
+                    .map_or("in-process", WorkerLauncher::kind),
+            )
+            .bool("resumed_mid_round", pending_islands.is_some())
+            .emit();
 
         while features.len() < cfg.max_features
             && failed < cfg.max_failed_additions
             && total_generations < cfg.max_total_generations
         {
-            let fitness = |expr: &FeatureExpr| harness.fitness(expr);
-
             let mut gp = cfg.gp.clone();
             // Never exceed the outer generation budget.
             gp.max_generations = gp
@@ -965,26 +932,17 @@ impl<'a> SearchDriver<'a> {
             // A restored mid-GP state already consumed its seed draw(s)
             // before the checkpoint was written; drawing again would fork
             // the deterministic trajectory.
-            let multi_island = cfg.topology.islands > 1;
-            let island_state = if multi_island {
-                Some(match pending_islands.take() {
-                    Some(state) => state,
-                    None => IslandCoordinator::init_state(&engine, &cfg.topology, &mut rng),
-                })
-            } else {
-                None
+            let islands = match pending_islands.take() {
+                Some(state) => state,
+                None => IslandsState::init(&engine, &cfg.topology, &mut rng),
             };
-            let state = if multi_island {
-                None
-            } else {
-                Some(match pending_gp.take() {
-                    Some(state) => state,
-                    None => engine.init_state(StdRng::seed_from_u64(rng.gen())),
-                })
-            };
-            let progress = OuterProgress {
-                fingerprint,
-                digest,
+            // The outer loop's progress, captured with the RNG state *after*
+            // this run's seed draw so mid-GP checkpoints describe the
+            // enclosing search.
+            let progress = SearchCheckpoint {
+                version: CHECKPOINT_VERSION,
+                config_fingerprint: fingerprint,
+                examples_digest: digest,
                 rng: rng.state(),
                 features: features.iter().map(|f| f.to_string()).collect(),
                 steps: steps
@@ -998,32 +956,9 @@ impl<'a> SearchDriver<'a> {
                 best_speedup,
                 failed,
                 total_generations,
+                islands: None,
             };
-
-            // `InjectedFitness` and the plain closure are distinct types, so
-            // the two arms instantiate the drivers separately instead of
-            // erasing to `dyn` (the blanket closure impl forbids it anyway).
-            // The process-worker arm takes no fitness function at all —
-            // workers rebuild the identical harness from the wire spec, and
-            // the injector is consulted supervisor-side at transport keys.
-            let run = match (island_state, state, self.injector) {
-                (Some(islands), _, _) if self.proc_launcher.is_some() => {
-                    self.drive_islands_proc(&engine, islands, &progress, examples)
-                }
-                (Some(islands), _, Some(injector)) => {
-                    let wrapped = injector.wrap(&fitness);
-                    self.drive_islands(&engine, islands, &wrapped, &progress)
-                }
-                (Some(islands), _, None) => {
-                    self.drive_islands(&engine, islands, &fitness, &progress)
-                }
-                (None, Some(state), Some(injector)) => {
-                    let wrapped = injector.wrap(&fitness);
-                    self.drive_gp(&engine, state, &wrapped, &progress)
-                }
-                (None, Some(state), None) => self.drive_gp(&engine, state, &fitness, &progress),
-                (None, None, _) => unreachable!("exactly one GP state shape is prepared"),
-            };
+            let run = self.drive(&engine, islands, &progress, &harness, examples);
             let run = match run {
                 Ok(run) => run,
                 Err(e) => {
@@ -1087,9 +1022,10 @@ impl<'a> SearchDriver<'a> {
             // Outer-boundary checkpoint: the completed step is durable even
             // if the next GP run never writes one.
             if self.checkpoint_dir.is_some() {
-                let progress = OuterProgress {
-                    fingerprint,
-                    digest,
+                let progress = SearchCheckpoint {
+                    version: CHECKPOINT_VERSION,
+                    config_fingerprint: fingerprint,
+                    examples_digest: digest,
                     rng: rng.state(),
                     features: features.iter().map(|f| f.to_string()).collect(),
                     steps: steps
@@ -1103,8 +1039,9 @@ impl<'a> SearchDriver<'a> {
                     best_speedup,
                     failed,
                     total_generations,
+                    islands: None,
                 };
-                self.write_checkpoint(&progress, None, None)?;
+                self.write_checkpoint(&progress, None)?;
             }
         }
 
@@ -1144,104 +1081,98 @@ impl<'a> SearchDriver<'a> {
         })
     }
 
-    /// Drives one GP run generation by generation, polling for cancellation
-    /// and writing periodic checkpoints.
-    fn drive_gp<F: FitnessFn>(
+    /// Drives one per-feature GP run through the island round loop, on
+    /// worker processes when a launcher is set and in process otherwise.
+    /// Worker processes rebuild the identical fitness harness from the
+    /// wire spec; in process, the fault injector wraps the fitness
+    /// function as well as keying the island steps.
+    fn drive(
         &self,
         engine: &GpEngine<'_>,
-        mut state: GpState,
-        fitness: &F,
-        progress: &OuterProgress,
+        state: IslandsState,
+        progress: &SearchCheckpoint,
+        harness: &FitnessHarness<'_>,
+        examples: &[TrainingExample],
     ) -> Result<GpRun, SearchError> {
-        let mut since_checkpoint = 0usize;
-        let mut emitted_generation: Option<usize> = None;
-        loop {
-            // The step itself is cancellable: once the token flips, the
-            // in-flight generation is discarded whole (never partially
-            // committed) and the state still sits at the last generation
-            // boundary. Cancellation only chooses *which* boundary the run
-            // stops at; the state content is exactly what an uninterrupted
-            // run holds here, which is what makes resume bit-identical.
-            let status = match engine.step_cancellable(&mut state, fitness, self.cancel.as_ref())
-            {
-                Some(status) => status,
-                None => {
-                    let checkpoint =
-                        self.write_checkpoint(progress, Some(state.snapshot()), None)?;
-                    return Err(SearchError::Interrupted {
-                        checkpoint,
-                        total_generations: progress.total_generations + state.generations,
-                    });
-                }
-            };
-            // A step that only notices convergence re-reports the previous
-            // generation's stats; dedupe by generation number.
-            if let Some(g) = state.last_gen {
-                if self.telemetry.is_enabled() && emitted_generation != Some(g.generation) {
-                    emitted_generation = Some(g.generation);
-                    self.telemetry
-                        .event("gp_generation")
-                        .u64("generation", g.generation as u64)
-                        .f64("best", g.best)
-                        .f64("gen_best", g.gen_best)
-                        .f64("mean", g.mean)
-                        .u64("valid", g.valid as u64)
-                        .u64("invalid", g.invalid as u64)
-                        .u64("stagnant", g.stagnant as u64)
-                        .u64("evaluations", g.evaluations as u64)
-                        .u64("panics", g.panics as u64)
-                        .emit();
-                }
+        let cancel = self.cancel.as_ref();
+        let fitness = |expr: &FeatureExpr| harness.fitness(expr);
+        match (&self.launcher, self.injector) {
+            (Some(launcher), _) => {
+                // The spec ships the *effective* GP config — with
+                // `max_generations` already clamped to the remaining outer
+                // budget — so the worker's convergence decisions match the
+                // ones this process would make.
+                let search = self.search;
+                let mut spec_config = search.config.clone();
+                spec_config.gp = engine.config().clone();
+                let spec = WorkerSpec::new(
+                    spec_config,
+                    search.engine(),
+                    &search.grammar,
+                    examples,
+                    progress.features.clone(),
+                );
+                let executor = Framed::new(spec, launcher.clone(), self.workers, &self.telemetry);
+                let run = self.rounds(&executor, engine, state, progress);
+                executor.shutdown();
+                run
             }
-            match status {
-                GpStatus::Converged => return Ok(state.into_run()),
-                GpStatus::Running => {
-                    since_checkpoint += 1;
-                    if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every
-                    {
-                        self.write_checkpoint(progress, Some(state.snapshot()), None)?;
-                        since_checkpoint = 0;
-                    }
-                }
+            (None, Some(injector)) => {
+                let wrapped = injector.wrap(&fitness);
+                self.rounds(
+                    &InProcess::new(engine, &wrapped, cancel),
+                    engine,
+                    state,
+                    progress,
+                )
             }
+            (None, None) => self.rounds(
+                &InProcess::new(engine, &fitness, cancel),
+                engine,
+                state,
+                progress,
+            ),
         }
     }
 
-    /// Drives one multi-island GP run round by round: each round advances
-    /// every active island one generation under the coordinator's
-    /// supervision (restarts, freezes, migration), then the driver polls
-    /// for cancellation and writes periodic checkpoints — always at round
-    /// boundaries, so the checkpoint bytes are independent of the worker
-    /// count and of where a kill landed inside the round.
-    fn drive_islands<F: FitnessFn>(
+    /// Runs rounds until every island converged, froze or the outer budget
+    /// is spent, writing periodic checkpoints — always at round boundaries,
+    /// so the checkpoint bytes are independent of the worker count, the
+    /// executor, and where a kill landed inside the round.
+    fn rounds<E: IslandExecutor>(
         &self,
+        executor: &E,
         engine: &GpEngine<'_>,
         mut state: IslandsState,
-        fitness: &F,
-        progress: &OuterProgress,
+        progress: &SearchCheckpoint,
     ) -> Result<GpRun, SearchError> {
         let cfg = &self.search.config;
-        let mut coordinator = IslandCoordinator::new(engine, cfg.topology.clone())
-            .workers(self.island_workers)
-            .heartbeat_deadline_ms(self.heartbeat_deadline_ms)
-            .cancel(self.cancel.as_ref())
-            .injector(self.injector)
-            .telemetry(&self.telemetry);
+        let mut coordinator = IslandCoordinator::new(
+            executor,
+            cfg.topology.clone(),
+            engine.config().parsimony,
+            Supervision {
+                workers: self.workers,
+                heartbeat_deadline_ms: self.heartbeat_deadline_ms,
+                cancel: self.cancel.as_ref(),
+                injector: self.injector,
+                telemetry: self.telemetry.clone(),
+            },
+        );
         let mut since_checkpoint = 0usize;
         loop {
             if progress.total_generations + state.generations() >= cfg.max_total_generations {
                 // Out of outer budget: merge what the islands found so far.
                 return Ok(coordinator.merge(&state));
             }
-            match coordinator.round(&mut state, fitness) {
+            match coordinator.round(&mut state) {
                 RoundStatus::Done => return Ok(coordinator.merge(&state)),
                 RoundStatus::Interrupted => {
                     // Nothing from the broken round was committed: the
                     // state — and therefore the checkpoint — sits at the
                     // previous round boundary, whatever the worker count
                     // and wherever the interruption landed.
-                    let checkpoint =
-                        self.write_checkpoint(progress, None, Some(state.snapshot()))?;
+                    let checkpoint = self.write_checkpoint(progress, Some(state.snapshot()))?;
                     return Err(SearchError::Interrupted {
                         checkpoint,
                         total_generations: progress.total_generations + state.generations(),
@@ -1249,9 +1180,8 @@ impl<'a> SearchDriver<'a> {
                 }
                 RoundStatus::Running => {
                     since_checkpoint += 1;
-                    if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every
-                    {
-                        self.write_checkpoint(progress, None, Some(state.snapshot()))?;
+                    if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every {
+                        self.write_checkpoint(progress, Some(state.snapshot()))?;
                         since_checkpoint = 0;
                     }
                 }
@@ -1259,110 +1189,20 @@ impl<'a> SearchDriver<'a> {
         }
     }
 
-    /// Drives one multi-island GP run with islands stepped by worker
-    /// processes behind the supervisor's frame transport. Structurally the
-    /// twin of [`SearchDriver::drive_islands`]: rounds are barriers,
-    /// checkpoints land only at round boundaries, an interrupted round is
-    /// discarded whole — so the bytes this path writes are identical to the
-    /// thread coordinator's for the same `(seed, topology)`, at any worker
-    /// count and under any injected transport fault schedule.
-    fn drive_islands_proc(
-        &self,
-        engine: &GpEngine<'_>,
-        mut state: IslandsState,
-        progress: &OuterProgress,
-        examples: &[TrainingExample],
-    ) -> Result<GpRun, SearchError> {
-        let search = self.search;
-        let cfg = &search.config;
-        let launcher = self
-            .proc_launcher
-            .clone()
-            .expect("drive_islands_proc requires a launcher");
-        // The spec ships the *effective* GP config — with `max_generations`
-        // already clamped to the remaining outer budget — so the worker's
-        // convergence decisions match the ones this process would make.
-        let mut spec_config = cfg.clone();
-        spec_config.gp = engine.config().clone();
-        let spec = WorkerSpec::new(
-            spec_config,
-            search.engine(),
-            &search.grammar,
-            examples,
-            progress.features.clone(),
-        );
-        let mut supervisor = ProcSupervisor::new(spec, launcher, cfg.topology.clone())
-            .workers(self.proc_workers)
-            .heartbeat_deadline_ms(self.heartbeat_deadline_ms)
-            .cancel(self.cancel.as_ref())
-            .injector(self.injector)
-            .telemetry(&self.telemetry);
-        let mut since_checkpoint = 0usize;
-        // Break with a result instead of returning so the supervisor always
-        // shuts its workers down on the way out (`?` would leave that to
-        // the handles' kill-on-drop backstop).
-        let outcome = loop {
-            if progress.total_generations + state.generations() >= cfg.max_total_generations {
-                break Ok(supervisor.merge(&state));
-            }
-            match supervisor.round(&mut state) {
-                RoundStatus::Done => break Ok(supervisor.merge(&state)),
-                RoundStatus::Interrupted => {
-                    // Nothing from the broken round was committed: the
-                    // state — and therefore the checkpoint — sits at the
-                    // previous round boundary, whatever the worker count
-                    // and wherever the interruption landed.
-                    break self
-                        .write_checkpoint(progress, None, Some(state.snapshot()))
-                        .and_then(|checkpoint| {
-                            Err(SearchError::Interrupted {
-                                checkpoint,
-                                total_generations: progress.total_generations
-                                    + state.generations(),
-                            })
-                        });
-                }
-                RoundStatus::Running => {
-                    since_checkpoint += 1;
-                    if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every
-                    {
-                        if let Err(e) =
-                            self.write_checkpoint(progress, None, Some(state.snapshot()))
-                        {
-                            break Err(e);
-                        }
-                        since_checkpoint = 0;
-                    }
-                }
-            }
-        };
-        supervisor.shutdown();
-        outcome
-    }
-
+    /// Writes `progress` with the in-flight GP run's `islands`, if
+    /// checkpointing is enabled.
     fn write_checkpoint(
         &self,
-        progress: &OuterProgress,
-        gp: Option<GpSnapshot>,
+        progress: &SearchCheckpoint,
         islands: Option<IslandsSnapshot>,
     ) -> Result<Option<PathBuf>, SearchError> {
         let Some(dir) = &self.checkpoint_dir else {
             return Ok(None);
         };
-        let gp_generations = gp.as_ref().map(|g| g.generations);
-        let island_rounds = islands.as_ref().map(|i| i.round);
+        let rounds = islands.as_ref().map(|i| i.round);
         let ckpt = SearchCheckpoint {
-            version: CHECKPOINT_VERSION,
-            config_fingerprint: progress.fingerprint,
-            examples_digest: progress.digest,
-            rng: progress.rng,
-            features: progress.features.clone(),
-            steps: progress.steps.clone(),
-            best_speedup: progress.best_speedup,
-            failed: progress.failed,
-            total_generations: progress.total_generations,
-            gp,
             islands,
+            ..progress.clone()
         };
         let started = std::time::Instant::now();
         let path = ckpt.save(dir)?;
@@ -1371,13 +1211,8 @@ impl<'a> SearchDriver<'a> {
             .u64("dur_us", started.elapsed().as_micros() as u64)
             .u64("features", ckpt.features.len() as u64)
             .u64("total_generations", ckpt.total_generations as u64)
-            .u64(
-                "gp_generations",
-                gp_generations.unwrap_or(0) as u64,
-            )
-            .bool("mid_gp", gp_generations.is_some())
-            .u64("island_rounds", island_rounds.unwrap_or(0) as u64)
-            .bool("mid_islands", island_rounds.is_some())
+            .u64("rounds", rounds.unwrap_or(0) as u64)
+            .bool("mid_gp", rounds.is_some())
             .emit();
         Ok(Some(path))
     }

@@ -40,10 +40,7 @@ pub const KNOWN_KINDS: &[&str] = &[
     "island_migration",
     "island_converged",
     "island_done",
-    "workers_start",
     "worker_respawn",
-    "worker_reconnect",
-    "worker_heartbeat_missed",
     "worker_frozen",
     "serve_start",
     "serve_request",
@@ -384,40 +381,42 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         );
     }
 
-    // Island resilience: restarts, freezes, migrations, slowest island —
-    // the search-phase mirror of the campaign resilience tally.
+    // Islands: restarts, freezes, heartbeats, migrations, slowest island —
+    // the search-phase mirror of the campaign resilience tally — plus the
+    // transport tally when a framed executor stepped them. Restarts and
+    // respawns are observational; frozen islands are the only degradation
+    // that reaches the merge.
     if let Some(start) = events.iter().rev().find(|e| e.kind == "islands_start") {
         let islands = field_u64(&start.fields, "islands").unwrap_or(0);
         let workers = field_u64(&start.fields, "workers").unwrap_or(1);
+        let executor = field_str(&start.fields, "executor").unwrap_or("in-process");
+        let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
         let restarts: u64 = events
             .iter()
             .filter(|e| e.kind == "island_restart")
             .filter_map(|e| field_u64(&e.fields, "restarts"))
             .sum();
-        let frozen = events.iter().filter(|e| e.kind == "island_frozen").count();
-        let missed = events
-            .iter()
-            .filter(|e| e.kind == "island_heartbeat_missed")
-            .count();
-        let migrations: Vec<&ParsedEvent> = events
+        let rounds = events
             .iter()
             .filter(|e| e.kind == "island_migration")
-            .collect();
-        let rounds = migrations
-            .iter()
             .filter_map(|e| field_u64(&e.fields, "round"))
             .max()
             .unwrap_or(0);
-        let _ = writeln!(out, "islands: {islands} island(s), {workers} worker(s)");
         let _ = writeln!(
             out,
-            "  resilience: {restarts} restarted step(s), {frozen} frozen island(s), \
-             {missed} missed heartbeat(s)"
+            "islands: {islands} island(s), {workers} worker(s), executor {executor}"
+        );
+        let _ = writeln!(
+            out,
+            "  resilience: {restarts} restarted step(s), {} frozen island(s), \
+             {} missed heartbeat(s)",
+            count("island_frozen"),
+            count("island_heartbeat_missed")
         );
         let _ = writeln!(
             out,
             "  migration: {} exchange(s), last at round {rounds}",
-            migrations.len()
+            count("island_migration")
         );
         // Last word per island wins: a resumed run re-reports them.
         let mut done: BTreeMap<u64, (String, u64)> = BTreeMap::new();
@@ -442,51 +441,18 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
                 fmt_dur_us(*dur)
             );
         }
-    }
-
-    // Worker resilience: the process-supervisor mirror of the island tally.
-    // Respawns and reconnects are observational (byte-invisible to results);
-    // frozen islands are the only degradation that reaches the merge.
-    if let Some(start) = events.iter().rev().find(|e| e.kind == "workers_start") {
-        let workers = field_u64(&start.fields, "workers").unwrap_or(0);
-        let launcher = field_str(&start.fields, "launcher").unwrap_or("?");
-        let respawns: u64 = events
-            .iter()
-            .filter(|e| e.kind == "worker_respawn")
-            .filter_map(|e| field_u64(&e.fields, "respawns"))
-            .sum();
-        let reconnects: u64 = events
-            .iter()
-            .filter(|e| e.kind == "worker_reconnect")
-            .filter_map(|e| field_u64(&e.fields, "reconnects"))
-            .sum();
-        let frozen: u64 = events
-            .iter()
-            .filter(|e| e.kind == "worker_frozen")
-            .filter_map(|e| field_u64(&e.fields, "islands"))
-            .sum();
-        let missed = events
-            .iter()
-            .filter(|e| e.kind == "worker_heartbeat_missed")
-            .count();
-        let _ = writeln!(
-            out,
-            "worker processes: {workers} worker(s) via {launcher}"
-        );
-        let _ = writeln!(
-            out,
-            "  resilience: {respawns} respawn(s), {reconnects} reconnect(s), \
-             {frozen} frozen island(s), {missed} missed heartbeat(s)"
-        );
-        let _ = writeln!(
-            out,
-            "  frames: {} sent / {} received, {} duplicate(s) dropped, \
-             {} digest/handshake rejection(s)",
-            get("worker.frames_tx"),
-            get("worker.frames_rx"),
-            get("worker.duplicates_dropped"),
-            get("worker.digest_rejections"),
-        );
+        if executor != "in-process" {
+            let _ = writeln!(
+                out,
+                "  frames: {} sent / {} received, {} duplicate(s) dropped, \
+                 {} digest/handshake rejection(s), {} worker respawn(s)",
+                get("worker.frames_tx"),
+                get("worker.frames_rx"),
+                get("worker.duplicates_dropped"),
+                get("worker.digest_rejections"),
+                count("worker_respawn"),
+            );
+        }
     }
 
     // Serve daemon: request volume, cache behavior, hot reloads. Gauges
@@ -661,20 +627,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn summarizes_island_resilience() {
-        let dir = tmp_dir("islands");
-        let t = Telemetry::to_dir(&dir).expect("open");
+    /// An island run's log; `executor` is the `islands_start` field.
+    fn island_log(dir: &std::path::Path, executor: &str) {
+        let t = Telemetry::to_dir(dir).expect("open");
         t.event("islands_start")
             .u64("islands", 4)
             .u64("migration_every", 3)
             .u64("restart_limit", 2)
             .u64("workers", 2)
+            .str("executor", executor)
+            .emit();
+        t.event("gp_generation")
+            .u64("island", 0)
+            .u64("generation", 1)
+            .f64("best", 1.25)
+            .f64("mean", 1.0)
+            .u64("stagnant", 0)
             .emit();
         t.event("island_restart")
             .u64("island", 1)
             .u64("generation", 3)
             .u64("restarts", 2)
+            .emit();
+        t.event("worker_respawn")
+            .u64("worker", 1)
+            .u64("island", 1)
             .emit();
         t.event("island_frozen")
             .u64("island", 1)
@@ -707,11 +684,20 @@ mod tests {
                 .u64("step_us", 1_000 * (id + 1))
                 .emit();
         }
-        drop(t);
+        t.counter_add("worker.frames_tx", 40);
+        t.counter_add("worker.frames_rx", 38);
+        t.counter_add("worker.duplicates_dropped", 1);
+        t.counter_add("worker.digest_rejections", 1);
+        t.emit_metrics("eval_pool");
+    }
 
+    #[test]
+    fn summarizes_in_process_islands() {
+        let dir = tmp_dir("islands");
+        island_log(&dir, "in-process");
         let summary = summarize_dir(&dir).expect("summarize");
         assert!(
-            summary.contains("islands: 4 island(s), 2 worker(s)"),
+            summary.contains("islands: 4 island(s), 2 worker(s), executor in-process"),
             "{summary}"
         );
         assert!(
@@ -723,59 +709,31 @@ mod tests {
             "{summary}"
         );
         assert!(summary.contains("slowest island: 3"), "{summary}");
+        assert!(summary.contains("gp: 1 generation event(s)"), "{summary}");
+        assert!(
+            !summary.contains("frames:"),
+            "in-process has no frames: {summary}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn summarizes_worker_resilience() {
-        let dir = tmp_dir("workers");
-        let t = Telemetry::to_dir(&dir).expect("open");
-        t.event("workers_start")
-            .u64("workers", 2)
-            .str("launcher", "unix-socket")
-            .u64("reconnect_limit", 3)
-            .emit();
-        t.event("worker_respawn")
-            .u64("worker", 0)
-            .u64("round", 2)
-            .u64("respawns", 2)
-            .emit();
-        t.event("worker_reconnect")
-            .u64("worker", 0)
-            .u64("round", 2)
-            .u64("reconnects", 1)
-            .emit();
-        t.event("worker_heartbeat_missed")
-            .u64("worker", 1)
-            .u64("round", 3)
-            .emit();
-        t.event("worker_frozen")
-            .u64("worker", 1)
-            .u64("round", 4)
-            .u64("islands", 2)
-            .emit();
-        t.counter_add("worker.frames_tx", 40);
-        t.counter_add("worker.frames_rx", 38);
-        t.counter_add("worker.duplicates_dropped", 1);
-        t.counter_add("worker.digest_rejections", 1);
-        t.emit_metrics("proc_supervisor");
-        drop(t);
-
+    fn summarizes_framed_islands_with_frame_counters() {
+        let dir = tmp_dir("framed");
+        island_log(&dir, "unix-socket");
         let summary = summarize_dir(&dir).expect("summarize");
         assert!(
-            summary.contains("worker processes: 2 worker(s) via unix-socket"),
+            summary.contains("islands: 4 island(s), 2 worker(s), executor unix-socket"),
             "{summary}"
         );
         assert!(
-            summary.contains(
-                "2 respawn(s), 1 reconnect(s), 2 frozen island(s), 1 missed heartbeat(s)"
-            ),
+            summary.contains("2 restarted step(s), 1 frozen island(s), 1 missed heartbeat(s)"),
             "{summary}"
         );
         assert!(
             summary.contains(
                 "frames: 40 sent / 38 received, 1 duplicate(s) dropped, \
-                 1 digest/handshake rejection(s)"
+                 1 digest/handshake rejection(s), 1 worker respawn(s)"
             ),
             "{summary}"
         );

@@ -42,15 +42,18 @@
 //! --islands <n>            island populations per GP run (default 1)
 //! --migration-every <n>    rounds between elite migrations (default 5)
 //! --island-restart-limit <n>  crashed step retries before an island is frozen (default 3)
-//! --workers <n>            island worker threads (execution knob; results identical)
-//! --workers-proc <n>       step islands in n worker *processes* (results identical)
+//! --workers <n>            in-process worker threads stepping islands (results identical)
+//! --workers-proc <n>       step islands in n worker *processes* instead (results identical)
 //! --worker-channel <name>  process-worker channel: stdio (default) | unix-socket
 //! ```
 //!
-//! `--workers-proc` supervises separate `fegen island-worker` processes over
-//! a digest-sealed frame protocol; crashed or wedged workers are respawned
-//! from the last committed round and, past the reconnect window, their
-//! islands are frozen and merged. Results and checkpoints stay byte-identical
+//! Every search, single-population included, runs one supervised round loop
+//! over its islands; `--workers` and `--workers-proc` only choose where the
+//! steps run. `--workers-proc` steps them in separate `fegen island-worker`
+//! processes over a digest-sealed frame protocol; a failed step is retried
+//! from the island's last committed state on a respawned worker and, past
+//! the restart limit, the island is frozen and merged — exactly as an
+//! in-process crash is handled. Results and checkpoints stay byte-identical
 //! to the in-process (`--workers`) path. `fegen island-worker` is the hidden
 //! worker entry point — it speaks frames on stdin/stdout and is not meant to
 //! be invoked by hand.
@@ -204,8 +207,8 @@ fn print_usage() {
     println!("  --islands <n>            island populations per GP run (default 1)");
     println!("  --migration-every <n>    rounds between elite migrations (default 5)");
     println!("  --island-restart-limit <n>  crashed retries before freezing an island (default 3)");
-    println!("  --workers <n>            island worker threads (results identical for any n)");
-    println!("  --workers-proc <n>       step islands in n worker processes (results identical)");
+    println!("  --workers <n>            in-process worker threads (results identical for any n)");
+    println!("  --workers-proc <n>       worker processes instead of threads (results identical)");
     println!("  --worker-channel <name>  process-worker channel: stdio (default) | unix-socket");
     println!();
     println!("bench-perf flags:");

@@ -250,6 +250,83 @@ fn empty_training_set_is_a_typed_error() {
     ));
 }
 
+/// A version-2 checkpoint, as a single-population search wrote it
+/// mid-GP: the run's state under `gp`, which version 3 no longer has.
+const V2_CHECKPOINT: &str = r#"{
+  "version": 2,
+  "config_fingerprint": 11,
+  "examples_digest": 22,
+  "rng": [1, 2, 3, 4],
+  "features": [],
+  "steps": [],
+  "best_speedup": 1.0,
+  "failed": 0,
+  "total_generations": 0,
+  "gp": {
+    "population": ["count(//*)"],
+    "best": null,
+    "stagnant": 0,
+    "generations": 1,
+    "evaluations": 1,
+    "panics": 0,
+    "panic_generations": 0,
+    "degraded": false,
+    "memo": [["count(//*)", 1.0]],
+    "rng": [5, 6, 7, 8]
+  },
+  "islands": null
+}"#;
+
+#[test]
+fn a_version_2_checkpoint_is_refused_by_library_and_cli() {
+    let dir = temp_dir("v2");
+    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let path = dir.join(fegen::core::CHECKPOINT_FILE);
+    std::fs::write(&path, V2_CHECKPOINT).expect("checkpoint written");
+
+    let examples = synthetic_examples(10);
+    let search = FeatureSearch::from_examples(&examples, small_config(1));
+    let err = search
+        .driver()
+        .resume(&dir, &examples)
+        .expect_err("a version-2 checkpoint must be refused");
+    assert!(
+        matches!(
+            err,
+            SearchError::Checkpoint(fegen::core::CheckpointError::VersionMismatch {
+                found: 2,
+                expected: 3,
+                ..
+            })
+        ),
+        "{err}"
+    );
+
+    let program = dir.join("prog.tc");
+    std::fs::write(
+        &program,
+        "int data[64];\n\
+         void init() { int i; for (i = 0; i < 64; i = i + 1) { data[i] = i * 7 % 13; } }\n\
+         int sum(int n) { int i; int s; s = 0; \
+         for (i = 0; i < 48; i = i + 1) { s = s + data[i] * 3; } return s; }\n",
+    )
+    .expect("program written");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fegen"))
+        .arg("search")
+        .arg(&program)
+        .arg("--resume")
+        .arg(&dir)
+        .output()
+        .expect("fegen runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "resume must fail, stderr: {stderr}");
+    assert!(
+        stderr.contains("has format version 2, this build expects 3"),
+        "expected the typed version error, got: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resuming_a_foreign_checkpoint_is_rejected() {
     let examples = synthetic_examples(30);

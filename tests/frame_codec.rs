@@ -66,7 +66,6 @@ fn all_message_kinds() -> Vec<WireMsg> {
     let island = fegen::core::gp::island::IslandSnapshot {
         id: 1,
         status: fegen::core::IslandStatus::Active,
-        restarts: 2,
         gp: GpSnapshot {
             population: vec!["count(//*)".to_owned(), "sum(//*, @num-iter)".to_owned()],
             best: Some(("count(//*)".to_owned(), 1.25)),
@@ -94,6 +93,17 @@ fn all_message_kinds() -> Vec<WireMsg> {
         WireMsg::StepDone {
             island,
             converged: true,
+            stats: Some(fegen::core::gp::GenStats {
+                generation: 3,
+                best: 1.25,
+                gen_best: 1.25,
+                mean: 1.0,
+                valid: 2,
+                invalid: 0,
+                stagnant: 1,
+                evaluations: 5,
+                panics: 0,
+            }),
         },
         WireMsg::WorkerError {
             detail: "grammar digest mismatch".to_owned(),

@@ -3,7 +3,7 @@
 //! These prove the tentpole invariant end to end: for a fixed `(seed,
 //! topology)`, a search stepped by **worker processes** over the frame
 //! transport produces results and checkpoints **byte-identical** to the
-//! in-process thread coordinator — at any worker count, over any channel
+//! in-process executor on threads — at any worker count, over any channel
 //! (in-memory loopback, child stdio pipes, Unix socketpair), and under any
 //! injected transport fault schedule. Concretely:
 //!
@@ -15,8 +15,8 @@
 //!    reference outcome.
 //! 3. **Transient transport faults are byte-invisible**: kills, torn
 //!    frames, duplicated frames and stalls at arbitrary round boundaries
-//!    cost respawns/reconnects (telemetry), never bytes.
-//! 4. **Exhausting the reconnect window degrades, not aborts**: the dead
+//!    cost respawns (telemetry), never bytes.
+//! 4. **Exhausting the restart budget degrades, not aborts**: the dead
 //!    worker's islands freeze, the survivors complete the search, and the
 //!    frozen islands still join the merge.
 //! 5. **The worker binary is crash-only**: malformed handshake bytes make
@@ -100,8 +100,8 @@ fn command_launcher(channel: ChannelKind) -> WorkerLauncher {
     }
 }
 
-/// Thread-coordinator reference run — the byte target everything else must
-/// hit.
+/// In-process reference run on worker threads — the byte target everything
+/// else must hit.
 fn run_threads(config: &SearchConfig, workers: usize) -> SearchOutcome {
     let examples = synthetic_examples(40);
     let search = FeatureSearch::from_examples(&examples, config.clone());
@@ -175,9 +175,9 @@ fn unix_socket_workers_reproduce_the_thread_outcome() {
 //    resumable in either mode.
 // ---------------------------------------------------------------------------
 
-/// Interrupts a process-mode run at a content-addressed transport point
-/// (the first attempt of round 2 on worker 0 — every variant reaches it)
-/// and returns the checkpoint's bytes and path.
+/// Interrupts a process-mode run at a content-addressed point (the first
+/// attempt of island 0's generation-2 step — every variant reaches it) and
+/// returns the checkpoint's bytes and path.
 fn interrupted_proc_checkpoint(
     config: &SearchConfig,
     workers: usize,
@@ -188,7 +188,7 @@ fn interrupted_proc_checkpoint(
     let search = FeatureSearch::from_examples(&examples, config.clone());
     let dir = temp_dir(tag);
     let injector = FaultInjector::new(vec![FaultPlan {
-        trigger: FaultTrigger::OnKeyPrefix("worker:0:round2#a1".into()),
+        trigger: FaultTrigger::OnKeyPrefix("island:0:g2#a1".into()),
         kind: FaultKind::Cancel,
     }]);
     let err = search
@@ -242,8 +242,8 @@ fn interrupted_checkpoint_bytes_are_identical_across_channels_and_counts() {
     }
 }
 
-/// Cross-mode resume, both directions: a checkpoint cut by the process
-/// supervisor resumes under the thread coordinator (and vice versa) to the
+/// Cross-mode resume, both directions: a checkpoint cut with process
+/// workers resumes in process on threads (and vice versa) to the
 /// same reference outcome — the trajectory lives in the bytes, not in the
 /// runtime that wrote them.
 #[test]
@@ -310,14 +310,14 @@ fn kill_torn_stall_and_duplicate_schedules_converge_to_the_same_bytes() {
         (
             "kill-and-respawn",
             vec![FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:0:round1#a1".into()),
-                kind: FaultKind::KillWorker,
+                trigger: FaultTrigger::OnKeyPrefix("island:0:g1#a1".into()),
+                kind: FaultKind::IslandKill,
             }],
         ),
         (
             "torn-frame",
             vec![FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:1:round2#a1".into()),
+                trigger: FaultTrigger::OnKeyPrefix("island:1:g2#a1".into()),
                 kind: FaultKind::TornFrame,
             }],
         ),
@@ -325,26 +325,26 @@ fn kill_torn_stall_and_duplicate_schedules_converge_to_the_same_bytes() {
             "stall-then-kill",
             vec![
                 FaultPlan {
-                    trigger: FaultTrigger::OnKeyPrefix("worker:0:round3#a1".into()),
-                    kind: FaultKind::StallConn(30),
+                    trigger: FaultTrigger::OnKeyPrefix("island:0:g3#a1".into()),
+                    kind: FaultKind::IslandStall(30),
                 },
                 FaultPlan {
-                    trigger: FaultTrigger::OnKeyPrefix("worker:0:round3#a1".into()),
-                    kind: FaultKind::KillWorker,
+                    trigger: FaultTrigger::OnKeyPrefix("island:0:g3#a1".into()),
+                    kind: FaultKind::IslandKill,
                 },
             ],
         ),
         (
             "duplicate-frames",
             vec![FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:1:round1#a1".into()),
+                trigger: FaultTrigger::OnKeyPrefix("island:1:g1#a1".into()),
                 kind: FaultKind::DuplicateFrame,
             }],
         ),
         (
             "slow-handshake",
             vec![FaultPlan {
-                trigger: FaultTrigger::OnKeyPrefix("worker:0:round1#a1".into()),
+                trigger: FaultTrigger::OnKeyPrefix("island:0:g1#a1".into()),
                 kind: FaultKind::SlowHandshake(20),
             }],
         ),
@@ -384,8 +384,8 @@ fn killed_stdio_worker_process_is_respawned_and_byte_invisible() {
     let reference = run_threads(&config, 2);
     let examples = synthetic_examples(40);
     let injector = FaultInjector::new(vec![FaultPlan {
-        trigger: FaultTrigger::OnKeyPrefix("worker:0:round2#a1".into()),
-        kind: FaultKind::KillWorker,
+        trigger: FaultTrigger::OnKeyPrefix("island:0:g2#a1".into()),
+        kind: FaultKind::IslandKill,
     }]);
     let telemetry = Telemetry::memory();
     let search = FeatureSearch::from_examples(&examples, config);
@@ -405,7 +405,7 @@ fn killed_stdio_worker_process_is_respawned_and_byte_invisible() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Exhausting the reconnect window freezes, the run completes.
+// 4. Exhausting the restart budget freezes, the run completes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -413,12 +413,12 @@ fn exhausted_reconnect_window_freezes_islands_but_the_search_completes() {
     let examples = synthetic_examples(40);
     let config = island_config(2);
 
-    // Kill worker 1 on *every* attempt of *every* round: its island (id 1)
+    // Kill island 1's worker on *every* attempt of *every* step: the island
     // must freeze after `restart_limit + 1` attempts, and the search must
     // complete on island 0 alone, with the frozen island still merged.
     let injector = FaultInjector::new(vec![FaultPlan {
-        trigger: FaultTrigger::OnKeyPrefix("worker:1:round".into()),
-        kind: FaultKind::KillWorker,
+        trigger: FaultTrigger::OnKeyPrefix("island:1:g".into()),
+        kind: FaultKind::IslandKill,
     }]);
     let telemetry = Telemetry::memory();
     let search = FeatureSearch::from_examples(&examples, config);
@@ -434,7 +434,7 @@ fn exhausted_reconnect_window_freezes_islands_but_the_search_completes() {
         "the surviving island must still deliver features"
     );
     assert!(
-        telemetry.counter_value("worker.frozen_islands") >= 1,
+        telemetry.counter_value("island.frozen") >= 1,
         "the freeze must be counted"
     );
     let lines = telemetry.drain_memory();
@@ -459,12 +459,12 @@ fn a_frozen_island_is_recorded_in_the_checkpoint() {
     let injector = FaultInjector::new(vec![
         // Island 1's worker never comes back...
         FaultPlan {
-            trigger: FaultTrigger::OnKeyPrefix("worker:1:round".into()),
-            kind: FaultKind::KillWorker,
+            trigger: FaultTrigger::OnKeyPrefix("island:1:g".into()),
+            kind: FaultKind::IslandKill,
         },
         // ...and once round 2 starts (island 1 already frozen), cancel.
         FaultPlan {
-            trigger: FaultTrigger::OnKeyPrefix("worker:0:round2#a1".into()),
+            trigger: FaultTrigger::OnKeyPrefix("island:0:g2#a1".into()),
             kind: FaultKind::Cancel,
         },
     ]);

@@ -181,9 +181,9 @@ fn search_checkpoints_are_telemetry_neutral_parallel() {
 /// Neutrality proof #1 for the *process-worker* supervisor: the same
 /// interrupted-checkpoint byte identity and resumed-outcome identity, with
 /// the islands stepped by supervised worker threads over the frame
-/// transport. The cancel is keyed to a transport attempt (fitness runs
+/// transport. The cancel is keyed to an island step attempt (fitness runs
 /// inside workers, out of the injector's reach), and the telemetry-on run
-/// additionally proves the worker-resilience events land in the log.
+/// additionally proves the supervisor's events land in the log.
 #[test]
 fn process_worker_checkpoints_are_telemetry_neutral() {
     let examples = synthetic_examples(40);
@@ -200,7 +200,7 @@ fn process_worker_checkpoints_are_telemetry_neutral() {
 
     let interrupted_proc = |ckpt_dir: &Path, telemetry: Telemetry| -> PathBuf {
         let injector = FaultInjector::new(vec![FaultPlan {
-            trigger: FaultTrigger::OnKeyPrefix("worker:0:round2#a1".into()),
+            trigger: FaultTrigger::OnKeyPrefix("island:0:g2#a1".into()),
             kind: FaultKind::Cancel,
         }]);
         let err = search
@@ -254,7 +254,12 @@ fn process_worker_checkpoints_are_telemetry_neutral() {
     let verdict = report::check_integrity(&tel_dir).expect("events readable");
     verdict.unwrap_or_else(|e| panic!("merged log not well-formed: {e}"));
     let (parsed, _) = report::read_events(&tel_dir).expect("events readable");
-    for kind in ["workers_start", "island_migration", "metric"] {
+    for kind in [
+        "islands_start",
+        "gp_generation",
+        "island_migration",
+        "metric",
+    ] {
         assert!(
             parsed.iter().any(|e| e.kind == kind),
             "expected at least one `{kind}` event"
@@ -262,8 +267,8 @@ fn process_worker_checkpoints_are_telemetry_neutral() {
     }
     let summary = report::summarize_dir(&tel_dir).expect("report renders");
     assert!(
-        summary.contains("worker processes:"),
-        "the worker-resilience section must render: {summary}"
+        summary.contains("executor loopback") && summary.contains("frames:"),
+        "the islands section must render with its frame counters: {summary}"
     );
 
     for d in [&dir_off, &dir_on, &tel_dir] {
