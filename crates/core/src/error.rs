@@ -105,6 +105,12 @@ pub enum SearchError {
     },
     /// A checkpoint operation failed.
     Checkpoint(CheckpointError),
+    /// A message for process-level island workers could not be encoded
+    /// for the wire.
+    WireEncode {
+        /// The message and the encoder's complaint.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SearchError {
@@ -141,6 +147,9 @@ impl fmt::Display for SearchError {
                 ),
             },
             SearchError::Checkpoint(e) => write!(f, "{e}"),
+            SearchError::WireEncode { detail } => {
+                write!(f, "cannot encode a worker message: {detail}")
+            }
         }
     }
 }

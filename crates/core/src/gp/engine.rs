@@ -61,8 +61,8 @@ where
 }
 
 /// Configuration of one GP run. Serializable because it travels in the
-/// [`crate::gp::worker_proc::WorkerSpec`] handed to process-level island
-/// workers; the checkpoint identity fingerprint still hashes the `Debug`
+/// [`crate::gp::worker_proc::WireMsg::Begin`] that starts each run on
+/// process-level island workers; the checkpoint identity fingerprint still hashes the `Debug`
 /// form, so the derive changes no existing bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpConfig {

@@ -11,33 +11,37 @@
 //! # Division of labour
 //!
 //! The **worker** is deliberately dumb: it rebuilds the deterministic
-//! fitness pipeline from its [`WorkerSpec`] (examples, config, base feature
-//! columns), then answers `Step` requests by advancing the received island
-//! state exactly one generation. It holds no retry logic, no timers, no
-//! policy — if anything is wrong it exits with a typed [`WorkerError`].
+//! fitness pipeline once from the search's [`WorkerSpec`] (examples,
+//! config, engine), adopts each GP run's settings and base feature columns
+//! from a `Begin`, then answers `Step` requests by advancing the received
+//! island state exactly one generation. It holds no retry logic, no
+//! timers, no policy — if anything is wrong it exits with a typed
+//! [`WorkerError`].
 //!
-//! The **[`Framed`] executor** owns the connections: it spawns and
-//! handshakes workers, validates every frame off the wire (never trust a
-//! byte) and drops a connection whose attempt failed. Everything else —
-//! retries, freezes, heartbeats, the round barrier — is the
+//! The **[`Framed`] executor** owns the connections for the whole search:
+//! it spawns and handshakes workers, begins every GP run on each of them,
+//! validates every frame off the wire (never trust a byte) and drops a
+//! connection whose attempt failed. Everything else — retries, freezes,
+//! heartbeats, the round barrier — is the
 //! [`super::island::IslandCoordinator`]'s, shared with the in-process
 //! executor, so the two modes cannot drift.
 //!
-//! A step is a deterministic function of `(spec, island snapshot)`, so a
-//! respawned worker re-stepping the same committed state produces the same
-//! bytes: transient kills, torn frames and duplicate frames are invisible
-//! in results, and respawns are telemetry-only.
+//! A step is a deterministic function of `(spec, run, island snapshot)`,
+//! so a respawned worker — handshaken and begun afresh — re-stepping the
+//! same committed state produces the same bytes: transient kills, torn
+//! frames and duplicate frames are invisible in results, and respawns are
+//! telemetry-only.
 
+use crate::error::SearchError;
 use crate::faults::stable_hash;
-use crate::gp::engine::{GenStats, GpEngine, GpState, GpStatus};
+use crate::gp::engine::{GenStats, GpConfig, GpEngine, GpState, GpStatus};
 use crate::gp::island::{Attempt, FrameFaults, Island, IslandExecutor, IslandSnapshot};
 use crate::gp::transport::{
     duplex, FrameTransport, SendFault, StreamTransport, TransportError, TransportStats,
-    PROTOCOL_VERSION,
 };
 use crate::grammar::Grammar;
 use crate::lang::EvalEngine;
-use crate::search::{FeatureSearch, SearchConfig, TrainingExample};
+use crate::search::{FeatureSearch, FitnessHarness, SearchConfig, TrainingExample};
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -45,19 +49,25 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Everything a worker needs to rebuild the deterministic fitness pipeline:
-/// the search configuration (with the *effective*, outer-budget-clamped GP
-/// settings), the evaluation engine, the training examples and the base
-/// feature texts accepted so far. Sent once per connection in the
-/// [`WireMsg::Hello`] handshake.
+/// Version of the supervisor↔worker conversation — the [`WireMsg`]
+/// vocabulary and its order — checked in the `Hello` handshake. The frame
+/// header's [`crate::gp::transport::PROTOCOL_VERSION`] is separate: the
+/// serve protocol shares the frame layout, not this conversation.
+pub const WORKER_PROTOCOL_VERSION: u32 = 2;
+
+/// The invariants of one search that a worker needs to rebuild the
+/// deterministic fitness pipeline: the search configuration, the
+/// evaluation engine, the grammar digest and the training examples. Sent
+/// once per connection in the [`WireMsg::Hello`] handshake; what changes
+/// from one GP run to the next travels in [`WireMsg::Begin`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSpec {
-    /// Protocol version the supervisor speaks; checked in the handshake on
-    /// top of the per-frame check, so a skewed *message* vocabulary is
-    /// caught even when the frame layout still matches.
+    /// [`WORKER_PROTOCOL_VERSION`] of the supervisor; checked in the
+    /// handshake on top of the per-frame check, so a skewed *message*
+    /// vocabulary is caught even when the frame layout still matches.
     pub protocol: u32,
-    /// Full search configuration, `gp` already clamped to the remaining
-    /// outer generation budget.
+    /// Full search configuration. Each run's effective GP settings travel
+    /// in its `Begin`.
     pub config: SearchConfig,
     /// Feature-evaluation engine (execution strategy; identical values
     /// either way, shipped so worker telemetry matches supervisor intent).
@@ -69,8 +79,6 @@ pub struct WorkerSpec {
     pub grammar_digest: u64,
     /// The training examples (cycle tables round-trip bit-exactly).
     pub examples: Vec<TrainingExample>,
-    /// Accepted base features, in order, as parseable text.
-    pub base_features: Vec<String>,
 }
 
 /// Content digest of a grammar — the compact stand-in for shipping the
@@ -114,39 +122,50 @@ impl WorkerSpec {
         engine: EvalEngine,
         grammar: &Grammar,
         examples: &[TrainingExample],
-        base_features: Vec<String>,
     ) -> Self {
         WorkerSpec {
-            protocol: PROTOCOL_VERSION,
+            protocol: WORKER_PROTOCOL_VERSION,
             config,
             engine,
             grammar_digest: grammar_digest(grammar),
             examples: examples.to_vec(),
-            base_features,
         }
-    }
-
-    /// Content digest of the spec, echoed back in [`WireMsg::HelloAck`] so
-    /// the supervisor can verify the worker adopted the exact bytes it sent.
-    pub fn digest(&self) -> u64 {
-        let json = serde_json::to_string(self).unwrap_or_default();
-        stable_hash(json.as_bytes())
     }
 }
 
 /// The supervisor↔worker message vocabulary. Every message travels as one
 /// frame; the payload is this enum, JSON-encoded.
+///
+/// A connection is `Hello` → `HelloAck`, then for each GP run `Begin` →
+/// `BeginAck` followed by any number of `Step` → `StepDone`, then
+/// `Shutdown` (or EOF). Each acknowledgement echoes the `stable_hash` of
+/// the worker's re-encoding of what it decoded, which equals the hash of
+/// the bytes the supervisor sent only if they survived the codec exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireMsg {
-    /// Supervisor → worker: handshake carrying the full spec.
+    /// Supervisor → worker: handshake carrying the search's invariants.
     Hello {
         /// The worker's build instructions.
         spec: WorkerSpec,
     },
     /// Worker → supervisor: handshake acknowledgement.
     HelloAck {
-        /// [`WorkerSpec::digest`] of the spec the worker adopted.
+        /// Digest of the `Hello` the worker adopted.
         spec_digest: u64,
+    },
+    /// Supervisor → worker: start a GP run.
+    Begin {
+        /// The run's effective GP configuration (`max_generations` already
+        /// clamped to the remaining outer budget).
+        gp: GpConfig,
+        /// Accepted base features, in order, as parseable text. Must extend
+        /// the list the worker already adopted.
+        base_features: Vec<String>,
+    },
+    /// Worker → supervisor: the run's settings are adopted.
+    BeginAck {
+        /// Digest of the `Begin` the worker adopted.
+        digest: u64,
     },
     /// Supervisor → worker: advance this island one generation.
     Step {
@@ -190,6 +209,16 @@ pub fn decode_msg(payload: &[u8]) -> Result<WireMsg, TransportError> {
     serde_json::from_str(text).map_err(|e| TransportError::Malformed(format!("decode: {e}")))
 }
 
+/// Encodes a message the supervisor sends, with its digest (what the
+/// worker's acknowledgement must echo).
+fn encode_sealed(msg: &WireMsg) -> Result<(Vec<u8>, u64), SearchError> {
+    let payload = encode_msg(msg).map_err(|e| SearchError::WireEncode {
+        detail: format!("{}: {e}", msg_name(msg)),
+    })?;
+    let digest = stable_hash(&payload);
+    Ok((payload, digest))
+}
+
 /// Typed worker-side failures. A worker exits with one of these — it never
 /// hangs on bad input and never panics on wire bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,36 +257,37 @@ impl From<TransportError> for WorkerError {
     }
 }
 
-/// The worker main loop: handshake, rebuild the fitness pipeline, answer
-/// `Step` requests until `Shutdown` or EOF.
+/// The worker main loop: handshake, rebuild the fitness pipeline, then
+/// adopt each GP run's `Begin` and answer its `Step` requests until
+/// `Shutdown` or EOF.
+///
+/// The fitness harness lives for the whole connection: a `Begin` only
+/// pushes the base columns it does not hold yet, exactly as the
+/// supervisor's own harness grows between runs.
 ///
 /// The loop is crash-only: any protocol violation or transport failure is
 /// a typed error and the worker exits; the supervisor treats the dead
 /// connection as a respawn trigger. A clean EOF after the handshake is a
 /// normal shutdown (the supervisor dropped the connection).
 pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerError> {
-    let spec = match decode_msg(&transport.recv()?)? {
-        WireMsg::Hello { spec } => spec,
-        other => {
-            return Err(WorkerError::Handshake {
-                detail: format!("expected Hello, got {}", msg_name(&other)),
-            })
-        }
+    let hello = decode_msg(&transport.recv()?)?;
+    let WireMsg::Hello { spec } = &hello else {
+        return Err(WorkerError::Handshake {
+            detail: format!("expected Hello, got {}", msg_name(&hello)),
+        });
     };
-    if spec.protocol != PROTOCOL_VERSION {
-        // Tell the supervisor why before dying — best-effort, the typed
-        // exit matters more than the courtesy message.
-        let detail = format!(
-            "protocol skew: supervisor speaks v{}, this worker v{PROTOCOL_VERSION}",
-            spec.protocol
-        );
-        let _ = encode_msg(&WireMsg::WorkerError {
-            detail: detail.clone(),
-        })
-        .and_then(|m| transport.send(&m));
-        return Err(WorkerError::Handshake { detail });
+    if spec.protocol != WORKER_PROTOCOL_VERSION {
+        return Err(refuse(
+            transport,
+            WorkerError::Handshake {
+                detail: format!(
+                    "protocol skew: supervisor speaks v{}, this worker v{WORKER_PROTOCOL_VERSION}",
+                    spec.protocol
+                ),
+            },
+        ));
     }
-    let spec_digest = spec.digest();
+    let spec_digest = adopted_digest(&hello)?;
 
     // Rebuild the exact deterministic fitness pipeline the supervisor's
     // in-process path would use: same grammar derivation, same harness,
@@ -270,29 +300,16 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
             grammar_digest(search.grammar()),
             spec.grammar_digest
         );
-        let _ = encode_msg(&WireMsg::WorkerError {
-            detail: detail.clone(),
-        })
-        .and_then(|m| transport.send(&m));
-        return Err(WorkerError::Spec { detail });
+        return Err(refuse(transport, WorkerError::Spec { detail }));
     }
     let mut harness = search.harness(&spec.examples).map_err(|e| WorkerError::Spec {
         detail: format!("harness: {e}"),
     })?;
-    for text in &spec.base_features {
-        let expr = crate::lang::parse_feature(text).map_err(|e| WorkerError::Spec {
-            detail: format!("unparseable base feature `{text}`: {e}"),
-        })?;
-        let column = harness.column(&expr).ok_or_else(|| WorkerError::Spec {
-            detail: format!("base feature `{text}` does not evaluate on the examples"),
-        })?;
-        harness.push_base_column(column);
-    }
-    let engine = GpEngine::new(search.grammar(), spec.config.gp.clone());
-    let fitness = |e: &crate::lang::FeatureExpr| harness.fitness(e);
-
     transport.send(&encode_msg(&WireMsg::HelloAck { spec_digest })?)?;
 
+    // The current run's engine and the base features adopted so far.
+    let mut engine: Option<GpEngine<'_>> = None;
+    let mut adopted: Vec<String> = Vec::new();
     loop {
         let payload = match transport.recv() {
             Ok(payload) => payload,
@@ -300,14 +317,37 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
             Err(TransportError::Closed) => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        match decode_msg(&payload)? {
+        let msg = decode_msg(&payload)?;
+        match &msg {
+            WireMsg::Begin { gp, base_features } => {
+                let digest = adopted_digest(&msg)?;
+                let Some(new) = base_features.strip_prefix(adopted.as_slice()) else {
+                    let detail = format!(
+                        "Begin's {} base feature(s) do not extend the {} already adopted",
+                        base_features.len(),
+                        adopted.len()
+                    );
+                    return Err(refuse(transport, WorkerError::Spec { detail }));
+                };
+                for text in new {
+                    adopt_base(&mut harness, text)?;
+                    adopted.push(text.clone());
+                }
+                engine = Some(GpEngine::new(search.grammar(), gp.clone()));
+                transport.send(&encode_msg(&WireMsg::BeginAck { digest })?)?;
+            }
             WireMsg::Step { island } => {
+                let Some(engine) = &engine else {
+                    let detail = "Step before Begin: no GP run was begun".to_owned();
+                    return Err(refuse(transport, WorkerError::Handshake { detail }));
+                };
                 let mut gp =
                     GpState::from_snapshot(&island.gp).map_err(|e| WorkerError::Spec {
                         detail: format!("island {} state: {e}", island.id),
                     })?;
                 // No cancel token on purpose: cancellation is supervisor
                 // policy; a worker always finishes its step (or dies).
+                let fitness = |e: &crate::lang::FeatureExpr| harness.fitness(e);
                 let status = engine.step_cancellable(&mut gp, &fitness, None);
                 let reply = WireMsg::StepDone {
                     island: IslandSnapshot {
@@ -323,11 +363,43 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
             WireMsg::Shutdown => return Ok(()),
             other => {
                 return Err(WorkerError::Handshake {
-                    detail: format!("unexpected message {} mid-session", msg_name(&other)),
+                    detail: format!("unexpected message {} mid-session", msg_name(other)),
                 })
             }
         }
     }
+}
+
+/// The digest a worker echoes to prove it adopted `msg`: the hash of its
+/// re-encoding. An encode failure is typed, never the digest of nothing.
+fn adopted_digest(msg: &WireMsg) -> Result<u64, WorkerError> {
+    encode_msg(msg)
+        .map(|payload| stable_hash(&payload))
+        .map_err(|e| WorkerError::Spec {
+            detail: format!("re-encoding {} for its digest: {e}", msg_name(msg)),
+        })
+}
+
+/// Evaluates one accepted base feature and appends its column.
+fn adopt_base(harness: &mut FitnessHarness<'_>, text: &str) -> Result<(), WorkerError> {
+    let expr = crate::lang::parse_feature(text).map_err(|e| WorkerError::Spec {
+        detail: format!("unparseable base feature `{text}`: {e}"),
+    })?;
+    let column = harness.column(&expr).ok_or_else(|| WorkerError::Spec {
+        detail: format!("base feature `{text}` does not evaluate on the examples"),
+    })?;
+    harness.push_base_column(column);
+    Ok(())
+}
+
+/// Tells the supervisor why before dying, and returns `err` — best-effort:
+/// the typed exit matters more than the courtesy message.
+fn refuse<T: FrameTransport>(transport: &mut T, err: WorkerError) -> WorkerError {
+    let _ = encode_msg(&WireMsg::WorkerError {
+        detail: err.to_string(),
+    })
+    .and_then(|m| transport.send(&m));
+    err
 }
 
 /// Worker entrypoint over stdin/stdout — the body of the CLI's hidden
@@ -342,6 +414,8 @@ fn msg_name(msg: &WireMsg) -> &'static str {
     match msg {
         WireMsg::Hello { .. } => "Hello",
         WireMsg::HelloAck { .. } => "HelloAck",
+        WireMsg::Begin { .. } => "Begin",
+        WireMsg::BeginAck { .. } => "BeginAck",
         WireMsg::Step { .. } => "Step",
         WireMsg::StepDone { .. } => "StepDone",
         WireMsg::WorkerError { .. } => "WorkerError",
@@ -410,6 +484,7 @@ impl WorkerLauncher {
                     transport: Some(Box::new(sup)),
                     child: None,
                     thread: Some(thread),
+                    begun: None,
                 })
             }
             WorkerLauncher::Command { argv, channel } => {
@@ -445,6 +520,7 @@ fn spawn_stdio(program: &str, args: &[String]) -> Result<WorkerHandle, Transport
         transport: Some(Box::new(StreamTransport::new(stdout, stdin))),
         child: Some(child),
         thread: None,
+        begun: None,
     })
 }
 
@@ -473,6 +549,7 @@ fn spawn_unix_socket(program: &str, args: &[String]) -> Result<WorkerHandle, Tra
         transport: Some(Box::new(StreamTransport::new(reader, parent_end))),
         child: Some(child),
         thread: None,
+        begun: None,
     })
 }
 
@@ -487,6 +564,9 @@ struct WorkerHandle {
     transport: Option<Box<dyn FrameTransport>>,
     child: Option<Child>,
     thread: Option<std::thread::JoinHandle<()>>,
+    /// The GP run ([`Run::id`]) this worker last acknowledged a `Begin`
+    /// for.
+    begun: Option<u64>,
 }
 
 impl WorkerHandle {
@@ -536,23 +616,69 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Why a connect attempt failed.
+/// Why a handshake (`Hello` or `Begin`) failed.
 enum ConnectError {
-    /// The worker answered the handshake with the wrong spec digest.
+    /// The worker acknowledged with the wrong digest.
     DigestRejected,
     /// Spawn, transport or protocol failure.
     Failed,
 }
 
+/// Sends `request` and checks that the acknowledgement `ack` extracts from
+/// the reply echoes `digest`.
+fn exchange(
+    t: &mut dyn FrameTransport,
+    request: &[u8],
+    digest: u64,
+    ack: fn(WireMsg) -> Option<u64>,
+) -> Result<(), ConnectError> {
+    t.send(request).map_err(|_| ConnectError::Failed)?;
+    let reply = t.recv().map_err(|_| ConnectError::Failed)?;
+    match decode_msg(&reply).ok().and_then(ack) {
+        Some(echoed) if echoed == digest => Ok(()),
+        Some(_) => Err(ConnectError::DigestRejected),
+        None => Err(ConnectError::Failed),
+    }
+}
+
+fn hello_ack(reply: WireMsg) -> Option<u64> {
+    match reply {
+        WireMsg::HelloAck { spec_digest } => Some(spec_digest),
+        _ => None,
+    }
+}
+
+fn begin_ack(reply: WireMsg) -> Option<u64> {
+    match reply {
+        WireMsg::BeginAck { digest } => Some(digest),
+        _ => None,
+    }
+}
+
+/// One GP run's `Begin`, encoded once and sent to every connection that
+/// has not acknowledged it yet.
+struct Run {
+    /// Position of the run in the search, from 0.
+    id: u64,
+    begin: Vec<u8>,
+    digest: u64,
+}
+
 /// The framed [`IslandExecutor`]: each worker slot owns one connection to a
-/// worker (a child process or a loopback thread), kept across rounds of a
-/// GP run and re-established after a failed attempt. Every step ships the
-/// island's committed state in a `Step` frame and validates the `StepDone`
-/// reply before trusting it. Retry, freeze and heartbeat policy belong to
-/// the [`super::island::IslandCoordinator`] driving it.
+/// worker (a child process or a loopback thread), kept for the whole
+/// search and re-established after a failed attempt. A connection gets the
+/// search's `Hello` once and each GP run's `Begin` before its first step
+/// of that run. Every step ships the island's committed state in a `Step`
+/// frame and validates the `StepDone` reply before trusting it. Retry,
+/// freeze and heartbeat policy belong to the
+/// [`super::island::IslandCoordinator`] driving it.
 pub struct Framed {
-    spec: WorkerSpec,
+    /// The encoded `Hello`, built once per search.
+    hello: Vec<u8>,
+    /// Digest of `hello`, which every `HelloAck` must echo.
     spec_digest: u64,
+    /// The current GP run; `None` until [`Framed::begin`].
+    run: Option<Run>,
     launcher: WorkerLauncher,
     /// One connection per worker slot; a slot is only touched by the thread
     /// stepping it, so the locks are uncontended.
@@ -562,15 +688,33 @@ pub struct Framed {
 
 impl Framed {
     /// An executor with `workers` slots, each connecting workers built
-    /// from `spec` via `launcher` on first use.
-    pub fn new(spec: WorkerSpec, launcher: WorkerLauncher, workers: usize, telemetry: &Telemetry) -> Self {
-        Framed {
-            spec_digest: spec.digest(),
-            spec,
+    /// from `spec` via `launcher` on first use. The `Hello` is encoded
+    /// here, once; an encode failure is a typed [`SearchError::WireEncode`].
+    pub fn new(
+        spec: WorkerSpec,
+        launcher: WorkerLauncher,
+        workers: usize,
+        telemetry: &Telemetry,
+    ) -> Result<Self, SearchError> {
+        let (hello, spec_digest) = encode_sealed(&WireMsg::Hello { spec })?;
+        Ok(Framed {
+            hello,
+            spec_digest,
+            run: None,
             launcher,
             slots: (0..workers.max(1)).map(|_| Mutex::new(None)).collect(),
             telemetry: telemetry.clone(),
-        }
+        })
+    }
+
+    /// Starts a GP run with the effective `gp` settings over
+    /// `base_features` (which must extend the previous run's): every
+    /// connection is sent this `Begin` before its next step.
+    pub fn begin(&mut self, gp: GpConfig, base_features: Vec<String>) -> Result<(), SearchError> {
+        let (begin, digest) = encode_sealed(&WireMsg::Begin { gp, base_features })?;
+        let id = self.run.as_ref().map_or(0, |run| run.id + 1);
+        self.run = Some(Run { id, begin, digest });
+        Ok(())
     }
 
     fn slot(&self, slot: usize) -> std::sync::MutexGuard<'_, Option<WorkerHandle>> {
@@ -584,18 +728,31 @@ impl Framed {
     /// be allowed to step islands).
     fn connect(&self) -> Result<WorkerHandle, ConnectError> {
         let mut handle = self.launcher.spawn().map_err(|_| ConnectError::Failed)?;
-        let hello = encode_msg(&WireMsg::Hello {
-            spec: self.spec.clone(),
-        })
-        .map_err(|_| ConnectError::Failed)?;
-        let t = handle.transport();
-        t.send(&hello).map_err(|_| ConnectError::Failed)?;
-        let reply = t.recv().map_err(|_| ConnectError::Failed)?;
-        match decode_msg(&reply) {
-            Ok(WireMsg::HelloAck { spec_digest }) if spec_digest == self.spec_digest => Ok(handle),
-            Ok(WireMsg::HelloAck { .. }) => Err(ConnectError::DigestRejected),
-            _ => Err(ConnectError::Failed),
+        exchange(handle.transport(), &self.hello, self.spec_digest, hello_ack)?;
+        self.telemetry.counter_add("worker.handshakes", 1);
+        Ok(handle)
+    }
+
+    /// Connects slot `slot` if it has no worker and begins `run` on it if
+    /// it has not yet.
+    fn ready(
+        &self,
+        handle: &mut Option<WorkerHandle>,
+        run: &Run,
+        slow_handshake_ms: u64,
+    ) -> Result<(), ConnectError> {
+        if handle.is_none() {
+            if slow_handshake_ms > 0 {
+                std::thread::sleep(Duration::from_millis(slow_handshake_ms));
+            }
+            *handle = Some(self.connect()?);
         }
+        let handle = handle.as_mut().expect("connected above");
+        if handle.begun != Some(run.id) {
+            exchange(handle.transport(), &run.begin, run.digest, begin_ack)?;
+            handle.begun = Some(run.id);
+        }
+        Ok(())
     }
 
     /// Adds the frames a connection moved to the counters, once, as it is
@@ -608,7 +765,8 @@ impl Framed {
             .counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
     }
 
-    /// Shuts every worker down gracefully: `Shutdown` message, EOF, reap.
+    /// Shuts every worker down gracefully: `Shutdown` message, EOF, reap —
+    /// tallying each connection's frame counters first.
     pub fn shutdown(self) {
         for slot in 0..self.slots.len() {
             let handle = self.slot(slot).take();
@@ -622,21 +780,20 @@ impl Framed {
 
 impl IslandExecutor for Framed {
     fn step(&self, slot: usize, island: &Island, faults: FrameFaults) -> Attempt {
+        let run = self
+            .run
+            .as_ref()
+            .expect("Framed::begin precedes every step");
         let mut guard = self.slot(slot);
-        if guard.is_none() {
-            if faults.slow_handshake_ms > 0 {
-                std::thread::sleep(Duration::from_millis(faults.slow_handshake_ms));
+        match self.ready(&mut guard, run, faults.slow_handshake_ms) {
+            Ok(()) => {}
+            Err(ConnectError::DigestRejected) => {
+                self.telemetry.counter_add("worker.digest_rejections", 1);
+                return Attempt::Failed;
             }
-            match self.connect() {
-                Ok(handle) => *guard = Some(handle),
-                Err(ConnectError::DigestRejected) => {
-                    self.telemetry.counter_add("worker.digest_rejections", 1);
-                    return Attempt::Failed;
-                }
-                Err(ConnectError::Failed) => return Attempt::Failed,
-            }
+            Err(ConnectError::Failed) => return Attempt::Failed,
         }
-        match step_one(guard.as_mut().expect("connected above"), island, faults.send) {
+        match step_one(guard.as_mut().expect("ready above"), island, faults.send) {
             Ok((gp, status)) => Attempt::Stepped(Box::new(gp), status),
             // Typed frame errors are fatal to the connection (no resync);
             // the coordinator resets the slot and retries.
@@ -710,7 +867,10 @@ fn step_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gp::island::{IslandStatus, IslandTopology, IslandsState};
     use crate::ir::IrNode;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_spec() -> WorkerSpec {
         let examples: Vec<TrainingExample> = (0..6)
@@ -731,23 +891,52 @@ mod tests {
             .collect();
         let config = SearchConfig::quick();
         let search = FeatureSearch::from_examples(&examples, config.clone());
-        WorkerSpec::new(
-            config,
-            EvalEngine::default(),
-            search.grammar(),
-            &examples,
-            Vec::new(),
-        )
+        WorkerSpec::new(config, EvalEngine::default(), search.grammar(), &examples)
+    }
+
+    fn begin_msg(base_features: &[&str]) -> WireMsg {
+        WireMsg::Begin {
+            gp: tiny_spec().config.gp,
+            base_features: base_features.iter().map(|&f| f.to_owned()).collect(),
+        }
+    }
+
+    /// One island of a fresh run over `spec`'s grammar.
+    fn first_island(spec: &WorkerSpec) -> Island {
+        let search = FeatureSearch::from_examples(&spec.examples, spec.config.clone());
+        let engine = GpEngine::new(search.grammar(), spec.config.gp.clone());
+        let mut rng = StdRng::seed_from_u64(5);
+        IslandsState::init(&engine, &IslandTopology::single(), &mut rng)
+            .islands
+            .remove(0)
+    }
+
+    /// Sends `msg` and returns the decoded reply.
+    fn ask(sup: &mut crate::gp::LoopbackTransport, msg: &WireMsg) -> WireMsg {
+        sup.send(&encode_msg(msg).unwrap()).unwrap();
+        decode_msg(&sup.recv().unwrap()).unwrap()
+    }
+
+    /// Spawns a loopback worker and completes its `Hello` handshake.
+    fn handshaken_worker() -> (
+        crate::gp::LoopbackTransport,
+        std::thread::JoinHandle<Result<(), WorkerError>>,
+    ) {
+        let (mut sup, mut wrk) = duplex();
+        let worker = std::thread::spawn(move || run_worker(&mut wrk));
+        let reply = ask(&mut sup, &WireMsg::Hello { spec: tiny_spec() });
+        assert!(matches!(reply, WireMsg::HelloAck { .. }), "got {reply:?}");
+        (sup, worker)
     }
 
     #[test]
     fn wire_messages_roundtrip() {
         let spec = tiny_spec();
         let msgs = vec![
-            WireMsg::Hello { spec: spec.clone() },
-            WireMsg::HelloAck {
-                spec_digest: spec.digest(),
-            },
+            WireMsg::Hello { spec },
+            WireMsg::HelloAck { spec_digest: 7 },
+            begin_msg(&["count(//*)"]),
+            WireMsg::BeginAck { digest: 9 },
             WireMsg::WorkerError {
                 detail: "no".into(),
             },
@@ -763,21 +952,24 @@ mod tests {
     fn spec_digest_is_content_sensitive() {
         let a = tiny_spec();
         let mut b = a.clone();
-        assert_eq!(a.digest(), b.digest());
-        b.base_features.push("count(//*)".into());
-        assert_ne!(a.digest(), b.digest());
+        let digest = |spec: &WorkerSpec| {
+            let (payload, digest) = encode_sealed(&WireMsg::Hello { spec: spec.clone() }).unwrap();
+            assert_eq!(digest, stable_hash(&payload), "the hash of the sent bytes");
+            digest
+        };
+        assert_eq!(digest(&a), digest(&b));
+        b.examples[0].cycles[1] += 1.0;
+        assert_ne!(digest(&a), digest(&b));
     }
 
     #[test]
     fn worker_rejects_protocol_skew_with_typed_error() {
         let (mut sup, mut wrk) = duplex();
         let mut spec = tiny_spec();
-        spec.protocol = PROTOCOL_VERSION + 1;
+        spec.protocol = WORKER_PROTOCOL_VERSION + 1;
         let worker = std::thread::spawn(move || run_worker(&mut wrk));
-        sup.send(&encode_msg(&WireMsg::Hello { spec }).unwrap())
-            .unwrap();
         // The worker sends a courtesy WorkerError before dying typed.
-        let reply = decode_msg(&sup.recv().unwrap()).unwrap();
+        let reply = ask(&mut sup, &WireMsg::Hello { spec });
         assert!(matches!(reply, WireMsg::WorkerError { .. }));
         let err = worker.join().unwrap().unwrap_err();
         assert!(matches!(err, WorkerError::Handshake { .. }), "got {err}");
@@ -807,16 +999,118 @@ mod tests {
     #[test]
     fn worker_handshakes_and_exits_on_clean_eof() {
         let (mut sup, mut wrk) = duplex();
-        let spec = tiny_spec();
-        let digest = spec.digest();
+        let (hello, digest) = encode_sealed(&WireMsg::Hello { spec: tiny_spec() }).unwrap();
         let worker = std::thread::spawn(move || run_worker(&mut wrk));
-        sup.send(&encode_msg(&WireMsg::Hello { spec }).unwrap())
-            .unwrap();
+        sup.send(&hello).unwrap();
         match decode_msg(&sup.recv().unwrap()).unwrap() {
-            WireMsg::HelloAck { spec_digest } => assert_eq!(spec_digest, digest),
+            WireMsg::HelloAck { spec_digest } => assert_eq!(
+                spec_digest, digest,
+                "the worker echoes the hash of the Hello bytes it was sent"
+            ),
             other => panic!("expected HelloAck, got {other:?}"),
         }
         drop(sup);
         assert_eq!(worker.join().unwrap(), Ok(()));
+    }
+
+    #[test]
+    fn worker_begins_runs_and_grows_its_base_features() {
+        let (mut sup, worker) = handshaken_worker();
+        let island = first_island(&tiny_spec());
+        // The last run re-begins with the same list: nothing new to adopt.
+        let runs: [&[&str]; 4] = [
+            &[],
+            &["count(//*)"],
+            &["count(//*)", "count(/*)"],
+            &["count(//*)", "count(/*)"],
+        ];
+        for base in runs {
+            let begin = begin_msg(base);
+            let (_, digest) = encode_sealed(&begin).unwrap();
+            assert_eq!(ask(&mut sup, &begin), WireMsg::BeginAck { digest });
+            let reply = ask(
+                &mut sup,
+                &WireMsg::Step {
+                    island: island.snapshot(),
+                },
+            );
+            assert!(
+                matches!(&reply, WireMsg::StepDone { island: stepped, .. } if stepped.gp.generations == 1),
+                "got {reply:?}"
+            );
+        }
+        drop(sup);
+        assert_eq!(worker.join().unwrap(), Ok(()));
+    }
+
+    #[test]
+    fn worker_refuses_a_step_before_begin() {
+        let (mut sup, worker) = handshaken_worker();
+        let island = first_island(&tiny_spec());
+        let reply = ask(
+            &mut sup,
+            &WireMsg::Step {
+                island: island.snapshot(),
+            },
+        );
+        assert!(matches!(reply, WireMsg::WorkerError { .. }), "got {reply:?}");
+        let err = worker.join().unwrap().unwrap_err();
+        assert!(
+            matches!(&err, WorkerError::Handshake { detail } if detail.contains("before Begin")),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn worker_refuses_base_features_that_do_not_extend_its_own() {
+        let (mut sup, worker) = handshaken_worker();
+        assert!(matches!(
+            ask(&mut sup, &begin_msg(&["count(//*)"])),
+            WireMsg::BeginAck { .. }
+        ));
+        let reply = ask(&mut sup, &begin_msg(&["count(/*)"]));
+        assert!(matches!(reply, WireMsg::WorkerError { .. }), "got {reply:?}");
+        let err = worker.join().unwrap().unwrap_err();
+        assert!(
+            matches!(&err, WorkerError::Spec { detail } if detail.contains("do not extend")),
+            "got {err}"
+        );
+    }
+
+    /// A worker that acknowledges `Hello` correctly but `Begin` with a
+    /// wrong digest is rejected: the attempt fails and the rejection is
+    /// counted.
+    #[test]
+    fn a_begin_ack_with_the_wrong_digest_fails_the_attempt() {
+        let spec = tiny_spec();
+        let island = first_island(&spec);
+        let telemetry = Telemetry::memory();
+        let mut framed = Framed::new(spec.clone(), WorkerLauncher::Loopback, 1, &telemetry).unwrap();
+        framed.begin(spec.config.gp.clone(), Vec::new()).unwrap();
+        let (sup, mut wrk) = duplex();
+        let liar = std::thread::spawn(move || {
+            let _ = wrk.recv();
+            let _ = wrk.send(&encode_msg(&WireMsg::BeginAck { digest: 0 }).unwrap());
+            let _ = wrk.recv();
+        });
+        *framed.slot(0) = Some(WorkerHandle {
+            transport: Some(Box::new(sup)),
+            child: None,
+            thread: Some(liar),
+            begun: None,
+        });
+        let attempt = framed.step(0, &island, FrameFaults::default());
+        assert!(matches!(attempt, Attempt::Failed), "got {attempt:?}");
+        assert_eq!(telemetry.counter_value("worker.digest_rejections"), 1);
+
+        // The coordinator's reset drops the liar; the next attempt connects
+        // a real worker, which adopts Hello and Begin and steps.
+        framed.reset(0, island.id, false);
+        let attempt = framed.step(0, &island, FrameFaults::default());
+        assert!(matches!(attempt, Attempt::Stepped(..)), "got {attempt:?}");
+        assert_eq!(telemetry.counter_value("worker.handshakes"), 1);
+        assert_eq!(island.status, IslandStatus::Active);
+        framed.shutdown();
+        assert!(telemetry.counter_value("worker.frames_tx") > 0);
     }
 }

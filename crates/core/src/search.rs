@@ -919,6 +919,10 @@ impl<'a> SearchDriver<'a> {
             .bool("resumed_mid_round", pending_islands.is_some())
             .emit();
 
+        // Process-level workers, when a launcher is set: created at the
+        // first GP run, kept for the whole search (each run only sends a
+        // `Begin`), shut down once by `publish` on every exit path.
+        let mut framed: Option<Framed> = None;
         while features.len() < cfg.max_features
             && failed < cfg.max_failed_additions
             && total_generations < cfg.max_total_generations
@@ -958,15 +962,14 @@ impl<'a> SearchDriver<'a> {
                 total_generations,
                 islands: None,
             };
-            let run = self.drive(&engine, islands, &progress, &harness, examples);
+            let run = self.drive(&engine, islands, &progress, &harness, examples, &mut framed);
             let run = match run {
                 Ok(run) => run,
                 Err(e) => {
-                    // Publish what the pool did before surfacing the
-                    // interruption, so a killed run's log still carries its
-                    // cache statistics.
-                    harness.pool().record_telemetry(&self.telemetry);
-                    self.telemetry.emit_metrics("eval_pool");
+                    // Publish what the pool and the workers did before
+                    // surfacing the interruption, so a killed run's log
+                    // still carries its cache and frame statistics.
+                    self.publish(framed.take(), &harness);
                     return Err(e);
                 }
             };
@@ -1041,9 +1044,13 @@ impl<'a> SearchDriver<'a> {
                     total_generations,
                     islands: None,
                 };
-                self.write_checkpoint(&progress, None)?;
+                if let Err(e) = self.write_checkpoint(&progress, None) {
+                    self.publish(framed.take(), &harness);
+                    return Err(e);
+                }
             }
         }
+        self.publish(framed.take(), &harness);
 
         // A completed search leaves no checkpoint behind; a crash after
         // this point re-runs the search, it does not resume a stale state.
@@ -1056,8 +1063,6 @@ impl<'a> SearchDriver<'a> {
             let _ = std::fs::remove_file(path);
         }
 
-        harness.pool().record_telemetry(&self.telemetry);
-        self.telemetry.emit_metrics("eval_pool");
         self.telemetry
             .event("search_done")
             .u64("features", features.len() as u64)
@@ -1081,11 +1086,23 @@ impl<'a> SearchDriver<'a> {
         })
     }
 
+    /// Shuts the search's worker processes down, if any — tallying their
+    /// frame counters — then publishes the pool statistics and every
+    /// metric.
+    fn publish(&self, framed: Option<Framed>, harness: &FitnessHarness<'_>) {
+        if let Some(executor) = framed {
+            executor.shutdown();
+        }
+        harness.pool().record_telemetry(&self.telemetry);
+        self.telemetry.emit_metrics("eval_pool");
+    }
+
     /// Drives one per-feature GP run through the island round loop, on
     /// worker processes when a launcher is set and in process otherwise.
     /// Worker processes rebuild the identical fitness harness from the
-    /// wire spec; in process, the fault injector wraps the fitness
-    /// function as well as keying the island steps.
+    /// wire spec once per search, connecting on the first run into
+    /// `framed`; in process, the fault injector wraps the fitness function
+    /// as well as keying the island steps.
     fn drive(
         &self,
         engine: &GpEngine<'_>,
@@ -1093,29 +1110,31 @@ impl<'a> SearchDriver<'a> {
         progress: &SearchCheckpoint,
         harness: &FitnessHarness<'_>,
         examples: &[TrainingExample],
+        framed: &mut Option<Framed>,
     ) -> Result<GpRun, SearchError> {
         let cancel = self.cancel.as_ref();
         let fitness = |expr: &FeatureExpr| harness.fitness(expr);
         match (&self.launcher, self.injector) {
             (Some(launcher), _) => {
-                // The spec ships the *effective* GP config — with
+                if framed.is_none() {
+                    let search = self.search;
+                    let spec = WorkerSpec::new(
+                        search.config.clone(),
+                        search.engine(),
+                        &search.grammar,
+                        examples,
+                    );
+                    let executor =
+                        Framed::new(spec, launcher.clone(), self.workers, &self.telemetry)?;
+                    *framed = Some(executor);
+                }
+                let executor = framed.as_mut().expect("created above");
+                // `Begin` ships the *effective* GP config — with
                 // `max_generations` already clamped to the remaining outer
                 // budget — so the worker's convergence decisions match the
                 // ones this process would make.
-                let search = self.search;
-                let mut spec_config = search.config.clone();
-                spec_config.gp = engine.config().clone();
-                let spec = WorkerSpec::new(
-                    spec_config,
-                    search.engine(),
-                    &search.grammar,
-                    examples,
-                    progress.features.clone(),
-                );
-                let executor = Framed::new(spec, launcher.clone(), self.workers, &self.telemetry);
-                let run = self.rounds(&executor, engine, state, progress);
-                executor.shutdown();
-                run
+                executor.begin(engine.config().clone(), progress.features.clone())?;
+                self.rounds(&*executor, engine, state, progress)
             }
             (None, Some(injector)) => {
                 let wrapped = injector.wrap(&fitness);

@@ -444,8 +444,9 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         if executor != "in-process" {
             let _ = writeln!(
                 out,
-                "  frames: {} sent / {} received, {} duplicate(s) dropped, \
+                "  frames: {} handshake(s), {} sent / {} received, {} duplicate(s) dropped, \
                  {} digest/handshake rejection(s), {} worker respawn(s)",
+                get("worker.handshakes"),
                 get("worker.frames_tx"),
                 get("worker.frames_rx"),
                 get("worker.duplicates_dropped"),
@@ -684,6 +685,7 @@ mod tests {
                 .u64("step_us", 1_000 * (id + 1))
                 .emit();
         }
+        t.counter_add("worker.handshakes", 3);
         t.counter_add("worker.frames_tx", 40);
         t.counter_add("worker.frames_rx", 38);
         t.counter_add("worker.duplicates_dropped", 1);
@@ -732,7 +734,7 @@ mod tests {
         );
         assert!(
             summary.contains(
-                "frames: 40 sent / 38 received, 1 duplicate(s) dropped, \
+                "frames: 3 handshake(s), 40 sent / 38 received, 1 duplicate(s) dropped, \
                  1 digest/handshake rejection(s), 1 worker respawn(s)"
             ),
             "{summary}"

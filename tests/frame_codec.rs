@@ -50,13 +50,7 @@ fn tiny_spec() -> WorkerSpec {
         restart_limit: 1,
     };
     let grammar = Grammar::derive(examples.iter().map(|e| &e.ir));
-    WorkerSpec::new(
-        config,
-        EvalEngine::Compiled,
-        &grammar,
-        &examples,
-        vec!["count(//*)".to_owned()],
-    )
+    WorkerSpec::new(config, EvalEngine::Compiled, &grammar, &examples)
 }
 
 /// One message of every wire kind, with a real (non-trivial) island
@@ -83,9 +77,16 @@ fn all_message_kinds() -> Vec<WireMsg> {
         },
     };
     vec![
-        WireMsg::Hello { spec: spec.clone() },
+        WireMsg::Begin {
+            gp: spec.config.gp.clone(),
+            base_features: vec!["count(//*)".to_owned()],
+        },
+        WireMsg::Hello { spec },
         WireMsg::HelloAck {
-            spec_digest: spec.digest(),
+            spec_digest: 0x0123_4567_89ab_cdef,
+        },
+        WireMsg::BeginAck {
+            digest: 0xfedc_ba98_7654_3210,
         },
         WireMsg::Step {
             island: island.clone(),

@@ -19,9 +19,15 @@
 //! 4. **Exhausting the restart budget degrades, not aborts**: the dead
 //!    worker's islands freeze, the survivors complete the search, and the
 //!    frozen islands still join the merge.
-//! 5. **The worker binary is crash-only**: malformed handshake bytes make
+//! 5. **The worker binary is crash-only**: malformed handshake bytes and
+//!    out-of-order conversations (a `Step` before any `Begin`, a `Begin`
+//!    whose base features do not extend the adopted ones) make
 //!    `fegen island-worker` exit nonzero with a typed error — it never
 //!    hangs and never panics.
+//!
+//! Workers live for the whole search: one handshake per worker, however
+//! many GP runs it spans, and a worker respawned in a later run re-adopts
+//! the search's `Hello` and the run's `Begin`.
 
 use fegen::core::ir::IrNode;
 use fegen::core::search::TrainingExample;
@@ -62,6 +68,47 @@ fn synthetic_examples(n: usize) -> Vec<TrainingExample> {
             TrainingExample { ir, cycles }
         })
         .collect()
+}
+
+/// A task that needs two features: the best factor is the parity of the
+/// `insn` count plus twice a flag carried only by the `trip` attribute.
+/// Under [`two_feature_config`] the first GP run accepts one feature in 5
+/// generations per island and the second accepts another in 10.
+fn two_feature_examples(n: usize) -> Vec<TrainingExample> {
+    (0..n)
+        .map(|i| {
+            let insns = 1 + i % 5;
+            let flag = (i / 5) % 2;
+            let best = insns % 2 + 2 * flag;
+            let ir = IrNode::build("loop", |l| {
+                l.attr_num("decoy", (i * 7 % 3) as f64);
+                l.attr_num("trip", (10 * flag + i % 3) as f64);
+                for _ in 0..insns {
+                    l.child("insn", |x| {
+                        x.attr_enum("mode", "SI");
+                    });
+                }
+                l.child("jump_insn", |_| {});
+            });
+            let cycles = (0..4)
+                .map(|k| {
+                    if k == best {
+                        80.0
+                    } else {
+                        100.0 + (k as f64 - best as f64).abs()
+                    }
+                })
+                .collect();
+            TrainingExample { ir, cycles }
+        })
+        .collect()
+}
+
+fn two_feature_config() -> SearchConfig {
+    let mut config = island_config(2);
+    config.gp.max_generations = 10;
+    config.gp.stagnation_limit = 4;
+    config
 }
 
 /// The same small multi-island configuration the thread-mode resilience
@@ -404,6 +451,98 @@ fn killed_stdio_worker_process_is_respawned_and_byte_invisible() {
     );
 }
 
+/// Workers live for the whole search: a worker killed in the *second* GP
+/// run — at island 0's sixth generation, which only that run reaches — is
+/// respawned with the search's `Hello` and that run's `Begin`, which
+/// carries the feature the first run accepted, and the outcome still
+/// matches the thread-mode reference.
+#[test]
+fn a_worker_killed_in_a_later_gp_run_readopts_hello_and_begin() {
+    let examples = two_feature_examples(45);
+    let search = FeatureSearch::from_examples(&examples, two_feature_config());
+    let reference = search
+        .driver()
+        .workers(2)
+        .run(&examples)
+        .expect("thread-mode run completes");
+    assert!(
+        reference.features.len() >= 2,
+        "the search must span two accepting GP runs, or the test proves nothing"
+    );
+    let injector = FaultInjector::new(vec![FaultPlan {
+        trigger: FaultTrigger::OnKeyPrefix("island:0:g6#a1".into()),
+        kind: FaultKind::IslandKill,
+    }]);
+    let telemetry = Telemetry::memory();
+    let outcome = search
+        .driver()
+        .process_workers(2, command_launcher(ChannelKind::Stdio))
+        .fault_injector(&injector)
+        .telemetry(telemetry.clone())
+        .run(&examples)
+        .expect("a worker killed in a later run must not abort the search");
+    assert_eq!(
+        injector.injected(),
+        1,
+        "only the second GP run reaches island 0's sixth generation"
+    );
+    assert_eq!(outcome, reference, "the later-run respawn leaked into the bytes");
+    assert!(
+        telemetry.counter_value("worker.respawns") >= 1,
+        "the respawn must be counted"
+    );
+    assert_eq!(
+        telemetry.counter_value("worker.handshakes"),
+        3,
+        "one handshake per worker for the search, plus the respawned one"
+    );
+    let lines = telemetry.drain_memory();
+    let first_step = lines
+        .iter()
+        .position(|l| l.contains("\"kind\":\"feature_step\""))
+        .expect("a feature step is reported");
+    assert!(
+        lines[first_step].contains("\"features\":1"),
+        "the first GP run must accept a feature: {}",
+        lines[first_step]
+    );
+    let respawn = lines
+        .iter()
+        .position(|l| l.contains("\"kind\":\"worker_respawn\""))
+        .expect("the respawn is reported");
+    assert!(
+        respawn > first_step,
+        "the kill must land after the first feature was accepted"
+    );
+}
+
+/// A fault-free search hands each worker the training set once: exactly
+/// one handshake per worker, however many GP runs the search spans.
+#[test]
+fn workers_handshake_once_per_search_not_once_per_gp_run() {
+    let examples = two_feature_examples(45);
+    let search = FeatureSearch::from_examples(&examples, two_feature_config());
+    let reference = search
+        .driver()
+        .workers(2)
+        .run(&examples)
+        .expect("thread-mode run completes");
+    let telemetry = Telemetry::memory();
+    let outcome = search
+        .driver()
+        .process_workers(2, WorkerLauncher::Loopback)
+        .telemetry(telemetry.clone())
+        .run(&examples)
+        .expect("process-mode run completes");
+    assert_eq!(outcome, reference);
+    assert!(
+        outcome.features.len() >= 2,
+        "the search must span at least two GP runs, or the test proves nothing"
+    );
+    assert_eq!(telemetry.counter_value("worker.handshakes"), 2);
+    assert_eq!(telemetry.counter_value("worker.respawns"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // 4. Exhausting the restart budget freezes, the run completes.
 // ---------------------------------------------------------------------------
@@ -542,8 +681,10 @@ fn drive_worker_with(bytes: &[u8]) -> (bool, String) {
 
 #[test]
 fn malformed_handshakes_exit_nonzero_with_typed_errors() {
+    use fegen::core::gp::engine::GpSnapshot;
+    use fegen::core::gp::island::IslandSnapshot;
     use fegen::core::gp::transport::encode_frame;
-    use fegen::core::gp::worker_proc::{encode_msg, WireMsg};
+    use fegen::core::gp::worker_proc::{encode_msg, WireMsg, WorkerSpec};
 
     // Not a frame at all: the magic check must reject it.
     let garbage = b"this is not a frame, not even close, padding padding!".to_vec();
@@ -557,12 +698,55 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
     .expect("frame encodes");
     // Immediate EOF: zero handshake bytes.
     let eof = Vec::new();
+    // A valid handshake, then a conversation out of order.
+    let examples = synthetic_examples(40);
+    let config = island_config(2);
+    let search = FeatureSearch::from_examples(&examples, config.clone());
+    let hello = WireMsg::Hello {
+        spec: WorkerSpec::new(config.clone(), search.engine(), search.grammar(), &examples),
+    };
+    let begin = |base: &str| WireMsg::Begin {
+        gp: config.gp.clone(),
+        base_features: vec![base.to_owned()],
+    };
+    let step = WireMsg::Step {
+        island: IslandSnapshot {
+            id: 0,
+            status: IslandStatus::Active,
+            gp: GpSnapshot {
+                population: vec!["count(//*)".to_owned()],
+                best: None,
+                stagnant: 0,
+                generations: 0,
+                evaluations: 0,
+                panics: 0,
+                panic_generations: 0,
+                degraded: false,
+                memo: Vec::new(),
+                rng: [1, 2, 3, 4],
+            },
+        },
+    };
+    let conversation = |msgs: &[WireMsg]| -> Vec<u8> {
+        msgs.iter()
+            .enumerate()
+            .flat_map(|(seq, msg)| {
+                encode_frame(seq as u64, &encode_msg(msg).expect("message encodes"))
+                    .expect("frame encodes")
+            })
+            .collect()
+    };
+    let step_before_begin = conversation(&[hello.clone(), step]);
+    let begin_not_extending =
+        conversation(&[hello, begin("count(//*)"), begin("count(/*)")]);
 
     for (tag, bytes, needle) in [
         ("garbage", garbage, "transport"),
         ("bad-payload", bad_payload, "transport"),
         ("not-hello", not_hello, "handshake"),
         ("eof", eof, "transport"),
+        ("step-before-begin", step_before_begin, "Step before Begin"),
+        ("begin-not-extending", begin_not_extending, "do not extend"),
     ] {
         let (ok, stderr) = drive_worker_with(&bytes);
         assert!(!ok, "{tag}: the worker must exit nonzero, stderr: {stderr}");
