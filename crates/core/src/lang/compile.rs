@@ -1,38 +1,39 @@
-//! Compilation of feature expressions to flat stack bytecode.
+//! Compilation of feature expressions to loop-nest plans.
 //!
 //! The GP search evaluates each candidate feature over *every* exported loop
 //! (the paper, §VI: fitness = evaluate over all loops + train a tree), so a
-//! candidate is compiled **once** and the resulting [`Program`] is executed
-//! once per loop by the VM in [`super::vm`]. Compilation is a single pass
-//! over the AST; the bytecode preserves the interpreter's step-charging
-//! order *exactly* (one unit charge at every AST-node entry, one unit per
-//! sequence element), so `BudgetExceeded` decisions are identical for any
-//! budget — see DESIGN.md §11 for the argument.
+//! candidate is compiled **once** and the resulting [`Program`] is evaluated
+//! once per loop by the plan evaluator in [`super::vm`]. Compilation lowers
+//! the whole expression, at any aggregate nesting depth, to one plan tree
+//! whose evaluation preserves the interpreter's step total *exactly* (one
+//! unit charge at every AST-node entry, one unit per sequence element), so
+//! `BudgetExceeded` decisions are identical for any budget — see DESIGN.md
+//! §11 for the argument.
 //!
-//! Three extra pieces of compile-time analysis:
+//! Compile-time analysis picks the cheapest exact form for each node:
 //!
 //! - **Indexed counts**: `count(/*)`, `count(//*)` and
 //!   `count(filter(/*|//*, p))` for a *pure* predicate `p` (any boolean
 //!   combination of attribute/kind tests and child probes — no `Cmp`, whose
-//!   operands may aggregate) compile to a single [`Op::CountIndexed`] that
-//!   answers from the arena's postings lists (single atoms) or a tight
-//!   arena scan (combinations) and bulk-charges the exact step total the
-//!   interpreter would have charged.
-//! - **Fused aggregates**: any aggregate whose filter predicates are all
-//!   pure and whose body is a leaf (`Const`, `get-attr`, or an indexed
-//!   `count`) compiles to a single [`Op::AggFused`] the VM runs as one
-//!   tight arena loop — no per-element bytecode dispatch or frame traffic.
-//! - **Common-subexpression numbering**: every aggregate evaluated at the
-//!   *root* context is wrapped in [`Op::CacheBegin`]/[`Op::CacheEnd`] keyed
-//!   by its structural [`Fingerprint`], so GP siblings sharing subtrees
-//!   share per-loop results across the population (the cache itself lives
-//!   in [`super::vm::EvalPool`]).
+//!   operands may aggregate) become a [`CountMeta`] answered from the
+//!   arena's postings lists (single atoms) or a tight arena scan
+//!   (combinations), bulk-charged the exact step total the interpreter
+//!   would have charged.
+//! - **Aggregate levels**: every other aggregate becomes a [`PlanAgg`]
+//!   (pure predicates keep closed forms, a covered first predicate drives
+//!   the outer loop from postings slices) or, when it has no predicates and
+//!   a leaf body, a [`PlanExpr::LeafAgg`] charged in closed form.
+//! - **Common-subexpression sites**: every aggregate level evaluated at the
+//!   *root* context is wrapped in a [`PlanExpr::Cse`] keyed by its
+//!   structural [`Fingerprint`], so GP siblings sharing subtrees share
+//!   per-loop results across the population (the cache itself lives in
+//!   [`super::vm::EvalPool`]).
 
 use super::ast::{ArithOp, BoolExpr, CmpOp, FeatureExpr, Fingerprint, SeqExpr};
 use super::eval::bool_symbols;
 use crate::ir::Symbol;
 
-/// Compile-time classification of an `@flag == V` target so the VM compares
+/// Compile-time classification of an `@flag == V` target so evaluation compares
 /// symbols, never strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BoolView {
@@ -57,103 +58,7 @@ impl BoolView {
     }
 }
 
-/// One bytecode instruction. Stack discipline: numeric ops use the `f64`
-/// stack, boolean ops the `bool` stack; every op that corresponds to an AST
-/// node entry charges exactly one step (compound nodes via [`Op::Charge`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Op {
-    /// Charge one step (entry of an `Arith`/`Neg`/`Cmp`/`Not`/`And`/`Or`
-    /// node whose value is produced by a later op).
-    Charge,
-    /// Charge 1; push a literal (non-finite literals raise `NonFinite`,
-    /// as in the interpreter).
-    PushConst(f64),
-    /// Charge 1; push the context node's numeric attribute view (missing or
-    /// enum attributes push `0.0`).
-    LoadAttr(Symbol),
-    /// Pop `b`, `a`; push `a op b` (protected division); non-finite raises.
-    Arith(ArithOp),
-    /// Pop `v`; push `-v`.
-    Neg,
-    /// Charge 1; push whether the context node's kind equals the symbol.
-    IsType(Symbol),
-    /// Charge 1; push whether the context node carries the attribute.
-    HasAttr(Symbol),
-    /// Charge 1; push the `@a == V` test (enum by symbol, bool via the
-    /// precomputed [`BoolView`]).
-    AttrEqEnum(Symbol, Symbol, BoolView),
-    /// Charge 1; push the `@a OP k` numeric test (false when missing or
-    /// non-numeric).
-    AttrCmpNum(Symbol, CmpOp, f64),
-    /// Pop two numbers; push the comparison (the `Cmp` node's entry charge
-    /// is a preceding [`Op::Charge`]).
-    CmpNum(CmpOp),
-    /// Pop a bool; push its negation.
-    NotBool,
-    /// Pop a bool; if `false`, push `false` and jump (short-circuit `&&`).
-    AndJump(u32),
-    /// Pop a bool; if `true`, push `true` and jump (short-circuit `||`).
-    OrJump(u32),
-    /// Charge 1; `/[idx][p]`: if the context node has an `idx`-th child,
-    /// save the context and descend into it; otherwise push `false` and
-    /// jump to `skip`.
-    ChildCtx {
-        /// Child position.
-        idx: u32,
-        /// Jump target when the child is missing (past the matching
-        /// [`Op::PopCtx`]).
-        skip: u32,
-    },
-    /// Restore the context saved by the matching [`Op::ChildCtx`].
-    PopCtx,
-    /// Charge 1 (the aggregate node's entry); push an aggregate frame and
-    /// start iterating (operand indexes [`Program::aggs`]).
-    AggStart(u32),
-    /// Pop a predicate result; `true` falls through to the next predicate
-    /// or the body, `false` advances the top frame to the next element.
-    PredGate,
-    /// Accumulate one element (pops the body value except for `count`) and
-    /// advance the top frame.
-    AggAccum,
-    /// Indexed count with bulk charging (operand indexes
-    /// [`Program::counts`]).
-    CountIndexed(u32),
-    /// Fused aggregate: pure predicates + leaf body run as one tight arena
-    /// loop with bulk charging (operand indexes [`Program::fused`]).
-    AggFused(u32),
-    /// Loop-nest plan: a whole (possibly nested) aggregate runs as
-    /// recursive arena loops with bulk step charging — no per-element
-    /// bytecode dispatch (operand indexes [`Program::plans`]).
-    AggPlan(u32),
-    /// Superinstruction: `IsType` fused with its `PredGate` (a single-atom
-    /// predicate on the frame path contains no jumps, so the in-place
-    /// rewrite is safe).
-    IsTypeGate(Symbol),
-    /// Superinstruction: `HasAttr` + `PredGate`.
-    HasAttrGate(Symbol),
-    /// Superinstruction: `AttrEqEnum` + `PredGate`.
-    AttrEqEnumGate(Symbol, Symbol, BoolView),
-    /// Superinstruction: `AttrCmpNum` + `PredGate`.
-    AttrCmpNumGate(Symbol, CmpOp, f64),
-    /// Superinstruction: `PushConst` + `AggAccum` (literal aggregate body).
-    ConstAccum(f64),
-    /// Superinstruction: `LoadAttr` + `AggAccum` (attribute aggregate body).
-    AttrAccum(Symbol),
-    /// CSE cache probe (operand indexes [`Program::keys`]); on hit, charge
-    /// the recorded steps and short-circuit to `end`.
-    CacheBegin {
-        /// Index into [`Program::keys`].
-        key_idx: u32,
-        /// Jump target on a cache hit (past the matching [`Op::CacheEnd`]).
-        end: u32,
-    },
-    /// Record the enclosing region's `(steps, value)` into the cache.
-    CacheEnd,
-    /// End of program; the feature value is the top of the numeric stack.
-    Return,
-}
-
-/// Aggregate discriminator shared by compiler and VM.
+/// Aggregate discriminator shared by compiler and evaluator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AggKind {
     /// `count(s)`
@@ -166,18 +71,6 @@ pub(crate) enum AggKind {
     Min,
     /// `avg(s, e)`
     Avg,
-}
-
-/// Static description of one general aggregate site.
-#[derive(Debug, Clone)]
-pub(crate) struct AggMeta {
-    pub kind: AggKind,
-    /// `true` for `/*` (children), `false` for `//*` (descendants).
-    pub children_base: bool,
-    /// First op of the per-element code (predicates, body, `AggAccum`).
-    pub body_pc: u32,
-    /// First op after the aggregate (the `CacheEnd` when cached).
-    pub end_pc: u32,
 }
 
 /// A pure (fixed-cost, side-effect-free) predicate atom usable by the
@@ -250,41 +143,13 @@ pub(crate) struct CountMeta {
     pub pred: Option<PurePred>,
 }
 
-/// Static description of one fused aggregate: every filter predicate is
-/// pure and the body is a leaf, so the VM runs the whole aggregate as one
-/// tight arena loop with bulk step charging — no per-element dispatch.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedAggMeta {
-    pub kind: AggKind,
-    /// `true` for `/*`, `false` for `//*`.
-    pub children_base: bool,
-    /// Filter predicates in interpreter evaluation order (innermost
-    /// first); an element is accumulated when all hold, and evaluation
-    /// (with its step charges) stops at the first that fails.
-    pub preds: Vec<PurePred>,
-    pub body: FusedBody,
-}
-
-/// Leaf bodies a fused aggregate can evaluate without bytecode.
-#[derive(Debug, Clone)]
-pub(crate) enum FusedBody {
-    /// `count` aggregates have no body.
-    None,
-    /// A literal (cost 1 per element).
-    Const(f64),
-    /// `get-attr(@a)` at the element (cost 1 per element).
-    Attr(Symbol),
-    /// A nested indexed `count` evaluated at the element.
-    Count(CountMeta),
-}
-
-/// Static description of one loop-nest plan: an aggregate of *any*
-/// predicate and body shape (up to [`MAX_PLAN_AGG_DEPTH`] nested aggregate
-/// levels) lowered to recursive arena loops the VM evaluates without
-/// bytecode dispatch. Pure predicates keep the fused tiers (closed-form
-/// postings counts, kind tables, short-circuit scans); dynamic predicates
-/// and bodies become small trees walked per element with the interpreter's
-/// exact step accounting.
+/// One aggregate level of a loop-nest plan: an aggregate of *any*
+/// predicate and body shape lowered to arena loops the evaluator in
+/// [`super::vm`] runs without dispatch. Pure predicates keep their
+/// closed forms (postings counts, kind tables, short-circuit scans);
+/// dynamic predicates and bodies become small trees walked per element
+/// with the interpreter's exact step accounting. Nesting depth is
+/// unbounded: a nested aggregate is one more level of the same tree.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanAgg {
     pub kind: AggKind,
@@ -301,10 +166,6 @@ pub(crate) struct PlanAgg {
     /// scanning the whole subtree span; runs of skipped elements outside
     /// the cover are bulk-charged their constant false-trace cost.
     pub cover: Option<PredCover>,
-    /// When the aggregate has no predicates and a leaf body, the whole
-    /// level collapses to one bulk-charged arena loop (closed form where
-    /// the accumulation allows).
-    pub leaf: Option<LeafArg>,
 }
 
 /// One postings list of a predicate cover.
@@ -332,7 +193,7 @@ pub(crate) struct PredCover {
 
 /// A leaf operand evaluated flat at an element: a literal, an attribute
 /// read, or an indexed count of the element's children/descendants. Used
-/// as the body of a [`PlanAgg`] leaf level and as a `LeafCmp` operand.
+/// as the body of a [`PlanExpr::LeafAgg`] level and as a `LeafCmp` operand.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LeafArg {
     Const(f64),
@@ -346,7 +207,7 @@ pub(crate) enum LeafArg {
 /// One filter predicate of a [`PlanAgg`].
 #[derive(Debug, Clone)]
 pub(crate) enum PlanPred {
-    /// Pure — fixed-cost and error-free; reuses the fused-tier evaluators.
+    /// Pure — fixed-cost and error-free; reuses the indexed-count evaluators.
     Pure(PurePred),
     /// Contains `Cmp`, whose operands may aggregate and raise.
     Dyn(PlanBool),
@@ -391,332 +252,75 @@ pub(crate) enum PlanExpr {
     },
     Arith(ArithOp, Box<PlanExpr>, Box<PlanExpr>),
     Neg(Box<PlanExpr>),
+    /// A CSE site: a root-context aggregate whose `(steps, outcome)` per
+    /// loop is shared across programs through the pool's result cache,
+    /// keyed by the aggregate's structural fingerprint. Only the root
+    /// context holds sites: bodies and predicates switch the context to
+    /// sequence elements, so sites never nest.
+    Cse(Fingerprint, Box<PlanExpr>),
 }
 
-/// A compiled feature: flat bytecode plus side tables. Compile once per
-/// candidate, execute once per loop.
+/// A compiled feature: one plan tree over the whole expression. Compile
+/// once per candidate, evaluate once per loop.
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub(crate) ops: Vec<Op>,
-    pub(crate) aggs: Vec<AggMeta>,
-    pub(crate) counts: Vec<CountMeta>,
-    pub(crate) fused: Vec<FusedAggMeta>,
-    pub(crate) plans: Vec<PlanAgg>,
-    /// Structural CSE keys for `CacheBegin` sites.
-    pub(crate) keys: Vec<Fingerprint>,
+    pub(crate) root: PlanExpr,
+    cache_sites: usize,
 }
 
-/// Which execution tier a compiled program lands on (worst tier present
-/// wins). Surfaced through `PoolStats` so the fallback rate is observable.
+/// Which kind of evaluation a compiled program needs. Surfaced through
+/// `PoolStats` so the share of loop-nest evaluations is observable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramPath {
-    /// Straight-line bytecode: leaves, indexed counts, fused aggregates.
+    /// No aggregate level: leaves, arithmetic and indexed counts only.
     Fast,
-    /// Contains at least one loop-nest plan (and no frame aggregates).
+    /// At least one aggregate level (a loop-nest plan).
     LoopNest,
-    /// Contains at least one frame-path aggregate (per-element dispatch);
-    /// only aggregates nested deeper than [`MAX_PLAN_AGG_DEPTH`] land here.
-    Frame,
 }
 
 impl Program {
     /// Compiles a feature expression. Pure function of the expression.
     pub fn compile(expr: &FeatureExpr) -> Program {
-        let mut c = Compiler {
-            prog: Program {
-                ops: Vec::new(),
-                aggs: Vec::new(),
-                counts: Vec::new(),
-                fused: Vec::new(),
-                plans: Vec::new(),
-                keys: Vec::new(),
-            },
-        };
-        c.num(expr, true);
-        c.prog.ops.push(Op::Return);
-        c.prog
-    }
-
-    /// Number of bytecode ops (diagnostics / tests).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when the program is empty (never after `compile`).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        let mut cache_sites = 0;
+        let root = plan_root(expr, &mut cache_sites);
+        Program { root, cache_sites }
     }
 
     /// Number of CSE cache sites (root-context aggregates).
     pub fn cache_sites(&self) -> usize {
-        self.keys.len()
+        self.cache_sites
     }
 
-    /// Execution tier of this program (worst tier present wins).
+    /// Evaluation kind of this program. Every aggregate level either is a
+    /// root-context CSE site or sits inside one, so the program has a loop
+    /// level exactly when it has a site.
     pub fn path(&self) -> ProgramPath {
-        if !self.aggs.is_empty() {
-            ProgramPath::Frame
-        } else if !self.plans.is_empty() {
-            ProgramPath::LoopNest
-        } else {
+        if self.cache_sites == 0 {
             ProgramPath::Fast
+        } else {
+            ProgramPath::LoopNest
         }
     }
 }
 
-struct Compiler {
-    prog: Program,
-}
-
-impl Compiler {
-    fn pc(&self) -> u32 {
-        self.prog.ops.len() as u32
+/// Lowers the root context: arithmetic stays in the tree, and every
+/// aggregate that needs a loop level becomes a CSE site around its plan.
+fn plan_root(e: &FeatureExpr, sites: &mut usize) -> PlanExpr {
+    match e {
+        FeatureExpr::Arith(op, a, b) => PlanExpr::Arith(
+            *op,
+            Box::new(plan_root(a, sites)),
+            Box::new(plan_root(b, sites)),
+        ),
+        FeatureExpr::Neg(a) => PlanExpr::Neg(Box::new(plan_root(a, sites))),
+        _ => match plan_expr(e) {
+            level @ (PlanExpr::Agg(_) | PlanExpr::LeafAgg { .. }) => {
+                *sites += 1;
+                PlanExpr::Cse(e.fingerprint(), Box::new(level))
+            }
+            leaf => leaf,
+        },
     }
-
-    /// Compiles a numeric expression. `root` is true while the context node
-    /// is the evaluation root — only root-context aggregates are CSE-cached
-    /// (aggregate bodies and filter predicates switch context to sequence
-    /// elements, so cache regions never nest).
-    fn num(&mut self, e: &FeatureExpr, root: bool) {
-        use FeatureExpr::*;
-        match e {
-            Const(c) => self.prog.ops.push(Op::PushConst(*c)),
-            GetAttr(a) => self.prog.ops.push(Op::LoadAttr(*a)),
-            Arith(op, a, b) => {
-                self.prog.ops.push(Op::Charge);
-                self.num(a, root);
-                self.num(b, root);
-                self.prog.ops.push(Op::Arith(*op));
-            }
-            Neg(a) => {
-                self.prog.ops.push(Op::Charge);
-                self.num(a, root);
-                self.prog.ops.push(Op::Neg);
-            }
-            Count(seq) => {
-                if let Some(meta) = indexed_count(seq) {
-                    let idx = self.prog.counts.len() as u32;
-                    self.prog.counts.push(meta);
-                    self.prog.ops.push(Op::CountIndexed(idx));
-                } else {
-                    self.aggregate(AggKind::Count, seq, None, e, root);
-                }
-            }
-            Sum(seq, body) => self.aggregate(AggKind::Sum, seq, Some(body), e, root),
-            Max(seq, body) => self.aggregate(AggKind::Max, seq, Some(body), e, root),
-            Min(seq, body) => self.aggregate(AggKind::Min, seq, Some(body), e, root),
-            Avg(seq, body) => self.aggregate(AggKind::Avg, seq, Some(body), e, root),
-        }
-    }
-
-    fn aggregate(
-        &mut self,
-        kind: AggKind,
-        seq: &SeqExpr,
-        body: Option<&FeatureExpr>,
-        whole: &FeatureExpr,
-        root: bool,
-    ) {
-        let (preds, children_base) = split_filters(seq);
-
-        let cache_at = root.then(|| {
-            let key_idx = self.prog.keys.len() as u32;
-            self.prog.keys.push(whole.fingerprint());
-            let at = self.pc() as usize;
-            self.prog.ops.push(Op::CacheBegin { key_idx, end: 0 });
-            at
-        });
-
-        // Tier order: a plan with a leaf level or a cover-driven outer loop
-        // beats the fused per-element scan, the fused scan beats a general
-        // plan, and the frame path is the residual fallback.
-        let mut plan = plan_agg(kind, children_base, &preds, body, 0);
-        if plan
-            .as_ref()
-            .is_some_and(|p| p.leaf.is_some() || p.cover.is_some())
-        {
-            let idx = self.prog.plans.len() as u32;
-            self.prog
-                .plans
-                .push(plan.take().unwrap_or_else(|| unreachable!()));
-            self.prog.ops.push(Op::AggPlan(idx));
-            self.close_cache(cache_at);
-            return;
-        }
-
-        if let Some(fused) = fuse(kind, children_base, &preds, body) {
-            let idx = self.prog.fused.len() as u32;
-            self.prog.fused.push(fused);
-            self.prog.ops.push(Op::AggFused(idx));
-            self.close_cache(cache_at);
-            return;
-        }
-
-        if let Some(plan) = plan {
-            let idx = self.prog.plans.len() as u32;
-            self.prog.plans.push(plan);
-            self.prog.ops.push(Op::AggPlan(idx));
-            self.close_cache(cache_at);
-            return;
-        }
-
-        let agg_idx = self.prog.aggs.len() as u32;
-        self.prog.aggs.push(AggMeta {
-            kind,
-            children_base,
-            body_pc: 0,
-            end_pc: 0,
-        });
-        self.prog.ops.push(Op::AggStart(agg_idx));
-        let body_pc = self.pc();
-        for p in preds {
-            let before = self.pc() as usize;
-            self.boolean(p);
-            // A one-op predicate contains no jumps in or out, so the atom
-            // can be rewritten in place into its PredGate-fused form.
-            if !(self.pc() as usize == before + 1 && self.fuse_gate(before)) {
-                self.prog.ops.push(Op::PredGate);
-            }
-        }
-        match body {
-            Some(b) => {
-                let before = self.pc() as usize;
-                self.num(b, false);
-                if !(self.pc() as usize == before + 1 && self.fuse_accum(before)) {
-                    self.prog.ops.push(Op::AggAccum);
-                }
-            }
-            None => self.prog.ops.push(Op::AggAccum),
-        }
-        // When cached, the frame finalizes onto the CacheEnd op.
-        let end_pc = self.pc();
-        self.close_cache(cache_at);
-        let meta = &mut self.prog.aggs[agg_idx as usize];
-        meta.body_pc = body_pc;
-        meta.end_pc = end_pc;
-    }
-
-    /// Closes the CSE region opened by [`Self::aggregate`], if any: emits
-    /// the `CacheEnd` and patches the matching `CacheBegin`'s hit target.
-    fn close_cache(&mut self, cache_at: Option<usize>) {
-        if let Some(at) = cache_at {
-            self.prog.ops.push(Op::CacheEnd);
-            let after = self.pc();
-            let Op::CacheBegin { end, .. } = &mut self.prog.ops[at] else {
-                unreachable!("cache_at points at CacheBegin")
-            };
-            *end = after;
-        }
-    }
-
-    /// Superinstruction rewrite: a single-op predicate atom at `at` absorbs
-    /// its `PredGate`. Positions don't shift, so no jump target breaks.
-    fn fuse_gate(&mut self, at: usize) -> bool {
-        let rep = match self.prog.ops[at] {
-            Op::IsType(k) => Op::IsTypeGate(k),
-            Op::HasAttr(a) => Op::HasAttrGate(a),
-            Op::AttrEqEnum(a, v, w) => Op::AttrEqEnumGate(a, v, w),
-            Op::AttrCmpNum(a, op, k) => Op::AttrCmpNumGate(a, op, k),
-            _ => return false,
-        };
-        self.prog.ops[at] = rep;
-        true
-    }
-
-    /// Superinstruction rewrite: a single-op leaf body at `at` absorbs its
-    /// `AggAccum`.
-    fn fuse_accum(&mut self, at: usize) -> bool {
-        let rep = match self.prog.ops[at] {
-            Op::PushConst(c) => Op::ConstAccum(c),
-            Op::LoadAttr(a) => Op::AttrAccum(a),
-            _ => return false,
-        };
-        self.prog.ops[at] = rep;
-        true
-    }
-
-    fn boolean(&mut self, e: &BoolExpr) {
-        use BoolExpr::*;
-        match e {
-            IsType(k) => self.prog.ops.push(Op::IsType(*k)),
-            HasAttr(a) => self.prog.ops.push(Op::HasAttr(*a)),
-            AttrEqEnum(a, v) => self.prog.ops.push(Op::AttrEqEnum(*a, *v, BoolView::of(*v))),
-            AttrCmpNum(a, op, k) => self.prog.ops.push(Op::AttrCmpNum(*a, *op, *k)),
-            Cmp(op, a, b) => {
-                self.prog.ops.push(Op::Charge);
-                self.num(a, false);
-                self.num(b, false);
-                self.prog.ops.push(Op::CmpNum(*op));
-            }
-            ChildMatches(idx, p) => {
-                let at = self.pc() as usize;
-                self.prog.ops.push(Op::ChildCtx {
-                    idx: *idx as u32,
-                    skip: 0,
-                });
-                self.boolean(p);
-                self.prog.ops.push(Op::PopCtx);
-                let after = self.pc();
-                let Op::ChildCtx { skip, .. } = &mut self.prog.ops[at] else {
-                    unreachable!("at points at ChildCtx")
-                };
-                *skip = after;
-            }
-            Not(p) => {
-                self.prog.ops.push(Op::Charge);
-                self.boolean(p);
-                self.prog.ops.push(Op::NotBool);
-            }
-            And(a, b) => {
-                self.prog.ops.push(Op::Charge);
-                self.boolean(a);
-                let at = self.pc() as usize;
-                self.prog.ops.push(Op::AndJump(0));
-                self.boolean(b);
-                let after = self.pc();
-                let Op::AndJump(t) = &mut self.prog.ops[at] else {
-                    unreachable!("at points at AndJump")
-                };
-                *t = after;
-            }
-            Or(a, b) => {
-                self.prog.ops.push(Op::Charge);
-                self.boolean(a);
-                let at = self.pc() as usize;
-                self.prog.ops.push(Op::OrJump(0));
-                self.boolean(b);
-                let after = self.pc();
-                let Op::OrJump(t) = &mut self.prog.ops[at] else {
-                    unreachable!("at points at OrJump")
-                };
-                *t = after;
-            }
-        }
-    }
-}
-
-/// Attempts to fuse an aggregate: every filter predicate must be pure and
-/// the body a leaf. Anything else keeps the general frame path.
-fn fuse(
-    kind: AggKind,
-    children_base: bool,
-    preds: &[&BoolExpr],
-    body: Option<&FeatureExpr>,
-) -> Option<FusedAggMeta> {
-    let preds: Vec<PurePred> = preds.iter().map(|p| pure_pred(p)).collect::<Option<_>>()?;
-    let body = match body {
-        None => FusedBody::None,
-        Some(FeatureExpr::Const(c)) => FusedBody::Const(*c),
-        Some(FeatureExpr::GetAttr(a)) => FusedBody::Attr(*a),
-        Some(FeatureExpr::Count(seq)) => FusedBody::Count(indexed_count(seq)?),
-        Some(_) => return None,
-    };
-    Some(FusedAggMeta {
-        kind,
-        children_base,
-        preds,
-        body,
-    })
 }
 
 /// Unwraps a filter chain into its predicates (interpreter evaluation
@@ -732,53 +336,27 @@ fn split_filters(seq: &SeqExpr) -> (Vec<&BoolExpr>, bool) {
     (preds, matches!(base, SeqExpr::Children))
 }
 
-/// Aggregate-nesting bound for loop-nest plans. The planner covers the
-/// whole feature language, so without a bound the frame path would be dead
-/// code; beyond this depth one evaluation costs at least `n^DEPTH` steps
-/// and is budget-bound anyway, so the outer levels stay on frames and the
-/// inner levels re-enter the planner.
-const MAX_PLAN_AGG_DEPTH: usize = 8;
-
-/// Attempts to lower an aggregate to a loop-nest plan. `depth` counts
-/// enclosing aggregate levels of the same plan; total by construction —
-/// the only failure is exceeding [`MAX_PLAN_AGG_DEPTH`].
+/// Lowers one aggregate level. Total: every predicate and body shape of
+/// the feature language has a plan.
 fn plan_agg(
     kind: AggKind,
     children_base: bool,
     preds: &[&BoolExpr],
     body: Option<&FeatureExpr>,
-    depth: usize,
-) -> Option<PlanAgg> {
-    if depth >= MAX_PLAN_AGG_DEPTH {
-        return None;
-    }
-    let preds: Vec<PlanPred> = preds
-        .iter()
-        .map(|p| plan_pred(p, depth))
-        .collect::<Option<_>>()?;
-    let orig_body = body;
-    let body = match body {
-        None => None,
-        Some(b) => Some(plan_expr(b, depth)?),
-    };
+) -> PlanAgg {
+    let preds: Vec<PlanPred> = preds.iter().map(|p| plan_pred(p)).collect();
     let cover = if children_base {
         None
     } else {
         pred_cover(&preds)
     };
-    let leaf = if preds.is_empty() && !matches!(kind, AggKind::Count) {
-        orig_body.and_then(leaf_arg)
-    } else {
-        None
-    };
-    Some(PlanAgg {
+    PlanAgg {
         kind,
         children_base,
         preds,
-        body,
+        body: body.map(plan_expr),
         cover,
-        leaf,
-    })
+    }
 }
 
 /// Upper bound on postings lists merged by one cover scan.
@@ -870,86 +448,63 @@ fn leaf_arg(e: &FeatureExpr) -> Option<LeafArg> {
     }
 }
 
-fn plan_pred(p: &BoolExpr, depth: usize) -> Option<PlanPred> {
-    if let Some(pure) = pure_pred(p) {
-        return Some(PlanPred::Pure(pure));
+fn plan_pred(p: &BoolExpr) -> PlanPred {
+    match pure_pred(p) {
+        Some(pure) => PlanPred::Pure(pure),
+        None => PlanPred::Dyn(plan_bool(p)),
     }
-    Some(PlanPred::Dyn(plan_bool(p, depth)?))
 }
 
-fn plan_bool(p: &BoolExpr, depth: usize) -> Option<PlanBool> {
+fn plan_bool(p: &BoolExpr) -> PlanBool {
     if let Some(atom) = pure_atom(p) {
-        return Some(PlanBool::Atom(atom));
+        return PlanBool::Atom(atom);
     }
+    let boxed = |q: &BoolExpr| Box::new(plan_bool(q));
     match p {
-        BoolExpr::Cmp(op, a, b) => {
-            if let (Some(x), Some(y)) = (leaf_arg(a), leaf_arg(b)) {
-                return Some(PlanBool::LeafCmp(*op, x, y));
-            }
-            Some(PlanBool::Cmp(
-                *op,
-                Box::new(plan_expr(a, depth)?),
-                Box::new(plan_expr(b, depth)?),
-            ))
-        }
-        BoolExpr::ChildMatches(idx, inner) => Some(PlanBool::Child(
-            *idx as u32,
-            Box::new(plan_bool(inner, depth)?),
-        )),
-        BoolExpr::Not(inner) => Some(PlanBool::Not(Box::new(plan_bool(inner, depth)?))),
-        BoolExpr::And(a, b) => Some(PlanBool::And(
-            Box::new(plan_bool(a, depth)?),
-            Box::new(plan_bool(b, depth)?),
-        )),
-        BoolExpr::Or(a, b) => Some(PlanBool::Or(
-            Box::new(plan_bool(a, depth)?),
-            Box::new(plan_bool(b, depth)?),
-        )),
+        BoolExpr::Cmp(op, a, b) => match (leaf_arg(a), leaf_arg(b)) {
+            (Some(x), Some(y)) => PlanBool::LeafCmp(*op, x, y),
+            _ => PlanBool::Cmp(*op, Box::new(plan_expr(a)), Box::new(plan_expr(b))),
+        },
+        BoolExpr::ChildMatches(idx, inner) => PlanBool::Child(*idx as u32, boxed(inner)),
+        BoolExpr::Not(inner) => PlanBool::Not(boxed(inner)),
+        BoolExpr::And(a, b) => PlanBool::And(boxed(a), boxed(b)),
+        BoolExpr::Or(a, b) => PlanBool::Or(boxed(a), boxed(b)),
         _ => unreachable!("atoms are handled by pure_atom above"),
     }
 }
 
-fn plan_expr(e: &FeatureExpr, depth: usize) -> Option<PlanExpr> {
+fn plan_expr(e: &FeatureExpr) -> PlanExpr {
     use FeatureExpr::*;
     match e {
-        Const(c) => Some(PlanExpr::Const(*c)),
-        GetAttr(a) => Some(PlanExpr::Attr(*a)),
-        Arith(op, a, b) => Some(PlanExpr::Arith(
-            *op,
-            Box::new(plan_expr(a, depth)?),
-            Box::new(plan_expr(b, depth)?),
-        )),
-        Neg(a) => Some(PlanExpr::Neg(Box::new(plan_expr(a, depth)?))),
-        Count(seq) => {
-            if let Some(meta) = indexed_count(seq) {
-                return Some(PlanExpr::Count(meta));
-            }
-            plan_nested(AggKind::Count, seq, None, depth)
-        }
-        Sum(seq, b) => plan_nested(AggKind::Sum, seq, Some(b), depth),
-        Max(seq, b) => plan_nested(AggKind::Max, seq, Some(b), depth),
-        Min(seq, b) => plan_nested(AggKind::Min, seq, Some(b), depth),
-        Avg(seq, b) => plan_nested(AggKind::Avg, seq, Some(b), depth),
+        Const(c) => PlanExpr::Const(*c),
+        GetAttr(a) => PlanExpr::Attr(*a),
+        Arith(op, a, b) => PlanExpr::Arith(*op, Box::new(plan_expr(a)), Box::new(plan_expr(b))),
+        Neg(a) => PlanExpr::Neg(Box::new(plan_expr(a))),
+        Count(seq) => match indexed_count(seq) {
+            Some(meta) => PlanExpr::Count(meta),
+            None => plan_level(AggKind::Count, seq, None),
+        },
+        Sum(seq, b) => plan_level(AggKind::Sum, seq, Some(b)),
+        Max(seq, b) => plan_level(AggKind::Max, seq, Some(b)),
+        Min(seq, b) => plan_level(AggKind::Min, seq, Some(b)),
+        Avg(seq, b) => plan_level(AggKind::Avg, seq, Some(b)),
     }
 }
 
-fn plan_nested(
-    kind: AggKind,
-    seq: &SeqExpr,
-    body: Option<&FeatureExpr>,
-    depth: usize,
-) -> Option<PlanExpr> {
+/// Lowers an aggregate to a plan level: a predicate-free aggregate with a
+/// leaf body needs no recursion at all and becomes a [`PlanExpr::LeafAgg`].
+fn plan_level(kind: AggKind, seq: &SeqExpr, body: Option<&FeatureExpr>) -> PlanExpr {
     let (preds, children_base) = split_filters(seq);
-    let agg = plan_agg(kind, children_base, &preds, body, depth + 1)?;
-    // A predicate-free leaf level needs no recursion at all.
-    if let Some(body) = agg.leaf {
-        return Some(PlanExpr::LeafAgg {
-            kind,
-            children_base,
-            body,
-        });
+    if preds.is_empty() {
+        if let Some(leaf) = body.and_then(leaf_arg) {
+            return PlanExpr::LeafAgg {
+                kind,
+                children_base,
+                body: leaf,
+            };
+        }
     }
-    Some(PlanExpr::Agg(Box::new(agg)))
+    PlanExpr::Agg(Box::new(plan_agg(kind, children_base, &preds, body)))
 }
 
 /// Recognizes `count` sequences answerable from the arena indices.
@@ -1098,6 +653,51 @@ mod tests {
         Program::compile(&parse_feature(src).unwrap())
     }
 
+    /// The aggregate level under a root program's single CSE site.
+    fn root_level(p: &Program) -> &PlanExpr {
+        match &p.root {
+            PlanExpr::Cse(_, level) => level,
+            other => panic!("expected a CSE site at the root, got {other:?}"),
+        }
+    }
+
+    /// The [`PlanAgg`] of a root program's single aggregate level.
+    fn root_agg(p: &Program) -> &PlanAgg {
+        match root_level(p) {
+            PlanExpr::Agg(agg) => agg,
+            other => panic!("expected an aggregate level, got {other:?}"),
+        }
+    }
+
+    /// Number of [`PlanAgg`] levels on the deepest chain through bodies and
+    /// dynamic predicates.
+    fn agg_depth(e: &PlanExpr) -> usize {
+        fn in_bool(b: &PlanBool) -> usize {
+            match b {
+                PlanBool::Cmp(_, x, y) => agg_depth(x).max(agg_depth(y)),
+                PlanBool::Not(x) | PlanBool::Child(_, x) => in_bool(x),
+                PlanBool::And(x, y) | PlanBool::Or(x, y) => in_bool(x).max(in_bool(y)),
+                PlanBool::Atom(_) | PlanBool::LeafCmp(..) => 0,
+            }
+        }
+        match e {
+            PlanExpr::Agg(a) => {
+                let preds = a.preds.iter().map(|p| match p {
+                    PlanPred::Dyn(b) => in_bool(b),
+                    PlanPred::Pure(_) => 0,
+                });
+                let body = a.body.as_ref().map_or(0, agg_depth);
+                1 + preds.fold(body, usize::max)
+            }
+            PlanExpr::Arith(_, x, y) => agg_depth(x).max(agg_depth(y)),
+            PlanExpr::Neg(x) | PlanExpr::Cse(_, x) => agg_depth(x),
+            PlanExpr::Const(_)
+            | PlanExpr::Attr(_)
+            | PlanExpr::Count(_)
+            | PlanExpr::LeafAgg { .. } => 0,
+        }
+    }
+
     #[test]
     fn simple_counts_use_indexed_path() {
         for src in [
@@ -1113,35 +713,45 @@ mod tests {
             "count(filter(//*, is-type(a) && /[0][is-type(b) || has-attr(@x)]))",
         ] {
             let p = compile(src);
-            assert_eq!(p.counts.len(), 1, "{src} should compile to CountIndexed");
-            assert!(p.aggs.is_empty(), "{src} should not need a frame");
+            assert!(
+                matches!(p.root, PlanExpr::Count(_)),
+                "{src} should compile to an indexed count"
+            );
+            assert_eq!(p.path(), ProgramPath::Fast, "{src} needs no loop level");
         }
     }
 
     #[test]
-    fn pure_leaf_aggregates_fuse() {
-        // Shapes the leaf/cover plan tiers capture first: predicate-free
-        // leaf bodies (closed forms) and covered atom predicates.
+    fn leaf_and_cover_shapes_take_their_closed_forms() {
+        // Predicate-free leaf bodies collapse to one closed-form level.
         for src in [
             "sum(//*, 1)",
             "sum(//*, get-attr(@weight))",
             "sum(//*, count(/*))",
             "min(//*, count(//*))",
-            "count(filter(filter(//*, is-type(a)), is-type(b)))",
         ] {
             let p = compile(src);
-            assert_eq!(p.plans.len(), 1, "{src} should take a leaf/cover plan");
-            assert!(p.fused.is_empty(), "{src} should skip the fused tier");
-            assert!(p.aggs.is_empty(), "{src} should not need a frame");
+            assert!(
+                matches!(root_level(&p), PlanExpr::LeafAgg { .. }),
+                "{src} should take a leaf level"
+            );
         }
-        // No cover (children base / negated atom) but still pure: fused.
+        // A covered atom drives the outer loop from postings slices.
+        let p = compile("count(filter(filter(//*, is-type(a)), is-type(b)))");
+        assert!(root_agg(&p).cover.is_some());
+        // No cover (children base / negated atom): pure predicates keep
+        // their closed forms inside a scanned level.
         for src in [
             "avg(filter(/*, is-type(basic-block)), count(filter(//*, is-type(insn))))",
             "max(filter(//*, !is-type(insn)), get-attr(@depth))",
         ] {
             let p = compile(src);
-            assert_eq!(p.fused.len(), 1, "{src} should compile to AggFused");
-            assert!(p.aggs.is_empty(), "{src} should not need a frame");
+            let agg = root_agg(&p);
+            assert!(agg.cover.is_none(), "{src} should scan");
+            assert!(
+                agg.preds.iter().all(|p| matches!(p, PlanPred::Pure(_))),
+                "{src} should keep pure predicates"
+            );
         }
     }
 
@@ -1156,28 +766,30 @@ mod tests {
             "avg(filter(//*, is-type(a)), max(/*, get-attr(@x) * 2))",
         ] {
             let p = compile(src);
-            assert_eq!(p.plans.len(), 1, "{src} should compile to one AggPlan");
-            assert!(p.aggs.is_empty(), "{src} should not need a frame");
+            assert!(matches!(root_level(&p), PlanExpr::Agg(_)), "{src}");
             assert_eq!(p.path(), ProgramPath::LoopNest);
         }
     }
 
     #[test]
     fn plan_cover_requires_non_negated_atoms_on_descendants() {
-        let with = compile("sum(filter(//*, is-type(a)), count(/*) + 1)");
+        let cover = |src: &str| {
+            root_agg(&compile(src))
+                .cover
+                .as_ref()
+                .map(|c| c.srcs.clone())
+        };
         assert_eq!(
-            with.plans[0].cover.as_ref().map(|c| c.srcs.clone()),
+            cover("sum(filter(//*, is-type(a)), count(/*) + 1)"),
             Some(vec![CoverSrc::Kind(Symbol::from("a"))])
         );
-        let with = compile("sum(filter(//*, has-attr(@x)), count(/*) + 1)");
         assert_eq!(
-            with.plans[0].cover.as_ref().map(|c| c.srcs.clone()),
+            cover("sum(filter(//*, has-attr(@x)), count(/*) + 1)"),
             Some(vec![CoverSrc::Attr(Symbol::from("x"))])
         );
         // A disjunction covers with the union of both sides' postings.
-        let with = compile("sum(filter(//*, is-type(a) || has-attr(@x)), count(/*) + 1)");
         assert_eq!(
-            with.plans[0].cover.as_ref().map(|c| c.srcs.clone()),
+            cover("sum(filter(//*, is-type(a) || has-attr(@x)), count(/*) + 1)"),
             Some(vec![
                 CoverSrc::Kind(Symbol::from("a")),
                 CoverSrc::Attr(Symbol::from("x")),
@@ -1189,14 +801,13 @@ mod tests {
             "sum(filter(//*, count(/*) > 0), count(/*) + 1)",
             "sum(filter(/*, is-type(a)), count(/*) + 1)",
         ] {
-            let p = compile(src);
-            assert!(p.plans[0].cover.is_none(), "{src} should scan");
+            assert!(cover(src).is_none(), "{src} should scan");
         }
     }
 
     /// `levels` nested sums over `//*` with a `1` innermost body, e.g.
-    /// `sum(//*, sum(//*, ... 1))`. With an `Arith` in every body the chain
-    /// never fuses, so each level is a genuine plan/frame aggregate.
+    /// `sum(//*, sum(//*, ... 1))`. With an `Arith` in every body no level
+    /// is a leaf level, so each one is a genuine [`PlanAgg`].
     fn deep_nest(levels: usize) -> FeatureExpr {
         let mut e = FeatureExpr::Const(1.0);
         for _ in 0..levels {
@@ -1213,66 +824,47 @@ mod tests {
     }
 
     #[test]
-    fn nests_beyond_plan_depth_bound_keep_the_frame_path() {
-        let p = Program::compile(&deep_nest(MAX_PLAN_AGG_DEPTH));
-        assert!(p.aggs.is_empty(), "a nest at the bound should fully plan");
-        assert_eq!(p.path(), ProgramPath::LoopNest);
-
-        let p = Program::compile(&deep_nest(MAX_PLAN_AGG_DEPTH + 2));
-        assert!(
-            !p.aggs.is_empty(),
-            "a nest beyond the bound needs frame levels"
-        );
-        assert!(
-            !p.plans.is_empty(),
-            "the inner levels should re-enter the planner"
-        );
-        assert_eq!(p.path(), ProgramPath::Frame);
+    fn nests_of_any_depth_compile_to_one_plan() {
+        for levels in [10, 20, 64] {
+            let p = Program::compile(&deep_nest(levels));
+            assert_eq!(p.path(), ProgramPath::LoopNest);
+            assert_eq!(p.cache_sites(), 1, "only the root level is a site");
+            assert_eq!(agg_depth(&p.root), levels, "one plan level per aggregate");
+        }
     }
 
     #[test]
-    fn frame_path_fuses_single_op_preds_and_leaf_bodies() {
-        // The deep body keeps the aggregate off the fuse/plan tiers; the
-        // single-atom predicate and, below, the literal body must then be
-        // rewritten into their superinstruction forms.
-        let deep = deep_nest(MAX_PLAN_AGG_DEPTH + 2);
-        let e = FeatureExpr::Sum(
-            SeqExpr::Filter(
-                Box::new(SeqExpr::Descendants),
-                Box::new(BoolExpr::IsType(Symbol::intern("a"))),
-            ),
-            Box::new(deep.clone()),
-        );
-        let p = Program::compile(&e);
-        assert!(
-            p.ops.iter().any(|op| matches!(op, Op::IsTypeGate(_))),
-            "single-atom predicate should fuse with its PredGate"
-        );
-        assert!(
-            !p.ops.iter().any(|op| matches!(op, Op::PredGate)),
-            "the fused predicate leaves no bare PredGate behind"
-        );
-
-        let e = FeatureExpr::Sum(
-            SeqExpr::Filter(
-                Box::new(SeqExpr::Descendants),
-                Box::new(BoolExpr::Cmp(
-                    CmpOp::Gt,
-                    Box::new(deep),
-                    Box::new(FeatureExpr::Const(0.0)),
-                )),
-            ),
-            Box::new(FeatureExpr::Const(1.0)),
-        );
-        let p = Program::compile(&e);
-        assert!(
-            p.ops.iter().any(|op| matches!(op, Op::ConstAccum(_))),
-            "literal body should fuse with its AggAccum"
-        );
-        assert!(
-            p.ops.iter().any(|op| matches!(op, Op::PredGate)),
-            "the multi-op predicate keeps its PredGate"
-        );
+    fn deep_gate_and_accumulate_shapes_plan_every_level() {
+        for levels in [10, 20, 64] {
+            let deep = deep_nest(levels);
+            // Gate shape: a single-atom predicate over a deep body.
+            let gate = Program::compile(&FeatureExpr::Sum(
+                SeqExpr::Filter(
+                    Box::new(SeqExpr::Descendants),
+                    Box::new(BoolExpr::IsType(Symbol::intern("a"))),
+                ),
+                Box::new(deep.clone()),
+            ));
+            let agg = root_agg(&gate);
+            assert!(agg.cover.is_some(), "the atom covers the outer loop");
+            assert_eq!(agg_depth(&gate.root), levels + 1);
+            // Accumulate shape: a deep dynamic predicate over a literal body.
+            let accum = Program::compile(&FeatureExpr::Sum(
+                SeqExpr::Filter(
+                    Box::new(SeqExpr::Descendants),
+                    Box::new(BoolExpr::Cmp(
+                        CmpOp::Gt,
+                        Box::new(deep),
+                        Box::new(FeatureExpr::Const(0.0)),
+                    )),
+                ),
+                Box::new(FeatureExpr::Const(1.0)),
+            ));
+            let agg = root_agg(&accum);
+            assert!(matches!(agg.preds[..], [PlanPred::Dyn(PlanBool::Cmp(..))]));
+            assert!(matches!(agg.body, Some(PlanExpr::Const(_))));
+            assert_eq!(agg_depth(&accum.root), levels + 1);
+        }
     }
 
     #[test]
@@ -1283,42 +875,12 @@ mod tests {
         // Indexed counts are not cache sites.
         let p = compile("count(//*) + 1");
         assert_eq!(p.cache_sites(), 0);
-    }
-
-    #[test]
-    fn jump_targets_are_patched() {
-        // Jumps are only emitted on the frame path, which an aggregate
-        // reaches solely by exceeding the plan depth bound — so the
-        // compound predicate is attached to a too-deep body.
-        let pred = BoolExpr::And(
-            Box::new(BoolExpr::IsType(Symbol::intern("a"))),
-            Box::new(BoolExpr::Or(
-                Box::new(BoolExpr::IsType(Symbol::intern("b"))),
-                Box::new(BoolExpr::ChildMatches(
-                    0,
-                    Box::new(BoolExpr::IsType(Symbol::intern("c"))),
-                )),
-            )),
-        );
-        let e = FeatureExpr::Sum(
-            SeqExpr::Filter(Box::new(SeqExpr::Descendants), Box::new(pred)),
-            Box::new(deep_nest(MAX_PLAN_AGG_DEPTH + 2)),
-        );
-        let p = Program::compile(&e);
-        assert!(p.fused.is_empty());
-        assert!(
-            p.ops
-                .iter()
-                .any(|op| matches!(op, Op::AndJump(_) | Op::OrJump(_))),
-            "expected the frame path with short-circuit jumps"
-        );
-        for op in &p.ops {
-            match op {
-                Op::AndJump(t) | Op::OrJump(t) => assert_ne!(*t, 0),
-                Op::ChildCtx { skip, .. } => assert_ne!(*skip, 0),
-                Op::CacheBegin { end, .. } => assert_ne!(*end, 0),
-                _ => {}
-            }
-        }
+        // A site is keyed by its aggregate's structural fingerprint.
+        let agg = parse_feature("sum(//*, 1 + get-attr(@x))").unwrap();
+        let p = Program::compile(&FeatureExpr::Neg(Box::new(agg.clone())));
+        let PlanExpr::Neg(site) = &p.root else {
+            panic!("expected the negation at the root")
+        };
+        assert!(matches!(**site, PlanExpr::Cse(key, _) if key == agg.fingerprint()));
     }
 }

@@ -1,13 +1,14 @@
-//! The bytecode VM and the pooled evaluation engine.
+//! The plan evaluator and the pooled evaluation engine.
 //!
-//! [`Vm`] executes a compiled [`Program`] over one [`IrArena`] with an
-//! explicit frame stack for aggregates — no recursion, no pointer chasing,
-//! no per-node allocation. It reproduces the interpreter in
-//! [`super::eval`] **bit-for-bit**: same values (floating-point operations
-//! in the same order), same [`EvalError`] outcomes, and the same
-//! `BudgetExceeded` decision for every budget. The interpreter stays the
-//! reference oracle; `tests/vm_differential.rs` enforces the equivalence on
-//! generated features × generated trees.
+//! [`PlanEval`] evaluates a compiled [`Program`] — one loop-nest plan tree
+//! — over one [`IrArena`]: arena loops over postings slices, sibling jumps
+//! or preorder ranges, with closed forms for indexed counts and leaf
+//! levels and a columnar sweep for predicate-free bodies. It reproduces
+//! the interpreter in [`super::eval`] **bit-for-bit**: same values
+//! (floating-point operations in the same order), same [`EvalError`]
+//! outcomes, and the same `BudgetExceeded` decision for every budget. The
+//! interpreter stays the reference oracle; `tests/vm_differential.rs`
+//! enforces the equivalence on generated features × generated trees.
 //!
 //! [`EvalPool`] is the engine the GP search uses: it flattens every
 //! training loop into an arena **once**, compiles each candidate **once**
@@ -19,8 +20,8 @@
 
 use super::ast::{ArithOp, CmpOp, FeatureExpr, Fingerprint};
 use super::compile::{
-    AggKind, BoolView, CountMeta, CoverSrc, FusedAggMeta, FusedBody, LeafArg, Op, PlanAgg,
-    PlanBool, PlanExpr, PlanPred, Program, ProgramPath, PureAtom, PureExpr, PurePred,
+    AggKind, BoolView, CountMeta, CoverSrc, LeafArg, PlanAgg, PlanBool, PlanExpr, PlanPred,
+    Program, ProgramPath, PureAtom, PureExpr, PurePred,
 };
 use super::eval::EvalError;
 use crate::faults::CancelToken;
@@ -79,734 +80,6 @@ impl EvalCache {
         }
         map.insert((key, loop_idx), entry);
     }
-}
-
-/// An in-flight aggregate: iterator state plus the accumulator. The static
-/// aggregate description is copied in at [`Op::AggStart`] so the
-/// per-element hot path (`advance`, `AggAccum`) touches only this struct —
-/// no side-table lookups.
-#[derive(Debug, Clone, Copy)]
-struct AggFrame {
-    kind: AggKind,
-    body_pc: u32,
-    end_pc: u32,
-    /// Next arena index to consider (children advance by sibling jump,
-    /// descendants by `+1`).
-    next: u32,
-    /// Exclusive end of the iteration span.
-    end: u32,
-    children: bool,
-    acc: f64,
-    n: u64,
-    started: bool,
-    saved_ctx: u32,
-}
-
-/// An open CSE region (root-context aggregate being computed on a miss).
-#[derive(Debug, Clone, Copy)]
-struct CacheFrame {
-    key: Fingerprint,
-    entry_remaining: u64,
-}
-
-/// Reusable VM stack storage. One run leaves its vectors allocated; a
-/// columnar sweep hands the same scratch to every cell of the column, so
-/// the per-cell cost is five `clear()`s instead of five fresh allocations.
-#[derive(Debug, Default)]
-struct VmScratch {
-    nums: Vec<f64>,
-    bools: Vec<bool>,
-    frames: Vec<AggFrame>,
-    cache_frames: Vec<CacheFrame>,
-    ctx_saves: Vec<u32>,
-}
-
-impl VmScratch {
-    fn clear(&mut self) {
-        self.nums.clear();
-        self.bools.clear();
-        self.frames.clear();
-        self.cache_frames.clear();
-        self.ctx_saves.clear();
-    }
-}
-
-/// The bytecode interpreter. One instance per (program, loop) execution;
-/// stacks are tiny (bounded by expression depth).
-struct Vm<'a> {
-    arena: &'a IrArena,
-    remaining: u64,
-    nums: Vec<f64>,
-    bools: Vec<bool>,
-    frames: Vec<AggFrame>,
-    cache_frames: Vec<CacheFrame>,
-    ctx_saves: Vec<u32>,
-    ctx: u32,
-}
-
-impl<'a> Vm<'a> {
-    /// Runs `prog` over `arena` with the given step budget, using `cache`
-    /// (when provided) for CSE regions.
-    fn run(
-        prog: &Program,
-        arena: &'a IrArena,
-        loop_idx: u32,
-        budget: u64,
-        cache: Option<&EvalCache>,
-    ) -> Result<f64, EvalError> {
-        // One-instruction programs (most of a GP population) skip the
-        // dispatch loop and the stack machinery entirely.
-        if cache.is_none() {
-            if let Some(r) = Self::run_simple(prog, arena, budget) {
-                return r;
-            }
-        }
-        // Standalone evals reuse one thread-local stack set: allocating
-        // fresh stacks per call costs more than evaluating a small feature.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<VmScratch> =
-                std::cell::RefCell::new(VmScratch::default());
-        }
-        SCRATCH.with(|s| match s.try_borrow_mut() {
-            Ok(mut scratch) => {
-                Self::run_scratch(prog, arena, loop_idx, budget, cache, &mut scratch)
-            }
-            // Re-entrant use (an attr-value callback evaluating a feature
-            // mid-eval cannot happen today, but stay total regardless).
-            Err(_) => {
-                let mut scratch = VmScratch::default();
-                Self::run_scratch(prog, arena, loop_idx, budget, cache, &mut scratch)
-            }
-        })
-    }
-
-    /// Stackless dispatch for one-instruction programs — a literal, an
-    /// attribute read, one indexed count, one fused or planned aggregate,
-    /// optionally wrapped in (cache-less) CSE markers. Semantically
-    /// identical to `exec`: the single op computes a value and an exact
-    /// step total; budget is checked first (`charge` order), then the
-    /// final finiteness check that `push_num` would apply.
-    fn run_simple(prog: &Program, arena: &IrArena, budget: u64) -> Option<Result<f64, EvalError>> {
-        if prog.ops.len() > 4 {
-            return None;
-        }
-        let mut core = None;
-        for op in &prog.ops {
-            match op {
-                Op::CacheBegin { .. } | Op::CacheEnd | Op::Return => {}
-                o => {
-                    if core.replace(o).is_some() {
-                        return None;
-                    }
-                }
-            }
-        }
-        let finish = |steps: u64, v: f64| {
-            if budget < steps {
-                Err(EvalError::BudgetExceeded)
-            } else if !v.is_finite() {
-                Err(EvalError::NonFinite)
-            } else {
-                Ok(v)
-            }
-        };
-        Some(match core? {
-            Op::PushConst(c) => finish(1, *c),
-            Op::LoadAttr(name) => finish(
-                1,
-                arena.attr(0, *name).and_then(|a| a.as_num()).unwrap_or(0.0),
-            ),
-            Op::CountIndexed(i) => {
-                let (cost, m) = indexed_count_at(arena, 0, &prog.counts[*i as usize]);
-                finish(cost, m as f64)
-            }
-            Op::AggFused(i) => {
-                let (steps, r) = fused_eval(arena, &prog.fused[*i as usize], 0);
-                match r {
-                    Ok(v) => finish(steps, v),
-                    Err(e) if budget < steps => {
-                        debug_assert!(matches!(e, EvalError::NonFinite));
-                        Err(EvalError::BudgetExceeded)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Op::AggPlan(i) => {
-                let pe = PlanEval {
-                    arena,
-                    limit: budget,
-                };
-                let mut steps = 0u64;
-                match pe.agg(0, &prog.plans[*i as usize], &mut steps) {
-                    Ok(v) => finish(steps, v),
-                    Err(_) if budget < steps => Err(EvalError::BudgetExceeded),
-                    Err(e) => Err(e),
-                }
-            }
-            _ => return None,
-        })
-    }
-
-    /// [`Vm::run`] with caller-provided stack storage, so a columnar sweep
-    /// reuses one allocation set across every cell of the column.
-    fn run_scratch(
-        prog: &Program,
-        arena: &'a IrArena,
-        loop_idx: u32,
-        budget: u64,
-        cache: Option<&EvalCache>,
-        scratch: &mut VmScratch,
-    ) -> Result<f64, EvalError> {
-        scratch.clear();
-        let mut vm = Vm {
-            arena,
-            remaining: budget,
-            nums: std::mem::take(&mut scratch.nums),
-            bools: std::mem::take(&mut scratch.bools),
-            frames: std::mem::take(&mut scratch.frames),
-            cache_frames: std::mem::take(&mut scratch.cache_frames),
-            ctx_saves: std::mem::take(&mut scratch.ctx_saves),
-            ctx: 0,
-        };
-        let result = vm.exec(prog, loop_idx, cache);
-        // A NonFinite error inside an open CSE region is itself cacheable:
-        // the steps burned up to the error are deterministic, and a replay
-        // charges them before re-raising (matching the interpreter, which
-        // does not zero the budget on NonFinite).
-        if let (Err(EvalError::NonFinite), Some(c)) = (&result, cache) {
-            for fr in &vm.cache_frames {
-                let steps = fr.entry_remaining - vm.remaining;
-                c.insert(
-                    fr.key,
-                    loop_idx,
-                    CacheEntry {
-                        steps,
-                        outcome: Err(()),
-                    },
-                );
-            }
-        }
-        scratch.nums = vm.nums;
-        scratch.bools = vm.bools;
-        scratch.frames = vm.frames;
-        scratch.cache_frames = vm.cache_frames;
-        scratch.ctx_saves = vm.ctx_saves;
-        result
-    }
-
-    /// Charges `cost` steps, mirroring `Evaluator::step` (including zeroing
-    /// the remaining budget on failure).
-    #[inline]
-    fn charge(&mut self, cost: u64) -> Result<(), EvalError> {
-        if self.remaining < cost {
-            self.remaining = 0;
-            return Err(EvalError::BudgetExceeded);
-        }
-        self.remaining -= cost;
-        Ok(())
-    }
-
-    #[inline]
-    fn push_num(&mut self, v: f64) -> Result<(), EvalError> {
-        if !v.is_finite() {
-            return Err(EvalError::NonFinite);
-        }
-        self.nums.push(v);
-        Ok(())
-    }
-
-    #[inline]
-    fn pop_num(&mut self) -> f64 {
-        self.nums.pop().expect("numeric stack underflow")
-    }
-
-    #[inline]
-    fn pop_bool(&mut self) -> bool {
-        self.bools.pop().expect("boolean stack underflow")
-    }
-
-    fn exec(
-        &mut self,
-        prog: &Program,
-        loop_idx: u32,
-        cache: Option<&EvalCache>,
-    ) -> Result<f64, EvalError> {
-        let mut pc = 0usize;
-        loop {
-            match prog.ops[pc] {
-                Op::Charge => {
-                    self.charge(1)?;
-                    pc += 1;
-                }
-                Op::PushConst(c) => {
-                    self.charge(1)?;
-                    self.push_num(c)?;
-                    pc += 1;
-                }
-                Op::LoadAttr(name) => {
-                    self.charge(1)?;
-                    let v = self
-                        .arena
-                        .attr(self.ctx, name)
-                        .and_then(|a| a.as_num())
-                        .unwrap_or(0.0);
-                    self.push_num(v)?;
-                    pc += 1;
-                }
-                Op::Arith(op) => {
-                    let b = self.pop_num();
-                    let a = self.pop_num();
-                    let v = match op {
-                        ArithOp::Add => a + b,
-                        ArithOp::Sub => a - b,
-                        ArithOp::Mul => a * b,
-                        ArithOp::Div => {
-                            if b.abs() < 1e-12 {
-                                0.0
-                            } else {
-                                a / b
-                            }
-                        }
-                    };
-                    self.push_num(v)?;
-                    pc += 1;
-                }
-                Op::Neg => {
-                    let v = -self.pop_num();
-                    self.push_num(v)?;
-                    pc += 1;
-                }
-                Op::IsType(kind) => {
-                    self.charge(1)?;
-                    self.bools.push(self.arena.kind(self.ctx) == kind);
-                    pc += 1;
-                }
-                Op::HasAttr(name) => {
-                    self.charge(1)?;
-                    self.bools.push(self.arena.attr(self.ctx, name).is_some());
-                    pc += 1;
-                }
-                Op::AttrEqEnum(name, target, view) => {
-                    self.charge(1)?;
-                    let b = attr_eq(self.arena, self.ctx, name, target, view);
-                    self.bools.push(b);
-                    pc += 1;
-                }
-                Op::AttrCmpNum(name, op, k) => {
-                    self.charge(1)?;
-                    let b = match self.arena.attr(self.ctx, name).and_then(|a| a.as_num()) {
-                        Some(v) => op.apply(v, k),
-                        None => false,
-                    };
-                    self.bools.push(b);
-                    pc += 1;
-                }
-                Op::CmpNum(op) => {
-                    let b = self.pop_num();
-                    let a = self.pop_num();
-                    self.bools.push(op.apply(a, b));
-                    pc += 1;
-                }
-                Op::NotBool => {
-                    let b = !self.pop_bool();
-                    self.bools.push(b);
-                    pc += 1;
-                }
-                Op::AndJump(target) => {
-                    let b = self.pop_bool();
-                    if b {
-                        pc += 1;
-                    } else {
-                        self.bools.push(false);
-                        pc = target as usize;
-                    }
-                }
-                Op::OrJump(target) => {
-                    let b = self.pop_bool();
-                    if b {
-                        self.bools.push(true);
-                        pc = target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                Op::ChildCtx { idx, skip } => {
-                    self.charge(1)?;
-                    match self.arena.nth_child(self.ctx, idx as usize) {
-                        Some(child) => {
-                            self.ctx_saves.push(self.ctx);
-                            self.ctx = child;
-                            pc += 1;
-                        }
-                        None => {
-                            self.bools.push(false);
-                            pc = skip as usize;
-                        }
-                    }
-                }
-                Op::PopCtx => {
-                    self.ctx = self.ctx_saves.pop().expect("context stack underflow");
-                    pc += 1;
-                }
-                Op::AggStart(meta_idx) => {
-                    self.charge(1)?;
-                    let meta = &prog.aggs[meta_idx as usize];
-                    self.frames.push(AggFrame {
-                        kind: meta.kind,
-                        body_pc: meta.body_pc,
-                        end_pc: meta.end_pc,
-                        next: self.ctx + 1,
-                        end: self.arena.subtree_end(self.ctx),
-                        children: meta.children_base,
-                        acc: 0.0,
-                        n: 0,
-                        started: false,
-                        saved_ctx: self.ctx,
-                    });
-                    self.advance(&mut pc)?;
-                }
-                Op::PredGate => {
-                    if self.pop_bool() {
-                        pc += 1;
-                    } else {
-                        self.advance(&mut pc)?;
-                    }
-                }
-                Op::AggAccum => {
-                    let kind = self.frames.last().expect("aggregate frame underflow").kind;
-                    let v = match kind {
-                        AggKind::Count => 0.0, // count pops no body value
-                        _ => self.pop_num(),
-                    };
-                    self.accum_frame(v);
-                    self.advance(&mut pc)?;
-                }
-                Op::IsTypeGate(kind) => {
-                    self.charge(1)?;
-                    if self.arena.kind(self.ctx) == kind {
-                        pc += 1;
-                    } else {
-                        self.advance(&mut pc)?;
-                    }
-                }
-                Op::HasAttrGate(name) => {
-                    self.charge(1)?;
-                    if self.arena.attr(self.ctx, name).is_some() {
-                        pc += 1;
-                    } else {
-                        self.advance(&mut pc)?;
-                    }
-                }
-                Op::AttrEqEnumGate(name, target, view) => {
-                    self.charge(1)?;
-                    if attr_eq(self.arena, self.ctx, name, target, view) {
-                        pc += 1;
-                    } else {
-                        self.advance(&mut pc)?;
-                    }
-                }
-                Op::AttrCmpNumGate(name, op, k) => {
-                    self.charge(1)?;
-                    let b = match self.arena.attr(self.ctx, name).and_then(|a| a.as_num()) {
-                        Some(v) => op.apply(v, k),
-                        None => false,
-                    };
-                    if b {
-                        pc += 1;
-                    } else {
-                        self.advance(&mut pc)?;
-                    }
-                }
-                Op::ConstAccum(c) => {
-                    self.charge(1)?;
-                    if !c.is_finite() {
-                        return Err(EvalError::NonFinite);
-                    }
-                    self.accum_frame(c);
-                    self.advance(&mut pc)?;
-                }
-                Op::AttrAccum(name) => {
-                    self.charge(1)?;
-                    let v = self
-                        .arena
-                        .attr(self.ctx, name)
-                        .and_then(|a| a.as_num())
-                        .unwrap_or(0.0);
-                    if !v.is_finite() {
-                        return Err(EvalError::NonFinite);
-                    }
-                    self.accum_frame(v);
-                    self.advance(&mut pc)?;
-                }
-                Op::CountIndexed(meta_idx) => {
-                    self.count_indexed(prog, meta_idx)?;
-                    pc += 1;
-                }
-                Op::AggFused(meta_idx) => {
-                    self.agg_fused(prog, meta_idx)?;
-                    pc += 1;
-                }
-                Op::AggPlan(meta_idx) => {
-                    let meta = &prog.plans[meta_idx as usize];
-                    let pe = PlanEval {
-                        arena: self.arena,
-                        limit: self.remaining,
-                    };
-                    let mut steps = 0u64;
-                    match pe.agg(self.ctx, meta, &mut steps) {
-                        Ok(v) => {
-                            self.charge(steps)?;
-                            self.push_num(v)?;
-                            pc += 1;
-                        }
-                        Err(e) => {
-                            // Charge what the interpreter would have
-                            // charged before the error; running out first
-                            // wins, exactly as `charge` encodes (a
-                            // plan-level BudgetExceeded always carries
-                            // `steps > remaining`, so `charge` fails and
-                            // zeroes the budget).
-                            self.charge(steps)?;
-                            return Err(e);
-                        }
-                    }
-                }
-                Op::CacheBegin { key_idx, end } => match cache {
-                    Some(c) => {
-                        let key = prog.keys[key_idx as usize];
-                        match c.get(key, loop_idx) {
-                            Some(entry) => {
-                                self.charge(entry.steps)?;
-                                match entry.outcome {
-                                    Ok(v) => {
-                                        self.nums.push(v);
-                                        pc = end as usize;
-                                    }
-                                    Err(()) => return Err(EvalError::NonFinite),
-                                }
-                            }
-                            None => {
-                                self.cache_frames.push(CacheFrame {
-                                    key,
-                                    entry_remaining: self.remaining,
-                                });
-                                pc += 1;
-                            }
-                        }
-                    }
-                    None => pc += 1,
-                },
-                Op::CacheEnd => {
-                    if let Some(c) = cache {
-                        let fr = self
-                            .cache_frames
-                            .pop()
-                            .expect("CacheEnd without open region");
-                        let steps = fr.entry_remaining - self.remaining;
-                        let v = *self.nums.last().expect("cached region left no value");
-                        c.insert(
-                            fr.key,
-                            loop_idx,
-                            CacheEntry {
-                                steps,
-                                outcome: Ok(v),
-                            },
-                        );
-                    }
-                    pc += 1;
-                }
-                Op::Return => return Ok(self.pop_num()),
-            }
-        }
-    }
-
-    /// Folds one element value into the top aggregate frame (the shared
-    /// tail of `AggAccum` and the accumulate superinstructions).
-    #[inline]
-    fn accum_frame(&mut self, v: f64) {
-        let f = self.frames.last_mut().expect("aggregate frame underflow");
-        match f.kind {
-            AggKind::Count => f.n += 1,
-            AggKind::Sum => f.acc += v,
-            AggKind::Max => {
-                f.acc = if f.started { f.acc.max(v) } else { v };
-                f.started = true;
-            }
-            AggKind::Min => {
-                f.acc = if f.started { f.acc.min(v) } else { v };
-                f.started = true;
-            }
-            AggKind::Avg => {
-                f.acc += v;
-                f.n += 1;
-            }
-        }
-    }
-
-    /// Yields the next element of the top aggregate frame (charging one
-    /// step per element, as the interpreter's `for_each` does) or, when the
-    /// iteration is exhausted, finalizes the aggregate value.
-    fn advance(&mut self, pc: &mut usize) -> Result<(), EvalError> {
-        let arena = self.arena;
-        let f = self.frames.last_mut().expect("aggregate frame underflow");
-        if f.next < f.end {
-            let cur = f.next;
-            f.next = if f.children {
-                arena.subtree_end(cur)
-            } else {
-                cur + 1
-            };
-            let body_pc = f.body_pc;
-            self.charge(1)?;
-            self.ctx = cur;
-            *pc = body_pc as usize;
-            Ok(())
-        } else {
-            let f = self.frames.pop().expect("aggregate frame underflow");
-            let v = match f.kind {
-                AggKind::Count => f.n as f64,
-                AggKind::Sum => f.acc,
-                AggKind::Max | AggKind::Min => {
-                    if f.started {
-                        f.acc
-                    } else {
-                        0.0
-                    }
-                }
-                AggKind::Avg => {
-                    if f.n == 0 {
-                        0.0
-                    } else {
-                        f.acc / f.n as f64
-                    }
-                }
-            };
-            self.ctx = f.saved_ctx;
-            self.push_num(v)?;
-            *pc = f.end_pc as usize;
-            Ok(())
-        }
-    }
-
-    /// Indexed `count`: computes the exact step total the interpreter would
-    /// charge (every interpreter charge is one unit, so the `BudgetExceeded`
-    /// decision depends only on the total) plus the count — from the arena's
-    /// postings lists for single atoms, or a scan with short-circuit step
-    /// accounting for predicate trees — then charges in bulk. Pure
-    /// predicates cannot raise `NonFinite`, so no error-ordering concern
-    /// arises.
-    fn count_indexed(&mut self, prog: &Program, meta_idx: u32) -> Result<(), EvalError> {
-        let meta = &prog.counts[meta_idx as usize];
-        let (total_cost, value) = indexed_count_at(self.arena, self.ctx, meta);
-        self.charge(total_cost)?;
-        // Counts are always finite; push directly.
-        self.nums.push(value as f64);
-        Ok(())
-    }
-
-    /// Fused aggregate: evaluated out-of-line by [`fused_eval`], then the
-    /// exact step total is charged in bulk. The only mid-iteration error
-    /// the interpreter could raise is `NonFinite` from a body value; at
-    /// that point the steps charged so far decide between `BudgetExceeded`
-    /// (if they already exhaust the budget) and `NonFinite` — identical to
-    /// the interpreter's charge-then-check order.
-    fn agg_fused(&mut self, prog: &Program, meta_idx: u32) -> Result<(), EvalError> {
-        let (steps, r) = fused_eval(self.arena, &prog.fused[meta_idx as usize], self.ctx);
-        // Charge what the interpreter would have charged up to the result
-        // or the error; running out first wins, exactly as `charge` encodes.
-        self.charge(steps)?;
-        self.push_num(r?)
-    }
-}
-
-/// Evaluates one fused aggregate at `ctx`: one tight loop over the
-/// elements, evaluating pure predicates and the leaf body directly while
-/// accumulating the exact step total the interpreter would charge. The
-/// `Ok` value has not yet had the final finiteness check applied.
-fn fused_eval(arena: &IrArena, meta: &FusedAggMeta, ctx: u32) -> (u64, Result<f64, EvalError>) {
-    // The aggregate node's own entry charge.
-    let mut steps = 1u64;
-    let mut acc = 0.0f64;
-    let mut n = 0u64;
-    let mut started = false;
-    // Block-scoped so the closure's borrows of the accumulators end
-    // before the finalisation below reads them.
-    let result = {
-        let mut element = |j: u32, steps: &mut u64| -> Result<(), EvalError> {
-            *steps += 1; // the per-element `for_each` charge
-            for p in &meta.preds {
-                if !pure_pred_matches(arena, j, p, steps) {
-                    return Ok(());
-                }
-            }
-            let v = match &meta.body {
-                FusedBody::None => {
-                    n += 1;
-                    return Ok(());
-                }
-                FusedBody::Const(c) => {
-                    *steps += 1;
-                    *c
-                }
-                FusedBody::Attr(a) => {
-                    *steps += 1;
-                    arena.attr(j, *a).and_then(|x| x.as_num()).unwrap_or(0.0)
-                }
-                FusedBody::Count(cm) => {
-                    let (cost, m) = indexed_count_at(arena, j, cm);
-                    *steps += cost;
-                    m as f64
-                }
-            };
-            if !v.is_finite() {
-                return Err(EvalError::NonFinite);
-            }
-            match meta.kind {
-                AggKind::Count => n += 1,
-                AggKind::Sum => acc += v,
-                AggKind::Max => {
-                    acc = if started { acc.max(v) } else { v };
-                    started = true;
-                }
-                AggKind::Min => {
-                    acc = if started { acc.min(v) } else { v };
-                    started = true;
-                }
-                AggKind::Avg => {
-                    acc += v;
-                    n += 1;
-                }
-            }
-            Ok(())
-        };
-        if meta.children_base {
-            arena.children(ctx).try_for_each(|j| element(j, &mut steps))
-        } else {
-            (ctx + 1..arena.subtree_end(ctx)).try_for_each(|j| element(j, &mut steps))
-        }
-    };
-    if let Err(e) = result {
-        return (steps, Err(e));
-    }
-    let v = match meta.kind {
-        AggKind::Count => n as f64,
-        AggKind::Sum => acc,
-        AggKind::Max | AggKind::Min => {
-            if started {
-                acc
-            } else {
-                0.0
-            }
-        }
-        AggKind::Avg => {
-            if n == 0 {
-                0.0
-            } else {
-                acc / n as f64
-            }
-        }
-    };
-    (steps, Ok(v))
 }
 
 /// Computes one indexed-count site at context node `ctx`: the exact step
@@ -968,13 +241,13 @@ fn child_probe_count(
     (1 + 2 * d + probed, m)
 }
 
-/// Evaluates one loop-nest plan ([`Op::AggPlan`]) with exact interpreter
-/// step accounting.
+/// Evaluates a compiled feature's plan tree with exact interpreter step
+/// accounting — the one evaluator of compiled features.
 ///
-/// All charges accumulate into one running `steps` total and are
-/// bulk-charged by the op handler; since every interpreter charge is one
-/// unit, the `BudgetExceeded` decision depends only on the cumulative
-/// total (DESIGN.md §11). Two orderings need explicit care:
+/// All charges accumulate into one running `steps` total that is checked
+/// against the budget in bulk; since every interpreter charge is one unit,
+/// the `BudgetExceeded` decision depends only on the cumulative total
+/// (DESIGN.md §11). Two orderings need explicit care:
 ///
 /// - The element loops abort with `BudgetExceeded` as soon as the running
 ///   total exceeds `limit`, so a deep nest stops scanning near the
@@ -984,11 +257,69 @@ fn child_probe_count(
 ///   out *before* computing the offending value, so `BudgetExceeded` wins.
 struct PlanEval<'a> {
     arena: &'a IrArena,
-    /// Budget remaining when the plan started (`Vm::remaining`).
+    /// The evaluation's step budget.
     limit: u64,
+    /// The pool's CSE result cache and this arena's loop index, when the
+    /// evaluation runs inside an [`EvalPool`].
+    cse: Option<(&'a EvalCache, u32)>,
 }
 
 impl PlanEval<'_> {
+    /// Evaluates a whole program at the root: the result is
+    /// `BudgetExceeded` whenever the final step total exceeds the budget,
+    /// and otherwise whatever the plan tree returned.
+    fn root(&self, prog: &Program) -> Result<f64, EvalError> {
+        let mut steps = 0u64;
+        let r = self.expr(0, &prog.root, &mut steps);
+        if steps > self.limit {
+            Err(EvalError::BudgetExceeded)
+        } else {
+            r
+        }
+    }
+
+    /// A root-context CSE site. A hit adds the recorded steps (failing
+    /// with `BudgetExceeded` once the total exceeds the budget, exactly
+    /// where the interpreter would have run out mid-subtree) and replays
+    /// the recorded outcome. A miss evaluates the level and records its
+    /// `(steps, outcome)` unless the budget ran out, since a truncated
+    /// step total is not transferable to other budgets.
+    fn cse(
+        &self,
+        j: u32,
+        key: Fingerprint,
+        level: &PlanExpr,
+        steps: &mut u64,
+    ) -> Result<f64, EvalError> {
+        // The interpreter reaches this site only if every earlier charge
+        // fit the budget.
+        if *steps > self.limit {
+            return Err(EvalError::BudgetExceeded);
+        }
+        let Some((cache, loop_idx)) = self.cse else {
+            return self.expr(j, level, steps);
+        };
+        if let Some(entry) = cache.get(key, loop_idx) {
+            *steps += entry.steps;
+            if *steps > self.limit {
+                return Err(EvalError::BudgetExceeded);
+            }
+            return entry.outcome.map_err(|()| EvalError::NonFinite);
+        }
+        let start = *steps;
+        let r = self.expr(j, level, steps);
+        let outcome = match r {
+            Ok(v) => Ok(v),
+            Err(EvalError::NonFinite) => Err(()),
+            Err(EvalError::BudgetExceeded) => return r,
+        };
+        if *steps <= self.limit {
+            let steps = *steps - start;
+            cache.insert(key, loop_idx, CacheEntry { steps, outcome });
+        }
+        r
+    }
+
     /// Budget-vs-NonFinite decision for a non-finite value whose
     /// computation ended at step total `steps`.
     #[inline]
@@ -1012,9 +343,6 @@ impl PlanEval<'_> {
     /// One aggregate level: iterates the base elements (postings slice,
     /// sibling jumps, or a preorder range scan), filters, accumulates.
     fn agg(&self, ctx: u32, plan: &PlanAgg, steps: &mut u64) -> Result<f64, EvalError> {
-        if let Some(body) = plan.leaf {
-            return self.leaf_agg(ctx, plan.kind, plan.children_base, body, steps);
-        }
         *steps += 1; // the aggregate node's entry charge
         if let (AggKind::Count, false, None, [PlanPred::Dyn(PlanBool::LeafCmp(op, a, b))]) = (
             plan.kind,
@@ -1248,6 +576,7 @@ impl PlanEval<'_> {
                 let v = -self.expr(j, a, steps)?;
                 self.finite(v, *steps)
             }
+            PlanExpr::Cse(key, level) => self.cse(j, *key, level, steps),
         }
     }
 
@@ -1737,7 +1066,9 @@ impl PlanEval<'_> {
                 pool.push(b);
                 out
             }
-            PlanExpr::Count(_) => unreachable!("column_supported rejects Count"),
+            PlanExpr::Count(_) | PlanExpr::Cse(..) => {
+                unreachable!("column_supported rejects Count and CSE sites")
+            }
         }
     }
 
@@ -1872,13 +1203,12 @@ fn column_supported(e: &PlanExpr) -> bool {
         }
         PlanExpr::Arith(_, a, b) => column_supported(a) && column_supported(b),
         PlanExpr::Neg(a) => column_supported(a),
-        PlanExpr::Count(_) => false,
+        PlanExpr::Count(_) | PlanExpr::Cse(..) => false,
     }
 }
 
 /// Evaluates one pure predicate at arena node `j`, accumulating the exact
-/// interpreter step cost. Shared by the fused-aggregate loop and the
-/// loop-nest plan evaluator.
+/// interpreter step cost. Shared by indexed counts and plan predicates.
 #[inline]
 fn pure_pred_matches(arena: &IrArena, j: u32, p: &PurePred, steps: &mut u64) -> bool {
     match p {
@@ -1957,7 +1287,12 @@ impl Program {
     ///
     /// Same conditions as [`super::Evaluator::eval`].
     pub fn eval(&self, arena: &IrArena, budget: u64) -> Result<f64, EvalError> {
-        Vm::run(self, arena, 0, budget, None)
+        PlanEval {
+            arena,
+            limit: budget,
+            cse: None,
+        }
+        .root(self)
     }
 }
 
@@ -1967,7 +1302,7 @@ impl Program {
 /// not a correctness one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum EvalEngine {
-    /// The compiled bytecode VM over arena-flattened loops (default).
+    /// Compiled loop-nest plans over arena-flattened loops (default).
     #[default]
     Compiled,
     /// The recursive reference interpreter in [`super::eval`].
@@ -2007,7 +1342,6 @@ pub struct EvalPool<'a> {
     interp_evals: AtomicU64,
     fast_evals: AtomicU64,
     plan_evals: AtomicU64,
-    frame_evals: AtomicU64,
     program_hits: AtomicU64,
     program_misses: AtomicU64,
 }
@@ -2016,19 +1350,15 @@ pub struct EvalPool<'a> {
 /// counters (observability only; counting never affects evaluation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Per-loop evaluations dispatched to the bytecode VM.
+    /// Per-loop evaluations of compiled programs.
     pub vm_evals: u64,
     /// Per-loop evaluations dispatched to the reference interpreter.
     pub interp_evals: u64,
-    /// VM evaluations of straight-line fast-path programs (leaves, indexed
-    /// counts, fused aggregates — no plan or frame aggregates).
+    /// Compiled evaluations of programs without an aggregate level
+    /// (leaves, arithmetic, indexed counts).
     pub fast_evals: u64,
-    /// VM evaluations of programs containing loop-nest plans (and no frame
-    /// aggregates).
+    /// Compiled evaluations of programs with at least one aggregate level.
     pub plan_evals: u64,
-    /// VM evaluations of programs containing frame-path fallback
-    /// aggregates (per-element bytecode dispatch).
-    pub frame_evals: u64,
     /// Compiled-program cache hits.
     pub program_hits: u64,
     /// Compiled-program cache misses (compilations).
@@ -2081,7 +1411,6 @@ impl<'a> EvalPool<'a> {
             interp_evals: AtomicU64::new(0),
             fast_evals: AtomicU64::new(0),
             plan_evals: AtomicU64::new(0),
-            frame_evals: AtomicU64::new(0),
             program_hits: AtomicU64::new(0),
             program_misses: AtomicU64::new(0),
         }
@@ -2158,25 +1487,28 @@ impl<'a> EvalPool<'a> {
             EvalEngine::Compiled => {
                 let prog = self.program(expr);
                 self.note_vm_evals(&prog, 1);
-                Vm::run(
-                    &prog,
-                    self.arenas[idx].as_ref(),
-                    idx as u32,
-                    budget,
-                    Some(&self.cache),
-                )
+                self.run(&prog, idx, budget)
             }
         }
     }
 
-    /// Batches the VM-dispatch counters: `n` evaluations of `prog`,
-    /// attributed to its execution tier (observability only).
+    /// Evaluates a compiled program on loop `idx` through the CSE cache.
+    fn run(&self, prog: &Program, idx: usize, budget: u64) -> Result<f64, EvalError> {
+        PlanEval {
+            arena: &self.arenas[idx],
+            limit: budget,
+            cse: Some((&self.cache, idx as u32)),
+        }
+        .root(prog)
+    }
+
+    /// Batches the evaluation counters: `n` evaluations of `prog`,
+    /// attributed to its evaluation kind (observability only).
     fn note_vm_evals(&self, prog: &Program, n: u64) {
         self.vm_evals.fetch_add(n, Ordering::Relaxed);
         let tier = match prog.path() {
             ProgramPath::Fast => &self.fast_evals,
             ProgramPath::LoopNest => &self.plan_evals,
-            ProgramPath::Frame => &self.frame_evals,
         };
         tier.fetch_add(n, Ordering::Relaxed);
     }
@@ -2224,26 +1556,17 @@ impl<'a> EvalPool<'a> {
                 Some(out)
             }
             EvalEngine::Compiled => {
-                // Columnar sweep: one program fetch, one scratch allocation
-                // set, and one counter flush for the whole column; the
-                // cancellation token is still consulted at every cell
-                // boundary so shutdown latency is unchanged.
+                // One program fetch and one counter flush for the whole
+                // column; the cancellation token is still consulted at
+                // every cell boundary so shutdown latency is unchanged.
                 let prog = self.program(expr);
-                let mut scratch = VmScratch::default();
                 let mut out = Vec::with_capacity(self.arenas.len());
-                for (i, arena) in self.arenas.iter().enumerate() {
+                for i in 0..self.arenas.len() {
                     if cancelled() {
                         self.note_vm_evals(&prog, out.len() as u64);
                         return None;
                     }
-                    match Vm::run_scratch(
-                        &prog,
-                        arena.as_ref(),
-                        i as u32,
-                        budget,
-                        Some(&self.cache),
-                        &mut scratch,
-                    ) {
+                    match self.run(&prog, i, budget) {
                         Ok(v) => out.push(v),
                         Err(_) => {
                             self.note_vm_evals(&prog, out.len() as u64 + 1);
@@ -2269,7 +1592,6 @@ impl<'a> EvalPool<'a> {
             interp_evals: self.interp_evals.load(Ordering::Relaxed),
             fast_evals: self.fast_evals.load(Ordering::Relaxed),
             plan_evals: self.plan_evals.load(Ordering::Relaxed),
-            frame_evals: self.frame_evals.load(Ordering::Relaxed),
             program_hits: self.program_hits.load(Ordering::Relaxed),
             program_misses: self.program_misses.load(Ordering::Relaxed),
             program_evictions: self.programs.lock().evictions(),
@@ -2290,7 +1612,6 @@ impl<'a> EvalPool<'a> {
         telemetry.gauge_set("eval.interp_evals", s.interp_evals as f64);
         telemetry.gauge_set("eval.path_fast", s.fast_evals as f64);
         telemetry.gauge_set("eval.path_plan", s.plan_evals as f64);
-        telemetry.gauge_set("eval.path_frame", s.frame_evals as f64);
         telemetry.gauge_set("eval.program_hits", s.program_hits as f64);
         telemetry.gauge_set("eval.program_misses", s.program_misses as f64);
         telemetry.gauge_set("eval.program_evictions", s.program_evictions as f64);
@@ -2498,8 +1819,9 @@ mod tests {
         }
     }
 
-    /// `levels` nested `sum(//*, ... + 0)` — beyond the plan depth bound,
-    /// so the outer levels stay on the frame path.
+    /// `levels` nested `sum(//*, ... + 0)`: an `Arith` in every body keeps
+    /// each level off the leaf forms, so every level is a genuine plan
+    /// aggregate.
     fn deep_src(levels: usize) -> String {
         let mut s = String::from("1");
         for _ in 0..levels {
@@ -2508,28 +1830,46 @@ mod tests {
         s
     }
 
+    /// Exact interpreter step cost of `f` on `ir`.
+    fn exact_cost(f: &FeatureExpr, ir: &IrNode) -> u64 {
+        let mut ev = crate::lang::Evaluator::new(DEFAULT_BUDGET);
+        let _ = ev.eval(f, ir);
+        DEFAULT_BUDGET - ev.remaining()
+    }
+
     #[test]
-    fn frame_fallback_and_superinstructions_match_interpreter() {
+    fn deep_nests_plan_and_match_interpreter() {
         let ir = sample_ir();
         let arena = IrArena::from_tree(&ir);
-        let deep = deep_src(10);
-        let gate_src = format!("sum(filter(//*, is-type(basic-block)), {deep})");
-        let accum_src = format!("sum(filter(//*, {deep} > 0), 1)");
-        for src in [deep.as_str(), gate_src.as_str(), accum_src.as_str()] {
-            let f = parse_feature(src).unwrap();
-            let prog = Program::compile(&f);
-            assert!(!prog.aggs.is_empty(), "deep nest should keep frame levels");
-            for budget in [0, 1, 13, 997, 50_000] {
-                let want = f.eval_with_budget(&ir, budget);
-                let got = prog.eval(&arena, budget);
-                assert_eq!(got, want, "mismatch at budget {budget}");
+        for levels in [10, 20, 64] {
+            let deep = deep_src(levels);
+            let gate_src = format!("sum(filter(//*, is-type(basic-block)), {deep})");
+            let accum_src = format!("sum(filter(//*, {deep} > 0), 1)");
+            for src in [deep.as_str(), gate_src.as_str(), accum_src.as_str()] {
+                let f = parse_feature(src).unwrap();
+                let prog = Program::compile(&f);
+                assert_eq!(prog.path(), ProgramPath::LoopNest);
+                let spent = exact_cost(&f, &ir);
+                for budget in [0, 1, spent - 1, spent] {
+                    let want = f.eval_with_budget(&ir, budget);
+                    assert_eq!(
+                        prog.eval(&arena, budget),
+                        want,
+                        "{levels} levels, budget {budget}"
+                    );
+                    // A fresh pool misses the CSE site, the second column
+                    // replays it from the cache.
+                    let pool = EvalPool::new([&ir], EvalEngine::Compiled);
+                    for pass in ["miss", "hit"] {
+                        assert_eq!(
+                            pool.column(&f, budget),
+                            want.ok().map(|v| vec![v]),
+                            "{levels} levels, budget {budget}, {pass}"
+                        );
+                    }
+                }
             }
         }
-        // The superinstruction rewrites really fired on the frame levels.
-        let gate = Program::compile(&parse_feature(&gate_src).unwrap());
-        assert!(gate.ops.iter().any(|op| matches!(op, Op::IsTypeGate(_))));
-        let accum = Program::compile(&parse_feature(&accum_src).unwrap());
-        assert!(accum.ops.iter().any(|op| matches!(op, Op::ConstAccum(_))));
     }
 
     #[test]
@@ -2538,19 +1878,18 @@ mod tests {
         let pool = EvalPool::new([&ir], EvalEngine::Compiled);
         let fast = parse_feature("count(//*)").unwrap();
         let plan = parse_feature("sum(//*, 1 + get-attr(@value))").unwrap();
-        let frame = parse_feature(&deep_src(10)).unwrap();
+        let deep = parse_feature(&deep_src(10)).unwrap();
         assert_eq!(Program::compile(&fast).path(), ProgramPath::Fast);
         assert_eq!(Program::compile(&plan).path(), ProgramPath::LoopNest);
-        assert_eq!(Program::compile(&frame).path(), ProgramPath::Frame);
+        assert_eq!(Program::compile(&deep).path(), ProgramPath::LoopNest);
         assert!(pool.column(&fast, DEFAULT_BUDGET).is_some());
         assert!(pool.column(&plan, DEFAULT_BUDGET).is_some());
         // Deep contexts have few descendants, so even the deep nest fits
         // the default budget on this small tree.
-        assert!(pool.column(&frame, DEFAULT_BUDGET).is_some());
+        assert!(pool.column(&deep, DEFAULT_BUDGET).is_some());
         let s = pool.stats();
         assert_eq!(s.fast_evals, 1);
-        assert_eq!(s.plan_evals, 1);
-        assert_eq!(s.frame_evals, 1);
+        assert_eq!(s.plan_evals, 2);
         assert_eq!(s.vm_evals, 3);
     }
 }

@@ -334,14 +334,8 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         );
         let fast = get("eval.path_fast");
         let plan = get("eval.path_plan");
-        let frame = get("eval.path_frame");
-        let paths = fast + plan + frame;
-        if paths > 0 {
-            let pct = 100.0 * frame as f64 / paths as f64;
-            let _ = writeln!(
-                out,
-                "  vm paths:      {fast} fast / {plan} loop-nest / {frame} frame fallback ({pct:.1}% fallback)"
-            );
+        if fast + plan > 0 {
+            let _ = writeln!(out, "  vm paths:      {fast} fast / {plan} loop-nest");
         }
     }
 
@@ -587,8 +581,7 @@ mod tests {
         t.counter_add("eval.program_hits", 8);
         t.counter_add("eval.program_misses", 2);
         t.counter_add("eval.path_fast", 6);
-        t.counter_add("eval.path_plan", 3);
-        t.counter_add("eval.path_frame", 1);
+        t.counter_add("eval.path_plan", 4);
         t.counter_add("campaign.snapshot_builds", 3);
         t.counter_add("campaign.forks", 320);
         t.counter_add("campaign.init_forks", 300);
@@ -611,7 +604,7 @@ mod tests {
         assert!(summary.contains("80.0%"), "{summary}");
         assert!(summary.contains("12 evaluation(s)"), "{summary}");
         assert!(
-            summary.contains("6 fast / 3 loop-nest / 1 frame fallback (10.0% fallback)"),
+            summary.contains("vm paths:      6 fast / 4 loop-nest\n"),
             "{summary}"
         );
         assert!(

@@ -854,7 +854,7 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
     // Two cold-VM groups: the paper-shaped features (counts over filtered
     // traversals, the shapes the GP converges to — Figure 16) and the
     // grammar-generated mix (a random population slice, including deep
-    // frame-path aggregates the indexed paths cannot fuse).
+    // nested aggregates no indexed count or leaf level covers).
     let mut group_stats = Vec::new();
     for (name, range) in [
         ("paper_features", 0..PAPER_FEATURES),
@@ -887,8 +887,7 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
     }
 
     // Per-depth breakdown of the generated mix: which grammar depths the
-    // loop-nest planner actually accelerates, and how often programs still
-    // fall back to the frame path.
+    // loop-nest planner actually accelerates.
     let mut depth_stats = Vec::new();
     for (bucket, depth) in GEN_DEPTHS.iter().enumerate() {
         let lo = PAPER_FEATURES + bucket * GEN_PER_DEPTH;
@@ -923,12 +922,10 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
         .map(Program::path)
         .collect();
     let count_path = |p: ProgramPath| gen_paths.iter().filter(|&&q| q == p).count();
-    let (n_fast, n_plan, n_frame) = (
+    let (n_fast, n_plan) = (
         count_path(ProgramPath::Fast),
         count_path(ProgramPath::LoopNest),
-        count_path(ProgramPath::Frame),
     );
-    let frame_pct = 100.0 * n_frame as f64 / gen_paths.len() as f64;
 
     // The pool as the search drives it: warm program + result caches, all
     // features; its baseline is the interpreter over the same full sweep.
@@ -981,8 +978,7 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
         ));
     }
     json.push_str(&format!(
-        "    }},\n    \"paths\": {{ \"fast\": {n_fast}, \"loop_nest\": {n_plan}, \
-         \"frame\": {n_frame} }},\n    \"frame_fallback_pct\": {frame_pct:.1}\n  }},\n"
+        "    }},\n    \"paths\": {{ \"fast\": {n_fast}, \"loop_nest\": {n_plan} }}\n  }},\n"
     ));
     json.push_str(&format!(
         "  \"pool_warm\": {{\n    \"features\": {},\n    \
@@ -1004,7 +1000,7 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
         );
     }
     println!(
-        "{:>20}     : {n_fast} fast / {n_plan} loop-nest / {n_frame} frame ({frame_pct:.1}% fallback)",
+        "{:>20}     : {n_fast} fast / {n_plan} loop-nest",
         "generated paths",
     );
     println!(

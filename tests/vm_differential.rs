@@ -1,5 +1,6 @@
-//! Differential tests: the compiled bytecode VM against the tree-walking
-//! interpreter, which stays in the codebase as the reference oracle.
+//! Differential tests: the compiled loop-nest plan evaluator against the
+//! tree-walking interpreter, which stays in the codebase as the reference
+//! oracle.
 //!
 //! The compiled engine is only admissible because it is *extensionally
 //! identical* to the interpreter — same values, same [`EvalError`]s, and
@@ -99,8 +100,12 @@ fn interpreter_cost(f: &FeatureExpr, ir: &IrNode) -> u64 {
     before - ev.remaining()
 }
 
+// Release builds run the full case count (CI runs this suite in
+// release); debug builds a smoke-sized share of it.
+const CASES: u32 = if cfg!(debug_assertions) { 48 } else { 768 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Equal values and equal errors on real exported loops.
     #[test]
