@@ -209,22 +209,17 @@ impl SearchCheckpoint {
     }
 }
 
-/// Best-effort extraction of the `version` field from checkpoint text that
-/// failed to decode as the current format.
-fn peek_version(text: &str) -> Option<u32> {
-    let value: serde::Value = serde_json::from_str(text).ok()?;
-    if let serde::Value::Map(entries) = value {
-        for (k, v) in entries {
-            if matches!(&k, serde::Value::Str(s) if s == "version") {
-                return match v {
-                    serde::Value::U64(n) => u32::try_from(n).ok(),
-                    serde::Value::I64(n) => u32::try_from(n).ok(),
-                    _ => None,
-                };
-            }
-        }
+/// Best-effort extraction of the top-level `version` field from text that
+/// failed to decode as the current format (of a checkpoint or a model
+/// artifact). Every other field is skipped unread.
+pub(crate) fn peek_version(text: &str) -> Option<u32> {
+    #[derive(Deserialize)]
+    struct VersionProbe {
+        version: u32,
     }
-    None
+    serde_json::from_str::<VersionProbe>(text)
+        .ok()
+        .map(|probe| probe.version)
 }
 
 #[cfg(test)]

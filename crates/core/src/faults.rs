@@ -170,11 +170,35 @@ pub struct FaultInjector {
 /// FNV-1a, the stable hash used for [`FaultTrigger::OnMatch`] and the
 /// checkpoint identity fingerprints.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
+}
+
+/// Streaming FNV-1a: text written into it hashes exactly as [`fnv1a`] of
+/// the concatenated bytes would, without materialising them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The runtime's stable content hash (FNV-1a), shared by every identity

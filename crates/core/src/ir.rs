@@ -112,15 +112,14 @@ impl From<&str> for Symbol {
 }
 
 impl Serialize for Symbol {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
         s.serialize_str(self.as_str())
     }
 }
 
-impl<'de> Deserialize<'de> for Symbol {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Symbol, D::Error> {
-        let s = String::deserialize(d)?;
-        Ok(Symbol::intern(&s))
+impl Deserialize for Symbol {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Symbol, D::Error> {
+        d.parse_str().map(Symbol::intern)
     }
 }
 
@@ -279,26 +278,35 @@ impl IrNode {
     /// and golden tests).
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        self.dump_into(&mut out, 0);
+        let _ = self.dump_into(&mut out);
         out
     }
 
-    fn dump_into(&self, out: &mut String, indent: usize) {
-        use std::fmt::Write;
-        let pad = "  ".repeat(indent);
-        let _ = write!(out, "{pad}({}", self.kind);
+    /// Streams [`IrNode::dump`]'s text into `out` without building it, so a
+    /// hashing writer can digest a tree allocation-free.
+    pub fn dump_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.dump_at(out, 0)
+    }
+
+    fn dump_at<W: fmt::Write>(&self, out: &mut W, indent: usize) -> fmt::Result {
+        for _ in 0..indent {
+            out.write_str("  ")?;
+        }
+        write!(out, "({}", self.kind)?;
         for (name, value) in &self.attrs {
-            let _ = write!(out, " @{name}={value}");
+            write!(out, " @{name}={value}")?;
         }
         if self.children.is_empty() {
-            out.push_str(")\n");
-        } else {
-            out.push('\n');
-            for c in &self.children {
-                c.dump_into(out, indent + 1);
-            }
-            let _ = writeln!(out, "{pad})");
+            return out.write_str(")\n");
         }
+        out.write_char('\n')?;
+        for c in &self.children {
+            c.dump_at(out, indent + 1)?;
+        }
+        for _ in 0..indent {
+            out.write_str("  ")?;
+        }
+        out.write_str(")\n")
     }
 }
 

@@ -13,7 +13,7 @@
 //! half-written model: it sees the old file or the new one, nothing in
 //! between.
 
-use crate::checkpoint::config_fingerprint;
+use crate::checkpoint::{config_fingerprint, peek_version};
 use crate::faults::fnv1a;
 use crate::lang::{parse_feature, EvalPool, FeatureExpr};
 use crate::search::{SearchConfig, TrainingExample};
@@ -70,6 +70,11 @@ pub enum ModelError {
         /// What was wrong.
         detail: String,
     },
+    /// The artifact could not be encoded for its content digest.
+    Encode {
+        /// Encoder detail.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -101,6 +106,7 @@ impl fmt::Display for ModelError {
                 path.display()
             ),
             ModelError::Invalid { detail } => write!(f, "model artifact invalid: {detail}"),
+            ModelError::Encode { detail } => write!(f, "model artifact does not encode: {detail}"),
         }
     }
 }
@@ -250,9 +256,16 @@ impl ModelArtifact {
 
     /// Whole-artifact content digest, used by the daemon to detect a new
     /// model on hot-reload and reported to clients in the handshake.
-    pub fn digest(&self) -> u64 {
-        let json = serde_json::to_string(self).unwrap_or_default();
-        fnv1a(json.as_bytes())
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Encode`] when the artifact does not encode — never a
+    /// digest of empty text, which every such artifact would share.
+    pub fn digest(&self) -> Result<u64, ModelError> {
+        let json = serde_json::to_string(self).map_err(|e| ModelError::Encode {
+            detail: e.to_string(),
+        })?;
+        Ok(fnv1a(json.as_bytes()))
     }
 
     /// Validates the internal consistency rules shared by `train` and
@@ -367,24 +380,6 @@ impl ModelArtifact {
     }
 }
 
-/// Best-effort extraction of the `version` field from artifact text that
-/// failed to decode as the current format.
-fn peek_version(text: &str) -> Option<u32> {
-    let value: serde::Value = serde_json::from_str(text).ok()?;
-    if let serde::Value::Map(entries) = value {
-        for (k, v) in entries {
-            if matches!(&k, serde::Value::Str(s) if s == "version") {
-                return match v {
-                    serde::Value::U64(n) => u32::try_from(n).ok(),
-                    serde::Value::I64(n) => u32::try_from(n).ok(),
-                    _ => None,
-                };
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +424,7 @@ mod tests {
         artifact.save(&path).unwrap();
         let loaded = ModelArtifact::load(&path).unwrap();
         assert_eq!(loaded, artifact);
-        assert_eq!(loaded.digest(), artifact.digest());
+        assert_eq!(loaded.digest().unwrap(), artifact.digest().unwrap());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,8 +17,8 @@ use super::artifact::{ModelArtifact, ModelError};
 use super::wire::{
     validate_batch, AdmissionError, Decision, ServeStatsSnapshot, WireNode,
 };
-use crate::faults::fnv1a;
-use crate::ir::IrArena;
+use crate::faults::Fnv1a;
+use crate::ir::{IrArena, IrNode};
 use crate::lang::vm::PoolStats;
 use crate::lang::{EvalPool, FeatureExpr};
 use crate::lru::LruCache;
@@ -90,6 +90,17 @@ fn file_sig(path: &std::path::Path) -> Option<FileSig> {
     })
 }
 
+/// The arena-cache key of a loop: FNV-1a of its canonical
+/// [`IrNode::dump`] (attrs sorted by `to_ir`), so hit rates do not depend
+/// on the client's attribute order and the key is stable across daemon
+/// restarts. The dump is streamed into the hash, never built.
+pub fn arena_key(ir: &IrNode) -> u64 {
+    let mut hash = Fnv1a::default();
+    // Writing into a hash cannot fail.
+    let _ = ir.dump_into(&mut hash);
+    hash.0
+}
+
 /// The shared, `Sync` inference engine behind every serve connection.
 pub struct ServeEngine {
     model_path: PathBuf,
@@ -135,7 +146,7 @@ impl ServeEngine {
         let sig = file_sig(&model_path);
         let artifact = ModelArtifact::load(&model_path)?;
         let features = artifact.parsed_features()?;
-        let digest = artifact.digest();
+        let digest = artifact.digest()?;
         // The symbol budget is anchored *after* the model's own features
         // and grammar vocabulary are interned, so legitimate startup
         // interning never eats into the untrusted-input headroom.
@@ -231,10 +242,7 @@ impl ServeEngine {
         let mut cached_flags = Vec::with_capacity(loops.len());
         for wire in loops {
             let ir = wire.to_ir();
-            // Digest the canonical dump (attrs sorted by `to_ir`), so hit
-            // rates do not depend on the client's attribute order and the
-            // key is stable across daemon restarts.
-            let digest = fnv1a(ir.dump().as_bytes());
+            let digest = arena_key(&ir);
             let hit = {
                 let mut cache = self.arenas.lock();
                 cache.get(&digest).map(Arc::clone)
@@ -314,11 +322,11 @@ impl ServeEngine {
         let sig = file_sig(&self.model_path);
         let outcome = ModelArtifact::load(&self.model_path).and_then(|artifact| {
             let features = artifact.parsed_features()?;
-            Ok((artifact, features))
+            let digest = artifact.digest()?;
+            Ok((artifact, features, digest))
         });
         match outcome {
-            Ok((artifact, features)) => {
-                let digest = artifact.digest();
+            Ok((artifact, features, digest)) => {
                 *self.model_sig.lock() = sig;
                 if digest == self.model.read().digest {
                     return Ok(false);

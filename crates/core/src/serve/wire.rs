@@ -13,9 +13,11 @@
 //! [`IrNode`][crate::ir::IrNode] — and passes three hardening gates before
 //! anything touches process-wide state:
 //!
-//! 1. **Nesting depth** is bounded by a raw-text scan *before* the
-//!    recursive JSON decoder runs, so a 100k-bracket payload cannot blow
-//!    the parser's stack.
+//! 1. **Nesting depth** is bounded inside the JSON decoder itself: it
+//!    counts open brackets while it reads typed values and while it skips
+//!    unknown ones (iteratively), and refuses input deeper than
+//!    [`MAX_JSON_DEPTH`], so a 100k-bracket payload cannot blow the
+//!    decoder's stack.
 //! 2. **Node count and IR depth** are bounded after decoding, so one
 //!    request cannot flatten an arbitrarily large arena.
 //! 3. **Symbol budget**: the global interner leaks each distinct string
@@ -39,8 +41,9 @@ use std::collections::HashSet;
 /// top of the per-frame transport version.
 pub const SERVE_PROTOCOL: u32 = 1;
 
-/// Maximum raw JSON bracket nesting accepted before the decoder runs.
-pub const MAX_JSON_DEPTH: usize = 256;
+/// Maximum JSON bracket nesting any payload may have (the decoder's own
+/// bound, on every decode path).
+pub const MAX_JSON_DEPTH: usize = serde_json::MAX_DEPTH;
 
 /// Maximum depth of one ingested IR tree.
 pub const MAX_IR_DEPTH: usize = 64;
@@ -394,39 +397,6 @@ impl From<PoolStats> for PoolStatsWire {
     }
 }
 
-/// Rejects raw JSON text whose bracket nesting exceeds `max_depth`,
-/// *before* any recursive decoder touches it. String contents (including
-/// escaped quotes) are skipped, so `{"k": "]]]"}` counts as depth 1.
-pub fn json_depth_ok(text: &str, max_depth: usize) -> bool {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for b in text.bytes() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' | b'[' => {
-                depth += 1;
-                if depth > max_depth {
-                    return false;
-                }
-            }
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    true
-}
-
 /// Encodes a request as a frame payload.
 ///
 /// # Errors
@@ -451,7 +421,8 @@ pub fn encode_response(msg: &ServeResponse) -> Result<Vec<u8>, String> {
 
 /// Decodes a frame payload as a request. Typed rejection, never a panic:
 /// the payload already passed the frame digest, but digest-valid bytes can
-/// still be hostile — non-UTF-8, absurdly nested, or garbage JSON.
+/// still be hostile — non-UTF-8, nested deeper than [`MAX_JSON_DEPTH`], or
+/// garbage JSON.
 ///
 /// # Errors
 ///
@@ -460,9 +431,6 @@ pub fn encode_response(msg: &ServeResponse) -> Result<Vec<u8>, String> {
 pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, String> {
     let text =
         std::str::from_utf8(payload).map_err(|e| format!("non-UTF-8 payload: {e}"))?;
-    if !json_depth_ok(text, MAX_JSON_DEPTH) {
-        return Err(format!("JSON nests deeper than {MAX_JSON_DEPTH}"));
-    }
     serde_json::from_str(text).map_err(|e| format!("undecodable request: {e}"))
 }
 
@@ -474,9 +442,6 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, String> {
 pub fn decode_response(payload: &[u8]) -> Result<ServeResponse, String> {
     let text =
         std::str::from_utf8(payload).map_err(|e| format!("non-UTF-8 payload: {e}"))?;
-    if !json_depth_ok(text, MAX_JSON_DEPTH) {
-        return Err(format!("JSON nests deeper than {MAX_JSON_DEPTH}"));
-    }
     serde_json::from_str(text).map_err(|e| format!("undecodable response: {e}"))
 }
 
@@ -521,12 +486,26 @@ mod tests {
     }
 
     #[test]
-    fn depth_scan_rejects_before_parse() {
+    fn decoder_bounds_nesting_depth() {
         let hostile = "[".repeat(MAX_JSON_DEPTH + 10);
         assert!(decode_request(hostile.as_bytes()).is_err());
+        // A well-formed request whose IR nests too deep for the decoder.
+        let req = ServeRequest::Predict {
+            id: 1,
+            loops: vec![deep_wire(MAX_JSON_DEPTH)],
+        };
+        let err = decode_request(&encode_request(&req).unwrap()).unwrap_err();
+        assert!(err.contains("nests deeper"), "{err}");
+        // Hidden in an unknown field, which the decoder skips unread.
+        let hidden = format!(r#"{{"Stats":{{"id":1,"junk":{hostile}}}}}"#);
+        let err = decode_request(hidden.as_bytes()).unwrap_err();
+        assert!(err.contains("nests deeper"), "{err}");
         // Brackets inside strings do not count.
-        assert!(json_depth_ok("{\"k\": \"]]]]\\\"[[[\"}", 2));
-        assert!(!json_depth_ok("[[[", 2));
+        let quoted = format!(r#"{{"Stats":{{"id":1,"junk":"{hostile}"}}}}"#);
+        assert_eq!(
+            decode_request(quoted.as_bytes()),
+            Ok(ServeRequest::Stats { id: 1 })
+        );
     }
 
     #[test]

@@ -96,10 +96,7 @@ pub struct ParsedEvent {
 /// Looks up a key in a JSON map value.
 pub fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
     match v {
-        Value::Map(entries) => entries
-            .iter()
-            .find(|(k, _)| matches!(k, Value::Str(s) if s == key))
-            .map(|(_, v)| v),
+        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
     }
 }

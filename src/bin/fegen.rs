@@ -1242,12 +1242,15 @@ fn cmd_train_model(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     artifact
         .save(std::path::Path::new(&out))
         .map_err(|e| format!("saving model: {e}"))?;
+    let digest = artifact
+        .digest()
+        .map_err(|e| format!("hashing model: {e}"))?;
     println!(
         "model written to {out}: {} feature(s), {} class(es), {} example(s), digest {:#018x}",
         features.len(),
         artifact.n_classes,
         examples.len(),
-        artifact.digest(),
+        digest,
     );
     Ok(())
 }
