@@ -1,7 +1,8 @@
-//! Micro-benchmark: simulator throughput — machine preparation (CFG +
-//! static block costs) and execution (instructions per second), which
-//! bound the §V data-generation time (2,778 loops × 16 factors at paper
-//! scale).
+//! Micro-benchmark: simulator throughput — machine preparation (decoding
+//! every function into micro-ops with its block table and static block
+//! costs, in one pass per function) and execution of the decoded images
+//! (instructions per second), which bound the §V data-generation time
+//! (2,778 loops × 16 factors at paper scale).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fegen_rtl::lower::lower_program;

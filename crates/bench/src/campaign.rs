@@ -210,6 +210,8 @@ pub struct CampaignReport {
     /// Forked cells that also reused the snapshot's pre-warmed init state
     /// instead of re-simulating the workload's init calls.
     pub init_forks: u64,
+    /// RTL instructions the forked cells simulated.
+    pub sim_insns: u64,
 }
 
 /// A typed failure of the campaign driver.
@@ -304,11 +306,11 @@ struct Shared<'a> {
     fatal_stop: AtomicBool,
     fatal: Mutex<Option<DatasetError>>,
     report: Mutex<CampaignReport>,
-    /// Cumulative per-function analyses reused across every snapshot this
-    /// run built (fork-once mode) — feeds the reuse-rate gauge.
-    analyses_reused: AtomicU64,
-    /// Cumulative per-function analyses built from scratch.
-    analyses_built: AtomicU64,
+    /// Cumulative decoded function images reused across every snapshot
+    /// this run built (fork-once mode) — feeds the reuse-rate gauge.
+    images_reused: AtomicU64,
+    /// Cumulative function images decoded per fork.
+    images_built: AtomicU64,
 }
 
 /// Runs (or resumes) a measurement campaign into `store`.
@@ -374,8 +376,8 @@ pub fn run_campaign_with_telemetry(
             total: suite.len(),
             ..CampaignReport::default()
         }),
-        analyses_reused: AtomicU64::new(0),
-        analyses_built: AtomicU64::new(0),
+        images_reused: AtomicU64::new(0),
+        images_built: AtomicU64::new(0),
     };
     if workers <= 1 {
         worker(&shared);
@@ -792,18 +794,20 @@ fn account_snapshot(shared: &Shared<'_>, snap: &BenchmarkSnapshot) {
         report.snapshot_builds += 1;
         report.forks += stats.forks;
         report.init_forks += stats.init_forks;
+        report.sim_insns += stats.sim_insns;
     }
     shared.telemetry.counter_add("campaign.snapshot_builds", 1);
     shared.telemetry.counter_add("campaign.forks", stats.forks);
     shared.telemetry.counter_add("campaign.init_forks", stats.init_forks);
-    let reused = stats.analyses_reused
+    shared.telemetry.counter_add("campaign.sim_insns", stats.sim_insns);
+    let reused = stats.images_reused
         + shared
-            .analyses_reused
-            .fetch_add(stats.analyses_reused, Ordering::SeqCst);
-    let built = stats.analyses_built
+            .images_reused
+            .fetch_add(stats.images_reused, Ordering::SeqCst);
+    let built = stats.images_built
         + shared
-            .analyses_built
-            .fetch_add(stats.analyses_built, Ordering::SeqCst);
+            .images_built
+            .fetch_add(stats.images_built, Ordering::SeqCst);
     if reused + built > 0 {
         shared.telemetry.gauge_set(
             "campaign.snapshot_reuse_rate",

@@ -89,8 +89,9 @@ pub fn campaign_summary(report: &CampaignReport) -> String {
     if report.snapshot_builds > 0 {
         let _ = writeln!(
             out,
-            "fork-once: {} snapshot(s) built, {} cell(s) forked ({} reusing pre-warmed init state)",
-            report.snapshot_builds, report.forks, report.init_forks
+            "fork-once: {} snapshot(s) built, {} cell(s) forked ({} reusing pre-warmed init state), \
+             {} instruction(s) simulated",
+            report.snapshot_builds, report.forks, report.init_forks, report.sim_insns
         );
     }
     if !report.remeasured_corrupt.is_empty() {
@@ -168,6 +169,7 @@ mod tests {
             snapshot_builds: 2,
             forks: 112,
             init_forks: 96,
+            sim_insns: 5_600,
         };
         let s = campaign_summary(&report);
         assert!(s.contains("2 measured"));
@@ -176,6 +178,7 @@ mod tests {
         assert!(s.contains("3 attempt(s)"));
         assert!(s.contains("2 snapshot(s) built"));
         assert!(s.contains("112 cell(s) forked"));
+        assert!(s.contains("5600 instruction(s) simulated"));
         let clean = campaign_summary(&CampaignReport::default());
         assert!(clean.contains("quarantine: empty"));
         assert!(!clean.contains("fork-once"), "scratch runs stay silent");

@@ -347,10 +347,18 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
             "fork-once: {snapshots} snapshot(s) built, {forks} cell(s) forked \
              ({init_forks} reusing pre-warmed init state)"
         );
+        let insns = get("campaign.sim_insns");
+        if forks > 0 && insns > 0 {
+            let _ = writeln!(
+                out,
+                "  simulated: {insns} instruction(s), {:.0} per cell",
+                insns as f64 / forks as f64
+            );
+        }
         if let Some(reuse) = metrics.get("campaign.snapshot_reuse_rate") {
             let _ = writeln!(
                 out,
-                "  analysis reuse: {:.1}% of per-function analyses served from the snapshot cache",
+                "  image reuse: {:.1}% of per-function decoded images served from the snapshot",
                 reuse * 100.0
             );
         }
@@ -582,6 +590,7 @@ mod tests {
         t.counter_add("campaign.snapshot_builds", 3);
         t.counter_add("campaign.forks", 320);
         t.counter_add("campaign.init_forks", 300);
+        t.counter_add("campaign.sim_insns", 48_000);
         t.gauge_set("campaign.snapshot_reuse_rate", 0.75);
         t.emit_metrics("eval_pool");
         t.event("gp_generation")
@@ -608,7 +617,11 @@ mod tests {
             summary.contains("3 snapshot(s) built, 320 cell(s) forked"),
             "{summary}"
         );
-        assert!(summary.contains("analysis reuse: 75.0%"), "{summary}");
+        assert!(summary.contains("image reuse: 75.0%"), "{summary}");
+        assert!(
+            summary.contains("simulated: 48000 instruction(s), 150 per cell"),
+            "{summary}"
+        );
         assert!(summary.contains("best 0.9000"), "{summary}");
         assert!(summary.contains("checkpoints: 1 write(s)"), "{summary}");
         assert!(

@@ -9,16 +9,19 @@
 //! every block entry, plus dynamic penalties: D-cache misses on actual
 //! addresses, I-cache misses on the block's code footprint, and branch
 //! mispredictions from a two-bit predictor.
+//!
+//! The machine executes the flat micro-ops of [`crate::image`], one
+//! decoded image per function; it never walks RTL expression trees.
 
 use crate::cache::{BranchPredictor, Cache};
-use crate::cost::{block_costs, BlockCosts, CostModel};
-use fegen_rtl::cfg::Cfg;
+use crate::cost::CostModel;
+use crate::image::{function_index, Conv, FuncImage, Op, Slot, INSN_BYTES};
 use fegen_rtl::func::ParamKind;
-use fegen_rtl::node::{InsnBody, Mode, Rtx, RtxCode, RtxValue};
+use fegen_rtl::node::Mode;
 use fegen_rtl::{RtlFunction, RtlProgram};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A runtime value.
@@ -133,117 +136,113 @@ impl Default for SimConfig {
     }
 }
 
-const LINE_BYTES: usize = 64;
-const INSN_BYTES: u64 = 4;
+const LINE_BYTES: u64 = 64;
 
-/// The content-derived part of a function's execution image: CFG-shaped
-/// lookup tables and static block costs. Depends only on the function body
-/// and the cost model — never on the function's position in a program — so
-/// one analysis can be shared (via [`Arc`]) by every [`Machine`] simulating
-/// an identical copy of the function. This is the immutable state a
-/// fork-once measurement campaign builds once per benchmark and reuses for
-/// every per-factor variant.
-#[derive(Debug, Clone)]
-pub struct FuncAnalysis {
-    /// Static block costs under the configured pipeline model.
-    pub costs: BlockCosts,
-    /// Block index of every instruction.
-    pub block_of: Vec<usize>,
-    /// Whether the instruction index starts a block.
-    pub is_block_start: Vec<bool>,
-    /// Block span (start, end) per block.
-    pub spans: Vec<(usize, usize)>,
-    /// Instruction index of every label.
-    pub label_at: HashMap<u32, usize>,
+/// The decoded images of every function of one program, in program
+/// order, with the name index calls resolve through. Built once per
+/// program (or per benchmark snapshot) and shared by every machine that
+/// simulates it.
+#[derive(Debug)]
+pub(crate) struct ProgramImage {
+    funcs: Vec<Arc<FuncImage>>,
+    names: Arc<HashMap<String, u32>>,
 }
 
-impl FuncAnalysis {
-    /// Builds the analysis for one function under `model`.
-    pub fn build(f: &RtlFunction, model: &CostModel) -> FuncAnalysis {
-        let cfg = Cfg::build(f);
-        let costs = block_costs(f, &cfg, model);
-        let n = f.insns.len();
-        let mut block_of = vec![0usize; n];
-        let mut is_block_start = vec![false; n];
-        let mut spans = Vec::with_capacity(cfg.blocks.len());
-        for b in &cfg.blocks {
-            spans.push((b.start, b.end));
-            if b.start < n {
-                is_block_start[b.start] = true;
-            }
-            block_of[b.start..b.end].fill(b.index);
-        }
-        let mut label_at = HashMap::new();
-        for (i, insn) in f.insns.iter().enumerate() {
-            if let InsnBody::Label(l) = insn.body {
-                label_at.insert(l, i);
-            }
-        }
-        FuncAnalysis {
-            costs,
-            block_of,
-            is_block_start,
-            spans,
-            label_at,
+impl ProgramImage {
+    /// Decodes every function of `program` under `model`.
+    pub(crate) fn build(program: &RtlProgram, model: &CostModel) -> ProgramImage {
+        let names = function_index(program);
+        let funcs = program
+            .functions
+            .iter()
+            .map(|f| Arc::new(FuncImage::build(program, &names, f, model)))
+            .collect();
+        ProgramImage {
+            funcs,
+            names: Arc::new(names),
         }
     }
-}
 
-/// Shareable per-function analyses, keyed by function name. Entries must
-/// have been built from functions *identical in content* to the ones they
-/// are reused for — [`Machine::with_overlay`] looks them up by name and
-/// trusts them.
-pub type AnalysisCache = HashMap<String, Arc<FuncAnalysis>>;
-
-/// Prepared per-function execution image: the shared content analysis plus
-/// the program-position-dependent code address.
-struct FuncImage<'p> {
-    func: &'p RtlFunction,
-    analysis: Arc<FuncAnalysis>,
-    /// Byte address of the function's first instruction.
-    code_base: u64,
+    /// Decodes `overlay` as a replacement for the program's function of
+    /// the same name. The overlay must keep that function's parameters:
+    /// the other images were decoded against them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has no function named like the overlay, or its
+    /// parameters differ.
+    pub(crate) fn decode_overlay(
+        &self,
+        program: &RtlProgram,
+        overlay: &RtlFunction,
+        model: &CostModel,
+    ) -> FuncImage {
+        let original = self
+            .names
+            .get(&overlay.name)
+            .map(|&i| &program.functions[i as usize])
+            .expect("the overlay replaces a function of the program");
+        assert_eq!(
+            original.params, overlay.params,
+            "an overlay must keep its function's parameters"
+        );
+        FuncImage::build(program, &self.names, overlay, model)
+    }
 }
 
 /// The mutable simulation state of a [`Machine`] at one point in time:
 /// memory image, cache and predictor contents, and cycle/instruction
-/// counters. Exported after a benchmark's `init` calls and imported into
+/// counters. Exported after a benchmark's `init` calls and handed to
 /// per-factor fork machines, it lets a measurement campaign simulate
 /// initialisation once instead of once per factor — sound only when the
 /// fork would replay init at identical code addresses (the eligibility
 /// test lives in [`crate::oracle::ProgramSnapshot`]).
 #[derive(Debug, Clone)]
-pub struct MachineState {
+pub(crate) struct MachineState {
     memory: Vec<u64>,
     dcache: Cache,
     icache: Cache,
     bp: BranchPredictor,
-    cycles_by_func: HashMap<String, u64>,
+    cycles: Vec<u64>,
     total_cycles: u64,
     insns_executed: u64,
 }
 
-/// The simulated machine: program, memory image, caches, predictor and
-/// per-function cycle counters.
+impl MachineState {
+    /// Instructions executed up to the export point.
+    pub(crate) fn insns_executed(&self) -> u64 {
+        self.insns_executed
+    }
+}
+
+/// The simulated machine: decoded program, memory image, caches,
+/// predictor and per-function cycle counters.
 pub struct Machine<'p> {
     program: &'p RtlProgram,
-    images: HashMap<&'p str, Rc<FuncImage<'p>>>,
+    /// Function images in program order (empty while a call runs: the
+    /// executor borrows them beside the mutable state).
+    funcs: Vec<Arc<FuncImage>>,
+    names: Arc<HashMap<String, u32>>,
+    /// Byte address of each function's first instruction.
+    code_base: Vec<u64>,
     /// Memory image: one 8-byte cell per array element.
     pub memory: Vec<u64>,
     dcache: Cache,
     icache: Cache,
     bp: BranchPredictor,
-    cycles_by_func: HashMap<String, u64>,
+    /// Exclusive cycles per function index.
+    cycles: Vec<u64>,
     total_cycles: u64,
     insns_executed: u64,
-    analyses_reused: usize,
-    analyses_built: usize,
+    /// Spare call frames, reused across calls.
+    frames: Vec<Vec<Value>>,
     config: SimConfig,
 }
 
 impl<'p> fmt::Debug for Machine<'p> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
-            .field("functions", &self.images.len())
+            .field("functions", &self.code_base.len())
             .field("memory_cells", &self.memory.len())
             .field("total_cycles", &self.total_cycles)
             .field("insns_executed", &self.insns_executed)
@@ -252,78 +251,95 @@ impl<'p> fmt::Debug for Machine<'p> {
 }
 
 impl<'p> Machine<'p> {
-    /// Prepares a machine for `program` (builds CFGs and static block
-    /// costs for every function, zeroes memory).
+    /// Prepares a machine for `program`: decodes every function (micro-ops
+    /// and static block costs) and zeroes memory.
     pub fn new(program: &'p RtlProgram, config: SimConfig) -> Machine<'p> {
-        Machine::with_overlay(program, None, None, config)
+        let image = ProgramImage::build(program, &config.model);
+        Machine::fork(program, &image, None, None, config)
     }
 
-    /// As [`Machine::new`], with two fork-oriented extensions: `overlay`
-    /// (when `Some`) is substituted — by name — for the program's own copy
-    /// of that function, and `analyses` (when `Some`) supplies prebuilt
-    /// [`FuncAnalysis`] entries reused for every non-overlay function found
-    /// in it. The overlay's analysis is always built fresh.
+    /// A machine over `image` (decoded from `program`), with `overlay`
+    /// (when `Some`) substituted for the function of the same name, and
+    /// starting from `state` (when `Some`) instead of zeroed memory and
+    /// cold caches.
     ///
-    /// Code addresses are assigned sequentially over the *substituted*
+    /// Code addresses are assigned sequentially over the substituted
     /// function list in program order, exactly as [`Machine::new`] would
     /// lay out a materialized variant program — so I-cache and
     /// branch-predictor behaviour is identical to simulating that variant.
     ///
-    /// Cached entries are trusted: the caller guarantees each was built
-    /// from a function with the same body as the program's, under the same
-    /// cost model.
-    pub fn with_overlay(
+    /// # Panics
+    ///
+    /// Panics if `state` comes from a machine with a different memory
+    /// layout.
+    pub(crate) fn fork(
         program: &'p RtlProgram,
-        overlay: Option<&'p RtlFunction>,
-        analyses: Option<&AnalysisCache>,
+        image: &ProgramImage,
+        overlay: Option<(&str, Arc<FuncImage>)>,
+        state: Option<&MachineState>,
         config: SimConfig,
     ) -> Machine<'p> {
-        let mut images = HashMap::new();
-        let mut code_base = 0u64;
-        let mut analyses_reused = 0usize;
-        let mut analyses_built = 0usize;
-        for f in &program.functions {
-            let substituted = overlay.filter(|o| o.name == f.name);
-            let f: &'p RtlFunction = substituted.unwrap_or(f);
-            let cached = if substituted.is_none() {
-                analyses.and_then(|c| c.get(f.name.as_str()))
-            } else {
-                None
-            };
-            let analysis = match cached {
-                Some(a) => {
-                    analyses_reused += 1;
-                    Arc::clone(a)
+        let mut funcs = image.funcs.clone();
+        if let Some((name, img)) = overlay {
+            for (slot, f) in funcs.iter_mut().zip(&program.functions) {
+                if f.name == name {
+                    *slot = Arc::clone(&img);
                 }
-                None => {
-                    analyses_built += 1;
-                    Arc::new(FuncAnalysis::build(f, &config.model))
-                }
-            };
-            let n = f.insns.len();
-            images.insert(
-                f.name.as_str(),
-                Rc::new(FuncImage {
-                    func: f,
-                    analysis,
-                    code_base,
-                }),
-            );
-            code_base += (n as u64 + 8) * INSN_BYTES;
+            }
         }
-        let memory = vec![0u64; program.layout.total_cells() as usize];
+        let mut code_base = Vec::with_capacity(funcs.len());
+        let mut next = 0u64;
+        for f in &funcs {
+            code_base.push(next);
+            next += (f.n_insns as u64 + 8) * INSN_BYTES;
+        }
+        let cells = program.layout.total_cells() as usize;
+        let state = match state {
+            Some(s) => {
+                assert_eq!(
+                    s.memory.len(),
+                    cells,
+                    "machine state from a different memory layout"
+                );
+                assert_eq!(
+                    s.cycles.len(),
+                    funcs.len(),
+                    "machine state from a different program"
+                );
+                s.clone()
+            }
+            None => MachineState {
+                memory: vec![0u64; cells],
+                dcache: Cache::new(config.dcache_lines, LINE_BYTES as usize),
+                icache: Cache::new(config.icache_lines, LINE_BYTES as usize),
+                bp: BranchPredictor::new(config.bp_entries),
+                cycles: vec![0u64; funcs.len()],
+                total_cycles: 0,
+                insns_executed: 0,
+            },
+        };
+        let MachineState {
+            memory,
+            dcache,
+            icache,
+            bp,
+            cycles,
+            total_cycles,
+            insns_executed,
+        } = state;
         Machine {
             program,
-            images,
+            funcs,
+            names: Arc::clone(&image.names),
+            code_base,
             memory,
-            dcache: Cache::new(config.dcache_lines, LINE_BYTES),
-            icache: Cache::new(config.icache_lines, LINE_BYTES),
-            bp: BranchPredictor::new(config.bp_entries),
-            cycles_by_func: HashMap::new(),
-            total_cycles: 0,
-            insns_executed: 0,
-            analyses_reused,
-            analyses_built,
+            dcache,
+            icache,
+            bp,
+            cycles,
+            total_cycles,
+            insns_executed,
+            frames: Vec::new(),
             config,
         }
     }
@@ -334,11 +350,12 @@ impl<'p> Machine<'p> {
     ///
     /// See [`SimError`].
     pub fn call(&mut self, name: &str, args: &[Arg]) -> Result<Option<Value>, SimError> {
-        let image = self
-            .images
+        let f = *self
+            .names
             .get(name)
             .ok_or_else(|| SimError::UnknownFunction(name.to_owned()))?;
-        let func = image.func;
+        let program = self.program;
+        let func = &program.functions[f as usize];
         if args.len() != func.params.len() {
             return Err(SimError::BadArguments(format!(
                 "`{name}` expects {} arguments, got {}",
@@ -346,23 +363,24 @@ impl<'p> Machine<'p> {
                 args.len()
             )));
         }
-        let mut scalars = Vec::new();
-        let mut arrays: HashMap<String, u64> = HashMap::new();
-        for (p, a) in func.params.iter().zip(args) {
-            match (&p.kind, a) {
+        let image = Arc::clone(&self.funcs[f as usize]);
+        let mut frame = self.frames.pop().unwrap_or_default();
+        frame.clear();
+        frame.extend_from_slice(&image.template);
+        for ((p, a), &slot) in func.params.iter().zip(args).zip(&image.param_slots) {
+            frame[slot as usize] = match (&p.kind, a) {
                 (ParamKind::Scalar { mode, .. }, Arg::Int(v)) => {
-                    scalars.push(convert_to_mode(Value::I(*v), *mode));
+                    Conv::of(*mode).apply(Value::I(*v))
                 }
                 (ParamKind::Scalar { mode, .. }, Arg::Float(v)) => {
-                    scalars.push(convert_to_mode(Value::F(*v), *mode));
+                    Conv::of(*mode).apply(Value::F(*v))
                 }
                 (ParamKind::Array { .. }, Arg::Array(sym)) => {
-                    let info = self
-                        .program
+                    let info = program
                         .layout
                         .get(sym)
                         .ok_or_else(|| SimError::UnknownSymbol(sym.clone()))?;
-                    arrays.insert(p.name.clone(), info.base);
+                    Value::I(info.base as i64)
                 }
                 _ => {
                     return Err(SimError::BadArguments(format!(
@@ -370,14 +388,18 @@ impl<'p> Machine<'p> {
                         p.name
                     )))
                 }
-            }
+            };
         }
-        self.call_values(name, &scalars, arrays, 0)
+        let funcs = std::mem::take(&mut self.funcs);
+        let result = self.invoke(&funcs, f, &mut frame, 0);
+        self.funcs = funcs;
+        self.frames.push(frame);
+        result
     }
 
     /// Cycles attributed (exclusively) to function `name` so far.
     pub fn cycles_of(&self, name: &str) -> u64 {
-        self.cycles_by_func.get(name).copied().unwrap_or(0)
+        self.names.get(name).map_or(0, |&f| self.cycles[f as usize])
     }
 
     /// Total cycles across all functions.
@@ -391,47 +413,17 @@ impl<'p> Machine<'p> {
     }
 
     /// Snapshots the machine's mutable state (memory, caches, predictor,
-    /// counters) for later [`Machine::import_state`] into a fork.
-    pub fn export_state(&self) -> MachineState {
+    /// counters) to start forks from (see [`Machine::fork`]).
+    pub(crate) fn export_state(&self) -> MachineState {
         MachineState {
             memory: self.memory.clone(),
             dcache: self.dcache.clone(),
             icache: self.icache.clone(),
             bp: self.bp.clone(),
-            cycles_by_func: self.cycles_by_func.clone(),
+            cycles: self.cycles.clone(),
             total_cycles: self.total_cycles,
             insns_executed: self.insns_executed,
         }
-    }
-
-    /// Replaces the machine's mutable state with an exported snapshot.
-    /// The state must come from a machine whose execution up to the export
-    /// point would have been identical on this machine (same memory
-    /// layout, same code addresses for everything executed) — the caller
-    /// proves that; this method just installs the bytes.
-    pub fn import_state(&mut self, state: MachineState) {
-        debug_assert_eq!(
-            state.memory.len(),
-            self.memory.len(),
-            "state from a different memory layout"
-        );
-        self.memory = state.memory;
-        self.dcache = state.dcache;
-        self.icache = state.icache;
-        self.bp = state.bp;
-        self.cycles_by_func = state.cycles_by_func;
-        self.total_cycles = state.total_cycles;
-        self.insns_executed = state.insns_executed;
-    }
-
-    /// Function analyses taken from the cache at construction.
-    pub fn analyses_reused(&self) -> usize {
-        self.analyses_reused
-    }
-
-    /// Function analyses built from scratch at construction.
-    pub fn analyses_built(&self) -> usize {
-        self.analyses_built
     }
 
     /// Branch mispredictions so far.
@@ -492,364 +484,336 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn call_values(
+    /// Runs function `f` on `frame` (its template, parameters bound) and
+    /// returns its result. Cycles are charged to `f` only when it returns.
+    fn invoke(
         &mut self,
-        name: &str,
-        scalars: &[Value],
-        arrays: HashMap<String, u64>,
+        funcs: &[Arc<FuncImage>],
+        f: u32,
+        frame: &mut [Value],
         depth: usize,
     ) -> Result<Option<Value>, SimError> {
         if depth >= self.config.max_depth {
             return Err(SimError::CallDepth);
         }
-        let image: Rc<FuncImage<'p>> = Rc::clone(
-            self.images
-                .get(name)
-                .ok_or_else(|| SimError::UnknownFunction(name.to_owned()))?,
-        );
-        let func = image.func;
-        let code_base = image.code_base;
-
-        let mut regs: Vec<Value> = func
-            .reg_modes
-            .iter()
-            .map(|m| match m {
-                Mode::DF => Value::F(0.0),
-                _ => Value::I(0),
-            })
-            .collect();
-        let mut next_scalar = 0usize;
-        for p in &func.params {
-            if let ParamKind::Scalar { reg, .. } = p.kind {
-                regs[reg as usize] = scalars[next_scalar];
-                next_scalar += 1;
-            }
-        }
-
+        let img: &FuncImage = &funcs[f as usize];
+        let code_base = self.code_base[f as usize];
+        let ops = &img.ops[..];
         let mut cycles = 0u64;
         let mut pc = 0usize;
-        let mut result: Option<Value> = None;
-
-        'exec: while pc < func.insns.len() {
-            // Charge block cost on block entry.
-            if image.analysis.is_block_start[pc] {
-                let b = image.analysis.block_of[pc];
-                let (bs, be) = image.analysis.spans[b];
-                cycles += image.analysis.costs.cycles[b] + image.analysis.costs.spill[b];
-                // Touch the block's I-cache lines.
-                let lo = code_base + bs as u64 * INSN_BYTES;
-                let hi = code_base + be as u64 * INSN_BYTES;
-                let mut addr = lo - lo % LINE_BYTES as u64;
-                while addr < hi {
-                    if !self.icache.access(addr) {
-                        cycles += self.config.model.icache_miss;
-                    }
-                    addr += LINE_BYTES as u64;
-                }
-            }
-
-            self.insns_executed += 1;
-            if self.insns_executed > self.config.max_insns {
-                return Err(SimError::InsnLimit);
-            }
-
-            let insn = &func.insns[pc];
-            match &insn.body {
-                InsnBody::Label(_) => {
-                    pc += 1;
-                }
-                InsnBody::Set { dest, src } => {
-                    let v = self.eval(src, &regs, &arrays, &mut cycles)?;
-                    match dest.code {
-                        RtxCode::Reg => {
-                            let r = dest.as_reg().expect("reg dest") as usize;
-                            regs[r] = convert_to_mode(v, dest.mode);
+        // One past the last instruction of the counted run in progress.
+        let mut run_end = 0u32;
+        loop {
+            let op = ops[pc];
+            pc += 1;
+            match op {
+                Op::Block(b) => {
+                    let block = &img.blocks[b as usize];
+                    cycles += block.cost;
+                    let lo = code_base + block.lo;
+                    let hi = code_base + block.hi;
+                    let mut addr = lo - lo % LINE_BYTES;
+                    while addr < hi {
+                        if !self.icache.access(addr) {
+                            cycles += self.config.model.icache_miss;
                         }
-                        RtxCode::Mem => {
-                            let addr = self
-                                .eval(&dest.ops[0], &regs, &arrays, &mut cycles)?
-                                .as_i();
-                            self.store(addr, convert_to_mode(v, dest.mode), &mut cycles)?;
-                        }
-                        _ => unreachable!("set dest is reg or mem"),
+                        addr += LINE_BYTES;
                     }
-                    pc += 1;
+                    if let Some(stop) = self.count(block.first, block.count, &mut run_end) {
+                        return Err(self.stop_at_limit(img, frame, pc, stop, run_end));
+                    }
                 }
-                InsnBody::CondJump { cond, target } => {
-                    let taken = self
-                        .eval(cond, &regs, &arrays, &mut cycles)?
-                        .is_true();
-                    let site = code_base + pc as u64;
-                    if !self.bp.predict_and_update(site, taken) {
+                Op::Count { first, n } => {
+                    if let Some(stop) = self.count(first, n, &mut run_end) {
+                        return Err(self.stop_at_limit(img, frame, pc, stop, run_end));
+                    }
+                }
+                Op::BrTrue { cond, target, site } => {
+                    let taken = frame[cond as usize].is_true();
+                    if !self
+                        .bp
+                        .predict_and_update(code_base + u64::from(site), taken)
+                    {
                         cycles += self.config.model.mispredict;
                     }
                     if taken {
-                        pc = *image
-                            .analysis
-                            .label_at
-                            .get(target)
-                            .ok_or(SimError::BadLabel(*target))?;
-                    } else {
-                        pc += 1;
+                        pc = target as usize;
                     }
                 }
-                InsnBody::Jump { target } => {
-                    pc = *image
-                        .analysis
-                        .label_at
-                        .get(target)
-                        .ok_or(SimError::BadLabel(*target))?;
+                Op::BrFalse { cond, target, site } => {
+                    let taken = !frame[cond as usize].is_true();
+                    if !self
+                        .bp
+                        .predict_and_update(code_base + u64::from(site), taken)
+                    {
+                        cycles += self.config.model.mispredict;
+                    }
+                    if taken {
+                        pc = target as usize;
+                    }
                 }
-                InsnBody::Call {
-                    name: callee,
-                    args,
-                    dest,
-                } => {
-                    // Evaluate arguments in the caller.
-                    let callee_func = self
-                        .images
-                        .get(callee.as_str())
-                        .ok_or_else(|| SimError::UnknownFunction(callee.clone()))?
-                        .func;
-                    let mut scalar_vals = Vec::new();
-                    let mut array_binds: HashMap<String, u64> = HashMap::new();
-                    for (p, a) in callee_func.params.iter().zip(args) {
-                        match &p.kind {
-                            ParamKind::Array { .. } => {
-                                let RtxValue::Sym(sym) = &a.value else {
-                                    return Err(SimError::BadArguments(format!(
-                                        "array argument to `{callee}` is not a symbol"
-                                    )));
-                                };
-                                let base = match arrays.get(sym) {
-                                    Some(b) => *b,
-                                    None => {
-                                        self.program
-                                            .layout
-                                            .get(sym)
-                                            .ok_or_else(|| {
-                                                SimError::UnknownSymbol(sym.clone())
-                                            })?
-                                            .base
-                                    }
-                                };
-                                array_binds.insert(p.name.clone(), base);
-                            }
-                            ParamKind::Scalar { mode, .. } => {
-                                let v = self.eval(a, &regs, &arrays, &mut cycles)?;
-                                scalar_vals.push(convert_to_mode(v, *mode));
-                            }
-                        }
+                Op::Jump { target } => pc = target as usize,
+                Op::Call { site } => {
+                    let site = &img.calls[site as usize];
+                    let callee = &funcs[site.func as usize];
+                    let mut callee_frame = self.frames.pop().unwrap_or_default();
+                    callee_frame.clear();
+                    callee_frame.extend_from_slice(&callee.template);
+                    let (start, end) = site.args;
+                    let args = &img.call_args[start as usize..end as usize];
+                    for (&(src, conv), &slot) in args.iter().zip(&callee.param_slots) {
+                        callee_frame[slot as usize] = conv.apply(frame[src as usize]);
                     }
                     cycles += self.config.model.call_overhead;
-                    let ret = self.call_values(callee, &scalar_vals, array_binds, depth + 1)?;
-                    if let Some(d) = dest {
-                        let r = d.as_reg().expect("call dest is a reg") as usize;
-                        regs[r] = convert_to_mode(
-                            ret.ok_or_else(|| {
-                                SimError::BadArguments(format!("`{callee}` returned no value"))
-                            })?,
-                            d.mode,
-                        );
+                    let ret = self.invoke(funcs, site.func, &mut callee_frame, depth + 1);
+                    self.frames.push(callee_frame);
+                    let ret = ret?;
+                    if let Some((dst, conv)) = site.dst {
+                        let Some(v) = ret else {
+                            let name = &self.program.functions[site.func as usize].name;
+                            let e = SimError::BadArguments(format!("`{name}` returned no value"));
+                            return Err(self.fault(img, op, pc - 1, run_end, e));
+                        };
+                        frame[dst as usize] = conv.apply(v);
                     }
-                    pc += 1;
                 }
-                InsnBody::Return { value } => {
-                    result = match value {
-                        Some(v) => Some(self.eval(v, &regs, &arrays, &mut cycles)?),
-                        None => None,
-                    };
-                    break 'exec;
+                Op::Ret { src } => {
+                    let v = frame[src as usize];
+                    self.cycles[f as usize] += cycles;
+                    self.total_cycles += cycles;
+                    return Ok(Some(v));
+                }
+                Op::RetNone => {
+                    self.cycles[f as usize] += cycles;
+                    self.total_cycles += cycles;
+                    return Ok(None);
+                }
+                op => {
+                    if let Err(e) = self.step(img, op, frame, &mut cycles) {
+                        return Err(self.fault(img, op, pc - 1, run_end, e));
+                    }
                 }
             }
         }
-
-        *self.cycles_by_func.entry(name.to_owned()).or_insert(0) += cycles;
-        self.total_cycles += cycles;
-        Ok(result)
     }
 
-    fn load(&mut self, addr: i64, mode: Mode, cycles: &mut u64) -> Result<Value, SimError> {
-        if addr < 0 || addr as usize >= self.memory.len() {
-            return Err(SimError::BadAddress(addr));
+    /// Counts the run of `n` instructions starting at `first`. Returns the
+    /// instruction the limit stops at when the run would cross it.
+    #[inline(always)]
+    fn count(&mut self, first: u32, n: u32, run_end: &mut u32) -> Option<u32> {
+        let before = self.insns_executed;
+        let after = before + u64::from(n);
+        if after <= self.config.max_insns {
+            self.insns_executed = after;
+            *run_end = first + n;
+            return None;
         }
-        if !self.dcache.access(addr as u64 * 8) {
-            *cycles += self.config.model.dcache_miss;
-        }
-        let bits = self.memory[addr as usize];
-        Ok(match mode {
-            Mode::DF => Value::F(f64::from_bits(bits)),
-            _ => Value::I(bits as i64),
-        })
+        // The limit falls inside the run: the instructions before it
+        // execute in full, and counting the next one raises the error.
+        let allowed = self.config.max_insns.saturating_sub(before) as u32;
+        self.insns_executed = before + u64::from(allowed) + 1;
+        *run_end = first + allowed + 1;
+        Some(first + allowed)
     }
 
-    fn store(&mut self, addr: i64, value: Value, cycles: &mut u64) -> Result<(), SimError> {
-        if addr < 0 || addr as usize >= self.memory.len() {
-            return Err(SimError::BadAddress(addr));
+    /// Executes the straight-line micro-ops from `pc` up to instruction
+    /// `stop` (where the instruction limit hits), then raises the limit.
+    #[cold]
+    fn stop_at_limit(
+        &mut self,
+        img: &FuncImage,
+        frame: &mut [Value],
+        mut pc: usize,
+        stop: u32,
+        run_end: u32,
+    ) -> SimError {
+        // Cycles of an unfinished call are never charged.
+        let mut cycles = 0u64;
+        let end = img.insn_start[stop as usize] as usize;
+        while pc < end {
+            let op = img.ops[pc];
+            pc += 1;
+            if let Err(e) = self.step(img, op, frame, &mut cycles) {
+                return self.fault(img, op, pc - 1, run_end, e);
+            }
         }
-        if !self.dcache.access(addr as u64 * 8) {
-            *cycles += self.config.model.dcache_miss;
-        }
-        self.memory[addr as usize] = match value {
-            Value::F(v) => v.to_bits(),
-            Value::I(v) => v as u64,
+        SimError::InsnLimit
+    }
+
+    /// Turns an error raised by the micro-op at `pc` into the call's
+    /// result: instructions of the run after the failing one were counted
+    /// ahead but never started, so they are taken back.
+    #[cold]
+    fn fault(&mut self, img: &FuncImage, op: Op, pc: usize, run_end: u32, e: SimError) -> SimError {
+        let insn = match op {
+            Op::Fail { insn, .. } => insn,
+            _ => (img.insn_start.partition_point(|&s| s as usize <= pc) - 1) as u32,
         };
+        self.insns_executed -= u64::from(run_end - (insn + 1));
+        e
+    }
+
+    /// Executes one straight-line micro-op.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        img: &FuncImage,
+        op: Op,
+        frame: &mut [Value],
+        cycles: &mut u64,
+    ) -> Result<(), SimError> {
+        macro_rules! int {
+            ($dst:ident, $a:ident, $b:ident, |$x:ident, $y:ident| $e:expr) => {{
+                let $x = frame[$a as usize].as_i();
+                let $y = frame[$b as usize].as_i();
+                frame[$dst as usize] = Value::I($e);
+            }};
+        }
+        macro_rules! float {
+            ($dst:ident, $a:ident, $b:ident, |$x:ident, $y:ident| $e:expr) => {{
+                let $x = frame[$a as usize].as_f();
+                let $y = frame[$b as usize].as_f();
+                frame[$dst as usize] = Value::F($e);
+            }};
+        }
+        macro_rules! cmp {
+            ($dst:ident, $a:ident, $b:ident, $test:expr, $unordered:expr) => {{
+                let r = match compare(frame[$a as usize], frame[$b as usize]) {
+                    Some(o) => $test(o),
+                    None => $unordered,
+                };
+                frame[$dst as usize] = Value::I(i64::from(r));
+            }};
+        }
+        macro_rules! unary {
+            ($dst:ident, $a:ident, |$x:ident| $e:expr) => {{
+                let $x = frame[$a as usize];
+                frame[$dst as usize] = $e;
+            }};
+        }
+        match op {
+            Op::Mov { dst, src } => frame[dst as usize] = frame[src as usize],
+            Op::MovI { dst, src } => frame[dst as usize] = Value::I(frame[src as usize].as_i()),
+            Op::MovF { dst, src } => frame[dst as usize] = Value::F(frame[src as usize].as_f()),
+            Op::AddI { dst, a, b } => int!(dst, a, b, |x, y| x.wrapping_add(y)),
+            Op::SubI { dst, a, b } => int!(dst, a, b, |x, y| x.wrapping_sub(y)),
+            Op::MulI { dst, a, b } => int!(dst, a, b, |x, y| x.wrapping_mul(y)),
+            Op::DivI { dst, a, b } => {
+                int!(dst, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_div(y) })
+            }
+            Op::ModI { dst, a, b } => {
+                int!(dst, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_rem(y) })
+            }
+            Op::And { dst, a, b } => int!(dst, a, b, |x, y| x & y),
+            Op::Ior { dst, a, b } => int!(dst, a, b, |x, y| x | y),
+            Op::Xor { dst, a, b } => int!(dst, a, b, |x, y| x ^ y),
+            Op::Shl { dst, a, b } => int!(dst, a, b, |x, y| x.wrapping_shl((y & 63) as u32)),
+            Op::Shr { dst, a, b } => int!(dst, a, b, |x, y| x.wrapping_shr((y & 63) as u32)),
+            Op::MinI { dst, a, b } => int!(dst, a, b, |x, y| x.min(y)),
+            Op::MaxI { dst, a, b } => int!(dst, a, b, |x, y| x.max(y)),
+            Op::AddF { dst, a, b } => float!(dst, a, b, |x, y| x + y),
+            Op::SubF { dst, a, b } => float!(dst, a, b, |x, y| x - y),
+            Op::MulF { dst, a, b } => float!(dst, a, b, |x, y| x * y),
+            Op::DivF { dst, a, b } => float!(dst, a, b, |x, y| if y == 0.0 { 0.0 } else { x / y }),
+            Op::MinF { dst, a, b } => float!(dst, a, b, |x, y| x.min(y)),
+            Op::MaxF { dst, a, b } => float!(dst, a, b, |x, y| x.max(y)),
+            Op::Eq { dst, a, b } => cmp!(dst, a, b, Ordering::is_eq, false),
+            Op::Ne { dst, a, b } => cmp!(dst, a, b, Ordering::is_ne, true),
+            Op::Lt { dst, a, b } => cmp!(dst, a, b, Ordering::is_lt, false),
+            Op::Le { dst, a, b } => cmp!(dst, a, b, Ordering::is_le, false),
+            Op::Gt { dst, a, b } => cmp!(dst, a, b, Ordering::is_gt, false),
+            Op::Ge { dst, a, b } => cmp!(dst, a, b, Ordering::is_ge, false),
+            Op::Neg { dst, a } => unary!(dst, a, |x| match x {
+                Value::I(v) => Value::I(v.wrapping_neg()),
+                Value::F(v) => Value::F(-v),
+            }),
+            Op::NegI { dst, a } => unary!(dst, a, |x| Value::I(x.as_i().wrapping_neg())),
+            Op::NegF { dst, a } => unary!(dst, a, |x| Value::F(-x.as_f())),
+            Op::Abs { dst, a } => unary!(dst, a, |x| match x {
+                Value::I(v) => Value::I(v.wrapping_abs()),
+                Value::F(v) => Value::F(v.abs()),
+            }),
+            Op::AbsI { dst, a } => unary!(dst, a, |x| Value::I(x.as_i().wrapping_abs())),
+            Op::AbsF { dst, a } => unary!(dst, a, |x| Value::F(x.as_f().abs())),
+            Op::Not { dst, a } => unary!(dst, a, |x| Value::I(!x.as_i())),
+            Op::ToF { dst, a } => unary!(dst, a, |x| Value::F(x.as_f())),
+            Op::Fix { dst, a } => unary!(dst, a, |x| Value::I(x.as_f() as i64)),
+            Op::LoadI { dst, base, index } => {
+                let bits = self.load(address(frame, base, index), cycles)?;
+                frame[dst as usize] = Value::I(bits as i64);
+            }
+            Op::LoadF { dst, base, index } => {
+                let bits = self.load(address(frame, base, index), cycles)?;
+                frame[dst as usize] = Value::F(f64::from_bits(bits));
+            }
+            Op::StoreI { src, base, index } => {
+                let bits = frame[src as usize].as_i() as u64;
+                self.store(address(frame, base, index), bits, cycles)?;
+            }
+            Op::StoreF { src, base, index } => {
+                let bits = frame[src as usize].as_f().to_bits();
+                self.store(address(frame, base, index), bits, cycles)?;
+            }
+            Op::Store { src, base, index } => {
+                let bits = match frame[src as usize] {
+                    Value::I(v) => v as u64,
+                    Value::F(v) => v.to_bits(),
+                };
+                self.store(address(frame, base, index), bits, cycles)?;
+            }
+            Op::Fail { err, .. } => return Err(img.errors[err as usize].clone()),
+            Op::Malformed { msg } => unreachable!("{}", img.malformed[msg as usize]),
+            Op::Block(_)
+            | Op::Count { .. }
+            | Op::BrTrue { .. }
+            | Op::BrFalse { .. }
+            | Op::Jump { .. }
+            | Op::Call { .. }
+            | Op::Ret { .. }
+            | Op::RetNone => unreachable!("control micro-op inside a straight-line run"),
+        }
         Ok(())
     }
 
-    fn eval(
-        &mut self,
-        rtx: &Rtx,
-        regs: &[Value],
-        arrays: &HashMap<String, u64>,
-        cycles: &mut u64,
-    ) -> Result<Value, SimError> {
-        use RtxCode::*;
-        Ok(match rtx.code {
-            Reg => regs[rtx.as_reg().expect("reg") as usize],
-            ConstInt => Value::I(rtx.as_const_int().expect("const_int")),
-            ConstDouble => match rtx.value {
-                RtxValue::Float(v) => Value::F(v),
-                _ => unreachable!("const_double payload"),
-            },
-            SymbolRef => {
-                let RtxValue::Sym(sym) = &rtx.value else {
-                    unreachable!("symbol_ref payload")
-                };
-                let base = match arrays.get(sym) {
-                    Some(b) => *b,
-                    None => {
-                        self.program
-                            .layout
-                            .get(sym)
-                            .ok_or_else(|| SimError::UnknownSymbol(sym.clone()))?
-                            .base
-                    }
-                };
-                Value::I(base as i64)
-            }
-            Mem => {
-                let addr = self.eval(&rtx.ops[0], regs, arrays, cycles)?.as_i();
-                self.load(addr, rtx.mode, cycles)?
-            }
-            Plus | Minus | Mult | Div | Mod | And | Ior | Xor | Ashift | Ashiftrt | Smin
-            | Smax => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                let b = self.eval(&rtx.ops[1], regs, arrays, cycles)?;
-                binary_op(rtx.code, rtx.mode, a, b)
-            }
-            Eq | Ne | Lt | Le | Gt | Ge => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                let b = self.eval(&rtx.ops[1], regs, arrays, cycles)?;
-                compare(rtx.code, a, b)
-            }
-            Neg => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                match convert_to_mode(a, rtx.mode) {
-                    Value::I(v) => Value::I(v.wrapping_neg()),
-                    Value::F(v) => Value::F(-v),
-                }
-            }
-            Abs => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                match convert_to_mode(a, rtx.mode) {
-                    Value::I(v) => Value::I(v.wrapping_abs()),
-                    Value::F(v) => Value::F(v.abs()),
-                }
-            }
-            Not => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                Value::I(!a.as_i())
-            }
-            Float | FloatExtend => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                Value::F(a.as_f())
-            }
-            Fix => {
-                let a = self.eval(&rtx.ops[0], regs, arrays, cycles)?;
-                Value::I(a.as_f() as i64)
-            }
-        })
-    }
-}
-
-fn convert_to_mode(v: Value, mode: Mode) -> Value {
-    match mode {
-        Mode::DF => Value::F(v.as_f()),
-        Mode::SI | Mode::CC => Value::I(v.as_i()),
-        Mode::Void => v,
-    }
-}
-
-fn binary_op(code: RtxCode, mode: Mode, a: Value, b: Value) -> Value {
-    use RtxCode::*;
-    if mode == Mode::DF {
-        let (a, b) = (a.as_f(), b.as_f());
-        return Value::F(match code {
-            Plus => a + b,
-            Minus => a - b,
-            Mult => a * b,
-            Div => {
-                if b == 0.0 {
-                    0.0
-                } else {
-                    a / b
-                }
-            }
-            Smin => a.min(b),
-            Smax => a.max(b),
-            _ => unreachable!("float op {code:?}"),
-        });
-    }
-    let (a, b) = (a.as_i(), b.as_i());
-    Value::I(match code {
-        Plus => a.wrapping_add(b),
-        Minus => a.wrapping_sub(b),
-        Mult => a.wrapping_mul(b),
-        Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
+    #[inline(always)]
+    fn load(&mut self, addr: i64, cycles: &mut u64) -> Result<u64, SimError> {
+        if addr < 0 || addr as usize >= self.memory.len() {
+            return Err(SimError::BadAddress(addr));
         }
-        Mod => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
+        if !self.dcache.access(addr as u64 * 8) {
+            *cycles += self.config.model.dcache_miss;
         }
-        And => a & b,
-        Ior => a | b,
-        Xor => a ^ b,
-        Ashift => a.wrapping_shl((b & 63) as u32),
-        Ashiftrt => a.wrapping_shr((b & 63) as u32),
-        Smin => a.min(b),
-        Smax => a.max(b),
-        _ => unreachable!("int op {code:?}"),
-    })
+        Ok(self.memory[addr as usize])
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: i64, bits: u64, cycles: &mut u64) -> Result<(), SimError> {
+        if addr < 0 || addr as usize >= self.memory.len() {
+            return Err(SimError::BadAddress(addr));
+        }
+        if !self.dcache.access(addr as u64 * 8) {
+            *cycles += self.config.model.dcache_miss;
+        }
+        self.memory[addr as usize] = bits;
+        Ok(())
+    }
 }
 
-fn compare(code: RtxCode, a: Value, b: Value) -> Value {
-    use RtxCode::*;
-    let ord = if matches!(a, Value::F(_)) || matches!(b, Value::F(_)) {
-        a.as_f().partial_cmp(&b.as_f())
-    } else {
-        Some(a.as_i().cmp(&b.as_i()))
-    };
-    let r = match (code, ord) {
-        (Eq, Some(o)) => o.is_eq(),
-        (Ne, Some(o)) => o.is_ne(),
-        (Lt, Some(o)) => o.is_lt(),
-        (Le, Some(o)) => o.is_le(),
-        (Gt, Some(o)) => o.is_gt(),
-        (Ge, Some(o)) => o.is_ge(),
-        (Ne, None) => true,
-        (_, None) => false,
-        _ => unreachable!("comparison code"),
-    };
-    Value::I(i64::from(r))
+/// The cell a `base + index` access touches.
+#[inline(always)]
+fn address(frame: &[Value], base: Slot, index: Slot) -> i64 {
+    frame[base as usize]
+        .as_i()
+        .wrapping_add(frame[index as usize].as_i())
+}
+
+/// Orders two values: as floats when either is one, else as integers.
+#[inline(always)]
+fn compare(a: Value, b: Value) -> Option<Ordering> {
+    match (a, b) {
+        (Value::I(x), Value::I(y)) => Some(x.cmp(&y)),
+        _ => a.as_f().partial_cmp(&b.as_f()),
+    }
 }
 
 #[cfg(test)]
@@ -991,6 +955,99 @@ mod tests {
         let (p, cfg) = machine_for("int f(int x) { return x; }");
         let mut m = Machine::new(&p, cfg);
         assert!(matches!(m.call("f", &[]), Err(SimError::BadArguments(_))));
+    }
+
+    /// `f` calling `g(x, 2)`, with the call's argument list edited.
+    fn internal_call_with_args(mut edit: impl FnMut(&mut Vec<fegen_rtl::node::Rtx>)) -> RtlProgram {
+        let (mut p, _) = machine_for(
+            "int g(int a, int b) { return a * b; }\n\
+             int f(int x) { return g(x, 2) + 1; }",
+        );
+        let f = p.function_mut("f").unwrap();
+        for insn in &mut f.insns {
+            if let fegen_rtl::node::InsnBody::Call { args, .. } = &mut insn.body {
+                edit(args);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn internal_call_with_too_few_arguments_is_an_error() {
+        let p = internal_call_with_args(|args| {
+            args.pop();
+        });
+        let mut m = Machine::new(&p, SimConfig::default());
+        assert_eq!(
+            m.call("f", &[Arg::Int(4)]),
+            Err(SimError::BadArguments(
+                "`g` expects 2 arguments, got 1".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn internal_call_with_surplus_arguments_is_an_error() {
+        let p = internal_call_with_args(|args| args.push(fegen_rtl::node::Rtx::const_int(9)));
+        let mut m = Machine::new(&p, SimConfig::default());
+        assert_eq!(
+            m.call("f", &[Arg::Int(4)]),
+            Err(SimError::BadArguments(
+                "`g` expects 2 arguments, got 3".into()
+            ))
+        );
+        // The well-formed call still runs.
+        let p = internal_call_with_args(|_| {});
+        let mut m = Machine::new(&p, SimConfig::default());
+        assert_eq!(m.call("f", &[Arg::Int(4)]), Ok(Some(Value::I(9))));
+    }
+
+    #[test]
+    #[should_panic(expected = "different memory layout")]
+    fn fork_refuses_state_from_another_layout() {
+        let (small, cfg) = machine_for("int a[4]; int f() { return a[0]; }");
+        let (large, _) = machine_for("int a[400]; int f() { return a[0]; }");
+        let state = Machine::new(&small, cfg.clone()).export_state();
+        let image = ProgramImage::build(&large, &cfg.model);
+        let _ = Machine::fork(&large, &image, None, Some(&state), cfg);
+    }
+
+    #[test]
+    fn malformed_rtl_panics_only_when_executed() {
+        use fegen_rtl::node::{InsnBody, Mode, Rtx, RtxCode};
+        let (mut p, cfg) = machine_for("int f(int x) { if (x > 100) { x = x + 1; } return x; }");
+        // A float `mod` has no meaning; put one inside the `if`.
+        let f = p.function_mut("f").unwrap();
+        for insn in &mut f.insns {
+            if let InsnBody::Set { src, .. } = &mut insn.body {
+                if src.code == RtxCode::Plus {
+                    *src = Rtx::binary(
+                        RtxCode::Mod,
+                        Mode::DF,
+                        src.ops[0].clone(),
+                        src.ops[1].clone(),
+                    );
+                }
+            }
+        }
+        let mut m = Machine::new(&p, cfg);
+        assert_eq!(m.call("f", &[Arg::Int(5)]), Ok(Some(Value::I(5))));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = m.call("f", &[Arg::Int(500)]);
+        }));
+        assert!(run.is_err(), "executing the malformed set panics");
+    }
+
+    #[test]
+    fn frames_are_reused_across_calls() {
+        let (p, cfg) = machine_for(
+            "int g(int a) { return a + 1; }\n\
+             int f(int n) { int i; int s; s = 0; for (i = 0; i < n; i = i + 1) { s = s + g(i); } return s; }",
+        );
+        let mut m = Machine::new(&p, cfg);
+        assert_eq!(m.call("f", &[Arg::Int(10)]), Ok(Some(Value::I(55))));
+        // One frame for `f`, one for the `g` calls: no frame per call.
+        assert_eq!(m.frames.len(), 2);
     }
 
     #[test]

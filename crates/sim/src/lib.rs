@@ -11,7 +11,8 @@
 //! - direct-mapped I- and D-caches and a two-bit branch predictor
 //!   ([`cache`]),
 //! - an interpreter that executes RTL and attributes cycles to the function
-//!   executing them ([`interp`]),
+//!   executing them ([`interp`]), running each function as flat micro-ops
+//!   decoded once (`image`),
 //! - the paper's measurement statistics — log transform + 1.5 × IQR outlier
 //!   rejection over repeated noisy runs ([`measure`]),
 //! - training-data generation: per-loop cycle tables over unroll factors
@@ -38,11 +39,12 @@
 
 pub mod cache;
 pub mod cost;
+mod image;
 pub mod interp;
 pub mod measure;
 pub mod oracle;
 
-pub use interp::{AnalysisCache, Arg, FuncAnalysis, Machine, MachineState, SimConfig, SimError, Value};
+pub use interp::{Arg, Machine, SimConfig, SimError, Value};
 pub use oracle::{
     measure_workload, CallSpec, LoopMeasurement, LoopSite, OracleConfig, ProgramSnapshot,
     SnapshotStats, Workload,

@@ -7,7 +7,7 @@
 //! of cycles required to execute the function containing the loop that had
 //! been altered." (§V)
 
-use crate::interp::{AnalysisCache, Arg, FuncAnalysis, Machine, MachineState, SimConfig, SimError};
+use crate::interp::{Arg, Machine, MachineState, ProgramImage, SimConfig, SimError};
 use fegen_rtl::heuristic::{gcc_default_factors, GccParams};
 use fegen_rtl::node::InsnBody;
 use fegen_rtl::unroll::{apply_factors, UnrollError};
@@ -360,20 +360,25 @@ pub struct SnapshotStats {
     /// Forks that imported the shared post-init machine state instead of
     /// re-simulating the workload's `init` calls.
     pub init_forks: u64,
-    /// Function analyses served from the snapshot's cache across forks.
-    pub analyses_reused: u64,
-    /// Function analyses rebuilt (the overlay function, once per fork).
-    pub analyses_built: u64,
+    /// Decoded function images served from the snapshot across forks.
+    pub images_reused: u64,
+    /// Function images decoded per fork (the overlay function, once per
+    /// fork).
+    pub images_built: u64,
+    /// Instructions simulated by the forks themselves: kernel calls, plus
+    /// `init` where a fork had to replay it. Instructions of the shared
+    /// `init` run are not included.
+    pub sim_insns: u64,
 }
 
 impl SnapshotStats {
-    /// Fraction of per-fork analyses served from the cache.
+    /// Fraction of per-fork function images served from the snapshot.
     pub fn reuse_rate(&self) -> f64 {
-        let total = self.analyses_reused + self.analyses_built;
+        let total = self.images_reused + self.images_built;
         if total == 0 {
             0.0
         } else {
-            self.analyses_reused as f64 / total as f64
+            self.images_reused as f64 / total as f64
         }
     }
 }
@@ -381,18 +386,18 @@ impl SnapshotStats {
 /// Immutable compile-and-warmup state shared by every per-factor
 /// measurement of one benchmark: the pre-unroll RTL, the default-unrolled
 /// variant every measurement differs from in exactly one function, the GCC
-/// default factors those variants embed, one [`FuncAnalysis`] per function
-/// of the default variant, and — when provably sound — the machine state
-/// left behind by the workload's `init` calls.
+/// default factors those variants embed, one decoded function image per
+/// function of the default variant, and — when provably sound — the
+/// machine state left behind by the workload's `init` calls.
 ///
 /// [`ProgramSnapshot::fork`] then measures one `(site, factor)` cell by
-/// re-unrolling only the site's function, simulating it as an overlay on
-/// the shared default variant, and importing the post-init machine state
-/// instead of replaying initialisation — the paper's §V protocol with the
-/// per-factor redundancy (re-clone, re-unroll, re-analysis, re-init of
-/// every other function) forked away. Forks are read-only on the snapshot
-/// (counters aside), so one snapshot behind an [`Arc`] serves concurrent
-/// workers.
+/// re-unrolling and re-decoding only the site's function, simulating it as
+/// an overlay on the shared default variant, and starting from the
+/// post-init machine state instead of replaying initialisation — the
+/// paper's §V protocol with the per-factor redundancy (re-clone,
+/// re-unroll, re-decode, re-init of every other function) forked away.
+/// Forks are read-only on the snapshot (counters aside), so one snapshot
+/// behind an [`Arc`] serves concurrent workers.
 ///
 /// Byte-for-byte equivalence with the scratch path ([`measure_site`]) is
 /// load-bearing: default factors are computed from *original* function
@@ -415,7 +420,8 @@ pub struct ProgramSnapshot {
     default_factors: HashMap<String, HashMap<usize, usize>>,
     /// Default-unroll errors deferred to fork time, keyed by function.
     default_errors: HashMap<String, UnrollError>,
-    analyses: AnalysisCache,
+    /// Decoded images of every function of the default variant.
+    image: ProgramImage,
     /// Machine state after the `init` calls, run once on the default
     /// variant (`None` when init itself fails — forks then replay init and
     /// surface the failure exactly where the scratch path would).
@@ -429,14 +435,15 @@ pub struct ProgramSnapshot {
     config: OracleConfig,
     forks: AtomicU64,
     init_forks: AtomicU64,
-    analyses_reused: AtomicU64,
-    analyses_built: AtomicU64,
+    images_reused: AtomicU64,
+    images_built: AtomicU64,
+    sim_insns: AtomicU64,
 }
 
 impl ProgramSnapshot {
     /// Builds the shared state: one default-factor unroll per kernel
-    /// function, one analysis per function of the resulting program, and
-    /// one simulation of the workload's `init` calls.
+    /// function, one decoded image per function of the resulting program,
+    /// and one simulation of the workload's `init` calls.
     ///
     /// Unroll and init failures are recorded, not raised — the scratch
     /// path only surfaces them when a site is measured, so
@@ -470,16 +477,7 @@ impl ProgramSnapshot {
                 }
             }
         }
-        let analyses: AnalysisCache = default_program
-            .functions
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    Arc::new(FuncAnalysis::build(f, &config.sim.model)),
-                )
-            })
-            .collect();
+        let image = ProgramImage::build(&default_program, &config.sim.model);
         let positions: HashMap<String, usize> = program
             .functions
             .iter()
@@ -499,12 +497,7 @@ impl ProgramSnapshot {
         // of `site` iff every init-executed function keeps its content and
         // code address in that variant (see `init_forkable`).
         let init_state = (|| {
-            let mut m = Machine::with_overlay(
-                &default_program,
-                None,
-                Some(&analyses),
-                config.sim.clone(),
-            );
+            let mut m = Machine::fork(&default_program, &image, None, None, config.sim.clone());
             for call in &workload.init {
                 m.call(&call.func, &call.args).ok()?;
             }
@@ -517,7 +510,7 @@ impl ProgramSnapshot {
             kernel_funcs: kernel_funcs.to_vec(),
             default_factors,
             default_errors,
-            analyses,
+            image,
             init_state,
             init_reachable,
             max_init_pos,
@@ -525,8 +518,9 @@ impl ProgramSnapshot {
             config: config.clone(),
             forks: AtomicU64::new(0),
             init_forks: AtomicU64::new(0),
-            analyses_reused: AtomicU64::new(0),
-            analyses_built: AtomicU64::new(0),
+            images_reused: AtomicU64::new(0),
+            images_built: AtomicU64::new(0),
+            sim_insns: AtomicU64::new(0),
         })
     }
 
@@ -560,11 +554,11 @@ impl ProgramSnapshot {
         self.max_init_pos.is_none_or(|m| m < *site_pos)
     }
 
-    /// Forks one `(site, factor)` cell: re-unrolls only the site's
-    /// function (GCC defaults merged with the override, from the original
-    /// body), seeds a machine with the shared post-init state (or replays
-    /// `init` when that is not provably sound) and simulates the
-    /// `relevant` kernel calls against the shared default variant.
+    /// Forks one `(site, factor)` cell: re-unrolls and re-decodes only the
+    /// site's function (GCC defaults merged with the override, from the
+    /// original body), starts a machine from the shared post-init state
+    /// (or replays `init` when that is not provably sound) and simulates
+    /// the `relevant` kernel calls against the shared default variant.
     /// Returns the site function's exclusive cycles.
     ///
     /// # Errors
@@ -599,31 +593,46 @@ impl ProgramSnapshot {
             }
         }
         let overlay = overlay.ok_or_else(|| OracleError::UnknownFunction(site.func.clone()))?;
-        let mut m = Machine::with_overlay(
+        let overlay = self
+            .image
+            .decode_overlay(&self.default_program, &overlay, &self.config.sim.model);
+        let state = self.init_state.as_ref().filter(|_| self.init_forkable(site));
+        let mut m = Machine::fork(
             &self.default_program,
-            Some(&overlay),
-            Some(&self.analyses),
+            &self.image,
+            Some((&site.func, Arc::new(overlay))),
+            state,
             self.config.sim.clone(),
         );
-        match self.init_state.as_ref().filter(|_| self.init_forkable(site)) {
+        let start = match state {
             Some(state) => {
-                m.import_state(state.clone());
                 self.init_forks.fetch_add(1, Ordering::Relaxed);
+                state.insns_executed()
             }
             None => {
                 for call in &self.workload.init {
                     m.call(&call.func, &call.args)?;
                 }
+                0
             }
-        }
+        };
         for call in relevant {
             m.call(&call.func, &call.args)?;
         }
+        let substituted = self
+            .default_program
+            .functions
+            .iter()
+            .filter(|f| f.name == site.func)
+            .count() as u64;
         self.forks.fetch_add(1, Ordering::Relaxed);
-        self.analyses_reused
-            .fetch_add(m.analyses_reused() as u64, Ordering::Relaxed);
-        self.analyses_built
-            .fetch_add(m.analyses_built() as u64, Ordering::Relaxed);
+        self.images_built.fetch_add(1, Ordering::Relaxed);
+        self.images_reused.fetch_add(
+            self.default_program.functions.len() as u64 - substituted,
+            Ordering::Relaxed,
+        );
+        self.sim_insns
+            .fetch_add(m.insns_executed() - start, Ordering::Relaxed);
         Ok(m.cycles_of(&site.func))
     }
 
@@ -650,8 +659,9 @@ impl ProgramSnapshot {
         SnapshotStats {
             forks: self.forks.load(Ordering::Relaxed),
             init_forks: self.init_forks.load(Ordering::Relaxed),
-            analyses_reused: self.analyses_reused.load(Ordering::Relaxed),
-            analyses_built: self.analyses_built.load(Ordering::Relaxed),
+            images_reused: self.images_reused.load(Ordering::Relaxed),
+            images_built: self.images_built.load(Ordering::Relaxed),
+            sim_insns: self.sim_insns.load(Ordering::Relaxed),
         }
     }
 }
@@ -803,13 +813,15 @@ mod tests {
         assert_eq!(a, b, "repeated forks must agree");
         let stats = snapshot.stats();
         assert_eq!(stats.forks, 2);
-        // Each fork rebuilds exactly one analysis (the overlay) and reuses
-        // the rest of the program's.
-        assert_eq!(stats.analyses_built, 2);
+        // Each fork decodes exactly one image (the overlay) and reuses the
+        // rest of the program's.
+        assert_eq!(stats.images_built, 2);
         assert_eq!(
-            stats.analyses_reused,
+            stats.images_reused,
             2 * (p.functions.len() as u64 - 1)
         );
+        // Both forks simulate the same kernel calls from the same state.
+        assert!(stats.sim_insns > 0 && stats.sim_insns.is_multiple_of(2));
         assert!(stats.reuse_rate() > 0.5);
     }
 

@@ -1121,7 +1121,7 @@ fn cmd_bench_measure(flags: &[String]) -> Result<(), Anyhow> {
          \"scratch\": {{ \"secs\": {scratch_secs:.3}, \"cells_per_sec\": {:.1} }},\n  \
          \"forked\": {{ \"secs\": {forked_secs:.3}, \"cells_per_sec\": {:.1}, \
          \"snapshot_builds\": {}, \"forks\": {}, \"init_forks\": {}, \
-         \"init_reuse_rate\": {init_reuse:.3} }},\n  \
+         \"init_reuse_rate\": {init_reuse:.3}, \"sim_insns\": {} }},\n  \
          \"speedup\": {speedup:.2},\n  \"shards_identical\": {identical}\n}}\n",
         names.len(),
         cells as f64 / scratch_secs.max(1e-9),
@@ -1129,6 +1129,7 @@ fn cmd_bench_measure(flags: &[String]) -> Result<(), Anyhow> {
         forked_report.snapshot_builds,
         forked_report.forks,
         forked_report.init_forks,
+        forked_report.sim_insns,
     );
     std::fs::write(&out, &json).map_err(|e| format!("writing `{out}`: {e}"))?;
     println!(
