@@ -77,9 +77,8 @@ fn bench_engines(c: &mut Criterion) {
             })
         });
     }
-    // The pool as the search uses it: compiled programs and per-loop results
-    // are cached, so steady-state candidates re-encountered by the GP (via
-    // the structural memo missing but the CSE cache hitting) replay cheaply.
+    // The pool as the search uses it: loops are flattened and programs
+    // compiled once, so a steady-state column is one plan walk per loop.
     let pool = EvalPool::new(loops.iter(), EvalEngine::Compiled);
     let features: Vec<_> = feature_set()
         .iter()

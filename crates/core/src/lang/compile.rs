@@ -23,13 +23,8 @@
 //!   (pure predicates keep closed forms, a covered first predicate drives
 //!   the outer loop from postings slices) or, when it has no predicates and
 //!   a leaf body, a [`PlanExpr::LeafAgg`] charged in closed form.
-//! - **Common-subexpression sites**: every aggregate level evaluated at the
-//!   *root* context is wrapped in a [`PlanExpr::Cse`] keyed by its
-//!   structural [`Fingerprint`], so GP siblings sharing subtrees share
-//!   per-loop results across the population (the cache itself lives in
-//!   [`super::vm::EvalPool`]).
 
-use super::ast::{ArithOp, BoolExpr, CmpOp, FeatureExpr, Fingerprint, SeqExpr};
+use super::ast::{ArithOp, BoolExpr, CmpOp, FeatureExpr, SeqExpr};
 use super::eval::bool_symbols;
 use crate::ir::Symbol;
 
@@ -252,12 +247,6 @@ pub(crate) enum PlanExpr {
     },
     Arith(ArithOp, Box<PlanExpr>, Box<PlanExpr>),
     Neg(Box<PlanExpr>),
-    /// A CSE site: a root-context aggregate whose `(steps, outcome)` per
-    /// loop is shared across programs through the pool's result cache,
-    /// keyed by the aggregate's structural fingerprint. Only the root
-    /// context holds sites: bodies and predicates switch the context to
-    /// sequence elements, so sites never nest.
-    Cse(Fingerprint, Box<PlanExpr>),
 }
 
 /// A compiled feature: one plan tree over the whole expression. Compile
@@ -265,7 +254,6 @@ pub(crate) enum PlanExpr {
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) root: PlanExpr,
-    cache_sites: usize,
 }
 
 /// Which kind of evaluation a compiled program needs. Surfaced through
@@ -281,45 +269,29 @@ pub enum ProgramPath {
 impl Program {
     /// Compiles a feature expression. Pure function of the expression.
     pub fn compile(expr: &FeatureExpr) -> Program {
-        let mut cache_sites = 0;
-        let root = plan_root(expr, &mut cache_sites);
-        Program { root, cache_sites }
-    }
-
-    /// Number of CSE cache sites (root-context aggregates).
-    pub fn cache_sites(&self) -> usize {
-        self.cache_sites
-    }
-
-    /// Evaluation kind of this program. Every aggregate level either is a
-    /// root-context CSE site or sits inside one, so the program has a loop
-    /// level exactly when it has a site.
-    pub fn path(&self) -> ProgramPath {
-        if self.cache_sites == 0 {
-            ProgramPath::Fast
-        } else {
-            ProgramPath::LoopNest
+        Program {
+            root: plan_expr(expr),
         }
     }
-}
 
-/// Lowers the root context: arithmetic stays in the tree, and every
-/// aggregate that needs a loop level becomes a CSE site around its plan.
-fn plan_root(e: &FeatureExpr, sites: &mut usize) -> PlanExpr {
-    match e {
-        FeatureExpr::Arith(op, a, b) => PlanExpr::Arith(
-            *op,
-            Box::new(plan_root(a, sites)),
-            Box::new(plan_root(b, sites)),
-        ),
-        FeatureExpr::Neg(a) => PlanExpr::Neg(Box::new(plan_root(a, sites))),
-        _ => match plan_expr(e) {
-            level @ (PlanExpr::Agg(_) | PlanExpr::LeafAgg { .. }) => {
-                *sites += 1;
-                PlanExpr::Cse(e.fingerprint(), Box::new(level))
+    /// Evaluation kind of this program. The root context holds arithmetic
+    /// over leaves, indexed counts and aggregate levels; every other
+    /// aggregate level sits inside one of those, so the program has a loop
+    /// level exactly when the root's arithmetic reaches one.
+    pub fn path(&self) -> ProgramPath {
+        fn has_level(e: &PlanExpr) -> bool {
+            match e {
+                PlanExpr::Agg(_) | PlanExpr::LeafAgg { .. } => true,
+                PlanExpr::Arith(_, a, b) => has_level(a) || has_level(b),
+                PlanExpr::Neg(a) => has_level(a),
+                PlanExpr::Const(_) | PlanExpr::Attr(_) | PlanExpr::Count(_) => false,
             }
-            leaf => leaf,
-        },
+        }
+        if has_level(&self.root) {
+            ProgramPath::LoopNest
+        } else {
+            ProgramPath::Fast
+        }
     }
 }
 
@@ -653,17 +625,9 @@ mod tests {
         Program::compile(&parse_feature(src).unwrap())
     }
 
-    /// The aggregate level under a root program's single CSE site.
-    fn root_level(p: &Program) -> &PlanExpr {
-        match &p.root {
-            PlanExpr::Cse(_, level) => level,
-            other => panic!("expected a CSE site at the root, got {other:?}"),
-        }
-    }
-
     /// The [`PlanAgg`] of a root program's single aggregate level.
     fn root_agg(p: &Program) -> &PlanAgg {
-        match root_level(p) {
+        match &p.root {
             PlanExpr::Agg(agg) => agg,
             other => panic!("expected an aggregate level, got {other:?}"),
         }
@@ -690,7 +654,7 @@ mod tests {
                 1 + preds.fold(body, usize::max)
             }
             PlanExpr::Arith(_, x, y) => agg_depth(x).max(agg_depth(y)),
-            PlanExpr::Neg(x) | PlanExpr::Cse(_, x) => agg_depth(x),
+            PlanExpr::Neg(x) => agg_depth(x),
             PlanExpr::Const(_)
             | PlanExpr::Attr(_)
             | PlanExpr::Count(_)
@@ -732,7 +696,7 @@ mod tests {
         ] {
             let p = compile(src);
             assert!(
-                matches!(root_level(&p), PlanExpr::LeafAgg { .. }),
+                matches!(p.root, PlanExpr::LeafAgg { .. }),
                 "{src} should take a leaf level"
             );
         }
@@ -766,7 +730,7 @@ mod tests {
             "avg(filter(//*, is-type(a)), max(/*, get-attr(@x) * 2))",
         ] {
             let p = compile(src);
-            assert!(matches!(root_level(&p), PlanExpr::Agg(_)), "{src}");
+            assert!(matches!(p.root, PlanExpr::Agg(_)), "{src}");
             assert_eq!(p.path(), ProgramPath::LoopNest);
         }
     }
@@ -828,7 +792,6 @@ mod tests {
         for levels in [10, 20, 64] {
             let p = Program::compile(&deep_nest(levels));
             assert_eq!(p.path(), ProgramPath::LoopNest);
-            assert_eq!(p.cache_sites(), 1, "only the root level is a site");
             assert_eq!(agg_depth(&p.root), levels, "one plan level per aggregate");
         }
     }
@@ -868,19 +831,28 @@ mod tests {
     }
 
     #[test]
-    fn root_aggregates_are_cache_sites() {
-        // Two root-context aggregates, one nested (not cached).
-        let p = compile("sum(//*, count(/*)) + max(//*, 1)");
-        assert_eq!(p.cache_sites(), 2);
-        // Indexed counts are not cache sites.
-        let p = compile("count(//*) + 1");
-        assert_eq!(p.cache_sites(), 0);
-        // A site is keyed by its aggregate's structural fingerprint.
-        let agg = parse_feature("sum(//*, 1 + get-attr(@x))").unwrap();
-        let p = Program::compile(&FeatureExpr::Neg(Box::new(agg.clone())));
-        let PlanExpr::Neg(site) = &p.root else {
-            panic!("expected the negation at the root")
-        };
-        assert!(matches!(**site, PlanExpr::Cse(key, _) if key == agg.fingerprint()));
+    fn path_follows_the_root_arithmetic_to_aggregate_levels() {
+        // Root arithmetic over aggregates, on either side.
+        for src in [
+            "sum(//*, count(/*)) + max(//*, 1)",
+            "1 + sum(//*, 1 + get-attr(@x))",
+            "count(//*) * avg(filter(//*, count(/*) > 0), 1)",
+            "-sum(//*, 1 + get-attr(@x))",
+            "-(2 - min(/*, get-attr(@x)))",
+            "count(filter(//*, count(/*) > 1))",
+        ] {
+            assert_eq!(compile(src).path(), ProgramPath::LoopNest, "{src}");
+        }
+        // Indexed counts, attribute reads and constants need no loop level.
+        for src in [
+            "count(//*) + 1",
+            "-count(filter(//*, is-type(insn)))",
+            "count(/*) / (1 + count(filter(//*, has-attr(@x))))",
+            "get-attr(@num-iter) * 2",
+            "2 + 3 * 4",
+            "-5",
+        ] {
+            assert_eq!(compile(src).path(), ProgramPath::Fast, "{src}");
+        }
     }
 }

@@ -11,11 +11,10 @@
 //! enforces the equivalence on generated features × generated trees.
 //!
 //! [`EvalPool`] is the engine the GP search uses: it flattens every
-//! training loop into an arena **once**, compiles each candidate **once**
-//! (memoised by structural fingerprint), and shares a CSE result cache of
-//! `(steps, outcome)` pairs across candidates, loops and worker threads.
-//! Cached entries are pure functions of their key, so racing inserts are
-//! idempotent and results are invariant under thread count — the
+//! training loop into an arena **once** and compiles each candidate
+//! **once** (memoised by structural fingerprint); every evaluation then
+//! walks the program over one arena. Results depend only on (feature,
+//! loop, budget), so they are invariant under thread count — the
 //! determinism argument is spelled out in DESIGN.md §11.
 
 use super::ast::{ArithOp, CmpOp, FeatureExpr, Fingerprint};
@@ -28,59 +27,9 @@ use crate::faults::CancelToken;
 use crate::ir::{AttrValue, IrArena, IrNode, Symbol};
 use crate::lru::LruCache;
 use crate::telemetry::Telemetry;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// One cached CSE result: the exact step cost of evaluating the subtree at
-/// this loop, and its outcome. `BudgetExceeded` outcomes are **never**
-/// cached — their step totals are truncated by the failing budget, so they
-/// are not transferable to other budgets.
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    steps: u64,
-    /// `Ok(value)` or `Err(())` for `NonFinite`.
-    outcome: Result<f64, ()>,
-}
-
-/// Shared CSE result cache keyed by `(subtree fingerprint, loop index)`.
-///
-/// Replaying a hit charges the recorded `steps` against the current budget
-/// (failing with `BudgetExceeded` exactly when the interpreter would have
-/// run out mid-subtree, since every interpreter charge is one unit and the
-/// decision depends only on the running total), then yields the recorded
-/// outcome.
-#[derive(Debug, Default)]
-struct EvalCache {
-    map: RwLock<HashMap<(Fingerprint, u32), CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Epoch-flush capacity bound: inserting past this clears the map. Entries
-/// are pure functions of their key, so flushing only costs recomputation.
-const RESULT_CACHE_CAP: usize = 1 << 20;
-
-impl EvalCache {
-    fn get(&self, key: Fingerprint, loop_idx: u32) -> Option<CacheEntry> {
-        let entry = self.map.read().get(&(key, loop_idx)).copied();
-        // Relaxed counters: observability only, never a decision input.
-        match entry {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        entry
-    }
-
-    fn insert(&self, key: Fingerprint, loop_idx: u32, entry: CacheEntry) {
-        let mut map = self.map.write();
-        if map.len() >= RESULT_CACHE_CAP {
-            map.clear();
-        }
-        map.insert((key, loop_idx), entry);
-    }
-}
 
 /// Computes one indexed-count site at context node `ctx`: the exact step
 /// total the interpreter would charge and the matching-element count.
@@ -259,9 +208,6 @@ struct PlanEval<'a> {
     arena: &'a IrArena,
     /// The evaluation's step budget.
     limit: u64,
-    /// The pool's CSE result cache and this arena's loop index, when the
-    /// evaluation runs inside an [`EvalPool`].
-    cse: Option<(&'a EvalCache, u32)>,
 }
 
 impl PlanEval<'_> {
@@ -276,48 +222,6 @@ impl PlanEval<'_> {
         } else {
             r
         }
-    }
-
-    /// A root-context CSE site. A hit adds the recorded steps (failing
-    /// with `BudgetExceeded` once the total exceeds the budget, exactly
-    /// where the interpreter would have run out mid-subtree) and replays
-    /// the recorded outcome. A miss evaluates the level and records its
-    /// `(steps, outcome)` unless the budget ran out, since a truncated
-    /// step total is not transferable to other budgets.
-    fn cse(
-        &self,
-        j: u32,
-        key: Fingerprint,
-        level: &PlanExpr,
-        steps: &mut u64,
-    ) -> Result<f64, EvalError> {
-        // The interpreter reaches this site only if every earlier charge
-        // fit the budget.
-        if *steps > self.limit {
-            return Err(EvalError::BudgetExceeded);
-        }
-        let Some((cache, loop_idx)) = self.cse else {
-            return self.expr(j, level, steps);
-        };
-        if let Some(entry) = cache.get(key, loop_idx) {
-            *steps += entry.steps;
-            if *steps > self.limit {
-                return Err(EvalError::BudgetExceeded);
-            }
-            return entry.outcome.map_err(|()| EvalError::NonFinite);
-        }
-        let start = *steps;
-        let r = self.expr(j, level, steps);
-        let outcome = match r {
-            Ok(v) => Ok(v),
-            Err(EvalError::NonFinite) => Err(()),
-            Err(EvalError::BudgetExceeded) => return r,
-        };
-        if *steps <= self.limit {
-            let steps = *steps - start;
-            cache.insert(key, loop_idx, CacheEntry { steps, outcome });
-        }
-        r
     }
 
     /// Budget-vs-NonFinite decision for a non-finite value whose
@@ -576,7 +480,6 @@ impl PlanEval<'_> {
                 let v = -self.expr(j, a, steps)?;
                 self.finite(v, *steps)
             }
-            PlanExpr::Cse(key, level) => self.cse(j, *key, level, steps),
         }
     }
 
@@ -1066,9 +969,7 @@ impl PlanEval<'_> {
                 pool.push(b);
                 out
             }
-            PlanExpr::Count(_) | PlanExpr::Cse(..) => {
-                unreachable!("column_supported rejects Count and CSE sites")
-            }
+            PlanExpr::Count(_) => unreachable!("column_supported rejects Count"),
         }
     }
 
@@ -1203,7 +1104,7 @@ fn column_supported(e: &PlanExpr) -> bool {
         }
         PlanExpr::Arith(_, a, b) => column_supported(a) && column_supported(b),
         PlanExpr::Neg(a) => column_supported(a),
-        PlanExpr::Count(_) | PlanExpr::Cse(..) => false,
+        PlanExpr::Count(_) => false,
     }
 }
 
@@ -1281,7 +1182,7 @@ fn pure_atom_matches(arena: &IrArena, j: u32, atom: &PureAtom) -> bool {
 
 impl Program {
     /// Executes the compiled feature over one arena with the given step
-    /// budget, without a CSE cache.
+    /// budget.
     ///
     /// # Errors
     ///
@@ -1290,7 +1191,6 @@ impl Program {
         PlanEval {
             arena,
             limit: budget,
-            cse: None,
         }
         .root(self)
     }
@@ -1316,7 +1216,7 @@ pub const PROGRAM_CACHE_CAP: usize = 1 << 16;
 ///
 /// Construction flattens every loop into an [`IrArena`] once; evaluation
 /// compiles each distinct feature once (memoised by structural fingerprint)
-/// and shares CSE results across features, loops and threads. With
+/// and runs it over each loop's arena. With
 /// [`EvalEngine::Interpreter`] the pool delegates to the reference
 /// interpreter instead — byte-identical results, just slower; the GP search
 /// exposes this as a runtime choice precisely so the equivalence is
@@ -1325,7 +1225,6 @@ pub struct EvalPool<'a> {
     trees: Vec<&'a IrNode>,
     arenas: Vec<Arc<IrArena>>,
     engine: EvalEngine,
-    cache: EvalCache,
     /// Compiled programs, bounded: a long-lived pool (the `fegen serve`
     /// daemon's warm path) must not grow without limit under a stream of
     /// distinct features. Strict LRU replaces the old epoch flush, which
@@ -1334,8 +1233,7 @@ pub struct EvalPool<'a> {
     /// serve daemon's per-batch pools can share one warm cache
     /// ([`EvalPool::adopt_program_cache`]); programs are keyed by
     /// structural fingerprint only, never by loop, so sharing across
-    /// batches is always sound (unlike the CSE result cache, which is
-    /// loop-indexed and stays per-pool).
+    /// batches is always sound.
     programs: Arc<Mutex<LruCache<Fingerprint, Arc<Program>>>>,
     cancel: Option<CancelToken>,
     vm_evals: AtomicU64,
@@ -1365,12 +1263,6 @@ pub struct PoolStats {
     pub program_misses: u64,
     /// Compiled programs evicted by the bounded LRU cache.
     pub program_evictions: u64,
-    /// CSE result-cache hits.
-    pub result_hits: u64,
-    /// CSE result-cache misses.
-    pub result_misses: u64,
-    /// Live CSE cache entries at snapshot time.
-    pub cache_entries: u64,
 }
 
 impl<'a> EvalPool<'a> {
@@ -1404,7 +1296,6 @@ impl<'a> EvalPool<'a> {
             trees,
             arenas,
             engine,
-            cache: EvalCache::default(),
             programs: Arc::new(Mutex::new(LruCache::new(PROGRAM_CACHE_CAP))),
             cancel: None,
             vm_evals: AtomicU64::new(0),
@@ -1428,7 +1319,7 @@ impl<'a> EvalPool<'a> {
     /// daemon builds a short-lived pool per batch over LRU-cached arenas;
     /// adopting the long-lived pool's cache keeps programs warm across
     /// batches. Sound because programs are keyed by structural fingerprint
-    /// alone — the loop-indexed CSE cache is deliberately *not* shared.
+    /// alone, never by loop.
     pub fn adopt_program_cache(&mut self, donor: &EvalPool<'_>) {
         self.programs = Arc::clone(&donor.programs);
     }
@@ -1487,19 +1378,9 @@ impl<'a> EvalPool<'a> {
             EvalEngine::Compiled => {
                 let prog = self.program(expr);
                 self.note_vm_evals(&prog, 1);
-                self.run(&prog, idx, budget)
+                prog.eval(&self.arenas[idx], budget)
             }
         }
-    }
-
-    /// Evaluates a compiled program on loop `idx` through the CSE cache.
-    fn run(&self, prog: &Program, idx: usize, budget: u64) -> Result<f64, EvalError> {
-        PlanEval {
-            arena: &self.arenas[idx],
-            limit: budget,
-            cse: Some((&self.cache, idx as u32)),
-        }
-        .root(prog)
     }
 
     /// Batches the evaluation counters: `n` evaluations of `prog`,
@@ -1561,12 +1442,12 @@ impl<'a> EvalPool<'a> {
                 // every cell boundary so shutdown latency is unchanged.
                 let prog = self.program(expr);
                 let mut out = Vec::with_capacity(self.arenas.len());
-                for i in 0..self.arenas.len() {
+                for arena in &self.arenas {
                     if cancelled() {
                         self.note_vm_evals(&prog, out.len() as u64);
                         return None;
                     }
-                    match self.run(&prog, i, budget) {
+                    match prog.eval(arena, budget) {
                         Ok(v) => out.push(v),
                         Err(_) => {
                             self.note_vm_evals(&prog, out.len() as u64 + 1);
@@ -1580,11 +1461,6 @@ impl<'a> EvalPool<'a> {
         }
     }
 
-    /// Number of live CSE cache entries (diagnostics).
-    pub fn cache_entries(&self) -> usize {
-        self.cache.map.read().len()
-    }
-
     /// Snapshot of the pool's cumulative activity counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -1595,9 +1471,6 @@ impl<'a> EvalPool<'a> {
             program_hits: self.program_hits.load(Ordering::Relaxed),
             program_misses: self.program_misses.load(Ordering::Relaxed),
             program_evictions: self.programs.lock().evictions(),
-            result_hits: self.cache.hits.load(Ordering::Relaxed),
-            result_misses: self.cache.misses.load(Ordering::Relaxed),
-            cache_entries: self.cache_entries() as u64,
         }
     }
 
@@ -1615,9 +1488,6 @@ impl<'a> EvalPool<'a> {
         telemetry.gauge_set("eval.program_hits", s.program_hits as f64);
         telemetry.gauge_set("eval.program_misses", s.program_misses as f64);
         telemetry.gauge_set("eval.program_evictions", s.program_evictions as f64);
-        telemetry.gauge_set("eval.result_hits", s.result_hits as f64);
-        telemetry.gauge_set("eval.result_misses", s.result_misses as f64);
-        telemetry.gauge_set("eval.cache_entries", s.cache_entries as f64);
     }
 }
 
@@ -1626,7 +1496,6 @@ impl std::fmt::Debug for EvalPool<'_> {
         f.debug_struct("EvalPool")
             .field("loops", &self.trees.len())
             .field("engine", &self.engine)
-            .field("cache_entries", &self.cache_entries())
             .finish()
     }
 }
@@ -1746,7 +1615,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_column_matches_interpreter_and_caches() {
+    fn pool_column_matches_interpreter_and_repeats() {
         let irs: Vec<IrNode> = (0..4)
             .map(|i| {
                 let mut ir = sample_ir();
@@ -1764,28 +1633,27 @@ mod tests {
                 "column mismatch on {src}"
             );
         }
-        // Root aggregates of the battery populated the CSE cache; replaying
-        // the battery must hit it and still agree.
-        assert!(pool.cache_entries() > 0);
+        // A second pass reuses the pool's compiled programs and must still
+        // agree.
         for src in BATTERY {
             let f = parse_feature(src).unwrap();
             assert_eq!(
                 pool.column(&f, DEFAULT_BUDGET),
                 oracle.column(&f, DEFAULT_BUDGET),
-                "cached column mismatch on {src}"
+                "repeated column mismatch on {src}"
             );
         }
     }
 
     #[test]
-    fn non_finite_results_are_detected_and_cached() {
+    fn non_finite_results_are_detected_and_repeated() {
         let ir = sample_ir();
         let huge = format!("sum(//*, {0} * {0})", f64::MAX);
         let f = parse_feature(&huge).unwrap();
         let pool = EvalPool::new([&ir], EvalEngine::Compiled);
         assert_eq!(pool.eval(&f, 0, DEFAULT_BUDGET), Err(EvalError::NonFinite));
-        // The failing aggregate is cached as NonFinite with its step cost;
-        // a replay must agree with the interpreter at tight budgets too.
+        // Repeated evaluations of the failing aggregate must agree with the
+        // interpreter at tight budgets too.
         for budget in [0, 1, 5, 10, DEFAULT_BUDGET] {
             assert_eq!(
                 pool.eval(&f, 0, budget),
@@ -1796,20 +1664,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuse_preserves_budget_decisions() {
+    fn repeated_evaluation_preserves_budget_decisions() {
         let ir = sample_ir();
         let f = parse_feature("sum(//*, count(//*))").unwrap();
         let pool = EvalPool::new([&ir], EvalEngine::Compiled);
-        // Warm the cache with a generous budget.
+        // First evaluate with a generous budget.
         let spent = {
             let mut ev = crate::lang::Evaluator::new(DEFAULT_BUDGET);
             let _ = ev.eval(&f, &ir);
             DEFAULT_BUDGET - ev.remaining()
         };
         assert!(pool.eval(&f, 0, DEFAULT_BUDGET).is_ok());
-        // Replays at boundary budgets must match the interpreter exactly:
-        // below the recorded cost the cache hit must fail with
-        // BudgetExceeded, at or above it must succeed.
+        // Repeats at boundary budgets must match the interpreter exactly:
+        // below the exact cost they fail with BudgetExceeded, at or above
+        // it they succeed.
         for budget in [0, spent - 1, spent, spent + 1] {
             assert_eq!(
                 pool.eval(&f, 0, budget),
@@ -1857,10 +1725,10 @@ mod tests {
                         want,
                         "{levels} levels, budget {budget}"
                     );
-                    // A fresh pool misses the CSE site, the second column
-                    // replays it from the cache.
+                    // A fresh pool compiles the program, the second column
+                    // reuses it.
                     let pool = EvalPool::new([&ir], EvalEngine::Compiled);
-                    for pass in ["miss", "hit"] {
+                    for pass in ["compile", "reuse"] {
                         assert_eq!(
                             pool.column(&f, budget),
                             want.ok().map(|v| vec![v]),

@@ -741,8 +741,8 @@ impl<'a> SearchDriver<'a> {
         }
         // One harness for the whole run: every loop is arena-flattened once
         // and every candidate feature is compiled once, then executed over
-        // all loops; repeated (feature, loop) evaluations replay from the
-        // cache. The driver's cancel token reaches into the pool so a
+        // all loops; a repeated candidate is answered by the GP's fitness
+        // memo, not re-evaluated. The driver's cancel token reaches into the pool so a
         // shutdown interrupts in-flight fitness columns instead of waiting
         // them out (only the harness's `fitness` consults it; every other
         // column stays timing-independent).

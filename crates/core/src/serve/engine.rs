@@ -122,12 +122,12 @@ pub struct ServeEngine {
     reload_failures: AtomicU64,
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
+    /// Failed (loop, feature) evaluations answered with `0.0`.
+    feature_failures: AtomicU64,
     /// Pool counters accumulated across the per-batch pools.
     pool_vm_evals: AtomicU64,
     pool_program_hits: AtomicU64,
     pool_program_misses: AtomicU64,
-    pool_result_hits: AtomicU64,
-    pool_result_misses: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -180,11 +180,10 @@ impl ServeEngine {
             reload_failures: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
+            feature_failures: AtomicU64::new(0),
             pool_vm_evals: AtomicU64::new(0),
             pool_program_hits: AtomicU64::new(0),
             pool_program_misses: AtomicU64::new(0),
-            pool_result_hits: AtomicU64::new(0),
-            pool_result_misses: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -268,14 +267,20 @@ impl ServeEngine {
         let mut pool = EvalPool::from_arenas(batch);
         pool.adopt_program_cache(&self.warm);
         let budget = model.artifact.eval_budget;
+        let mut failures = 0u64;
         let decisions = (0..n_loops)
             .map(|i| {
                 // Deployment rule: a failed feature contributes 0.0 — the
-                // compiler must always get *some* decision.
+                // compiler must always get *some* decision — and is counted.
                 let row: Vec<f64> = model
                     .features
                     .iter()
-                    .map(|f| pool.eval(f, i, budget).unwrap_or(0.0))
+                    .map(|f| {
+                        pool.eval(f, i, budget).unwrap_or_else(|_| {
+                            failures += 1;
+                            0.0
+                        })
+                    })
                     .collect();
                 Decision {
                     unroll: model.artifact.tree.predict(&row),
@@ -283,16 +288,13 @@ impl ServeEngine {
                 }
             })
             .collect();
+        self.feature_failures.fetch_add(failures, Ordering::Relaxed);
         let s = pool.stats();
         self.pool_vm_evals.fetch_add(s.vm_evals, Ordering::Relaxed);
         self.pool_program_hits
             .fetch_add(s.program_hits, Ordering::Relaxed);
         self.pool_program_misses
             .fetch_add(s.program_misses, Ordering::Relaxed);
-        self.pool_result_hits
-            .fetch_add(s.result_hits, Ordering::Relaxed);
-        self.pool_result_misses
-            .fetch_add(s.result_misses, Ordering::Relaxed);
         self.loops_evaluated
             .fetch_add(n_loops as u64, Ordering::Relaxed);
         decisions
@@ -368,6 +370,7 @@ impl ServeEngine {
             reloads: self.reloads.load(Ordering::Relaxed),
             reload_failures: self.reload_failures.load(Ordering::Relaxed),
             queue_depth_peak: self.queue_peak.load(Ordering::Relaxed),
+            feature_failures: self.feature_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -381,8 +384,6 @@ impl ServeEngine {
             program_misses: self.pool_program_misses.load(Ordering::Relaxed),
             // The shared LRU counts evictions across every adopter.
             program_evictions: warm.program_evictions,
-            result_hits: self.pool_result_hits.load(Ordering::Relaxed),
-            result_misses: self.pool_result_misses.load(Ordering::Relaxed),
             ..PoolStats::default()
         }
     }
@@ -406,6 +407,7 @@ impl ServeEngine {
         t.gauge_set("serve.reload_failures", s.reload_failures as f64);
         t.gauge_set("serve.queue_depth", self.queue_depth.load(Ordering::Relaxed) as f64);
         t.gauge_set("serve.queue_depth_peak", s.queue_depth_peak as f64);
+        t.gauge_set("serve.feature_failures", s.feature_failures as f64);
         let hit_rate = if s.arena_hits + s.arena_misses > 0 {
             s.arena_hits as f64 / (s.arena_hits + s.arena_misses) as f64
         } else {

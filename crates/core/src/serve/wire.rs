@@ -39,7 +39,7 @@ use std::collections::HashSet;
 
 /// Serve protocol version, checked in the `Hello`/`HelloAck` handshake on
 /// top of the per-frame transport version.
-pub const SERVE_PROTOCOL: u32 = 1;
+pub const SERVE_PROTOCOL: u32 = 2;
 
 /// Maximum JSON bracket nesting any payload may have (the decoder's own
 /// bound, on every decode path).
@@ -312,6 +312,10 @@ pub struct ServeStatsSnapshot {
     pub reload_failures: u64,
     /// Peak concurrent in-flight batches observed.
     pub queue_depth_peak: u64,
+    /// (loop, feature) evaluations that failed (budget exhausted or a
+    /// non-finite value) and were answered with the deployment default
+    /// `0.0`.
+    pub feature_failures: u64,
 }
 
 /// Daemon → client messages.
@@ -380,8 +384,6 @@ pub struct PoolStatsWire {
     pub program_hits: u64,
     pub program_misses: u64,
     pub program_evictions: u64,
-    pub result_hits: u64,
-    pub result_misses: u64,
 }
 
 impl From<PoolStats> for PoolStatsWire {
@@ -391,8 +393,6 @@ impl From<PoolStats> for PoolStatsWire {
             program_hits: s.program_hits,
             program_misses: s.program_misses,
             program_evictions: s.program_evictions,
-            result_hits: s.result_hits,
-            result_misses: s.result_misses,
         }
     }
 }

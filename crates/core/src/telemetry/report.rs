@@ -322,13 +322,6 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
             get("eval.program_hits"),
             get("eval.program_misses"),
         );
-        let _ = writeln!(
-            out,
-            "  result cache:  {} hit rate ({} hits / {} misses)",
-            rate(get("eval.result_hits"), get("eval.result_misses")),
-            get("eval.result_hits"),
-            get("eval.result_misses"),
-        );
         let fast = get("eval.path_fast");
         let plan = get("eval.path_plan");
         if fast + plan > 0 {
@@ -481,6 +474,11 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
             get("serve.pool_program_hits"),
             get("serve.pool_program_misses"),
             get("serve.pool_program_evictions"),
+        );
+        let _ = writeln!(
+            out,
+            "  feature failures: {} (loop, feature) evaluation(s) answered with 0.0",
+            get("serve.feature_failures"),
         );
         let _ = writeln!(
             out,
@@ -828,6 +826,7 @@ mod tests {
         t.gauge_set("serve.queue_depth_peak", 3.0);
         t.gauge_set("serve.reloads", 1.0);
         t.gauge_set("serve.reload_failures", 1.0);
+        t.gauge_set("serve.feature_failures", 5.0);
         t.emit_metrics("serve");
         drop(t);
 
@@ -842,6 +841,10 @@ mod tests {
         );
         assert!(
             summary.contains("program cache: 97.5% hit rate (78 hits / 2 misses), 0 eviction(s)"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("feature failures: 5 (loop, feature) evaluation(s) answered with 0.0"),
             "{summary}"
         );
         assert!(

@@ -836,7 +836,7 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
         }
     }
     // Programs compiled and loops flattened once, exactly as the search
-    // amortises them; cold-VM sweeps run without the result cache.
+    // amortises them; cold-VM sweeps run without the pool.
     let arenas: Vec<IrArena> = loops.iter().map(IrArena::from_tree).collect();
     let programs: Vec<Program> = features.iter().map(Program::compile).collect();
 
@@ -927,8 +927,8 @@ fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
         count_path(ProgramPath::LoopNest),
     );
 
-    // The pool as the search drives it: warm program + result caches, all
-    // features; its baseline is the interpreter over the same full sweep.
+    // The pool as the search drives it: warm program cache, all features
+    // by column; its baseline is the interpreter over the same full sweep.
     let per_pass = (features.len() * loops.len()) as f64;
     let (ip, is) = measure(window, || {
         let mut acc = 0.0;

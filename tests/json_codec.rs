@@ -278,14 +278,13 @@ fn serve_responses() -> Vec<(&'static str, ServeResponse)> {
                     reloads: 1,
                     reload_failures: 0,
                     queue_depth_peak: 3,
+                    feature_failures: 4,
                 },
                 pool: PoolStatsWire {
                     vm_evals: 80,
                     program_hits: 78,
                     program_misses: 2,
                     program_evictions: 0,
-                    result_hits: 12,
-                    result_misses: 68,
                 },
             },
         ),

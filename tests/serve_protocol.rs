@@ -439,6 +439,91 @@ fn failed_reload_keeps_the_old_model_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A feature that fails on some loops is answered with the deployment
+/// default `0.0`: decisions equal the offline prediction on the defaulted
+/// row, and every failing (loop, feature) pair is counted in `Stats`.
+#[test]
+fn failed_features_default_to_zero_and_are_counted() {
+    let dir = tmp_dir("feature-failures");
+    let path = dir.join("model.fgm");
+    // The overflowing body raises `NonFinite` on every loop with at least
+    // one descendant; a childless loop sums nothing and succeeds.
+    let features = ["count(//*)", "sum(//*, 1.7e308 * 1.7e308)"];
+    artifact_with(&features)
+        .save(&path)
+        .expect("artifact saves");
+    let engine = Arc::new(engine_at(path));
+    let model = engine.model();
+    let loops: Vec<WireNode> = (0..5)
+        .map(|i| WireNode {
+            kind: "loop".into(),
+            attrs: vec![("num-iter".into(), WireAttr::Num(4.0 + i as f64))],
+            children: (0..i)
+                .map(|_| WireNode {
+                    kind: "insn".into(),
+                    attrs: vec![("mode".into(), WireAttr::Enum("SI".into()))],
+                    children: vec![],
+                })
+                .collect(),
+        })
+        .collect();
+    let mut failing = 0u64;
+    let offline: Vec<usize> = loops
+        .iter()
+        .map(|wire| {
+            let ir = wire.to_ir();
+            let row: Vec<f64> = model
+                .features
+                .iter()
+                .map(|f| {
+                    f.eval_with_budget(&ir, model.artifact.eval_budget)
+                        .unwrap_or_else(|_| {
+                            failing += 1;
+                            0.0
+                        })
+                })
+                .collect();
+            model.artifact.tree.predict(&row)
+        })
+        .collect();
+    assert_eq!(failing, 4, "every loop but the childless one fails");
+
+    let server_engine = Arc::clone(&engine);
+    let (mut client, mut server) = duplex();
+    let handle = std::thread::spawn(move || serve_connection(&mut server, &server_engine));
+    hello(&mut client);
+    // Twice: the second batch hits the arena cache and must count again.
+    for id in [1, 2] {
+        client
+            .send(&frame(&ServeRequest::Predict {
+                id,
+                loops: loops.clone(),
+            }))
+            .expect("predict sends");
+        let reply = client.recv().expect("decisions arrive");
+        match decode_response(&reply).expect("decisions decode") {
+            ServeResponse::Decisions { decisions, .. } => {
+                let got: Vec<usize> = decisions.iter().map(|d| d.unroll).collect();
+                assert_eq!(got, offline, "batch {id}: decisions must be unchanged");
+            }
+            other => panic!("expected Decisions, got {other:?}"),
+        }
+    }
+    client
+        .send(&frame(&ServeRequest::Stats { id: 3 }))
+        .expect("stats sends");
+    let reply = client.recv().expect("stats arrive");
+    match decode_response(&reply).expect("stats decode") {
+        ServeResponse::StatsReport { stats, .. } => {
+            assert_eq!(stats.feature_failures, 2 * failing);
+        }
+        other => panic!("expected StatsReport, got {other:?}"),
+    }
+    drop(client);
+    handle.join().expect("thread").expect("clean close");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // 4. The bounded program LRU is observationally invisible.
 // ---------------------------------------------------------------------------

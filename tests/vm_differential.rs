@@ -170,7 +170,8 @@ proptest! {
                 }
                 prop_assert_eq!(compiled.column(&f, budget), interp.column(&f, budget));
             }
-            // Replay from the warm result cache must not change outcomes.
+            // Repeating an evaluation with a warm program cache must not
+            // change outcomes.
             for i in 0..irs.len() {
                 prop_assert_eq!(
                     compiled.eval(&f, i, 60_000),
@@ -243,7 +244,7 @@ fn non_finite_outcomes_agree() {
         assert_eq!(interp, Err(EvalError::NonFinite));
         let arena = IrArena::from_tree(ir);
         assert_eq!(Program::compile(&overflow).eval(&arena, 1_000_000), interp);
-        // And through a pool, including a cached replay of the failure.
+        // And through a pool, including a repeat of the failure.
         let pool = EvalPool::new([ir], EvalEngine::Compiled);
         assert_eq!(pool.eval(&overflow, 0, 1_000_000), interp);
         assert_eq!(pool.eval(&overflow, 0, 1_000_000), interp);
