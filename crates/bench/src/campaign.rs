@@ -108,7 +108,7 @@ pub enum MeasureMode {
     Forked,
     /// Recompile and re-simulate from scratch for every cell — the
     /// original protocol, kept as the cross-check the fork path is
-    /// validated against (`fegen bench-measure`).
+    /// validated against (`fegen bench measure`).
     Scratch,
 }
 

@@ -30,7 +30,9 @@ pub mod campaign;
 pub mod dataset;
 pub mod methods;
 pub mod pipeline;
+pub mod record;
 pub mod report;
+pub mod stages;
 
 pub use campaign::{
     campaign_fingerprint, load_suite_data, run_campaign, run_campaign_with_telemetry,

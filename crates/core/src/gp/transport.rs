@@ -36,15 +36,13 @@
 //!
 //! Two transports implement the same trait: [`StreamTransport`] over any
 //! `Read`/`Write` pair (child-process stdio pipes, Unix-domain sockets)
-//! and the same type over the in-memory [`duplex`] pipe for loopback
+//! and the same type over the OS pipes of [`duplex`] for loopback
 //! workers — loopback still encodes and decodes every frame, so the two
 //! modes execute the identical codec path.
 
 use crate::faults::stable_hash;
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::{PipeReader, PipeWriter, Read, Write};
 
 /// First four bytes of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"FGN1";
@@ -246,7 +244,7 @@ pub trait FrameTransport: Send {
 }
 
 /// [`FrameTransport`] over any blocking byte stream pair: child-process
-/// stdio pipes, a Unix-domain socket, or the in-memory [`duplex`] pipe.
+/// stdio pipes, a Unix-domain socket, or the OS pipes of [`duplex`].
 pub struct StreamTransport<R: Read, W: Write> {
     reader: R,
     writer: W,
@@ -386,95 +384,23 @@ impl<R: Read + Send, W: Write + Send> FrameTransport for StreamTransport<R, W> {
     }
 }
 
-/// Shared state of one in-memory pipe direction.
-#[derive(Default)]
-struct PipeInner {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-type PipeShared = Arc<(Mutex<PipeInner>, Condvar)>;
-
-/// Read half of an in-memory blocking pipe.
-pub struct PipeReader(PipeShared);
-/// Write half of an in-memory blocking pipe.
-pub struct PipeWriter(PipeShared);
-
-impl Read for PipeReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let (lock, cvar) = &*self.0;
-        let mut inner = lock.lock().expect("pipe lock");
-        loop {
-            if !inner.buf.is_empty() {
-                let n = buf.len().min(inner.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = inner.buf.pop_front().expect("non-empty pipe");
-                }
-                return Ok(n);
-            }
-            if inner.closed {
-                return Ok(0);
-            }
-            inner = cvar.wait(inner).expect("pipe wait");
-        }
-    }
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let (lock, cvar) = &*self.0;
-        let mut inner = lock.lock().expect("pipe lock");
-        if inner.closed {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "pipe reader dropped",
-            ));
-        }
-        inner.buf.extend(buf.iter().copied());
-        cvar.notify_all();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.0;
-        if let Ok(mut inner) = lock.lock() {
-            inner.closed = true;
-            cvar.notify_all();
-        }
-    }
-}
-
-impl Drop for PipeReader {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.0;
-        if let Ok(mut inner) = lock.lock() {
-            inner.closed = true;
-            cvar.notify_all();
-        }
-    }
-}
-
-fn pipe() -> (PipeReader, PipeWriter) {
-    let shared: PipeShared = Arc::new((Mutex::new(PipeInner::default()), Condvar::new()));
-    (PipeReader(shared.clone()), PipeWriter(shared))
-}
-
-/// The loopback transport pair: two in-memory pipes crossed, so each side
-/// gets a `(reader, writer)` that speaks to the other. Loopback workers
-/// run the byte-level codec end to end — the only difference from a
-/// process worker is the carrier.
+/// The loopback transport pair: two OS pipes crossed, so each side gets a
+/// `(reader, writer)` that speaks to the other. Loopback workers run the
+/// byte-level codec end to end — the only difference from a process worker
+/// is that both ends live in one process. A pipe holds a bounded number of
+/// bytes (64 KiB on Linux), so a large send blocks until the peer reads:
+/// each end must be driven by its own thread.
 pub type LoopbackTransport = StreamTransport<PipeReader, PipeWriter>;
 
 /// Creates a connected `(supervisor_side, worker_side)` loopback pair.
+///
+/// # Panics
+///
+/// Panics when the operating system cannot create a pipe (the process is
+/// out of file descriptors).
 pub fn duplex() -> (LoopbackTransport, LoopbackTransport) {
-    let (sup_r, wrk_w) = pipe();
-    let (wrk_r, sup_w) = pipe();
+    let (sup_r, wrk_w) = std::io::pipe().expect("creating a loopback pipe");
+    let (wrk_r, sup_w) = std::io::pipe().expect("creating a loopback pipe");
     (
         StreamTransport::new(sup_r, sup_w),
         StreamTransport::new(wrk_r, wrk_w),

@@ -437,8 +437,8 @@ pub enum ChannelKind {
 /// How the supervisor obtains a connected worker.
 #[derive(Debug, Clone)]
 pub enum WorkerLauncher {
-    /// An in-process thread running [`run_worker`] over the in-memory
-    /// duplex pipe. Same byte protocol, same codec path; only the carrier
+    /// An in-process thread running [`run_worker`] over the OS pipes of
+    /// [`duplex`]. Same byte protocol, same codec path; only the carrier
     /// differs — which is exactly what the byte-identity tests exploit.
     Loopback,
     /// A child process (`argv[0]` + arguments, e.g. the `fegen` binary with

@@ -323,97 +323,6 @@ impl FeatureSearch {
             .collect()
     }
 
-    /// Backward elimination over an already-found feature list: repeatedly
-    /// drops the feature whose removal costs the least, as long as the
-    /// internal-validation speedup does not degrade. The paper's greedy
-    /// forward construction can keep features that later additions make
-    /// redundant ("a feature … useful on its own but when added to an
-    /// existing set does not show any additional improvement", §II-A);
-    /// this removes them before deployment.
-    ///
-    /// Returns the (possibly shorter) feature list, in original order.
-    pub fn prune_features(
-        &self,
-        features: &[FeatureExpr],
-        examples: &[TrainingExample],
-    ) -> Vec<FeatureExpr> {
-        if features.len() <= 1 || examples.is_empty() {
-            return features.to_vec();
-        }
-        let cfg = &self.config;
-        let Some(n_classes) = examples.iter().map(|e| e.cycles.len()).max() else {
-            return features.to_vec();
-        };
-        let labels: Vec<usize> = examples.iter().map(|e| e.best_value()).collect();
-        let tables: Vec<Vec<f64>> = examples.iter().map(|e| e.cycles.clone()).collect();
-        let splits = internal_splits(cfg, examples.len());
-        let score = |columns: &[Vec<f64>]| -> f64 {
-            let Some(data) = fitness_dataset(columns, None, &labels, n_classes) else {
-                return 0.0;
-            };
-            let presorted = Presorted::new(&data);
-            splits
-                .iter()
-                .map(|(train_idx, valid_idx)| {
-                    self.model_speedup(&data, &presorted, &tables, train_idx, valid_idx)
-                })
-                .sum::<f64>()
-                / splits.len() as f64
-        };
-
-        let mut kept: Vec<usize> = (0..features.len()).collect();
-        let pool = self.pool(examples);
-        let columns: Vec<Vec<f64>> = features
-            .iter()
-            .map(|f| {
-                pool.column(f, cfg.eval_budget_per_example)
-                    .unwrap_or_else(|| vec![0.0; examples.len()])
-            })
-            .collect();
-        let mut current = score(&columns);
-        loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (slot, _) in kept.iter().enumerate() {
-                if kept.len() == 1 {
-                    break;
-                }
-                let trial: Vec<Vec<f64>> = kept
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| *k != slot)
-                    .map(|(_, &i)| columns[i].clone())
-                    .collect();
-                let s = score(&trial);
-                if s + 1e-12 >= current && best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((slot, s));
-                }
-            }
-            match best {
-                Some((slot, s)) => {
-                    kept.remove(slot);
-                    current = s;
-                }
-                None => break,
-            }
-        }
-        kept.into_iter().map(|i| features[i].clone()).collect()
-    }
-
-    /// Trains the fitness model on `train_idx` — reusing the candidate's
-    /// presorted feature orderings instead of copying and re-sorting the
-    /// split — and reports the mean speedup of its predictions on
-    /// `valid_idx`.
-    fn model_speedup(
-        &self,
-        data: &Dataset,
-        presorted: &Presorted,
-        tables: &[Vec<f64>],
-        train_idx: &[usize],
-        valid_idx: &[usize],
-    ) -> f64 {
-        model_speedup(data, presorted, tables, train_idx, valid_idx, &self.config.tree)
-    }
-
     /// Builds the candidate-fitness harness over `examples`: pool, labels,
     /// cycle tables, internal splits — everything a fitness evaluation
     /// touches, with no base features yet. Both the in-process driver and
@@ -495,8 +404,7 @@ impl<'e> FitnessHarness<'e> {
     /// and never cancels.
     pub(crate) fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
         let column = self.pool.column_cancellable(expr, self.budget)?;
-        let Some(data) =
-            fitness_dataset(&self.base_columns, Some(&column), &self.labels, self.n_classes)
+        let Some(data) = fitness_dataset(&self.base_columns, &column, &self.labels, self.n_classes)
         else {
             return Some(0.0);
         };
@@ -557,21 +465,20 @@ impl<'e> FitnessHarness<'e> {
 }
 
 /// Assembles one candidate's fitness dataset: the base feature columns plus
-/// the optional candidate column, as rows.
+/// the candidate column, as rows.
 ///
 /// `None` when the dataset is malformed (the candidate then scores 0.0
 /// instead of crashing the search); columns are rectangular by construction
 /// so this does not happen in practice.
 fn fitness_dataset(
     base_columns: &[Vec<f64>],
-    extra: Option<&Vec<f64>>,
+    candidate: &[f64],
     labels: &[usize],
     n_classes: usize,
 ) -> Option<Dataset> {
     let n = labels.len();
-    let width = base_columns.len() + usize::from(extra.is_some());
-    let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(width); n];
-    for col in base_columns.iter().chain(extra) {
+    let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(base_columns.len() + 1); n];
+    for col in base_columns.iter().map(Vec::as_slice).chain([candidate]) {
         for (row, &v) in rows.iter_mut().zip(col.iter()) {
             row.push(v);
         }
@@ -1372,38 +1279,6 @@ mod tests {
         let search = FeatureSearch::from_examples(&examples, config);
         let f = crate::lang::parse_feature("count(//*)").unwrap();
         assert_eq!(search.feature_column(&f, &examples), None);
-    }
-
-    #[test]
-    fn pruning_removes_redundant_features() {
-        let examples = synthetic_examples(60);
-        let search = FeatureSearch::from_examples(&examples, SearchConfig::quick());
-        let informative =
-            crate::lang::parse_feature("count(filter(/*, is-type(insn)))").unwrap();
-        // A duplicate and a constant: both redundant next to the first.
-        let duplicate = informative.clone();
-        let constant = crate::lang::parse_feature("7").unwrap();
-        let pruned =
-            search.prune_features(&[informative.clone(), duplicate, constant], &examples);
-        assert!(
-            pruned.len() < 3,
-            "at least one redundant feature should be dropped, kept {pruned:?}"
-        );
-        assert!(
-            pruned.contains(&informative),
-            "the informative feature must survive"
-        );
-    }
-
-    #[test]
-    fn pruning_keeps_singletons_untouched() {
-        let examples = synthetic_examples(20);
-        let search = FeatureSearch::from_examples(&examples, SearchConfig::quick());
-        let f = crate::lang::parse_feature("count(//*)").unwrap();
-        assert_eq!(
-            search.prune_features(std::slice::from_ref(&f), &examples),
-            vec![f]
-        );
     }
 
     #[test]

@@ -146,14 +146,15 @@ pub struct ModelArtifact {
 
 impl ModelArtifact {
     /// Trains an artifact from scratch: evaluates `features` over the
-    /// examples (failures contribute `0.0`, the deployment rule), derives
-    /// labels from the cycle tables and fits a decision tree under
-    /// `config.tree`.
+    /// examples (a failure on some loops contributes `0.0` there, the
+    /// deployment rule), derives labels from the cycle tables and fits a
+    /// decision tree under `config.tree`.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Invalid`] when there are no examples, no features, or
-    /// the labels collapse in a way the tree cannot train on.
+    /// [`ModelError::Invalid`] when there are no examples, no features, a
+    /// feature fails on every example (its column would be all defaults),
+    /// or the labels collapse in a way the tree cannot train on.
     pub fn train(
         config: &SearchConfig,
         features: &[FeatureExpr],
@@ -181,14 +182,21 @@ impl ModelArtifact {
         }
         let pool = EvalPool::new(examples.iter().map(|e| &e.ir), crate::lang::EvalEngine::default());
         let budget = config.eval_budget_per_example;
-        let rows: Vec<Vec<f64>> = (0..examples.len())
-            .map(|i| {
-                features
-                    .iter()
-                    .map(|f| pool.eval(f, i, budget).unwrap_or(0.0))
-                    .collect()
-            })
-            .collect();
+        let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(features.len()); examples.len()];
+        for f in features {
+            let mut failures = 0;
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.push(pool.eval(f, i, budget).unwrap_or_else(|_| {
+                    failures += 1;
+                    0.0
+                }));
+            }
+            if failures == examples.len() {
+                return Err(ModelError::Invalid {
+                    detail: format!("feature `{f}` fails on all {failures} training loop(s)"),
+                });
+            }
+        }
         let labels: Vec<usize> = examples.iter().map(TrainingExample::best_value).collect();
         let data = Dataset::new(rows, labels, n_classes).map_err(|e| ModelError::Invalid {
             detail: format!("dataset rejected: {e}"),
@@ -426,6 +434,35 @@ mod tests {
         assert_eq!(loaded, artifact);
         assert_eq!(loaded.digest().unwrap(), artifact.digest().unwrap());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn train_refuses_a_feature_that_fails_on_every_loop() {
+        // Every sample loop has a descendant, so the overflowing body is
+        // non-finite on all six.
+        let features = vec![
+            parse_feature("count(//*)").unwrap(),
+            parse_feature("sum(//*, 1.7e308 * 1.7e308)").unwrap(),
+        ];
+        let err = ModelArtifact::train(&SearchConfig::quick(), &features, &sample_examples())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::Invalid {
+                detail: format!("feature `{}` fails on all 6 training loop(s)", features[1])
+            }
+        );
+
+        // A childless loop sums nothing: the feature now fails on six of
+        // seven loops, which trains with the 0.0 deployment default.
+        let mut examples = sample_examples();
+        examples.push(TrainingExample {
+            ir: IrNode::build("loop", |l| {
+                l.attr_num("num-iter", 3.0);
+            }),
+            cycles: vec![100.0, 110.0, 120.0, 130.0],
+        });
+        ModelArtifact::train(&SearchConfig::quick(), &features, &examples).unwrap();
     }
 
     #[test]

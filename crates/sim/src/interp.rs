@@ -462,28 +462,6 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Writes one cell of an allocated array (for setting up inputs).
-    ///
-    /// # Errors
-    ///
-    /// `UnknownSymbol` / `BadAddress` when the array or index is invalid.
-    pub fn write_array(&mut self, name: &str, index: usize, value: Value) -> Result<(), SimError> {
-        let info = self
-            .program
-            .layout
-            .get(name)
-            .ok_or_else(|| SimError::UnknownSymbol(name.to_owned()))?;
-        if index >= info.len {
-            return Err(SimError::BadAddress(index as i64));
-        }
-        let bits = match info.mode {
-            Mode::DF => value.as_f().to_bits(),
-            _ => value.as_i() as u64,
-        };
-        self.memory[(info.base + index as u64) as usize] = bits;
-        Ok(())
-    }
-
     /// Runs function `f` on `frame` (its template, parameters bound) and
     /// returns its result. Cycles are charged to `f` only when it returns.
     fn invoke(

@@ -14,8 +14,7 @@
 //! fegen search  <file> [flags]                 run the GP feature search on a program
 //! fegen measure [flags]                        run the measurement campaign into a dataset
 //! fegen report  <dir>                          summarize a telemetry event log
-//! fegen bench-perf [flags]                     measure eval-engine throughput
-//! fegen bench-measure [flags]                  time fork-once vs scratch campaigns
+//! fegen bench   <eval|measure|serve> [flags]   measure a stage against its baseline
 //! ```
 //!
 //! `fegen measure` flags:
@@ -70,32 +69,24 @@
 //! are byte-identical with and without it. `fegen report <dir>` renders the
 //! accumulated event log (progress, ETA, slowest sites, cache hit rates).
 //!
-//! `fegen bench-perf` flags:
+//! `fegen bench <stage>` flags:
 //!
 //! ```text
-//! --out <path>             where to write the JSON report (default BENCH_eval.json)
-//! --quick                  shorter measurement windows (CI smoke mode)
+//! --out <path>             where to write the records (default BENCH_<stage>.json)
+//! --quick                  smaller workload (CI smoke mode)
 //! ```
 //!
-//! `fegen bench-measure` flags:
-//!
-//! ```text
-//! --out <path>             where to write the JSON report (default BENCH_measure.json)
-//! --quick                  tiny suite + reduced sampling (CI smoke mode)
-//! --jobs <n>               parallel workers for both campaigns (default 1)
-//! ```
-//!
-//! `bench-measure` runs the same measurement campaign twice — once
-//! recompiling every (site, factor) cell from scratch, once forking each
-//! cell off a per-benchmark snapshot — verifies the shards are
-//! byte-identical, and reports the wall-clock ratio. It fails below a 2x
-//! forked-over-scratch floor, after writing the report.
+//! Every stage writes a JSON array of `{stage, metric, value, baseline,
+//! floor}` records (`fegen_bench::record`). `eval` times compiled feature
+//! evaluation against the interpreter, `measure` the fork-once campaign
+//! against the scratch campaign, `serve` a real `fegen serve --stdio`
+//! daemon. Correctness checks and floors are enforced after the file is
+//! written, so a failing run still leaves its numbers behind.
 
-use fegen::core::ir::IrArena;
 use fegen::core::search::SearchDriver;
 use fegen::core::{
-    parse_feature, EvalEngine, EvalPool, FeatureExpr, FeatureSearch, Grammar, Program, ProgramPath,
-    SearchConfig, SearchError, SearchOutcome, TrainingExample,
+    parse_feature, EvalEngine, FeatureExpr, FeatureSearch, Grammar, SearchConfig, SearchError,
+    SearchOutcome, TrainingExample,
 };
 use fegen::rtl::export::export_loop;
 use fegen::rtl::heuristic::{gcc_default_factor, gcc_features, GccParams, GCC_FEATURE_NAMES};
@@ -153,11 +144,9 @@ fn run(args: &[String]) -> Result<(), Anyhow> {
         "island-worker" => cmd_island_worker(),
         "measure" => cmd_measure(&args[1..]),
         "report" => cmd_report(arg(args, 1)?),
-        "bench-perf" => cmd_bench_perf(&args[1..]),
-        "bench-measure" => cmd_bench_measure(&args[1..]),
+        "bench" => cmd_bench(&args[1..]),
         "train-model" => cmd_train_model(arg(args, 1)?, &args[2..]),
         "serve" => cmd_serve(&args[1..]),
-        "bench-serve" => cmd_bench_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             print_usage();
             Ok(())
@@ -182,11 +171,9 @@ fn print_usage() {
     println!("  fegen search  <file> [flags]                 run the GP feature search");
     println!("  fegen measure [flags]                        measurement campaign -> dataset");
     println!("  fegen report  <dir>                          summarize a telemetry event log");
-    println!("  fegen bench-perf [flags]                     measure eval-engine throughput");
-    println!("  fegen bench-measure [flags]                  time fork-once vs scratch campaigns");
     println!("  fegen train-model <file> [flags]             train + save a model artifact");
     println!("  fegen serve [flags]                          serve unroll decisions from a model");
-    println!("  fegen bench-serve [flags]                    measure serve latency/throughput");
+    println!("  fegen bench   <eval|measure|serve> [flags]   measure a stage against its baseline");
     println!();
     println!("measure flags:");
     println!("  --dataset-dir <dir>      dataset directory (required)");
@@ -211,15 +198,6 @@ fn print_usage() {
     println!("  --workers-proc <n>       worker processes instead of threads (results identical)");
     println!("  --worker-channel <name>  process-worker channel: stdio (default) | unix-socket");
     println!();
-    println!("bench-perf flags:");
-    println!("  --out <path>             JSON report path (default BENCH_eval.json)");
-    println!("  --quick                  shorter measurement windows (CI smoke mode)");
-    println!();
-    println!("bench-measure flags:");
-    println!("  --out <path>             JSON report path (default BENCH_measure.json)");
-    println!("  --quick                  tiny suite + reduced sampling (CI smoke mode)");
-    println!("  --jobs <n>               parallel workers for both campaigns (default 1)");
-    println!();
     println!("train-model flags:");
     println!("  --out <path>             artifact path (default model.fgm)");
     println!("  --feature <expr>         feature to evaluate (repeatable; default: paper set)");
@@ -232,10 +210,9 @@ fn print_usage() {
     println!("  --arena-cache <n>        flattened-arena LRU capacity (default 1024)");
     println!("  --reload-every <n>       poll the artifact for hot-reload every n requests");
     println!();
-    println!("bench-serve flags:");
-    println!("  --out <path>             JSON report path (default BENCH_serve.json)");
-    println!("  --quick                  fewer requests per batch size (CI smoke mode)");
-    println!("  --arena-cache <n>        daemon arena LRU capacity (default 32, to observe eviction)");
+    println!("bench flags:");
+    println!("  --out <path>             JSON records path (default BENCH_<stage>.json)");
+    println!("  --quick                  smaller workload (CI smoke mode)");
     println!();
     println!("telemetry flags (search + measure + serve):");
     println!("  --telemetry-dir <dir>    append JSONL events to <dir>/events.jsonl");
@@ -759,409 +736,25 @@ fn cmd_measure(flags: &[String]) -> Result<(), Anyhow> {
     Ok(())
 }
 
-/// The evaluation step budget used for throughput measurement (the quick
-/// preset's per-example budget).
-const BENCH_BUDGET: u64 = 60_000;
-
-/// Times repeated executions of `pass` for roughly `window`, returning
-/// (passes, elapsed seconds). Each pass is one sweep of every feature over
-/// every loop.
-fn measure(window: std::time::Duration, mut pass: impl FnMut() -> f64) -> (u64, f64) {
-    // One warm-up pass keeps lazy setup (interning, page faults) out of the
-    // timed region.
-    std::hint::black_box(pass());
-    let start = std::time::Instant::now();
-    let mut passes = 0u64;
-    while start.elapsed() < window {
-        std::hint::black_box(pass());
-        passes += 1;
-    }
-    (passes.max(1), start.elapsed().as_secs_f64())
-}
-
-fn cmd_bench_perf(flags: &[String]) -> Result<(), Anyhow> {
-    let mut out = "BENCH_eval.json".to_owned();
+fn cmd_bench(args: &[String]) -> Result<(), Anyhow> {
+    use fegen::bench::record::{run, Stage};
+    let stage = args
+        .first()
+        .and_then(|s| Stage::parse(s))
+        .ok_or("fegen bench needs a stage: eval | measure | serve")?;
+    let mut out = format!("BENCH_{}.json", stage.name());
     let mut quick = false;
-    let mut it = flags.iter();
+    let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--out" => {
-                out = it.next().cloned().ok_or("--out needs a value")?;
-            }
+            "--out" => out = it.next().cloned().ok_or("--out needs a value")?,
             "--quick" => quick = true,
-            other => return Err(format!("unknown bench-perf flag `{other}`").into()),
+            other => return Err(format!("unknown bench flag `{other}`").into()),
         }
     }
-    let window = std::time::Duration::from_millis(if quick { 120 } else { 600 });
-
-    // The workload: every loop of the generated benchmark suite, swept by a
-    // mix of hand-picked search-typical features and grammar-generated ones
-    // (the actual shape of a GP population).
-    let suite = fegen::suite::generate_suite(&fegen::suite::SuiteConfig::tiny());
-    let mut loops = Vec::new();
-    for b in &suite {
-        let rtl = lower_program(&b.program)?;
-        for f in &rtl.functions {
-            for region in &f.loops {
-                loops.push(export_loop(f, region, &rtl.layout));
-            }
-        }
-    }
-    if loops.is_empty() {
-        return Err("the benchmark suite produced no loops".into());
-    }
-    let grammar = Grammar::derive(loops.iter());
-    /// Number of hand-picked paper-shaped features at the front of the set.
-    const PAPER_FEATURES: usize = 5;
-    let mut features: Vec<FeatureExpr> = [
-        "count(//*)",
-        "count(filter(//*, is-type(reg)))",
-        "count(filter(//*, !(is-type(wide-int) || is-type(const_double))))",
-        "max(filter(/*, is-type(basic-block)), count(filter(//*, is-type(insn))))",
-        "count(filter(//*, is-type(insn))) / (1 + count(filter(//*, is-type(basic-block))))",
-    ]
-    .iter()
-    .map(|s| parse_feature(s))
-    .collect::<Result<_, _>>()?;
-    use rand::SeedableRng;
-    /// Grammar depths of the generated mix; each contributes
-    /// `GEN_PER_DEPTH` features after the paper-shaped group.
-    const GEN_DEPTHS: [usize; 3] = [3, 4, 5];
-    /// Generated features per depth bucket.
-    const GEN_PER_DEPTH: usize = 8;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xbe7c);
-    for depth in GEN_DEPTHS {
-        for _ in 0..GEN_PER_DEPTH {
-            features.push(grammar.gen_feature(&mut rng, depth));
-        }
-    }
-    // Programs compiled and loops flattened once, exactly as the search
-    // amortises them; cold-VM sweeps run without the pool.
-    let arenas: Vec<IrArena> = loops.iter().map(IrArena::from_tree).collect();
-    let programs: Vec<Program> = features.iter().map(Program::compile).collect();
-
-    // Sanity before timing: the engines must agree on every outcome.
-    for (f, p) in features.iter().zip(&programs) {
-        for (ir, arena) in loops.iter().zip(&arenas) {
-            let a = f.eval_with_budget(ir, BENCH_BUDGET);
-            let b = p.eval(arena, BENCH_BUDGET);
-            if a != b {
-                return Err(format!("engines disagree on `{f}`: {a:?} vs {b:?}").into());
-            }
-        }
-    }
-
-    // Two cold-VM groups: the paper-shaped features (counts over filtered
-    // traversals, the shapes the GP converges to — Figure 16) and the
-    // grammar-generated mix (a random population slice, including deep
-    // nested aggregates no indexed count or leaf level covers).
-    let mut group_stats = Vec::new();
-    for (name, range) in [
-        ("paper_features", 0..PAPER_FEATURES),
-        ("generated_features", PAPER_FEATURES..features.len()),
-    ] {
-        let fs = &features[range.clone()];
-        let ps = &programs[range];
-        let per_pass = (fs.len() * loops.len()) as f64;
-        let (ip, is) = measure(window, || {
-            let mut acc = 0.0;
-            for f in fs {
-                for ir in &loops {
-                    acc += f.eval_with_budget(ir, BENCH_BUDGET).unwrap_or(0.0);
-                }
-            }
-            acc
-        });
-        let interp_eps = ip as f64 * per_pass / is;
-        let (vp, vs) = measure(window, || {
-            let mut acc = 0.0;
-            for p in ps {
-                for arena in &arenas {
-                    acc += p.eval(arena, BENCH_BUDGET).unwrap_or(0.0);
-                }
-            }
-            acc
-        });
-        let vm_eps = vp as f64 * per_pass / vs;
-        group_stats.push((name, fs.len(), interp_eps, vm_eps, vm_eps / interp_eps));
-    }
-
-    // Per-depth breakdown of the generated mix: which grammar depths the
-    // loop-nest planner actually accelerates.
-    let mut depth_stats = Vec::new();
-    for (bucket, depth) in GEN_DEPTHS.iter().enumerate() {
-        let lo = PAPER_FEATURES + bucket * GEN_PER_DEPTH;
-        let range = lo..lo + GEN_PER_DEPTH;
-        let fs = &features[range.clone()];
-        let ps = &programs[range];
-        let per_pass = (fs.len() * loops.len()) as f64;
-        let (ip, is) = measure(window, || {
-            let mut acc = 0.0;
-            for f in fs {
-                for ir in &loops {
-                    acc += f.eval_with_budget(ir, BENCH_BUDGET).unwrap_or(0.0);
-                }
-            }
-            acc
-        });
-        let interp_eps = ip as f64 * per_pass / is;
-        let (vp, vs) = measure(window, || {
-            let mut acc = 0.0;
-            for p in ps {
-                for arena in &arenas {
-                    acc += p.eval(arena, BENCH_BUDGET).unwrap_or(0.0);
-                }
-            }
-            acc
-        });
-        let vm_eps = vp as f64 * per_pass / vs;
-        depth_stats.push((*depth, vm_eps / interp_eps));
-    }
-    let gen_paths: Vec<ProgramPath> = programs[PAPER_FEATURES..]
-        .iter()
-        .map(Program::path)
-        .collect();
-    let count_path = |p: ProgramPath| gen_paths.iter().filter(|&&q| q == p).count();
-    let (n_fast, n_plan) = (
-        count_path(ProgramPath::Fast),
-        count_path(ProgramPath::LoopNest),
-    );
-
-    // The pool as the search drives it: warm program cache, all features
-    // by column; its baseline is the interpreter over the same full sweep.
-    let per_pass = (features.len() * loops.len()) as f64;
-    let (ip, is) = measure(window, || {
-        let mut acc = 0.0;
-        for f in &features {
-            for ir in &loops {
-                acc += f.eval_with_budget(ir, BENCH_BUDGET).unwrap_or(0.0);
-            }
-        }
-        acc
-    });
-    let interp_all_eps = ip as f64 * per_pass / is;
-    let pool = EvalPool::new(loops.iter(), EvalEngine::Compiled);
-    let (pp, ps) = measure(window, || {
-        let mut acc = 0.0;
-        for f in &features {
-            for (i, v) in pool
-                .column(f, BENCH_BUDGET)
-                .unwrap_or_default()
-                .into_iter()
-                .enumerate()
-            {
-                acc += v + i as f64;
-            }
-        }
-        acc
-    });
-    let pool_eps = pp as f64 * per_pass / ps;
-    let pool_speedup = pool_eps / interp_all_eps;
-
-    let mut json = format!(
-        "{{\n  \"loops\": {},\n  \"budget\": {BENCH_BUDGET},\n  \"window_ms\": {},\n",
-        loops.len(),
-        window.as_millis(),
-    );
-    for (name, n, interp_eps, vm_eps, speedup) in &group_stats {
-        json.push_str(&format!(
-            "  \"{name}\": {{\n    \"features\": {n},\n    \
-             \"interp_evals_per_sec\": {interp_eps:.1},\n    \
-             \"vm_evals_per_sec\": {vm_eps:.1},\n    \"vm_speedup\": {speedup:.2}\n  }},\n",
-        ));
-    }
-    json.push_str("  \"generated_breakdown\": {\n    \"by_depth\": {\n");
-    for (i, (depth, speedup)) in depth_stats.iter().enumerate() {
-        let comma = if i + 1 < depth_stats.len() { "," } else { "" };
-        json.push_str(&format!(
-            "      \"{depth}\": {{ \"features\": {GEN_PER_DEPTH}, \"vm_speedup\": {speedup:.2} }}{comma}\n"
-        ));
-    }
-    json.push_str(&format!(
-        "    }},\n    \"paths\": {{ \"fast\": {n_fast}, \"loop_nest\": {n_plan} }}\n  }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"pool_warm\": {{\n    \"features\": {},\n    \
-         \"interp_evals_per_sec\": {interp_all_eps:.1},\n    \
-         \"evals_per_sec\": {pool_eps:.1},\n    \"speedup\": {pool_speedup:.2}\n  }}\n}}\n",
-        features.len(),
-    ));
-    std::fs::write(&out, &json).map_err(|e| format!("writing `{out}`: {e}"))?;
-    println!("{} loops, budget {BENCH_BUDGET}", loops.len());
-    for (name, n, interp_eps, vm_eps, speedup) in &group_stats {
-        println!(
-            "{name:>20} ({n:>2}): interp {interp_eps:>10.0} ev/s, vm {vm_eps:>10.0} ev/s ({speedup:.1}x)"
-        );
-    }
-    for (depth, speedup) in &depth_stats {
-        println!(
-            "{:>20} ({GEN_PER_DEPTH:>2}): vm {speedup:.1}x",
-            format!("depth {depth}")
-        );
-    }
-    println!(
-        "{:>20}     : {n_fast} fast / {n_plan} loop-nest",
-        "generated paths",
-    );
-    println!(
-        "{:>20} ({:>2}): interp {interp_all_eps:>10.0} ev/s, pool {pool_eps:>10.0} ev/s ({pool_speedup:.1}x)",
-        "pool_warm",
-        features.len(),
-    );
-    println!("report written to {out}");
-
-    // Coarse regression guards (CI smoke), checked after the report is on
-    // disk so a failure still leaves the numbers behind for diagnosis. The
-    // compiled engine must at least hold parity with the interpreter on the
-    // paper-shaped group — the measured margin is ~7x, so tripping this
-    // means a fast path broke, not that the runner was noisy. The generated
-    // mix must clear a conservative floor well under the measured speedup,
-    // so the loop-nest planner gap cannot silently reopen.
-    let (name, _, interp_eps, vm_eps, _) = group_stats[0];
-    if vm_eps < interp_eps {
-        return Err(format!(
-            "perf regression: {name} vm {vm_eps:.0} ev/s < interp {interp_eps:.0} ev/s"
-        )
-        .into());
-    }
-    /// Minimum acceptable generated-mix speedup.
-    const GENERATED_SPEEDUP_FLOOR: f64 = 2.5;
-    let (name, _, _, _, gen_speedup) = group_stats[1];
-    if gen_speedup < GENERATED_SPEEDUP_FLOOR {
-        return Err(format!(
-            "perf regression: {name} speedup {gen_speedup:.2}x below the \
-             {GENERATED_SPEEDUP_FLOOR:.1}x floor"
-        )
-        .into());
-    }
-    Ok(())
-}
-
-fn cmd_bench_measure(flags: &[String]) -> Result<(), Anyhow> {
-    use fegen::bench::{
-        campaign_fingerprint, run_campaign, CampaignConfig, CampaignReport, DatasetStore,
-        ExperimentConfig, MeasureMode, SamplingPolicy,
-    };
-    let mut out = "BENCH_measure.json".to_owned();
-    let mut quick = false;
-    let mut jobs = 1usize;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => {
-                out = it.next().cloned().ok_or("--out needs a value")?;
-            }
-            "--quick" => quick = true,
-            "--jobs" => {
-                jobs = parse_num(it.next().ok_or("--jobs needs a value")?)?.max(1);
-            }
-            other => return Err(format!("unknown bench-measure flag `{other}`").into()),
-        }
-    }
-
-    let mut config = ExperimentConfig::quick();
-    let mut sampling = SamplingPolicy::default();
-    if quick {
-        // CI smoke mode: the 3-benchmark suite with the resilience tests'
-        // reduced sampling — the protocol is unchanged, only the scale.
-        config.suite = fegen::suite::SuiteConfig::tiny();
-        sampling.base_runs = 8;
-        sampling.max_runs = 16;
-        sampling.target_log_iqr = 0.1;
-    }
-    let fingerprint = campaign_fingerprint(&config, &sampling);
-    let base = std::env::temp_dir().join(format!("fegen-bench-measure-{}", std::process::id()));
-
-    // Both campaigns share one fingerprint (MeasureMode is execution
-    // policy, not dataset identity) and run with identical settings; only
-    // how each cell's ground truth is obtained differs.
-    let run_mode = |mode: MeasureMode, tag: &str| -> Result<(CampaignReport, f64, DatasetStore), Anyhow> {
-        let dir = base.join(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(&dir, fingerprint)?;
-        let campaign = CampaignConfig {
-            jobs,
-            sampling: sampling.clone(),
-            measure: mode,
-            ..CampaignConfig::default()
-        };
-        let start = std::time::Instant::now();
-        let report = run_campaign(&config, &campaign, &store, None, &fegen::core::CancelToken::new())?;
-        Ok((report, start.elapsed().as_secs_f64(), store))
-    };
-    eprintln!(
-        "bench-measure: {} benchmark(s), {jobs} job(s); scratch campaign...",
-        config.suite.n_benchmarks
-    );
-    let (scratch_report, scratch_secs, scratch_store) = run_mode(MeasureMode::Scratch, "scratch")?;
-    eprintln!("scratch done in {scratch_secs:.2}s; forked campaign...");
-    let (forked_report, forked_secs, forked_store) = run_mode(MeasureMode::Forked, "forked")?;
-    eprintln!("forked done in {forked_secs:.2}s");
-
-    let names: Vec<String> = fegen::suite::generate_suite(&config.suite)
-        .iter()
-        .map(|b| b.name.clone())
-        .collect();
-    let identical = names.iter().all(|n| {
-        let a = std::fs::read(scratch_store.shard_path(n)).ok();
-        let b = std::fs::read(forked_store.shard_path(n)).ok();
-        a.is_some() && a == b
-    });
-    let _ = std::fs::remove_dir_all(&base);
-
-    let cells = forked_report.forks;
-    let speedup = scratch_secs / forked_secs.max(1e-9);
-    let init_reuse = if forked_report.forks > 0 {
-        forked_report.init_forks as f64 / forked_report.forks as f64
-    } else {
-        0.0
-    };
-    let json = format!(
-        "{{\n  \"benchmarks\": {},\n  \"jobs\": {jobs},\n  \"cells\": {cells},\n  \
-         \"scratch\": {{ \"secs\": {scratch_secs:.3}, \"cells_per_sec\": {:.1} }},\n  \
-         \"forked\": {{ \"secs\": {forked_secs:.3}, \"cells_per_sec\": {:.1}, \
-         \"snapshot_builds\": {}, \"forks\": {}, \"init_forks\": {}, \
-         \"init_reuse_rate\": {init_reuse:.3}, \"sim_insns\": {} }},\n  \
-         \"speedup\": {speedup:.2},\n  \"shards_identical\": {identical}\n}}\n",
-        names.len(),
-        cells as f64 / scratch_secs.max(1e-9),
-        cells as f64 / forked_secs.max(1e-9),
-        forked_report.snapshot_builds,
-        forked_report.forks,
-        forked_report.init_forks,
-        forked_report.sim_insns,
-    );
-    std::fs::write(&out, &json).map_err(|e| format!("writing `{out}`: {e}"))?;
-    println!(
-        "{} benchmark(s), {cells} cell(s): scratch {scratch_secs:.2}s, forked {forked_secs:.2}s \
-         ({speedup:.2}x), init-state reuse {:.1}%, shards identical: {identical}",
-        names.len(),
-        init_reuse * 100.0
-    );
-    println!("report written to {out}");
-
-    // Guards run after the report is on disk so a failure still leaves the
-    // numbers behind for diagnosis. Bit-identity is non-negotiable; the 2x
-    // wall-clock floor is conservative against the ~15x measured margin.
-    if !identical {
-        return Err("fork-once shards diverged from the scratch campaign's".into());
-    }
-    if scratch_report.sites_measured != forked_report.sites_measured {
-        return Err(format!(
-            "site counts diverged: scratch {} vs forked {}",
-            scratch_report.sites_measured, forked_report.sites_measured
-        )
-        .into());
-    }
-    /// Minimum acceptable forked-over-scratch wall-clock ratio.
-    const FORK_SPEEDUP_FLOOR: f64 = 2.0;
-    if speedup < FORK_SPEEDUP_FLOOR {
-        return Err(format!(
-            "perf regression: fork-once speedup {speedup:.2}x below the \
-             {FORK_SPEEDUP_FLOOR:.1}x floor"
-        )
-        .into());
-    }
+    let exe = std::env::current_exe().map_err(|e| format!("locating the fegen binary: {e}"))?;
+    let out = std::path::Path::new(&out);
+    run(stage, quick, out, &exe, &mut std::io::stdout())?;
     Ok(())
 }
 
@@ -1186,24 +779,6 @@ fn print_outcome(outcome: &SearchOutcome) {
     }
 }
 
-/// The paper-shaped deployment feature set: the structural count/filter
-/// shapes the GP search converges to (Figure 16). `train-model` and
-/// `bench-serve` use it as the default model basis.
-const PAPER_FEATURE_SET: [&str; 5] = [
-    "count(//*)",
-    "count(filter(//*, is-type(reg)))",
-    "count(filter(//*, !(is-type(wide-int) || is-type(const_double))))",
-    "max(filter(/*, is-type(basic-block)), count(filter(//*, is-type(insn))))",
-    "count(filter(//*, is-type(insn))) / (1 + count(filter(//*, is-type(basic-block))))",
-];
-
-fn paper_features() -> Result<Vec<FeatureExpr>, Anyhow> {
-    PAPER_FEATURE_SET
-        .iter()
-        .map(|s| parse_feature(s).map_err(|e| format!("parsing `{s}`: {e}").into()))
-        .collect()
-}
-
 fn cmd_train_model(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     use fegen::core::serve::ModelArtifact;
     let mut out = "model.fgm".to_owned();
@@ -1226,7 +801,7 @@ fn cmd_train_model(path: &str, flags: &[String]) -> Result<(), Anyhow> {
         return Err("no measurable loops to train on".into());
     }
     let features: Vec<FeatureExpr> = if feature_texts.is_empty() {
-        paper_features()?
+        fegen::bench::stages::paper_features()
     } else {
         feature_texts
             .iter()
@@ -1309,251 +884,6 @@ fn cmd_serve(flags: &[String]) -> Result<(), Anyhow> {
         #[cfg(not(unix))]
         Err("--socket requires a Unix platform; use --stdio".into())
     }
-}
-
-fn cmd_bench_serve(flags: &[String]) -> Result<(), Anyhow> {
-    use fegen::core::serve::{
-        decode_response, encode_request, Decision, ModelArtifact, ServeRequest, ServeResponse,
-        WireAttr, WireNode, SERVE_PROTOCOL,
-    };
-    use fegen::core::{gp::transport::StreamTransport, FrameTransport};
-    use std::io::Write as _;
-    use std::time::Instant;
-
-    let mut out = "BENCH_serve.json".to_owned();
-    let mut quick = false;
-    let mut arena_cache = 32usize;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out = it.next().cloned().ok_or("--out needs a value")?,
-            "--quick" => quick = true,
-            "--arena-cache" => {
-                arena_cache = parse_num(it.next().ok_or("--arena-cache needs a value")?)?;
-            }
-            other => return Err(format!("unknown bench-serve flag `{other}`").into()),
-        }
-    }
-    let batch_sizes: &[usize] = if quick { &[1, 8, 32] } else { &[1, 8, 32, 128] };
-    let requests_per_size = if quick { 24 } else { 80 };
-
-    // Stage a model + telemetry dir under a private temp root.
-    let root = std::env::temp_dir().join(format!("fegen-bench-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&root).map_err(|e| format!("creating `{}`: {e}", root.display()))?;
-    let model_path = root.join("model.fgm");
-    let tel_dir = root.join("telemetry");
-
-    // Train a small real model over the generated suite: enough loops to
-    // be a workload, quick budgets so staging stays in CI bounds.
-    let suite = fegen::suite::generate_suite(&fegen::suite::SuiteConfig::tiny());
-    let mut examples = Vec::new();
-    let mut wire_loops: Vec<WireNode> = Vec::new();
-    for b in &suite {
-        let rtl = lower_program(&b.program)?;
-        for f in &rtl.functions {
-            for region in &f.loops {
-                wire_loops.push(WireNode::from_ir(&export_loop(f, region, &rtl.layout)));
-            }
-        }
-        if examples.len() < 8 {
-            examples.extend(training_examples_from(&rtl));
-        }
-    }
-    if wire_loops.is_empty() {
-        return Err("the benchmark suite produced no loops".into());
-    }
-    let artifact = ModelArtifact::train(&SearchConfig::quick(), &paper_features()?, &examples)
-        .map_err(|e| format!("training bench model: {e}"))?;
-    artifact
-        .save(&model_path)
-        .map_err(|e| format!("saving bench model: {e}"))?;
-
-    // The daemon under test: the real binary, stdio transport, a small
-    // arena cache so the bounded-memory path (eviction) actually runs.
-    let exe = std::env::current_exe().map_err(|e| format!("locating fegen binary: {e}"))?;
-    let mut child = std::process::Command::new(&exe)
-        .arg("serve")
-        .arg("--stdio")
-        .arg("--model")
-        .arg(&model_path)
-        .arg("--arena-cache")
-        .arg(arena_cache.to_string())
-        .arg("--telemetry-dir")
-        .arg(&tel_dir)
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("spawning serve daemon: {e}"))?;
-    let child_in = child.stdin.take().ok_or("child stdin missing")?;
-    let child_out = child.stdout.take().ok_or("child stdout missing")?;
-    let mut wire = StreamTransport::new(child_out, child_in);
-
-    let send = |wire: &mut StreamTransport<_, _>, req: &ServeRequest| -> Result<(), Anyhow> {
-        wire.send(&encode_request(req)?)
-            .map_err(|e| format!("sending to daemon: {e}").into())
-    };
-    let recv = |wire: &mut StreamTransport<_, _>| -> Result<ServeResponse, Anyhow> {
-        let payload = wire.recv().map_err(|e| format!("daemon hung up: {e}"))?;
-        decode_response(&payload).map_err(|e| format!("bad daemon response: {e}").into())
-    };
-
-    send(&mut wire, &ServeRequest::Hello { protocol: SERVE_PROTOCOL })?;
-    match recv(&mut wire)? {
-        ServeResponse::HelloAck { n_features, .. } => {
-            eprintln!("bench-serve: daemon up, {n_features} feature(s)");
-        }
-        other => return Err(format!("expected HelloAck, got {other:?}").into()),
-    }
-
-    // A request stream with more distinct loop shapes than the arena cache
-    // can hold: each variant perturbs `num-iter`, so digests differ and the
-    // LRU must evict — the bounded-RSS path, not just the warm-hit path.
-    let distinct = (2 * arena_cache).max(wire_loops.len());
-    let variant = |v: usize| -> WireNode {
-        let mut node = wire_loops[v % wire_loops.len()].clone();
-        node.attrs
-            .retain(|(name, _)| name != "bench-variant");
-        node.attrs
-            .push(("bench-variant".to_owned(), WireAttr::Num((v / wire_loops.len()) as f64)));
-        node
-    };
-
-    let mut next_id = 1u64;
-    let mut results = Vec::new();
-    for &batch in batch_sizes {
-        let mut latencies_us: Vec<u64> = Vec::with_capacity(requests_per_size);
-        let mut loops_sent = 0usize;
-        let started = Instant::now();
-        for r in 0..requests_per_size {
-            let loops: Vec<WireNode> = (0..batch)
-                .map(|i| variant((r * batch + i) % distinct))
-                .collect();
-            loops_sent += loops.len();
-            let id = next_id;
-            next_id += 1;
-            let t0 = Instant::now();
-            send(&mut wire, &ServeRequest::Predict { id, loops })?;
-            match recv(&mut wire)? {
-                ServeResponse::Decisions { id: got, decisions } => {
-                    if got != id || decisions.len() != batch {
-                        return Err(format!(
-                            "bad decisions: id {got} (want {id}), {} decision(s) (want {batch})",
-                            decisions.len()
-                        )
-                        .into());
-                    }
-                    for Decision { unroll, .. } in &decisions {
-                        if *unroll >= artifact.n_classes {
-                            return Err(format!("decision {unroll} out of range").into());
-                        }
-                    }
-                }
-                other => return Err(format!("expected Decisions, got {other:?}").into()),
-            }
-            latencies_us.push(t0.elapsed().as_micros() as u64);
-        }
-        let total_s = started.elapsed().as_secs_f64();
-        latencies_us.sort_unstable();
-        let p50 = latencies_us[latencies_us.len() / 2];
-        let p99 = latencies_us[(latencies_us.len() * 99 / 100).min(latencies_us.len() - 1)];
-        let throughput = loops_sent as f64 / total_s;
-        eprintln!(
-            "bench-serve: batch {batch:>4}: p50 {p50:>6}µs, p99 {p99:>6}µs, {throughput:>9.0} loops/s"
-        );
-        results.push((batch, p50, p99, throughput));
-    }
-
-    // Final counters from the daemon itself, then a clean shutdown.
-    let stats = {
-        send(&mut wire, &ServeRequest::Stats { id: next_id })?;
-        match recv(&mut wire)? {
-            ServeResponse::StatsReport { stats, .. } => stats,
-            other => return Err(format!("expected StatsReport, got {other:?}").into()),
-        }
-    };
-    send(&mut wire, &ServeRequest::Shutdown)?;
-    match recv(&mut wire)? {
-        ServeResponse::Bye => {}
-        other => return Err(format!("expected Bye, got {other:?}").into()),
-    }
-    drop(wire);
-    let status = child.wait().map_err(|e| format!("waiting for daemon: {e}"))?;
-    if !status.success() {
-        return Err(format!("daemon exited uncleanly: {status}").into());
-    }
-
-    let mut json = String::from("{\n  \"batches\": [\n");
-    for (i, (batch, p50, p99, throughput)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"batch\": {batch}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-             \"throughput_loops_per_sec\": {throughput:.1} }}{comma}\n"
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"requests\": {},\n  \"loops_evaluated\": {},\n  \"errors\": {},\n  \
-         \"arena_cache_cap\": {arena_cache},\n  \"arena_hits\": {},\n  \"arena_misses\": {},\n  \
-         \"arena_evictions\": {},\n  \"arena_entries\": {},\n  \"queue_depth_peak\": {}\n}}\n",
-        stats.requests,
-        stats.loops_evaluated,
-        stats.errors,
-        stats.arena_hits,
-        stats.arena_misses,
-        stats.arena_evictions,
-        stats.arena_entries,
-        stats.queue_depth_peak,
-    ));
-    let mut file =
-        std::fs::File::create(&out).map_err(|e| format!("writing `{out}`: {e}"))?;
-    file.write_all(json.as_bytes())
-        .map_err(|e| format!("writing `{out}`: {e}"))?;
-
-    println!(
-        "serve: {} request(s), {} loop(s), {} error(s); arena {} hit(s) / {} miss(es), \
-         {} eviction(s), {} resident",
-        stats.requests,
-        stats.loops_evaluated,
-        stats.errors,
-        stats.arena_hits,
-        stats.arena_misses,
-        stats.arena_evictions,
-        stats.arena_entries,
-    );
-    print!(
-        "{}",
-        fegen::core::telemetry::report::summarize_dir(&tel_dir)
-            .map_err(|e| format!("daemon telemetry unreadable: {e}"))?
-    );
-    println!("report written to {out}");
-    let _ = std::fs::remove_dir_all(&root);
-
-    // Floors checked after the report is on disk (same contract as the
-    // other bench commands): nothing dropped, the bounded cache actually
-    // cycled, and throughput clears a floor far under the measured rate.
-    if stats.errors != 0 {
-        return Err(format!("{} request(s) answered with errors", stats.errors).into());
-    }
-    if stats.arena_evictions == 0 {
-        return Err("arena LRU never evicted; the bounded-memory path went unexercised".into());
-    }
-    if stats.arena_entries as usize > arena_cache {
-        return Err(format!(
-            "arena cache holds {} entries, over its {arena_cache} cap",
-            stats.arena_entries
-        )
-        .into());
-    }
-    /// Minimum acceptable serve throughput at the largest batch size.
-    const SERVE_THROUGHPUT_FLOOR: f64 = 50.0;
-    let (_, _, _, best) = results[results.len() - 1];
-    if best < SERVE_THROUGHPUT_FLOOR {
-        return Err(format!(
-            "serve throughput {best:.0} loops/s below the {SERVE_THROUGHPUT_FLOOR:.0} floor"
-        )
-        .into());
-    }
-    Ok(())
 }
 
 // Silence "unused" for names referenced only in help text.

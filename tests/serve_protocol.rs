@@ -447,9 +447,22 @@ fn failed_features_default_to_zero_and_are_counted() {
     let dir = tmp_dir("feature-failures");
     let path = dir.join("model.fgm");
     // The overflowing body raises `NonFinite` on every loop with at least
-    // one descendant; a childless loop sums nothing and succeeds.
-    let features = ["count(//*)", "sum(//*, 1.7e308 * 1.7e308)"];
-    artifact_with(&features)
+    // one descendant; a childless loop sums nothing and succeeds. Training
+    // refuses a feature that fails on every loop, so the training set gets
+    // one childless loop too.
+    let features: Vec<_> = ["count(//*)", "sum(//*, 1.7e308 * 1.7e308)"]
+        .iter()
+        .map(|s| parse_feature(s).expect("feature parses"))
+        .collect();
+    let mut training = examples();
+    training.push(TrainingExample {
+        ir: IrNode::build("loop", |l| {
+            l.attr_num("num-iter", 3.0);
+        }),
+        cycles: vec![100.0, 110.0, 120.0, 130.0],
+    });
+    ModelArtifact::train(&SearchConfig::quick(), &features, &training)
+        .expect("artifact trains")
         .save(&path)
         .expect("artifact saves");
     let engine = Arc::new(engine_at(path));
