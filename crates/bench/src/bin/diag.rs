@@ -1,115 +1,10 @@
-//! Diagnostics: loop-level quality of each method (scratch tool).
+//! Diagnostics: loop-level quality of each method (scratch tool), on
+//! stderr. Accepts the figure binaries' flags.
 
-use fegen_bench::methods::{
-    loop_level_speedup, predict_cv_ours, predict_cv_svm, predict_cv_tree,
-};
-use fegen_bench::{build_suite_data, config_from_args};
-use fegen_ml::metrics::accuracy;
-use fegen_ml::svm::SvmConfig;
-use fegen_ml::tree::TreeConfig;
+use fegen_bench::figures::Pass;
 
-fn main() {
-    let config = config_from_args();
-    let data = build_suite_data(&config);
-    eprintln!("loops: {}", data.loops.len());
-
-    // Tolerant label histograms.
-    for tol in [0.0, 0.005, 0.02, 0.05] {
-        let mut hist = vec![0usize; 16];
-        for l in &data.loops {
-            hist[fegen_ml::metrics::oracle_choice_tolerant(&l.cycles, tol)] += 1;
-        }
-        eprintln!("tol {tol:<5}: {hist:?}");
-    }
-    // Train-fit check: can the tree fit the training data at all?
-    {
-        let ys: Vec<usize> = data.loops.iter().map(|l| l.label_factor()).collect();
-        let xs: Vec<Vec<f64>> = data.loops.iter().map(|l| l.gcc_feats.clone()).collect();
-        let ds = fegen_ml::Dataset::new(xs, ys.clone(), 16).unwrap();
-        for prune in [false, true] {
-            let cfg = fegen_ml::tree::TreeConfig { prune, ..Default::default() };
-            let t = fegen_ml::DecisionTree::train(&ds, &cfg);
-            let preds: Vec<usize> = (0..ds.len()).map(|i| t.predict(ds.row(i))).collect();
-            eprintln!("gcc-feat tree prune={prune}: train-acc {:.2} leaves {} depth {}",
-                fegen_ml::metrics::accuracy(&preds, &ys), t.n_leaves(), t.depth());
-        }
-    }
-
-    // IR ceiling: overfit tree on train=test with rich hand features.
-    {
-        let ys: Vec<usize> = data.loops.iter().map(|l| l.label_factor()).collect();
-        let xs: Vec<Vec<f64>> = data.loops.iter().map(|l| {
-            let mut v = l.gcc_feats.clone();
-            v.extend(l.stateml_feats.iter());
-            v
-        }).collect();
-        let ds = fegen_ml::Dataset::new(xs, ys.clone(), 16).unwrap();
-        let cfg = fegen_ml::tree::TreeConfig { prune: false, max_depth: 24, min_split: 2, ..Default::default() };
-        let t = fegen_ml::DecisionTree::train(&ds, &cfg);
-        let preds: Vec<usize> = (0..ds.len()).map(|i| t.predict(ds.row(i))).collect();
-        let tables: Vec<Vec<f64>> = data.loops.iter().map(|l| l.cycles.clone()).collect();
-        eprintln!("IR-ceiling overfit tree: train-acc {:.2}, train loop-speedup {:.4}",
-            fegen_ml::metrics::accuracy(&preds, &ys),
-            fegen_ml::metrics::mean_speedup(&tables, &preds));
-        // Also: speedup if every loop used its label (tolerant argmin):
-        eprintln!("label-choice speedup {:.4}",
-            fegen_ml::metrics::mean_speedup(&tables, &ys));
-    }
-
-    // Label distribution.
-    let labels: Vec<usize> = data.loops.iter().map(|l| l.best_factor()).collect();
-    let mut hist = vec![0usize; 16];
-    for &l in &labels {
-        hist[l] += 1;
-    }
-    eprintln!("label histogram: {hist:?}");
-
-    // Sensitivity: how much does the choice matter per loop?
-    let mut sensitive = 0;
-    for l in &data.loops {
-        let max = l.cycles.iter().cloned().fold(0.0f64, f64::max);
-        let min = l.cycles.iter().cloned().fold(f64::INFINITY, f64::min);
-        if max / min > 1.02 {
-            sensitive += 1;
-        }
-    }
-    eprintln!("sensitive loops (>2% spread): {sensitive}/{}", data.loops.len());
-
-    let oracle = data.oracle_factors();
-    let gcc = data.gcc_factors();
-    let tree_gcc = predict_cv_tree(&data, |l| l.gcc_feats.clone(), config.folds, config.seed, &TreeConfig::default());
-    let tree_sml = predict_cv_tree(&data, |l| l.stateml_feats.clone(), config.folds, config.seed, &TreeConfig::default());
-    let svm = predict_cv_svm(&data, |l| l.stateml_feats.clone(), config.folds, config.seed, &SvmConfig::default());
-    let ours = predict_cv_ours(&data, config.folds, config.seed, &config.search);
-
-    for (name, f) in [
-        ("oracle", &oracle),
-        ("gcc", &gcc),
-        ("tree_gcc", &tree_gcc),
-        ("tree_sml", &tree_sml),
-        ("svm_sml", &svm),
-        ("ours", &ours.factors),
-    ] {
-        eprintln!(
-            "{name:<9} loop-speedup {:.4}  acc {:.2}  zero-frac {:.2}",
-            loop_level_speedup(&data, f),
-            accuracy(f, &labels),
-            f.iter().filter(|&&x| x <= 1).count() as f64 / f.len() as f64,
-        );
-    }
-    for (i, o) in ours.outcomes.iter().enumerate() {
-        eprintln!(
-            "fold {i}: {} features, baseline {:.4}, final {:.4}, gens {}",
-            o.features.len(),
-            o.baseline_speedup,
-            o.steps.last().map_or(o.baseline_speedup, |s| s.speedup),
-            o.total_generations
-        );
-        for s in &o.steps {
-            eprintln!("   {:.4} <- {}", s.speedup, s.feature);
-        }
-    }
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let pass = Pass::from_args()?;
+    eprint!("{}", pass.diag()?);
+    Ok(())
 }
-
-#[cfg(test)]
-mod never {}

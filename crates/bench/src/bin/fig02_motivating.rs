@@ -1,76 +1,8 @@
-//! Figure 2: the motivating example. A forward-difference loop from mesa
-//! (MediaBench); the table compares Baseline, Oracle, GCC's default
-//! heuristic, a decision tree over GCC's own features, and our technique.
-//!
-//! Paper result shape: GCC's default picks a factor causing a *slowdown*;
-//! the GCC-feature tree recovers a small gain; our technique finds the
-//! oracle factor.
+//! Figure 2(b): the mesa motivating-example loop, Baseline/Oracle/GCC/GCC-Tree/Ours.
+//! See [`Pass::fig02`] for the figure and its paper result shape.
 
-use fegen_bench::methods::N_CLASSES;
-use fegen_bench::pipeline::mesa_record;
-use fegen_bench::{build_suite_data, config_from_args, report};
-use fegen_core::FeatureSearch;
-use fegen_ml::tree::DecisionTree;
-use fegen_ml::Dataset;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() {
-    let config = config_from_args();
-    let (_, mesa) = mesa_record(&config);
-
-    eprintln!("# generating training suite...");
-    let data = build_suite_data(&config);
-    let labels: Vec<usize> = data.loops.iter().map(|l| l.label_factor()).collect();
-
-    // GCC-feature decision tree trained on the whole suite (the mesa loop
-    // itself is, of course, not in the suite).
-    let gcc_xs: Vec<Vec<f64>> = data.loops.iter().map(|l| l.gcc_feats.clone()).collect();
-    let gcc_ds = Dataset::new(gcc_xs, labels.clone(), N_CLASSES).expect("rectangular");
-    let gcc_tree = DecisionTree::train(&gcc_ds, &config.search.tree);
-    let gcc_tree_factor = gcc_tree.predict(&mesa.gcc_feats);
-
-    // Our technique: feature search over the suite, tree over the found
-    // features, prediction for the mesa loop.
-    eprintln!("# running feature search...");
-    let examples = data.training_examples();
-    let fs = FeatureSearch::from_examples(&examples, config.search.clone());
-    let outcome = fs.run(&examples);
-    let ours_factor = if outcome.features.is_empty() {
-        0
-    } else {
-        let matrix = fs.feature_matrix(&outcome.features, &examples);
-        let ds = Dataset::new(matrix, labels, N_CLASSES).expect("rectangular");
-        let tree = DecisionTree::train(&ds, &config.search.tree);
-        let mesa_example = fegen_core::TrainingExample {
-            ir: mesa.ir.clone(),
-            cycles: mesa.cycles.clone(),
-        };
-        let row = &fs.feature_matrix(&outcome.features, &[mesa_example])[0];
-        tree.predict(row)
-    };
-
-    let baseline = mesa.cycles[0];
-    let oracle_factor = mesa.best_factor();
-    let oracle = mesa.cycles[oracle_factor];
-
-    println!("== Figure 2: loop from mesa (MediaBench) ==");
-    println!("for (i = 0; i < EXP_TABLE_SIZE - 1; i++)");
-    println!("    l->SpotExpTable[i][1] = l->SpotExpTable[i+1][0] - l->SpotExpTable[i][0];");
-    println!();
-    for (method, factor) in [
-        ("Baseline", 0usize),
-        ("Oracle", oracle_factor),
-        ("GCC Default", mesa.gcc_default_factor),
-        ("GCC Tree", gcc_tree_factor),
-        ("Our Technique", ours_factor),
-    ] {
-        println!(
-            "{}",
-            report::fig2_row(method, factor, mesa.cycles[factor], baseline, oracle)
-        );
-    }
-    println!();
-    println!("cycle table (factors 0..=15):");
-    for (k, c) in mesa.cycles.iter().enumerate() {
-        println!("  factor {k:>2}: {c:>10.0} cycles  speedup {:.4}", baseline / c);
-    }
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig02_motivating", Pass::fig02)])
 }

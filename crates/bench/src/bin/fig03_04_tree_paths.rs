@@ -1,85 +1,8 @@
-//! Figures 3 and 4: the decision paths followed by the learned heuristics
-//! for the motivating-example loop.
-//!
-//! Figure 3: the features GCC's heuristic consults (`ninsns`, `niter`, …)
-//! and the path through a decision tree learned over them. Figure 4: the
-//! generated features our technique found, their values on the loop, and
-//! the path through the tree learned over them.
+//! Figures 3–4: the decision paths of the learned trees on the mesa loop.
+//! See [`Pass::fig03_04`] for the figure and its paper result shape.
 
-use fegen_bench::methods::N_CLASSES;
-use fegen_bench::pipeline::mesa_record;
-use fegen_bench::{build_suite_data, config_from_args};
-use fegen_core::FeatureSearch;
-use fegen_ml::tree::DecisionTree;
-use fegen_ml::Dataset;
-use fegen_rtl::heuristic::GCC_FEATURE_NAMES;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn print_path(
-    tree: &DecisionTree,
-    row: &[f64],
-    names: &[String],
-) {
-    let (label, path) = tree.predict_traced(row);
-    let mut indent = 0;
-    for step in &path {
-        let name = names
-            .get(step.feature)
-            .cloned()
-            .unwrap_or_else(|| format!("f{}", step.feature));
-        let op = if step.went_left { "<=" } else { ">" };
-        println!("{}if( {} {} {} )", "  ".repeat(indent), name, op, step.threshold);
-        indent += 1;
-    }
-    println!("{}unrollFactor = {};", "  ".repeat(indent), label);
-}
-
-fn main() {
-    let config = config_from_args();
-    let (_, mesa) = mesa_record(&config);
-    eprintln!("# generating training suite...");
-    let data = build_suite_data(&config);
-    let labels: Vec<usize> = data.loops.iter().map(|l| l.label_factor()).collect();
-
-    // ---- Figure 3: GCC features + tree path. ----
-    println!("== Figure 3(a): GCC heuristic features of the mesa loop ==");
-    for (name, value) in GCC_FEATURE_NAMES.iter().zip(&mesa.gcc_feats) {
-        println!("  {name:<26} {value}");
-    }
-    let gcc_xs: Vec<Vec<f64>> = data.loops.iter().map(|l| l.gcc_feats.clone()).collect();
-    let gcc_ds = Dataset::new(gcc_xs, labels.clone(), N_CLASSES).expect("rectangular");
-    let gcc_tree = DecisionTree::train(&gcc_ds, &config.search.tree);
-    let gcc_names: Vec<String> = GCC_FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    println!();
-    println!("== Figure 3(b): path through the GCC-feature tree ==");
-    print_path(&gcc_tree, &mesa.gcc_feats, &gcc_names);
-
-    // ---- Figure 4: generated features + tree path. ----
-    eprintln!("# running feature search...");
-    let examples = data.training_examples();
-    let fs = FeatureSearch::from_examples(&examples, config.search.clone());
-    let outcome = fs.run(&examples);
-    if outcome.features.is_empty() {
-        println!();
-        println!("(feature search found no improving features at this budget)");
-        return;
-    }
-    let mesa_example = fegen_core::TrainingExample {
-        ir: mesa.ir.clone(),
-        cycles: mesa.cycles.clone(),
-    };
-    let mesa_row = fs.feature_matrix(&outcome.features, &[mesa_example]).remove(0);
-
-    println!();
-    println!("== Figure 4(a): generated features and their values on the mesa loop ==");
-    for (k, (f, v)) in outcome.features.iter().zip(&mesa_row).enumerate() {
-        println!("  f{k} = {v:<12} {f}");
-    }
-
-    let matrix = fs.feature_matrix(&outcome.features, &examples);
-    let ds = Dataset::new(matrix, labels, N_CLASSES).expect("rectangular");
-    let our_tree = DecisionTree::train(&ds, &config.search.tree);
-    let our_names: Vec<String> = (0..outcome.features.len()).map(|k| format!("f{k}")).collect();
-    println!();
-    println!("== Figure 4(b): path through the generated-feature tree ==");
-    print_path(&our_tree, &mesa_row, &our_names);
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig03_04_tree_paths", Pass::fig03_04)])
 }

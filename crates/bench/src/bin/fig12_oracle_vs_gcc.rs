@@ -1,84 +1,8 @@
-//! Figure 12 + §VII-A limit study: per-benchmark speedup of GCC's default
-//! heuristic vs the oracle (best possible unroll factors).
-//!
-//! Paper result shape: oracle average ≈ 1.05 with large variance across
-//! benchmarks (up to 1.28 on security_sha); GCC gains on a few benchmarks
-//! but **slows down 12 of 57**, the worst to 0.55.
-//!
-//! With `--dataset-dir DIR` the cycle tables come from (and missing ones
-//! are measured into) the persistent dataset store instead of being
-//! re-measured in memory.
+//! Figure 12 + §VII-A limit study: per-benchmark oracle vs GCC speedups.
+//! See [`Pass::fig12`] for the figure and its paper result shape.
 
-use fegen_bench::pipeline::mean;
-use fegen_bench::{
-    config_from_args, dataset_dir_from_args, load_or_build_suite_data_with_telemetry, report,
-    telemetry_from_args,
-};
-use std::process::ExitCode;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() -> ExitCode {
-    let config = config_from_args();
-    let telemetry = telemetry_from_args();
-    eprintln!(
-        "# generating suite + training data ({} benchmarks)...",
-        config.suite.n_benchmarks
-    );
-    let dataset_dir = dataset_dir_from_args();
-    let (data, quarantined) =
-        match load_or_build_suite_data_with_telemetry(&config, dataset_dir.as_deref(), &telemetry) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fig12: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    eprintln!("# {} loops measured", data.loops.len());
-    for q in &quarantined {
-        eprintln!("# quarantined: {q}");
-    }
-    let sim = &config.oracle.sim;
-
-    let speedups = |factors: &[usize]| data.try_all_benchmark_speedups(factors, sim);
-    let (oracle, gcc) = match (
-        speedups(&data.oracle_factors()),
-        speedups(&data.gcc_factors()),
-    ) {
-        (Ok(o), Ok(g)) => (o, g),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("fig12: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let names: Vec<String> = data.benchmarks.iter().map(|b| b.name.clone()).collect();
-
-    println!("== Figure 12: oracle vs GCC default heuristic, per benchmark ==");
-    print!(
-        "{}",
-        report::benchmark_table(&names, &[("oracle", &oracle), ("GCC", &gcc)], 40)
-    );
-
-    println!();
-    println!("== Limit study (paper §VII-A) ==");
-    println!("average oracle speedup: {:.4}", mean(&oracle));
-    println!("average GCC speedup:    {:.4}", mean(&gcc));
-    let slowdowns: Vec<(&String, f64)> = names
-        .iter()
-        .zip(&gcc)
-        .filter(|(_, &s)| s < 0.9995)
-        .map(|(n, &s)| (n, s))
-        .collect();
-    println!("GCC slows down {} of {} benchmarks", slowdowns.len(), names.len());
-    if let Some((n, s)) = slowdowns.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
-        println!("worst GCC slowdown: {n} at {s:.4}");
-    }
-    if let Some((i, s)) = oracle
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-    {
-        println!("largest potential: {} at {s:.4}", names[i]);
-    }
-    let flat = oracle.iter().filter(|&&s| s < 1.005).count();
-    println!("benchmarks where unrolling barely matters (<0.5%): {flat}");
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig12_oracle_vs_gcc", Pass::fig12)])
 }

@@ -1,87 +1,8 @@
-//! Figure 13: comparison of GCC's heuristic, the state-of-the-art ML
-//! scheme (stateML: SVM over the Figure 14 hand features) and our
-//! technique (GP-generated features + decision tree), all per benchmark,
-//! plus the headline percent-of-maximum summary.
-//!
-//! Paper result shape: GCC ≈ 3% of max, stateML ≈ 59%, Ours ≈ 76%.
-//!
-//! With `--dataset-dir DIR` the cycle tables come from (and missing ones
-//! are measured into) the persistent dataset store instead of being
-//! re-measured in memory.
+//! Figure 13: GCC vs stateML (SVM) vs our technique, per benchmark.
+//! See [`Pass::fig13`] for the figure and its paper result shape.
 
-use fegen_bench::methods::{predict_cv_ours, predict_cv_svm};
-use fegen_bench::{
-    config_from_args, dataset_dir_from_args, load_or_build_suite_data_with_telemetry, report,
-    telemetry_from_args,
-};
-use fegen_ml::svm::SvmConfig;
-use std::process::ExitCode;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig13: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let config = config_from_args();
-    let telemetry = telemetry_from_args();
-    eprintln!("# generating suite + training data ({} benchmarks)...", config.suite.n_benchmarks);
-    let (data, quarantined) = load_or_build_suite_data_with_telemetry(
-        &config,
-        dataset_dir_from_args().as_deref(),
-        &telemetry,
-    )?;
-    eprintln!("# {} loops measured", data.loops.len());
-    for q in &quarantined {
-        eprintln!("# quarantined: {q}");
-    }
-    let sim = &config.oracle.sim;
-
-    let oracle = data.try_all_benchmark_speedups(&data.oracle_factors(), sim)?;
-    let gcc = data.try_all_benchmark_speedups(&data.gcc_factors(), sim)?;
-
-    eprintln!("# training stateML SVM ({} folds)...", config.folds);
-    let svm_factors = predict_cv_svm(
-        &data,
-        |l| l.stateml_feats.clone(),
-        config.folds,
-        config.seed,
-        &SvmConfig::default(),
-    );
-    let stateml = data.try_all_benchmark_speedups(&svm_factors, sim)?;
-
-    eprintln!("# running feature search ({} folds)...", config.folds);
-    let ours_result = predict_cv_ours(&data, config.folds, config.seed, &config.search);
-    let ours = data.try_all_benchmark_speedups(&ours_result.factors, sim)?;
-
-    let names: Vec<String> = data.benchmarks.iter().map(|b| b.name.clone()).collect();
-    println!("== Figure 13: per-benchmark speedups ==");
-    print!(
-        "{}",
-        report::benchmark_table(
-            &names,
-            &[
-                ("oracle", &oracle),
-                ("GCC", &gcc),
-                ("stateML", &stateml),
-                ("Our", &ours),
-            ],
-            36,
-        )
-    );
-    println!();
-    println!("== Summary (percent of maximum available speedup) ==");
-    print!(
-        "{}",
-        report::percent_of_max_summary(
-            &oracle,
-            &[("GCC", &gcc), ("stateML", &stateml), ("Our", &ours)],
-        )
-    );
-    Ok(())
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig13_comparison", Pass::fig13)])
 }

@@ -1,46 +1,8 @@
-//! Figure 14: the hand-crafted features of the state-of-the-art scheme
-//! (Stephenson & Amarasinghe), printed with their values on a few sample
-//! loops of the suite — verifying the re-implementation produces sensible,
-//! discriminative values.
+//! Figure 14: the stateML features on a few loops of the tiny suite.
+//! See [`Pass::fig14`] for the figure and its paper result shape.
 
-use fegen_bench::{build_suite_data, config_from_args};
-use fegen_rtl::stateml::STATEML_FEATURE_NAMES;
-use fegen_suite::SuiteConfig;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() {
-    let mut config = config_from_args();
-    // The feature listing only needs a handful of loops.
-    config.suite = SuiteConfig::tiny();
-    let data = build_suite_data(&config);
-
-    println!("== Figure 14: the stateML features ==");
-    let sample: Vec<&fegen_bench::LoopRecord> = data.loops.iter().take(4).collect();
-    print!("{:<32}", "feature");
-    for l in &sample {
-        print!(" {:>14}", l.site.to_string().chars().take(14).collect::<String>());
-    }
-    println!();
-    for (k, name) in STATEML_FEATURE_NAMES.iter().enumerate() {
-        print!("{name:<32}");
-        for l in &sample {
-            print!(" {:>14.2}", l.stateml_feats[k]);
-        }
-        println!();
-    }
-
-    // Cross-loop variance check: a feature that never varies carries no
-    // information; report how many are discriminative across the suite.
-    let mut varying = 0;
-    for k in 0..STATEML_FEATURE_NAMES.len() {
-        let first = data.loops[0].stateml_feats[k];
-        if data.loops.iter().any(|l| l.stateml_feats[k] != first) {
-            varying += 1;
-        }
-    }
-    println!();
-    println!(
-        "{varying} of {} features vary across the {} sampled loops",
-        STATEML_FEATURE_NAMES.len(),
-        data.loops.len()
-    );
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig14_stateml_features", Pass::fig14)])
 }

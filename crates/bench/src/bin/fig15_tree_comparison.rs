@@ -1,93 +1,8 @@
-//! Figure 15: the same learner (the C4.5 decision tree) trained over the
-//! four competing feature sets — GCC's heuristic features, the stateML
-//! hand features, their union, and our generated features. Holding the
-//! model fixed isolates the merit of the features.
-//!
-//! Paper result shape: GCC-features tree ≈ 48% of max, stateML-features
-//! tree ≈ 53%, combining the two adds nothing, ours ≈ 76%.
+//! Figure 15: the same learner (C4.5) over different feature sets.
+//! See [`Pass::fig15`] for the figure and its paper result shape.
 
-use fegen_bench::methods::{predict_cv_ours, predict_cv_tree};
-use fegen_bench::{build_suite_data, config_from_args, report};
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() {
-    let config = config_from_args();
-    eprintln!(
-        "# generating suite + training data ({} benchmarks)...",
-        config.suite.n_benchmarks
-    );
-    let data = build_suite_data(&config);
-    eprintln!("# {} loops measured", data.loops.len());
-    let sim = &config.oracle.sim;
-    let tree_cfg = &config.search.tree;
-
-    let oracle = data.all_benchmark_speedups(&data.oracle_factors(), sim);
-
-    eprintln!("# GCC-feature tree...");
-    let gcc_tree = predict_cv_tree(
-        &data,
-        |l| l.gcc_feats.clone(),
-        config.folds,
-        config.seed,
-        tree_cfg,
-    );
-    let gcc_tree_sp = data.all_benchmark_speedups(&gcc_tree, sim);
-
-    eprintln!("# stateML-feature tree...");
-    let sml_tree = predict_cv_tree(
-        &data,
-        |l| l.stateml_feats.clone(),
-        config.folds,
-        config.seed,
-        tree_cfg,
-    );
-    let sml_tree_sp = data.all_benchmark_speedups(&sml_tree, sim);
-
-    eprintln!("# combined GCC+stateML tree...");
-    let combined = predict_cv_tree(
-        &data,
-        |l| {
-            let mut v = l.gcc_feats.clone();
-            v.extend(l.stateml_feats.iter());
-            v
-        },
-        config.folds,
-        config.seed,
-        tree_cfg,
-    );
-    let combined_sp = data.all_benchmark_speedups(&combined, sim);
-
-    eprintln!("# our generated features ({} folds of feature search)...", config.folds);
-    let ours = predict_cv_ours(&data, config.folds, config.seed, &config.search);
-    let ours_sp = data.all_benchmark_speedups(&ours.factors, sim);
-
-    let names: Vec<String> = data.benchmarks.iter().map(|b| b.name.clone()).collect();
-    println!("== Figure 15: same model (C4.5 tree), different feature sets ==");
-    print!(
-        "{}",
-        report::benchmark_table(
-            &names,
-            &[
-                ("oracle", &oracle),
-                ("GCCTree", &gcc_tree_sp),
-                ("sMLTree", &sml_tree_sp),
-                ("G+S", &combined_sp),
-                ("Our", &ours_sp),
-            ],
-            32,
-        )
-    );
-    println!();
-    println!("== Summary (percent of maximum available speedup) ==");
-    print!(
-        "{}",
-        report::percent_of_max_summary(
-            &oracle,
-            &[
-                ("GCC Tree", &gcc_tree_sp),
-                ("stateML Tree", &sml_tree_sp),
-                ("GCC+stateML", &combined_sp),
-                ("Our", &ours_sp),
-            ],
-        )
-    );
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig15_tree_comparison", Pass::fig15)])
 }

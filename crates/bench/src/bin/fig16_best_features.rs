@@ -1,66 +1,8 @@
-//! Figure 16: the features found by the search in one fold — each with the
-//! internal-validation speedup the model attains once the feature is added,
-//! the translation into percent of the maximum available, and the marginal
-//! improvement the feature contributed.
+//! Figure 16: the features found in one cross-validation fold.
+//! See [`Pass::fig16`] for the figure and its paper result shape.
 
-use fegen_bench::{build_suite_data, config_from_args};
-use fegen_core::FeatureSearch;
-use fegen_ml::metrics::percent_of_max;
-use fegen_ml::KFold;
+use fegen_bench::figures::{print_figures, Pass};
 
-fn main() {
-    let config = config_from_args();
-    eprintln!(
-        "# generating suite + training data ({} benchmarks)...",
-        config.suite.n_benchmarks
-    );
-    let data = build_suite_data(&config);
-    let examples = data.training_examples();
-
-    // One fold: train on (folds-1)/folds of the loops, exactly as one fold
-    // of the Figure 13/15 cross-validation does.
-    let (train, _test) = KFold::new(config.folds, config.seed)
-        .splits(examples.len())
-        .remove(0);
-    let train_examples: Vec<_> = train.iter().map(|&i| examples[i].clone()).collect();
-    eprintln!("# feature search over {} training loops...", train_examples.len());
-    let fs = FeatureSearch::from_examples(&train_examples, config.search.clone());
-    let outcome = fs.run(&train_examples);
-
-    println!("== Figure 16: best features found in one fold ==");
-    println!(
-        "baseline (no features): internal speedup {:.5}; oracle ceiling {:.5}",
-        outcome.baseline_speedup, outcome.oracle_speedup
-    );
-    println!();
-    println!(
-        "{:>3}  {:>8}  {:>8}  {:>11}  feature",
-        "#", "speedup", "% of max", "improvement"
-    );
-    let mut prev_pct = percent_of_max(outcome.baseline_speedup, outcome.oracle_speedup) * 100.0;
-    for (k, step) in outcome.steps.iter().enumerate() {
-        let pct = percent_of_max(step.speedup, outcome.oracle_speedup) * 100.0;
-        println!(
-            "{:>3}  {:>8.5}  {:>7.2}%  {:>10.2}%  {}",
-            k + 1,
-            step.speedup,
-            pct,
-            pct - prev_pct,
-            step.feature
-        );
-        prev_pct = pct;
-    }
-    println!();
-    println!(
-        "{} features in {} total GP generations",
-        outcome.features.len(),
-        outcome.total_generations
-    );
-    println!();
-    println!("expression-element legend (paper §VII-C):");
-    println!("  count(s)     number of elements in sequence s");
-    println!("  filter(s,m)  s without the elements not matching m");
-    println!("  sum(s,e)     sum of e over each member of s");
-    println!("  is-type(t)   the current node has type t");
-    println!("  /*, //*, /[n][p]   children, descendants, n-th-child test");
+fn main() -> std::process::ExitCode {
+    print_figures(&[("fig16_best_features", Pass::fig16)])
 }

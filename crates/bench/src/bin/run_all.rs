@@ -1,51 +1,10 @@
-//! Runs every figure binary in paper order, forwarding the CLI flags
-//! (`--paper`, `--seed N`, `--folds N`, `--dataset-dir DIR`).
+//! Runs every figure in paper order in one process, from one measured
+//! suite (see [`fegen_bench::figures`]). Accepts the figure binaries'
+//! flags (`--paper`, `--seed N`, `--folds N`, `--dataset-dir DIR`, ...);
+//! stdout is the concatenation of the seven figure binaries' stdout.
 
-use std::process::{Command, ExitCode};
+use fegen_bench::figures::{print_figures, FIGURES};
 
-const BINARIES: [&str; 7] = [
-    "fig02_motivating",
-    "fig03_04_tree_paths",
-    "fig12_oracle_vs_gcc",
-    "fig13_comparison",
-    "fig14_stateml_features",
-    "fig15_tree_comparison",
-    "fig16_best_features",
-];
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = match std::env::current_exe() {
-        Ok(exe) => match exe.parent() {
-            Some(d) => d.to_path_buf(),
-            None => {
-                eprintln!("run_all: executable path has no parent directory");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("run_all: cannot locate the current executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for bin in BINARIES {
-        // Stage banners are diagnostics: stderr, so stdout stays a clean
-        // concatenation of the figures' own (self-describing) output.
-        eprintln!();
-        eprintln!("########################################################");
-        eprintln!("## {bin}");
-        eprintln!("########################################################");
-        let status = match Command::new(dir.join(bin)).args(&args).status() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("run_all: failed to launch {bin}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !status.success() {
-            eprintln!("{bin} exited with {status}");
-            return ExitCode::from(status.code().unwrap_or(1).clamp(0, 255) as u8);
-        }
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    print_figures(&FIGURES)
 }

@@ -41,9 +41,6 @@ use crate::pipeline::{
     PipelineError, SuiteData,
 };
 use fegen_core::{stable_hash, CancelToken, FaultInjector, FaultKind, Telemetry};
-use fegen_rtl::export::export_loop;
-use fegen_rtl::heuristic::{gcc_default_factor, gcc_features};
-use fegen_rtl::stateml::stateml_features;
 use fegen_sim::measure::{robust_stats, NoiseModel};
 use fegen_sim::oracle::{kernel_functions, loop_sites, measure_site, run_workload, LoopSite};
 use rand::rngs::StdRng;
@@ -962,29 +959,15 @@ pub fn load_suite_data(
             .ok_or_else(|| corrupt("missing baseline cycles".into()))?;
         let bench_idx = benchmarks.len();
         for data in &shard.sites {
-            let func = cb
-                .rtl
-                .function(&data.func)
-                .ok_or_else(|| corrupt(format!("no function `{}`", data.func)))?;
-            let region = func
-                .loops
-                .iter()
-                .find(|l| l.id == data.loop_id)
-                .ok_or_else(|| {
-                    corrupt(format!("no loop #{} in `{}`", data.loop_id, data.func))
-                })?;
-            loops.push(LoopRecord {
-                bench: bench_idx,
-                site: LoopSite {
-                    func: data.func.clone(),
-                    loop_id: data.loop_id,
-                },
-                cycles: data.cycles.clone(),
-                ir: export_loop(func, region, &cb.rtl.layout),
-                gcc_feats: gcc_features(func, region),
-                stateml_feats: stateml_features(func, region),
-                gcc_default_factor: gcc_default_factor(func, region, &experiment.oracle.gcc),
-            });
+            let site = LoopSite {
+                func: data.func.clone(),
+                loop_id: data.loop_id,
+            };
+            let gcc = &experiment.oracle.gcc;
+            let record = LoopRecord::export(bench_idx, &cb, site, data.cycles.clone(), gcc);
+            loops.push(record.ok_or_else(|| {
+                corrupt(format!("no loop #{} in `{}`", data.loop_id, data.func))
+            })?);
         }
         baseline_cycles.push(baseline);
         benchmarks.push(cb);

@@ -1,8 +1,9 @@
 //! # fegen-bench — the experiment harness
 //!
 //! Reproduces every table and figure of the paper's evaluation. The crate
-//! is a library (shared pipeline + methods + reporting) plus one binary per
-//! paper artefact:
+//! is a library (shared pipeline + methods + reporting, and [`figures`]:
+//! the evaluation as one pass that measures the suite once and runs each
+//! feature search once) plus one thin binary per paper artefact:
 //!
 //! | binary | artefact |
 //! |---|---|
@@ -13,13 +14,14 @@
 //! | `fig14_stateml_features` | Figure 14: the 22 stateML features |
 //! | `fig15_tree_comparison` | Figure 15: same learner (C4.5), different feature sets |
 //! | `fig16_best_features` | Figure 16: the greedy feature list of one fold |
-//! | `run_all` | everything, in order |
+//! | `run_all` | everything, in order, from one [`figures::Pass`] |
 //!
 //! All binaries accept `--paper` for paper-scale budgets (hours) and
 //! default to a `--quick` preset (minutes) that preserves the experimental
 //! protocol at reduced scale. Pass `--seed N` to change the master seed,
-//! and `--dataset-dir DIR` to measure through the persistent dataset store
-//! (see [`campaign`]) instead of re-measuring in memory.
+//! `--dataset-dir DIR` to measure through the persistent dataset store
+//! (see [`campaign`]) instead of re-measuring in memory, and
+//! `--telemetry-dir DIR` to log the campaign's events.
 
 
 // Library code must report through telemetry events or typed errors,
@@ -28,6 +30,7 @@
 
 pub mod campaign;
 pub mod dataset;
+pub mod figures;
 pub mod methods;
 pub mod pipeline;
 pub mod record;
@@ -40,8 +43,8 @@ pub use campaign::{
 };
 pub use dataset::{DatasetError, DatasetStore, QuarantineEntry};
 pub use pipeline::{
-    build_suite_data, try_build_suite_data, BenchmarkSnapshot, ExperimentConfig, LoopRecord,
-    PipelineError, SuiteData,
+    try_build_suite_data, BenchmarkSnapshot, ExperimentConfig, LoopRecord, PipelineError,
+    SuiteData,
 };
 
 /// Parses the common CLI flags (`--paper`, `--quick`, `--seed N`,
@@ -77,59 +80,21 @@ pub fn config_from_args() -> ExperimentConfig {
     config
 }
 
-/// Parses the optional `--dataset-dir DIR` flag shared by the figure
-/// binaries.
-pub fn dataset_dir_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--dataset-dir" {
-            return it.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Builds a telemetry handle from the shared CLI flags `--telemetry-dir
-/// DIR`, `--log-json` and `--progress`. Returns the disabled handle when
-/// none are given; exits with a diagnostic when the sink cannot be opened.
-pub fn telemetry_from_args() -> fegen_core::Telemetry {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = fegen_core::TelemetryConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--telemetry-dir" => config.dir = it.next().map(std::path::PathBuf::from),
-            "--log-json" => config.log_json = true,
-            "--progress" => config.progress = true,
-            _ => {}
-        }
-    }
-    match config.build() {
-        Ok(t) => t,
-        Err(e) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stderr(), "error: cannot open telemetry sink: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Builds [`SuiteData`] either in memory (no dataset directory: the
-/// original `try_build_suite_data` path, exact simulation, no noise) or
-/// through the persistent dataset store: open (or create) the dataset,
-/// run the campaign for any benchmark not yet measured, then load the
-/// stored cycle tables. Returns the data plus the quarantine entries
-/// excluded from it (always empty on the in-memory path).
-pub fn load_or_build_suite_data(
-    config: &ExperimentConfig,
-    dataset_dir: Option<&std::path::Path>,
-) -> Result<(SuiteData, Vec<QuarantineEntry>), CampaignError> {
-    load_or_build_suite_data_with_telemetry(config, dataset_dir, &fegen_core::Telemetry::disabled())
-}
-
-/// [`load_or_build_suite_data`] with a telemetry handle threaded into the
-/// campaign and the dataset store. Telemetry never changes a shard byte.
+/// Builds [`SuiteData`] either in memory or through the persistent
+/// dataset store, and returns it with the quarantine entries excluded from
+/// it (always empty in memory). The two paths are different protocols and
+/// are not meant to agree cycle for cycle:
+///
+/// - Without a directory, [`try_build_suite_data`] simulates every cell
+///   once. The simulator is exact, so each table is the noise-free cycle
+///   count.
+/// - With a directory, the campaign opens (or creates) the dataset,
+///   measures every benchmark not yet stored, and loads the stored tables.
+///   Each stored cell is the median of seeded noisy runs, escalated while
+///   the runs stay dispersed ([`SamplingPolicy`]), as a measurement on
+///   real hardware would be.
+///
+/// Telemetry never changes a shard byte.
 pub fn load_or_build_suite_data_with_telemetry(
     config: &ExperimentConfig,
     dataset_dir: Option<&std::path::Path>,

@@ -7,7 +7,7 @@
 //! - [`predict_cv_tree`] — a C4.5 decision tree over a fixed feature set
 //!   (GCC's features, stateML's features, or their union — Figure 15);
 //! - [`predict_cv_svm`] — the stateML one-vs-all RBF SVM (Figure 13);
-//! - [`predict_cv_ours`] — the paper's contribution: per fold, derive the
+//! - [`try_predict_cv_ours`] — the paper's contribution: per fold, derive the
 //!   grammar from the training loops, run the GP feature search, train a
 //!   tree over the found features, predict the held-out loops.
 
@@ -33,23 +33,10 @@ pub fn predict_cv_tree(
     seed: u64,
     tree: &TreeConfig,
 ) -> Vec<usize> {
-    let loops = &data.loops;
-    let xs: Vec<Vec<f64>> = loops.iter().map(&features).collect();
-    let ys = labels(loops);
-    let fallback = majority(&ys);
-    // A ragged feature mapping cannot train a model; fall back to the
-    // majority factor rather than aborting the evaluation.
-    let Ok(dataset) = Dataset::new(xs, ys, N_CLASSES) else {
-        return vec![fallback; loops.len()];
-    };
-    let mut out = vec![0usize; loops.len()];
-    for (train, test) in KFold::new(folds, seed).splits(loops.len()) {
-        let model = DecisionTree::train(&dataset.subset(&train), tree);
-        for i in test {
-            out[i] = model.predict(dataset.row(i));
-        }
-    }
-    out
+    predict_cv(data, features, folds, seed, |all, train, test| {
+        let model = DecisionTree::train(train, tree);
+        test.iter().map(|&i| model.predict(all.row(i))).collect()
+    })
 }
 
 /// Cross-validated one-vs-all RBF SVM predictions (the stateML scheme:
@@ -61,21 +48,38 @@ pub fn predict_cv_svm(
     seed: u64,
     svm: &SvmConfig,
 ) -> Vec<usize> {
+    predict_cv(data, features, folds, seed, |all, train, test| {
+        let stats = train.feature_stats();
+        let model = Svm::train(&train.standardized(&stats), svm);
+        let all_std = all.standardized(&stats);
+        test.iter().map(|&i| model.predict(all_std.row(i))).collect()
+    })
+}
+
+/// The outer cross-validation of a fixed-feature method: per fold,
+/// `fit(all, train, test)` trains on the fold's training subset and
+/// predicts the held-out rows `test` of the full dataset `all`.
+fn predict_cv(
+    data: &SuiteData,
+    features: impl Fn(&LoopRecord) -> Vec<f64>,
+    folds: usize,
+    seed: u64,
+    fit: impl Fn(&Dataset, &Dataset, &[usize]) -> Vec<usize>,
+) -> Vec<usize> {
     let loops = &data.loops;
     let xs: Vec<Vec<f64>> = loops.iter().map(&features).collect();
     let ys = labels(loops);
     let fallback = majority(&ys);
+    // A ragged feature mapping cannot train a model; fall back to the
+    // majority factor rather than aborting the evaluation.
     let Ok(dataset) = Dataset::new(xs, ys, N_CLASSES) else {
         return vec![fallback; loops.len()];
     };
     let mut out = vec![0usize; loops.len()];
     for (train, test) in KFold::new(folds, seed).splits(loops.len()) {
-        let train_set = dataset.subset(&train);
-        let stats = train_set.feature_stats();
-        let model = Svm::train(&train_set.standardized(&stats), svm);
-        let all_std = dataset.standardized(&stats);
-        for i in test {
-            out[i] = model.predict(all_std.row(i));
+        let predictions = fit(&dataset, &dataset.subset(&train), &test);
+        for (i, p) in test.into_iter().zip(predictions) {
+            out[i] = p;
         }
     }
     out
@@ -92,25 +96,7 @@ pub struct OursResult {
     pub outcomes: Vec<SearchOutcome>,
 }
 
-/// Cross-validated run of the paper's technique.
-///
-/// # Panics
-///
-/// Panics when a fold's feature search fails; use [`try_predict_cv_ours`]
-/// for a typed error naming the fold.
-pub fn predict_cv_ours(
-    data: &SuiteData,
-    folds: usize,
-    seed: u64,
-    search: &SearchConfig,
-) -> OursResult {
-    match try_predict_cv_ours(data, folds, seed, search) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`predict_cv_ours`]: a failing fold surfaces as
+/// Cross-validated run of the paper's technique. A failing fold surfaces as
 /// [`PipelineError::Search`] with the fold index and the underlying
 /// [`fegen_core::SearchError`], instead of aborting the whole evaluation
 /// with a panic.
@@ -135,7 +121,10 @@ pub fn try_predict_cv_ours(
         let fs = FeatureSearch::from_examples(&train_examples, cfg.clone());
         let outcome = fs
             .try_run(&train_examples)
-            .map_err(|source| PipelineError::Search { fold, source })?;
+            .map_err(|source| PipelineError::Search {
+                fold: Some(fold),
+                source,
+            })?;
 
         // Deploy: train the final tree over the found features on the
         // training loops, predict the held-out loops. The feature matrix is
@@ -188,13 +177,13 @@ pub fn loop_level_speedup(data: &SuiteData, factors: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{build_suite_data, ExperimentConfig};
+    use crate::pipeline::{try_build_suite_data, ExperimentConfig};
     use fegen_suite::SuiteConfig;
 
     fn tiny() -> SuiteData {
         let mut config = ExperimentConfig::quick();
         config.suite = SuiteConfig::tiny();
-        build_suite_data(&config)
+        try_build_suite_data(&config).unwrap()
     }
 
     #[test]
@@ -232,7 +221,7 @@ mod tests {
         cfg.max_total_generations = 20;
         cfg.gp.population = 10;
         cfg.gp.max_generations = 4;
-        let r = predict_cv_ours(&data, 3, 7, &cfg);
+        let r = try_predict_cv_ours(&data, 3, 7, &cfg).unwrap();
         assert_eq!(r.factors.len(), data.loops.len());
         assert_eq!(r.outcomes.len(), 3);
     }

@@ -1,15 +1,13 @@
 //! The shared experiment pipeline: compile the suite, generate training
 //! data (per-loop cycle tables), export loop IR and hand-feature vectors.
 //!
-//! Every stage has a fallible `try_*` entry point returning
-//! [`PipelineError`], which names the stage, the benchmark and — where it
-//! applies — the loop site or cross-validation fold that failed. The
-//! original panicking functions remain as thin wrappers for the figure
-//! binaries, where dying with a precise message *is* the error handling.
+//! Every stage is a fallible `try_*` function returning [`PipelineError`],
+//! which names the stage, the benchmark and — where it applies — the loop
+//! site or cross-validation fold that failed.
 
 use fegen_core::ir::IrNode;
 use fegen_rtl::export::export_loop;
-use fegen_rtl::heuristic::{gcc_default_factor, gcc_features};
+use fegen_rtl::heuristic::{gcc_default_factor, gcc_features, GccParams};
 use fegen_rtl::lower::lower_program;
 use fegen_rtl::stateml::stateml_features;
 use fegen_rtl::RtlProgram;
@@ -65,10 +63,11 @@ pub enum PipelineError {
         /// Unroll/simulator error text.
         detail: String,
     },
-    /// The feature search of one cross-validation fold failed.
+    /// A feature search failed.
     Search {
-        /// Fold index (0-based).
-        fold: usize,
+        /// Cross-validation fold index (0-based); `None` for the search
+        /// over the whole suite.
+        fold: Option<usize>,
         /// The underlying search error (names the candidate situation:
         /// e.g. no viable candidate after N generations).
         source: fegen_core::SearchError,
@@ -99,8 +98,12 @@ impl fmt::Display for PipelineError {
             PipelineError::Deploy { bench, detail } => {
                 write!(f, "deploy stage: benchmark `{bench}`: {detail}")
             }
-            PipelineError::Search { fold, source } => {
-                write!(f, "search stage: fold {fold}: {source}")
+            PipelineError::Search {
+                fold: Some(fold),
+                source,
+            } => write!(f, "search stage: fold {fold}: {source}"),
+            PipelineError::Search { fold: None, source } => {
+                write!(f, "search stage: whole suite: {source}")
             }
         }
     }
@@ -138,19 +141,6 @@ pub fn to_sim_arg(a: &ArgDesc) -> Arg {
 }
 
 /// Lowers a suite benchmark and builds its workload.
-///
-/// # Panics
-///
-/// Panics when the generated benchmark fails to lower — that would be a
-/// suite-generator bug, not a user error. Use [`try_compile`] to handle it.
-pub fn compile(b: &Benchmark) -> CompiledBenchmark {
-    match try_compile(b) {
-        Ok(cb) => cb,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`compile`].
 pub fn try_compile(b: &Benchmark) -> Result<CompiledBenchmark, PipelineError> {
     let rtl = lower_program(&b.program).map_err(|e| PipelineError::Compile {
         bench: b.name.clone(),
@@ -335,6 +325,29 @@ pub struct LoopRecord {
 }
 
 impl LoopRecord {
+    /// Loop `site` of `cb` (benchmark `bench` of the suite), measured as
+    /// `cycles`, with its exported IR, hand features and GCC's default
+    /// decision under `gcc`. `None` when `cb` has no loop at `site`.
+    pub fn export(
+        bench: usize,
+        cb: &CompiledBenchmark,
+        site: LoopSite,
+        cycles: Vec<f64>,
+        gcc: &GccParams,
+    ) -> Option<LoopRecord> {
+        let func = cb.rtl.function(&site.func)?;
+        let region = func.loops.iter().find(|l| l.id == site.loop_id)?;
+        Some(LoopRecord {
+            bench,
+            ir: export_loop(func, region, &cb.rtl.layout),
+            gcc_feats: gcc_features(func, region),
+            stateml_feats: stateml_features(func, region),
+            gcc_default_factor: gcc_default_factor(func, region, gcc),
+            site,
+            cycles,
+        })
+    }
+
     /// The oracle-best factor (exact argmin; used for oracle speedups).
     pub fn best_factor(&self) -> usize {
         fegen_ml::metrics::oracle_choice(&self.cycles)
@@ -402,21 +415,8 @@ impl ExperimentConfig {
     }
 }
 
-/// Generates the suite, compiles it and measures every loop (§V data
-/// generation). This is the expensive step every binary starts with.
-///
-/// # Panics
-///
-/// Panics on any stage failure; use [`try_build_suite_data`] for a typed
-/// error naming the benchmark and loop site.
-pub fn build_suite_data(config: &ExperimentConfig) -> SuiteData {
-    match try_build_suite_data(config) {
-        Ok(data) => data,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`build_suite_data`].
+/// Generates the suite, compiles it and measures every loop once with the
+/// exact simulator (§V data generation, in memory).
 pub fn try_build_suite_data(config: &ExperimentConfig) -> Result<SuiteData, PipelineError> {
     let suite = fegen_suite::generate_suite(&config.suite);
     let mut benchmarks = Vec::with_capacity(suite.len());
@@ -426,25 +426,12 @@ pub fn try_build_suite_data(config: &ExperimentConfig) -> Result<SuiteData, Pipe
         let snap = BenchmarkSnapshot::try_build(b, &config.oracle)?;
         for site in &snap.sites {
             let m = snap.try_measure_site(site)?;
-            let missing = || PipelineError::MissingSite {
+            let record =
+                LoopRecord::export(bench_idx, &snap.cb, m.site, m.cycles, &config.oracle.gcc);
+            loops.push(record.ok_or_else(|| PipelineError::MissingSite {
                 bench: snap.cb.name.clone(),
                 site: site.to_string(),
-            };
-            let func = snap.cb.rtl.function(&site.func).ok_or_else(missing)?;
-            let region = func
-                .loops
-                .iter()
-                .find(|l| l.id == site.loop_id)
-                .ok_or_else(missing)?;
-            loops.push(LoopRecord {
-                bench: bench_idx,
-                site: site.clone(),
-                cycles: m.cycles,
-                ir: export_loop(func, region, &snap.cb.rtl.layout),
-                gcc_feats: gcc_features(func, region),
-                stateml_feats: stateml_features(func, region),
-                gcc_default_factor: gcc_default_factor(func, region, &config.oracle.gcc),
-            });
+            })?);
         }
         baseline_cycles.push(snap.baseline_cycles);
         benchmarks.push(snap.into_compiled());
@@ -460,19 +447,6 @@ impl SuiteData {
     /// Runs benchmark `bench_idx` with the given per-loop factor choices
     /// (`factors[i]` for `self.loops[i]`, only this benchmark's entries are
     /// used) and returns its whole-workload speedup over no unrolling.
-    pub fn benchmark_speedup(
-        &self,
-        bench_idx: usize,
-        factors: &[usize],
-        sim: &SimConfig,
-    ) -> f64 {
-        match self.try_benchmark_speedup(bench_idx, factors, sim) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SuiteData::benchmark_speedup`].
     pub fn try_benchmark_speedup(
         &self,
         bench_idx: usize,
@@ -502,13 +476,6 @@ impl SuiteData {
     }
 
     /// Per-benchmark speedups for a full factor assignment.
-    pub fn all_benchmark_speedups(&self, factors: &[usize], sim: &SimConfig) -> Vec<f64> {
-        (0..self.benchmarks.len())
-            .map(|b| self.benchmark_speedup(b, factors, sim))
-            .collect()
-    }
-
-    /// Fallible form of [`SuiteData::all_benchmark_speedups`].
     pub fn try_all_benchmark_speedups(
         &self,
         factors: &[usize],
@@ -542,22 +509,9 @@ impl SuiteData {
 }
 
 /// Builds the motivating-example data (paper Figure 2): the mesa
-/// `SpotExpTable` loop, compiled once into a [`BenchmarkSnapshot`],
-/// measured over all factors by forking, with its exported IR and hand
-/// features — everything the Figure 2/3/4 binaries need. Returning the
-/// snapshot (the compiled benchmark is `snapshot.cb`) lets callers reuse
-/// the compile state for further measurements instead of recompiling.
-pub fn mesa_record(config: &ExperimentConfig) -> (BenchmarkSnapshot, LoopRecord) {
-    match try_mesa_record(config) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`mesa_record`].
-pub fn try_mesa_record(
-    config: &ExperimentConfig,
-) -> Result<(BenchmarkSnapshot, LoopRecord), PipelineError> {
+/// `SpotExpTable` loop, measured over all factors by forking, with its
+/// exported IR and hand features — everything the Figure 2/3/4 views need.
+pub fn try_mesa_record(config: &ExperimentConfig) -> Result<LoopRecord, PipelineError> {
     let bench = fegen_suite::mesa_example();
     let snap = BenchmarkSnapshot::try_build(&bench, &config.oracle)?;
     let site = LoopSite {
@@ -565,22 +519,12 @@ pub fn try_mesa_record(
         loop_id: 0,
     };
     let m = snap.try_measure_site(&site)?;
-    let missing = || PipelineError::MissingSite {
-        bench: snap.cb.name.clone(),
-        site: site.to_string(),
-    };
-    let func = snap.cb.rtl.function("spot_exp").ok_or_else(missing)?;
-    let region = func.loops.first().ok_or_else(missing)?;
-    let record = LoopRecord {
-        bench: 0,
-        site,
-        cycles: m.cycles,
-        ir: export_loop(func, region, &snap.cb.rtl.layout),
-        gcc_feats: gcc_features(func, region),
-        stateml_feats: stateml_features(func, region),
-        gcc_default_factor: gcc_default_factor(func, region, &config.oracle.gcc),
-    };
-    Ok((snap, record))
+    LoopRecord::export(0, &snap.cb, m.site, m.cycles, &config.oracle.gcc).ok_or_else(|| {
+        PipelineError::MissingSite {
+            bench: snap.cb.name.clone(),
+            site: site.to_string(),
+        }
+    })
 }
 
 /// Arithmetic mean over the finite entries; `0.0` when none remain.
@@ -611,7 +555,7 @@ mod tests {
     fn tiny_data() -> SuiteData {
         let mut config = ExperimentConfig::quick();
         config.suite = SuiteConfig::tiny();
-        build_suite_data(&config)
+        try_build_suite_data(&config).unwrap()
     }
 
     #[test]
@@ -631,9 +575,9 @@ mod tests {
     fn oracle_beats_or_equals_everyone_per_benchmark() {
         let data = tiny_data();
         let sim = SimConfig::default();
-        let oracle = data.all_benchmark_speedups(&data.oracle_factors(), &sim);
+        let oracle = data.try_all_benchmark_speedups(&data.oracle_factors(), &sim).unwrap();
         let zero = vec![0usize; data.loops.len()];
-        let baseline = data.all_benchmark_speedups(&zero, &sim);
+        let baseline = data.try_all_benchmark_speedups(&zero, &sim).unwrap();
         for (i, (&o, &b)) in oracle.iter().zip(&baseline).enumerate() {
             assert!((b - 1.0).abs() < 1e-9, "baseline speedup must be 1.0, got {b}");
             // The per-loop oracle may compose imperfectly across loops of a
@@ -713,8 +657,8 @@ mod tests {
         let sim = SimConfig::default();
         let f = data.oracle_factors();
         assert_eq!(
-            data.benchmark_speedup(0, &f, &sim),
-            data.benchmark_speedup(0, &f, &sim)
+            data.try_benchmark_speedup(0, &f, &sim).unwrap(),
+            data.try_benchmark_speedup(0, &f, &sim).unwrap()
         );
     }
 }

@@ -78,3 +78,58 @@ fn fig12_stdout_is_pure_parseable_results() {
         assert!(value.is_finite() && value > 0.0, "{label} {value}");
     }
 }
+
+/// Runs a figure binary with `args` and returns its stdout, failing the
+/// test with its stderr when it exits unsuccessfully.
+fn stdout_of(bin: &str, args: &[&str]) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary launches");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{bin} {args:?} failed: {stderr}");
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+#[test]
+fn run_all_stdout_is_the_seven_figures_concatenated() {
+    let figures = [
+        env!("CARGO_BIN_EXE_fig02_motivating"),
+        env!("CARGO_BIN_EXE_fig03_04_tree_paths"),
+        env!("CARGO_BIN_EXE_fig12_oracle_vs_gcc"),
+        env!("CARGO_BIN_EXE_fig13_comparison"),
+        env!("CARGO_BIN_EXE_fig14_stateml_features"),
+        env!("CARGO_BIN_EXE_fig15_tree_comparison"),
+        env!("CARGO_BIN_EXE_fig16_best_features"),
+    ];
+    let separate: String = figures
+        .iter()
+        .map(|bin| stdout_of(bin, &["--tiny"]))
+        .collect();
+    let one_pass = stdout_of(env!("CARGO_BIN_EXE_run_all"), &["--tiny"]);
+    assert!(one_pass.contains("== Figure 16"), "run_all stopped early");
+    assert!(
+        one_pass == separate,
+        "run_all differs from its figures run separately\n--- run_all:\n{one_pass}\n--- separately:\n{separate}"
+    );
+}
+
+#[test]
+fn fig15_measures_through_the_dataset_dir() {
+    let dir = std::env::temp_dir().join(format!("fegen-fig15-dataset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp path is UTF-8");
+    let stdout = stdout_of(
+        env!("CARGO_BIN_EXE_fig15_tree_comparison"),
+        &["--tiny", "--dataset-dir", dir_arg],
+    );
+    assert!(stdout.contains("== Figure 15"), "missing figure header");
+    assert!(
+        dir.join(fegen_bench::dataset::META_FILE).is_file(),
+        "fig15 did not create the dataset store"
+    );
+    let shards = std::fs::read_dir(dir.join(fegen_bench::dataset::SHARD_DIR))
+        .map_or(0, |entries| entries.count());
+    assert_eq!(shards, 3, "one shard per tiny-suite benchmark");
+    let _ = std::fs::remove_dir_all(&dir);
+}

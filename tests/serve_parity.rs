@@ -12,7 +12,7 @@
 mod common;
 
 use fegen::bench::stages::paper_features;
-use fegen::bench::{build_suite_data, ExperimentConfig};
+use fegen::bench::{try_build_suite_data, ExperimentConfig};
 use fegen::core::serve::{ModelArtifact, ServeEngine, ServeOptions, WireNode, MAX_BATCH};
 use fegen::core::{parse_feature, FeatureSearch, Telemetry, TrainingExample};
 use fegen::suite::SuiteConfig;
@@ -21,7 +21,7 @@ use fegen::suite::SuiteConfig;
 fn served_decisions_equal_offline_predictions_on_every_quick_suite_loop() {
     let mut config = ExperimentConfig::quick();
     config.suite = SuiteConfig::tiny();
-    let training = build_suite_data(&config).training_examples();
+    let training = try_build_suite_data(&config).unwrap().training_examples();
     // Exported loops are shallow, so no sensible feature exhausts the quick
     // preset's budget. Under this one, the summed subtree sizes below cost
     // ~280 steps on the smallest loops and ~580 on the largest training
