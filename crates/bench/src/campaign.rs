@@ -965,9 +965,11 @@ pub fn load_suite_data(
             };
             let gcc = &experiment.oracle.gcc;
             let record = LoopRecord::export(bench_idx, &cb, site, data.cycles.clone(), gcc);
-            loops.push(record.ok_or_else(|| {
-                corrupt(format!("no loop #{} in `{}`", data.loop_id, data.func))
-            })?);
+            loops.push(
+                record.ok_or_else(|| {
+                    corrupt(format!("no loop #{} in `{}`", data.loop_id, data.func))
+                })?,
+            );
         }
         baseline_cycles.push(baseline);
         benchmarks.push(cb);

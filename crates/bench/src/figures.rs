@@ -130,7 +130,7 @@ impl Pass {
     /// A pass over the suite of `config`, measured through the dataset
     /// store at `dataset_dir` when one is given. Nothing runs until a
     /// figure asks for it.
-    pub fn new(
+    pub(crate) fn new(
         config: ExperimentConfig,
         dataset_dir: Option<PathBuf>,
         telemetry: Telemetry,
@@ -177,7 +177,7 @@ impl Pass {
     /// # Errors
     ///
     /// The campaign's or the in-memory measurement's failure.
-    pub fn data(&self) -> Result<&SuiteData, CampaignError> {
+    pub(crate) fn data(&self) -> Result<&SuiteData, CampaignError> {
         memo(&self.data, || {
             note(&format!(
                 "# generating suite + training data ({} benchmarks)...",
@@ -202,7 +202,7 @@ impl Pass {
     /// # Errors
     ///
     /// Measuring the suite or a fold's search failed.
-    pub fn cv(&self) -> Result<&OursResult, CampaignError> {
+    pub(crate) fn cv(&self) -> Result<&OursResult, CampaignError> {
         memo(&self.cv, || {
             let data = self.data()?;
             note(&format!(
@@ -513,33 +513,19 @@ impl Pass {
         Ok(out)
     }
 
-    /// Figure 16: the features found by the search in one fold — each with
-    /// the internal-validation speedup the model attains once the feature
-    /// is added, the translation into percent of the maximum available,
-    /// and the marginal improvement the feature contributed.
+    /// Figure 16: the features found by the search in the first fold of
+    /// the cross-validation ([`Pass::cv`]) — each with the
+    /// internal-validation speedup the model attains once the feature is
+    /// added, the translation into percent of the maximum available, and
+    /// the marginal improvement the feature contributed.
     ///
     /// # Errors
     ///
-    /// The fold's search failed.
+    /// Measuring or a fold's search failed.
     pub fn fig16(&self) -> Result<String, Box<dyn Error>> {
-        // One fold: train on (folds-1)/folds of the loops, exactly as one
-        // fold of the Figure 13/15 cross-validation does.
-        let examples = self.data()?.training_examples();
-        let (train, _test) = fegen_ml::KFold::new(self.config.folds, self.config.seed)
-            .splits(examples.len())
-            .remove(0);
-        let train_examples: Vec<_> = train.iter().map(|&i| examples[i].clone()).collect();
-        note(&format!(
-            "# feature search over {} training loops...",
-            train_examples.len()
-        ));
-        let fs = FeatureSearch::from_examples(&train_examples, self.config.search.clone());
-        let outcome = fs
-            .try_run(&train_examples)
-            .map_err(|source| PipelineError::Search {
-                fold: Some(0),
-                source,
-            })?;
+        // The first fold of the Figure 13/15 cross-validation: its search
+        // trained on (folds-1)/folds of the loops.
+        let outcome = &self.cv()?.outcomes[0];
 
         let mut out = String::new();
         writeln!(out, "== Figure 16: best features found in one fold ==")?;
@@ -655,7 +641,6 @@ impl Pass {
             loop_level_speedup(data, &ys)
         )?;
 
-        // (The histogram of the oracle's own labels is the `tol 0` line.)
         let labels = data.oracle_factors();
 
         // Sensitivity: how much does the choice matter per loop?
@@ -801,4 +786,32 @@ fn write_path(
         writeln!(out, "{:indent$}if( {name} {op} {} )", "", step.threshold)?;
     }
     writeln!(out, "{:w$}unrollFactor = {label};", "", w = 2 * path.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig16_lists_the_first_cv_folds_search() {
+        let mut config = ExperimentConfig::quick();
+        config.suite = fegen_suite::SuiteConfig::tiny();
+        config.folds = 2;
+        let pass = Pass::new(config, None, Telemetry::disabled());
+        let fold0 = &pass.cv().unwrap().outcomes[0];
+        let text = pass.fig16().unwrap();
+        assert!(!fold0.steps.is_empty(), "the tiny fold finds a feature");
+        for step in &fold0.steps {
+            let row = format!("{:>8.5}", step.speedup);
+            let line = text
+                .lines()
+                .find(|l| l.ends_with(&step.feature.to_string()));
+            assert!(
+                line.is_some_and(|l| l.contains(&row)),
+                "{step:?} missing:\n{text}"
+            );
+        }
+        let generations = format!("in {} total GP generations", fold0.total_generations);
+        assert!(text.contains(&generations), "{text}");
+    }
 }

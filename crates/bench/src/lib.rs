@@ -23,7 +23,6 @@
 //! (see [`campaign`]) instead of re-measuring in memory, and
 //! `--telemetry-dir DIR` to log the campaign's events.
 
-
 // Library code must report through telemetry events or typed errors,
 // never by printing; binaries are exempt (their crate roots are in bin/).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -43,8 +42,7 @@ pub use campaign::{
 };
 pub use dataset::{DatasetError, DatasetStore, QuarantineEntry};
 pub use pipeline::{
-    try_build_suite_data, BenchmarkSnapshot, ExperimentConfig, LoopRecord, PipelineError,
-    SuiteData,
+    try_build_suite_data, BenchmarkSnapshot, ExperimentConfig, LoopRecord, PipelineError, SuiteData,
 };
 
 /// Parses the common CLI flags (`--paper`, `--quick`, `--seed N`,

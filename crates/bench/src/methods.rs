@@ -52,7 +52,9 @@ pub fn predict_cv_svm(
         let stats = train.feature_stats();
         let model = Svm::train(&train.standardized(&stats), svm);
         let all_std = all.standardized(&stats);
-        test.iter().map(|&i| model.predict(all_std.row(i))).collect()
+        test.iter()
+            .map(|&i| model.predict(all_std.row(i)))
+            .collect()
     })
 }
 

@@ -575,7 +575,9 @@ mod tests {
     fn oracle_beats_or_equals_everyone_per_benchmark() {
         let data = tiny_data();
         let sim = SimConfig::default();
-        let oracle = data.try_all_benchmark_speedups(&data.oracle_factors(), &sim).unwrap();
+        let oracle = data
+            .try_all_benchmark_speedups(&data.oracle_factors(), &sim)
+            .unwrap();
         let zero = vec![0usize; data.loops.len()];
         let baseline = data.try_all_benchmark_speedups(&zero, &sim).unwrap();
         for (i, (&o, &b)) in oracle.iter().zip(&baseline).enumerate() {

@@ -292,7 +292,11 @@ pub(crate) fn measure(quick: bool) -> Result<StageRun, BenchError> {
             let outcome = (shards, report.sites_measured);
             let first = first.get_or_insert_with(|| outcome.clone());
             if outcome.0.is_none() || outcome != *first {
-                let shards = if outcome.0 == first.0 { "identical" } else { "differ" };
+                let shards = if outcome.0 == first.0 {
+                    "identical"
+                } else {
+                    "differ"
+                };
                 divergence.get_or_insert(format!(
                     "{mode:?} run {} diverged from the first scratch run: shards {shards}, \
                      sites {} vs {}",
@@ -326,7 +330,10 @@ pub(crate) fn measure(quick: bool) -> Result<StageRun, BenchError> {
             forked.init_forks as f64 / cells.max(1.0),
         ),
         rec("forked.sim_insns", forked.sim_insns as f64),
-        rec("shards_identical", f64::from(u8::from(divergence.is_none()))),
+        rec(
+            "shards_identical",
+            f64::from(u8::from(divergence.is_none())),
+        ),
     ];
     Ok(StageRun {
         records,
