@@ -204,13 +204,9 @@ impl Pass {
     /// Measuring the suite or a fold's search failed.
     pub(crate) fn cv(&self) -> Result<&OursResult, CampaignError> {
         memo(&self.cv, || {
-            let data = self.data()?;
-            note(&format!(
-                "# running feature search ({} folds)...",
-                self.config.folds
-            ));
-            let (folds, seed) = (self.config.folds, self.config.seed);
-            Ok(try_predict_cv_ours(data, folds, seed, &self.config.search)?)
+            let (data, c) = (self.data()?, &self.config);
+            note(&format!("# running feature search ({} folds)...", c.folds));
+            Ok(try_predict_cv_ours(data, c.folds, c.seed, &c.search)?)
         })
     }
 

@@ -298,11 +298,6 @@ impl BenchmarkSnapshot {
     pub fn stats(&self) -> SnapshotStats {
         self.snapshot.stats()
     }
-
-    /// Releases the snapshot, keeping the compiled benchmark.
-    pub fn into_compiled(self) -> CompiledBenchmark {
-        self.cb
-    }
 }
 
 /// One measured loop with everything every method needs.
@@ -434,7 +429,7 @@ pub fn try_build_suite_data(config: &ExperimentConfig) -> Result<SuiteData, Pipe
             })?);
         }
         baseline_cycles.push(snap.baseline_cycles);
-        benchmarks.push(snap.into_compiled());
+        benchmarks.push(snap.cb);
     }
     Ok(SuiteData {
         benchmarks,
