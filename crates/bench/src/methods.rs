@@ -100,8 +100,7 @@ pub struct OursResult {
 
 /// Cross-validated run of the paper's technique. A failing fold surfaces as
 /// [`PipelineError::Search`] with the fold index and the underlying
-/// [`fegen_core::SearchError`], instead of aborting the whole evaluation
-/// with a panic.
+/// [`fegen_core::SearchError`].
 pub fn try_predict_cv_ours(
     data: &SuiteData,
     folds: usize,
