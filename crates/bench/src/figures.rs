@@ -31,12 +31,13 @@ use fegen_ml::tree::{DecisionTree, TreeConfig};
 use fegen_ml::Dataset;
 use fegen_rtl::heuristic::GCC_FEATURE_NAMES;
 use fegen_rtl::stateml::STATEML_FEATURE_NAMES;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A figure: its stdout text, rendered from a [`Pass`].
 pub type Figure = fn(&Pass) -> Result<String, Box<dyn Error>>;
@@ -124,6 +125,10 @@ pub struct Pass {
     data: OnceLock<Result<SuiteData, CampaignError>>,
     motivating: OnceLock<Result<Motivating, CampaignError>>,
     cv: OnceLock<Result<OursResult, CampaignError>>,
+    /// Whole-suite speedups per factor assignment already deployed: the
+    /// oracle's assignment is deployed in Figures 12, 13 and 15, GCC's in
+    /// 12 and 13, ours in 13 and 15.
+    speedups: Mutex<HashMap<Vec<usize>, Vec<f64>>>,
 }
 
 impl Pass {
@@ -142,6 +147,7 @@ impl Pass {
             data: OnceLock::new(),
             motivating: OnceLock::new(),
             cv: OnceLock::new(),
+            speedups: Mutex::default(),
         }
     }
 
@@ -247,10 +253,17 @@ impl Pass {
         })
     }
 
-    /// Per-benchmark speedups of a factor assignment over the suite.
+    /// Per-benchmark speedups of a factor assignment over the suite,
+    /// simulated once per assignment.
     fn speedups(&self, factors: &[usize]) -> Result<Vec<f64>, CampaignError> {
+        let memo = || self.speedups.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(done) = memo().get(factors) {
+            return Ok(done.clone());
+        }
         let sim = &self.config.oracle.sim;
-        Ok(self.data()?.try_all_benchmark_speedups(factors, sim)?)
+        let speedups = self.data()?.try_all_benchmark_speedups(factors, sim)?;
+        memo().insert(factors.to_vec(), speedups.clone());
+        Ok(speedups)
     }
 
     /// Figure 2: the motivating example. A forward-difference loop from

@@ -12,7 +12,7 @@
 //! [`Symbol`] table so that feature evaluation — the hot path of the GP
 //! search — compares `u32`s, never strings.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -88,15 +88,48 @@ impl Symbol {
     /// daemon's IR ingestion) uses this to count how many genuinely new
     /// strings a request would pin before deciding to admit it.
     pub fn lookup(name: &str) -> Option<Symbol> {
-        interner().read().map.get(name).copied()
+        symbol_table().lookup(name)
     }
+
+    /// Stands in for a name that is not interned yet; whoever writes it
+    /// replaces it before the row reaches an arena.
+    pub(crate) const UNRESOLVED: Symbol = Symbol(u32::MAX);
 }
 
 /// Number of distinct symbols interned so far. The interner leaks each
 /// distinct string once by design; long-lived processes facing untrusted
 /// input watch this to keep the leak bounded (see `serve`).
 pub fn symbol_count() -> usize {
-    interner().read().names.len()
+    symbol_table().len()
+}
+
+/// The symbol table under one read lock, for resolving many names in a row
+/// without re-locking per name (the serve decoder resolves a whole request
+/// under one). Interning waits until every table is dropped, so a holder
+/// must not intern, nor call [`Symbol::as_str`], [`Symbol::lookup`] or
+/// [`symbol_count`], while it holds one.
+pub(crate) struct SymbolTable(RwLockReadGuard<'static, Interner>);
+
+/// Takes the symbol table's read lock; see [`SymbolTable`].
+pub(crate) fn symbol_table() -> SymbolTable {
+    SymbolTable(interner().read())
+}
+
+impl SymbolTable {
+    /// [`Symbol::lookup`] under this lock.
+    pub(crate) fn lookup(&self, name: &str) -> Option<Symbol> {
+        self.0.map.get(name).copied()
+    }
+
+    /// [`Symbol::as_str`] under this lock.
+    pub(crate) fn name(&self, sym: Symbol) -> &'static str {
+        self.0.names[sym.0 as usize]
+    }
+
+    /// [`symbol_count`] under this lock.
+    pub(crate) fn len(&self) -> usize {
+        self.0.names.len()
+    }
 }
 
 impl fmt::Display for Symbol {
@@ -358,42 +391,218 @@ pub struct IrArena {
     attr_postings: HashMap<Symbol, Vec<u32>>,
 }
 
-impl IrArena {
-    /// Flattens `root` into a preorder arena. The tree is walked exactly
-    /// once; the arena holds copies of the (Copy) kinds and attribute values.
-    pub fn from_tree(root: &IrNode) -> IrArena {
+/// The preorder rows an [`IrArena`] is built from: per node its kind, the
+/// exclusive end of its subtree and its attributes, sorted by name with no
+/// duplicates. [`IrArena::from_tree`] flattens a tree into rows; the serve daemon
+/// decodes a request's JSON straight into rows, keys them by their dump
+/// and builds the arena's parents and postings only on a cache miss.
+#[derive(Debug, Clone)]
+pub struct ArenaRows {
+    kinds: Vec<Symbol>,
+    subtree_end: Vec<u32>,
+    /// `attr_off[i] .. attr_off[i + 1]` indexes `attrs` for node `i`.
+    attr_off: Vec<u32>,
+    attrs: Vec<(Symbol, AttrValue)>,
+}
+
+impl ArenaRows {
+    /// Flattens `root` in preorder (one walk).
+    fn from_tree(root: &IrNode) -> ArenaRows {
         let n = root.size();
-        let mut arena = IrArena {
+        let mut rows = ArenaRows {
             kinds: Vec::with_capacity(n),
             subtree_end: Vec::with_capacity(n),
             attr_off: Vec::with_capacity(n + 1),
             attrs: Vec::new(),
-            child_count: Vec::with_capacity(n),
-            parents: Vec::with_capacity(n),
-            kind_postings: HashMap::new(),
-            attr_postings: HashMap::new(),
         };
-        arena.push_subtree(root, 0);
-        arena.attr_off.push(arena.attrs.len() as u32);
-        arena
+        rows.push_subtree(root);
+        rows.attr_off.push(rows.attrs.len() as u32);
+        rows
     }
 
-    fn push_subtree(&mut self, node: &IrNode, parent: u32) {
-        let idx = self.kinds.len() as u32;
+    fn push_subtree(&mut self, node: &IrNode) {
+        let idx = self.kinds.len();
         self.kinds.push(node.kind);
         self.subtree_end.push(0); // patched below
         self.attr_off.push(self.attrs.len() as u32);
         self.attrs.extend_from_slice(&node.attrs);
-        self.child_count.push(node.children.len() as u32);
-        self.parents.push(parent);
-        self.kind_postings.entry(node.kind).or_default().push(idx);
-        for (name, _) in &node.attrs {
-            self.attr_postings.entry(*name).or_default().push(idx);
-        }
         for child in &node.children {
-            self.push_subtree(child, idx);
+            self.push_subtree(child);
         }
-        self.subtree_end[idx as usize] = self.kinds.len() as u32;
+        self.subtree_end[idx] = self.kinds.len() as u32;
+    }
+
+    /// Rows whose node `i` has the attributes `attrs[spans[i].0 ..
+    /// spans[i].1]` in the order they were set, the spans in any order:
+    /// sorts each node's attributes by name and keeps the last of a
+    /// duplicated name, as [`IrNode::set_attr`] does. Rows already in that
+    /// form (what [`IrNode`]'s own encoding gives) keep `attrs` as is.
+    pub(crate) fn from_spans(
+        kinds: Vec<Symbol>,
+        subtree_end: Vec<u32>,
+        spans: &[(u32, u32)],
+        attrs: Vec<(Symbol, AttrValue)>,
+    ) -> ArenaRows {
+        let strictly_sorted = |(lo, hi): (u32, u32)| {
+            attrs[lo as usize..hi as usize]
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0)
+        };
+        let mut attr_off = Vec::with_capacity(spans.len() + 1);
+        let mut next = 0u32;
+        let in_place = spans.iter().all(|&(lo, hi)| {
+            let ok = lo == next && strictly_sorted((lo, hi));
+            next = hi;
+            ok
+        }) && next as usize == attrs.len();
+        if in_place {
+            attr_off.extend(spans.iter().map(|&(lo, _)| lo));
+            attr_off.push(next);
+            return ArenaRows {
+                kinds,
+                subtree_end,
+                attr_off,
+                attrs,
+            };
+        }
+        let mut sorted = Vec::with_capacity(attrs.len());
+        for &(lo, hi) in spans {
+            attr_off.push(sorted.len() as u32);
+            let start = sorted.len();
+            sorted.extend_from_slice(&attrs[lo as usize..hi as usize]);
+            // Stable: equal names stay in the order they were set.
+            sorted[start..].sort_by_key(|(name, _)| *name);
+            let mut keep = start;
+            for k in start..sorted.len() {
+                if k + 1 < sorted.len() && sorted[k + 1].0 == sorted[k].0 {
+                    continue;
+                }
+                sorted[keep] = sorted[k];
+                keep += 1;
+            }
+            sorted.truncate(keep);
+        }
+        attr_off.push(sorted.len() as u32);
+        ArenaRows {
+            kinds,
+            subtree_end,
+            attr_off,
+            attrs: sorted,
+        }
+    }
+
+    fn node_attrs(&self, i: usize) -> &[(Symbol, AttrValue)] {
+        &self.attrs[self.attr_off[i] as usize..self.attr_off[i + 1] as usize]
+    }
+
+    /// Streams exactly [`IrNode::dump`]'s text of the tree these rows
+    /// flatten into `out`, resolving names through `names`.
+    pub(crate) fn dump_into<W: fmt::Write>(&self, names: &SymbolTable, out: &mut W) -> fmt::Result {
+        let indent = |out: &mut W, depth: usize| (0..depth).try_for_each(|_| out.write_str("  "));
+        // Nodes whose subtree is still open, innermost last.
+        let mut open: Vec<u32> = Vec::new();
+        for i in 0..self.kinds.len() {
+            while open
+                .last()
+                .is_some_and(|&top| self.subtree_end[top as usize] as usize <= i)
+            {
+                open.pop();
+                indent(out, open.len())?;
+                out.write_str(")\n")?;
+            }
+            indent(out, open.len())?;
+            out.write_char('(')?;
+            out.write_str(names.name(self.kinds[i]))?;
+            for (name, value) in self.node_attrs(i) {
+                out.write_str(" @")?;
+                out.write_str(names.name(*name))?;
+                out.write_char('=')?;
+                match value {
+                    // An integral value prints as the integer it is (but
+                    // `-0.0` as `-0`), which `{v}` does too, only slower.
+                    AttrValue::Num(v)
+                        if v.fract() == 0.0
+                            && v.abs() < 1e15
+                            && (*v != 0.0 || v.is_sign_positive()) =>
+                    {
+                        write!(out, "{}", *v as i64)?
+                    }
+                    AttrValue::Num(v) => write!(out, "{v}")?,
+                    AttrValue::Bool(b) => out.write_str(if *b { "true" } else { "false" })?,
+                    AttrValue::Enum(s) => out.write_str(names.name(*s))?,
+                }
+            }
+            if self.subtree_end[i] as usize == i + 1 {
+                out.write_str(")\n")?;
+            } else {
+                out.write_char('\n')?;
+                open.push(i as u32);
+            }
+        }
+        while open.pop().is_some() {
+            indent(out, open.len())?;
+            out.write_str(")\n")?;
+        }
+        Ok(())
+    }
+}
+
+impl IrArena {
+    /// Flattens `root` into a preorder arena. The tree is walked exactly
+    /// once; the arena holds copies of the (Copy) kinds and attribute values.
+    pub fn from_tree(root: &IrNode) -> IrArena {
+        IrArena::from_rows(ArenaRows::from_tree(root))
+    }
+
+    /// Builds the arena over `rows`: child counts, parents and the kind and
+    /// attribute postings, in one pass over the rows.
+    pub fn from_rows(rows: ArenaRows) -> IrArena {
+        let ArenaRows {
+            kinds,
+            subtree_end,
+            attr_off,
+            attrs,
+        } = rows;
+        let n = kinds.len();
+        let mut child_count = vec![0u32; n];
+        let mut parents = vec![0u32; n];
+        let mut kind_postings: HashMap<Symbol, Vec<u32>> = HashMap::new();
+        let mut attr_postings: HashMap<Symbol, Vec<u32>> = HashMap::new();
+        // Ancestors of the current node, innermost last.
+        let mut open: Vec<u32> = Vec::new();
+        for i in 0..n as u32 {
+            while open
+                .last()
+                .is_some_and(|&top| subtree_end[top as usize] <= i)
+            {
+                open.pop();
+            }
+            // The root maps to itself.
+            let parent = open.last().copied().unwrap_or(i);
+            if parent != i {
+                child_count[parent as usize] += 1;
+            }
+            parents[i as usize] = parent;
+            open.push(i);
+            kind_postings.entry(kinds[i as usize]).or_default().push(i);
+            let (lo, hi) = (
+                attr_off[i as usize] as usize,
+                attr_off[i as usize + 1] as usize,
+            );
+            for (name, _) in &attrs[lo..hi] {
+                attr_postings.entry(*name).or_default().push(i);
+            }
+        }
+        IrArena {
+            kinds,
+            subtree_end,
+            attr_off,
+            attrs,
+            child_count,
+            parents,
+            kind_postings,
+            attr_postings,
+        }
     }
 
     /// Number of nodes in the arena.

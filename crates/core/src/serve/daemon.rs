@@ -13,10 +13,14 @@
 //! - an **application-level** fault (undecodable JSON, an inadmissible
 //!   batch, a failed explicit reload) is answered with a typed
 //!   [`ServeResponse::Error`] on the same connection, which keeps serving.
+//!
+//! After the handshake every payload goes through [`ServeEngine::decode`],
+//! which reads a `Predict` straight into admitted arena rows, and an
+//! admitted batch through [`ServeEngine::predict`]: one path.
 
 use super::engine::ServeEngine;
 use super::wire::{
-    decode_request, encode_response, ServeRequest, ServeResponse, ERROR_ID_UNDECODABLE,
+    decode_request, encode_response, Inbound, ServeRequest, ServeResponse, ERROR_ID_UNDECODABLE,
     SERVE_PROTOCOL,
 };
 use crate::gp::transport::{FrameTransport, StreamTransport, TransportError};
@@ -82,7 +86,8 @@ pub fn serve_connection<T: FrameTransport>(
     engine: &ServeEngine,
 ) -> Result<(), ServeError> {
     let telemetry = engine.telemetry().clone();
-    // Handshake: exactly one Hello, protocol numbers must match.
+    // Handshake: exactly one Hello, protocol numbers must match. Decoded
+    // without admitting anything, so a `Predict` sent first interns nothing.
     let first = match transport.recv() {
         Ok(payload) => payload,
         Err(TransportError::Closed) => return Ok(()),
@@ -137,7 +142,7 @@ pub fn serve_connection<T: FrameTransport>(
             Err(TransportError::Closed) => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        let request = match decode_request(&payload) {
+        let request = match engine.decode(&payload) {
             Ok(request) => request,
             Err(detail) => {
                 engine.note_error();
@@ -152,7 +157,7 @@ pub fn serve_connection<T: FrameTransport>(
             }
         };
         match request {
-            ServeRequest::Hello { .. } => {
+            Inbound::Hello { .. } => {
                 engine.note_error();
                 send_response(
                     transport,
@@ -162,10 +167,10 @@ pub fn serve_connection<T: FrameTransport>(
                     },
                 )?;
             }
-            ServeRequest::Predict { id, loops } => {
+            Inbound::Predict { id, loops } => {
                 // The span emits a timing event when dropped at match end.
                 let _span = telemetry.span("serve_predict");
-                match engine.predict(&loops) {
+                match loops.map(|loops| engine.predict(loops)) {
                     Ok(decisions) => {
                         telemetry
                             .event("serve_request")
@@ -193,7 +198,7 @@ pub fn serve_connection<T: FrameTransport>(
                     }
                 }
             }
-            ServeRequest::Stats { id } => {
+            Inbound::Stats { id } => {
                 send_response(
                     transport,
                     &ServeResponse::StatsReport {
@@ -203,7 +208,7 @@ pub fn serve_connection<T: FrameTransport>(
                     },
                 )?;
             }
-            ServeRequest::Reload { id } => match engine.reload() {
+            Inbound::Reload { id } => match engine.reload() {
                 Ok(reloaded) => {
                     send_response(
                         transport,
@@ -225,7 +230,7 @@ pub fn serve_connection<T: FrameTransport>(
                     )?;
                 }
             },
-            ServeRequest::Shutdown => {
+            Inbound::Shutdown => {
                 engine.request_shutdown();
                 send_response(transport, &ServeResponse::Bye)?;
                 return Ok(());

@@ -14,11 +14,9 @@
 //!   programs compile once per model, not once per batch.
 
 use super::artifact::{ModelArtifact, ModelError};
-use super::wire::{
-    validate_batch, AdmissionError, Decision, ServeStatsSnapshot, WireNode,
-};
+use super::wire::{decode_inbound, AdmittedLoop, Decision, Inbound, ServeStatsSnapshot};
 use crate::faults::Fnv1a;
-use crate::ir::{IrArena, IrNode};
+use crate::ir::{ArenaRows, IrArena, IrNode, SymbolTable};
 use crate::lang::vm::PoolStats;
 use crate::lang::{EvalPool, FeatureExpr};
 use crate::lru::LruCache;
@@ -98,6 +96,13 @@ pub fn arena_key(ir: &IrNode) -> u64 {
     let mut hash = Fnv1a::default();
     // Writing into a hash cannot fail.
     let _ = ir.dump_into(&mut hash);
+    hash.0
+}
+
+/// [`arena_key`] of the tree `rows` flatten, streamed from the rows.
+pub(crate) fn rows_key(rows: &ArenaRows, names: &SymbolTable) -> u64 {
+    let mut hash = Fnv1a::default();
+    let _ = rows.dump_into(names, &mut hash);
     hash.0
 }
 
@@ -214,37 +219,41 @@ impl ServeEngine {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Answers one `Predict` batch. Validation happens before any global
-    /// side effect (interning, flattening); the model is pinned once so a
-    /// concurrent hot-reload cannot split the batch across models.
+    /// Decodes one frame payload with this daemon's symbol budget; see
+    /// [`decode_inbound`]. A `Predict` batch comes back admitted, interned
+    /// and keyed, or refused with nothing interned.
     ///
     /// # Errors
     ///
-    /// [`AdmissionError`] when the batch violates the size, depth or
-    /// symbol-budget caps; the caller answers with a typed error response.
-    pub fn predict(&self, loops: &[WireNode]) -> Result<Vec<Decision>, AdmissionError> {
-        validate_batch(loops, self.symbol_cap)?;
+    /// The payload is not a decodable request.
+    pub fn decode(&self, payload: &[u8]) -> Result<Inbound, String> {
+        decode_inbound(payload, self.symbol_cap)
+    }
+
+    /// Answers one admitted `Predict` batch. The model is pinned once so a
+    /// concurrent hot-reload cannot split the batch across models; a loop
+    /// whose key hits the arena LRU drops its rows, a miss builds its
+    /// arena from them.
+    pub fn predict(&self, loops: Vec<AdmittedLoop>) -> Vec<Decision> {
         let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
         self.queue_peak.fetch_max(depth, Ordering::SeqCst);
-        let result = self.predict_admitted(loops);
+        let decisions = self.predict_admitted(loops);
         self.queue_depth.fetch_sub(1, Ordering::SeqCst);
         let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
         if self.opts.reload_check_every > 0 && n.is_multiple_of(self.opts.reload_check_every) {
             self.maybe_reload();
         }
-        Ok(result)
+        decisions
     }
 
-    fn predict_admitted(&self, loops: &[WireNode]) -> Vec<Decision> {
+    fn predict_admitted(&self, loops: Vec<AdmittedLoop>) -> Vec<Decision> {
         let model = self.model();
         let mut batch: Vec<Arc<IrArena>> = Vec::with_capacity(loops.len());
         let mut cached_flags = Vec::with_capacity(loops.len());
-        for wire in loops {
-            let ir = wire.to_ir();
-            let digest = arena_key(&ir);
+        for AdmittedLoop { key, rows } in loops {
             let hit = {
                 let mut cache = self.arenas.lock();
-                cache.get(&digest).map(Arc::clone)
+                cache.get(&key).map(Arc::clone)
             };
             match hit {
                 Some(arena) => {
@@ -254,10 +263,10 @@ impl ServeEngine {
                 }
                 None => {
                     self.arena_misses.fetch_add(1, Ordering::Relaxed);
-                    // Flatten outside the lock; a racing insert of the
-                    // same digest is benign (identical arenas).
-                    let arena = Arc::new(IrArena::from_tree(&ir));
-                    self.arenas.lock().insert(digest, Arc::clone(&arena));
+                    // Build outside the lock; a racing insert of the same
+                    // key is benign (identical arenas).
+                    let arena = Arc::new(IrArena::from_rows(rows));
+                    self.arenas.lock().insert(key, Arc::clone(&arena));
                     cached_flags.push(false);
                     batch.push(arena);
                 }

@@ -9,33 +9,46 @@
 //! JSON, hostile IR) are answered with a typed [`ServeResponse::Error`]
 //! and the connection stays up.
 //!
-//! Loop IR arrives as [`WireNode`] — a string-keyed mirror of
-//! [`IrNode`][crate::ir::IrNode] — and passes three hardening gates before
-//! anything touches process-wide state:
+//! Clients send loop IR as [`WireNode`] — a string-keyed mirror of
+//! [`IrNode`]. The daemon never builds one: it reads a
+//! `Predict` payload in one pass straight into the evaluator's preorder
+//! arena rows ([`decode_inbound`]), and passes three hardening gates
+//! before anything touches process-wide state:
 //!
 //! 1. **Nesting depth** is bounded inside the JSON decoder itself: it
 //!    counts open brackets while it reads typed values and while it skips
 //!    unknown ones (iteratively), and refuses input deeper than
 //!    [`MAX_JSON_DEPTH`], so a 100k-bracket payload cannot blow the
 //!    decoder's stack.
-//! 2. **Node count and IR depth** are bounded after decoding, so one
-//!    request cannot flatten an arbitrarily large arena.
+//! 2. **Batch size, node count and IR depth** are counted while the rows
+//!    are read, so one request cannot flatten an arbitrarily large arena:
+//!    once a cap trips the decoder stops building rows and only reads on
+//!    to the end of the payload.
 //! 3. **Symbol budget**: the global interner leaks each distinct string
-//!    permanently (by design — see [`crate::ir::Symbol`]), so the number
-//!    of *new* strings a request may intern is counted first and capped.
+//!    permanently (by design — see [`crate::ir::Symbol`]), so names are
+//!    resolved without interning, under one read lock of the symbol table,
+//!    and the *new* strings a request would intern are counted and capped.
 //!    A hostile stream of unique kinds is rejected before it can grow the
 //!    interner, which would otherwise be an unbounded memory leak in a
 //!    long-lived daemon.
 //!
-//! Only after all three gates does conversion intern strings and rebuild
-//! an `IrNode` via `set_attr` — which also re-sorts attribute lists, so a
-//! client that ships unsorted attrs cannot silently break the arena's
-//! binary-search lookups.
+//! Only an admitted batch has its new strings interned. Each node's
+//! attributes are then sorted by name, the last of a duplicated name
+//! winning as in `IrNode::set_attr`, so a client that ships unsorted attrs
+//! cannot break the arena's binary-search lookups; and each loop is keyed
+//! for the arena cache from its rows. The caps themselves live in one
+//! counter, which [`validate_batch`] applies to decoded [`WireNode`]s too.
 
-use crate::ir::{self, AttrValue, IrNode, Symbol};
+use super::engine::rows_key;
+use crate::faults::fnv1a;
+use crate::ir::{self, ArenaRows, AttrValue, IrNode, Symbol, SymbolTable};
 use crate::lang::vm::PoolStats;
+use serde::de::{
+    begin_variant, element_with, end_tuple, end_variant, field, field_with, next_field,
+    require_payload, required, Deserializer,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Serve protocol version, checked in the `Hello`/`HelloAck` handshake on
 /// top of the per-frame transport version.
@@ -66,9 +79,10 @@ pub enum WireAttr {
     Enum(String),
 }
 
-/// One exported IR node on the wire. Strings instead of interned symbols:
-/// interning is a side effect on process-global state, so it happens only
-/// after the request passes every admission gate.
+/// One exported IR node on the wire, as clients build it. Strings instead
+/// of interned symbols: interning is a side effect on process-global
+/// state, so the daemon does it only after the request passes every
+/// admission gate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireNode {
     /// Node kind, e.g. `insn`.
@@ -138,11 +152,12 @@ impl WireNode {
         }
     }
 
-    /// Converts to an [`IrNode`], interning strings. Only called after
-    /// [`validate_batch`] admitted the request; `set_attr` re-sorts
-    /// attribute lists, restoring the binary-search invariant regardless
-    /// of wire order (duplicate attribute names collapse to the last one,
-    /// matching builder semantics).
+    /// Converts to an [`IrNode`], interning strings (call it only on
+    /// IR [`validate_batch`] admitted); `set_attr` re-sorts attribute
+    /// lists, restoring the binary-search invariant regardless of wire
+    /// order (duplicate attribute names collapse to the last one, matching
+    /// builder semantics). The daemon reads the same rows straight from
+    /// the JSON instead ([`decode_inbound`]).
     pub fn to_ir(&self) -> IrNode {
         let mut node = IrNode::new(self.kind.as_str());
         for (name, value) in &self.attrs {
@@ -214,40 +229,482 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Admission control for one `Predict` batch: size, depth and symbol
-/// budget, all checked *before* any string is interned or any arena
-/// flattened. `symbol_cap` bounds the process-wide interner size.
+/// Counts one `Predict` batch against the admission caps. The daemon's
+/// decoder feeds it loop by loop while it reads rows, and
+/// [`validate_batch`] feeds it from decoded [`WireNode`]s, so both apply
+/// one set of rules in one order: an empty or oversized batch, then the
+/// first loop (in batch order) over the node or depth cap, then the symbol
+/// budget.
+#[derive(Debug, Default)]
+struct AdmissionCount {
+    loops: usize,
+    nodes: usize,
+    /// The first loop's node or depth breach.
+    breach: Option<AdmissionError>,
+}
+
+impl AdmissionCount {
+    /// Counts one whole loop of `nodes` nodes, `depth` deep.
+    fn add_loop(&mut self, nodes: usize, depth: usize) {
+        self.loops += 1;
+        if self.breach.is_some() {
+            return;
+        }
+        self.nodes += nodes;
+        if self.nodes > MAX_REQUEST_NODES {
+            self.breach = Some(AdmissionError::TooManyNodes { got: self.nodes });
+        } else if depth > MAX_IR_DEPTH {
+            self.breach = Some(AdmissionError::TooDeep { got: depth });
+        }
+    }
+
+    /// True once the batch is refused whatever its strings are: the loop
+    /// being read has `nodes` nodes and `depth` levels so far.
+    fn refused(&self, nodes: usize, depth: usize) -> bool {
+        self.loops >= MAX_BATCH
+            || self.breach.is_some()
+            || self.nodes + nodes > MAX_REQUEST_NODES
+            || depth > MAX_IR_DEPTH
+    }
+
+    /// The verdict once every loop is counted, with `fresh` strings the
+    /// interner lacks against `headroom`.
+    fn verdict(&self, fresh: usize, headroom: usize) -> Result<(), AdmissionError> {
+        if self.loops == 0 {
+            return Err(AdmissionError::EmptyBatch);
+        }
+        if self.loops > MAX_BATCH {
+            return Err(AdmissionError::BatchTooLarge { got: self.loops });
+        }
+        if let Some(breach) = &self.breach {
+            return Err(breach.clone());
+        }
+        if fresh > headroom {
+            return Err(AdmissionError::SymbolBudget { fresh, headroom });
+        }
+        Ok(())
+    }
+}
+
+/// Admission control for one decoded `Predict` batch: size, depth and
+/// symbol budget, all checked *before* any string is interned or any arena
+/// flattened. `symbol_cap` bounds the process-wide interner size. The
+/// daemon applies the same caps while it decodes ([`decode_inbound`]).
 pub fn validate_batch(loops: &[WireNode], symbol_cap: usize) -> Result<(), AdmissionError> {
-    if loops.is_empty() {
-        return Err(AdmissionError::EmptyBatch);
-    }
-    if loops.len() > MAX_BATCH {
-        return Err(AdmissionError::BatchTooLarge { got: loops.len() });
-    }
-    let mut nodes = 0usize;
+    let mut count = AdmissionCount::default();
     for l in loops {
-        nodes += l.node_count();
-        if nodes > MAX_REQUEST_NODES {
-            return Err(AdmissionError::TooManyNodes { got: nodes });
-        }
-        let depth = l.depth();
-        if depth > MAX_IR_DEPTH {
-            return Err(AdmissionError::TooDeep { got: depth });
-        }
+        count.add_loop(l.node_count(), l.depth());
     }
+    count.verdict(0, usize::MAX)?;
     let mut strings = HashSet::new();
     for l in loops {
         l.collect_strings(&mut strings);
     }
-    let fresh = strings
-        .iter()
-        .filter(|s| Symbol::lookup(s).is_none())
-        .count();
-    let headroom = symbol_cap.saturating_sub(ir::symbol_count());
-    if fresh > headroom {
-        return Err(AdmissionError::SymbolBudget { fresh, headroom });
+    let table = ir::symbol_table();
+    let fresh = strings.iter().filter(|s| table.lookup(s).is_none()).count();
+    count.verdict(fresh, symbol_cap.saturating_sub(table.len()))
+}
+
+/// One admitted loop as the daemon decoded it: its preorder arena rows
+/// and its arena-cache key ([`arena_key`](super::engine::arena_key) of the
+/// tree the rows flatten).
+#[derive(Debug, Clone)]
+pub struct AdmittedLoop {
+    /// [`arena_key`](super::engine::arena_key) of the loop.
+    pub key: u64,
+    /// The loop's rows, every name interned, attributes sorted.
+    pub rows: ArenaRows,
+}
+
+/// A client message as the daemon decodes it ([`decode_inbound`]): a
+/// `Predict` batch arrives as admitted arena rows, or as the reason it was
+/// refused. The other messages mirror [`ServeRequest`].
+#[derive(Debug)]
+pub enum Inbound {
+    /// See [`ServeRequest::Hello`].
+    Hello {
+        /// [`SERVE_PROTOCOL`] the client speaks.
+        protocol: u32,
+    },
+    /// See [`ServeRequest::Predict`].
+    Predict {
+        /// Client-chosen correlation id.
+        id: u64,
+        /// The loops in request order, or why the batch was refused.
+        loops: Result<Vec<AdmittedLoop>, AdmissionError>,
+    },
+    /// See [`ServeRequest::Stats`].
+    Stats {
+        /// Correlation id.
+        id: u64,
+    },
+    /// See [`ServeRequest::Reload`].
+    Reload {
+        /// Correlation id.
+        id: u64,
+    },
+    /// See [`ServeRequest::Shutdown`].
+    Shutdown,
+}
+
+/// Where a name that is not interned yet goes once it is.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Kind(u32),
+    AttrName(u32),
+    AttrEnum(u32),
+}
+
+/// One loop's rows as they are read: attributes in wire order, names the
+/// interner lacks left [`Symbol::UNRESOLVED`] with a fix-up each.
+#[derive(Debug, Default)]
+struct LoopRows {
+    kinds: Vec<Symbol>,
+    subtree_end: Vec<u32>,
+    /// Node `i`'s attributes are `attrs[spans[i].0 .. spans[i].1]`.
+    spans: Vec<(u32, u32)>,
+    attrs: Vec<(Symbol, AttrValue)>,
+    fixups: Vec<(Slot, u32)>,
+}
+
+/// Reads a `Predict`'s loops straight into [`LoopRows`], counting the
+/// admission caps on the way. Names are resolved against the symbol table
+/// it holds for the whole read; strings the table lacks are collected, not
+/// interned. Once the batch is refused it stops building rows and only
+/// counts to the end (the verdict still needs the whole batch, and a
+/// malformed tail still makes the request undecodable).
+struct RowReader {
+    table: SymbolTable,
+    /// Recently resolved names by hash: a request repeats a few dozen
+    /// kinds and attribute names hundreds of times, and a hit here costs a
+    /// fraction of a table lookup.
+    recent: Box<[(Symbol, &'static str); RECENT_NAMES]>,
+    headroom: usize,
+    count: AdmissionCount,
+    /// Distinct strings the table lacks, numbered in order of appearance.
+    fresh: HashMap<String, u32>,
+    loops: Vec<LoopRows>,
+    /// The loop being read, its node count and depth so far.
+    rows: LoopRows,
+    nodes: usize,
+    depth: usize,
+    /// The caps refuse the batch: no more rows, no more fresh strings.
+    refused: bool,
+    /// The batch is refused at least for its symbols: no more rows.
+    no_rows: bool,
+}
+
+/// Slots of [`RowReader`]'s recent-name memo.
+const RECENT_NAMES: usize = 64;
+
+/// The field numbers of a [`WireNode`] map.
+fn node_field(key: &str) -> Option<usize> {
+    match key {
+        "kind" => Some(0),
+        "attrs" => Some(1),
+        "children" => Some(2),
+        _ => None,
     }
-    Ok(())
+}
+
+impl RowReader {
+    fn new(symbol_cap: usize) -> RowReader {
+        let table = ir::symbol_table();
+        let headroom = symbol_cap.saturating_sub(table.len());
+        RowReader {
+            table,
+            recent: Box::new([(Symbol::UNRESOLVED, ""); RECENT_NAMES]),
+            headroom,
+            count: AdmissionCount::default(),
+            fresh: HashMap::new(),
+            loops: Vec::new(),
+            rows: LoopRows::default(),
+            nodes: 0,
+            depth: 0,
+            refused: false,
+            no_rows: false,
+        }
+    }
+
+    /// Resolves `name`, to go in `slot` of the current loop's rows.
+    fn resolve(&mut self, name: &str, slot: Slot) -> Symbol {
+        let recent = &mut self.recent[fnv1a(name.as_bytes()) as usize % RECENT_NAMES];
+        if recent.1 == name && recent.0 != Symbol::UNRESOLVED {
+            return recent.0;
+        }
+        if let Some(sym) = self.table.lookup(name) {
+            *recent = (sym, self.table.name(sym));
+            return sym;
+        }
+        if self.refused {
+            return Symbol::UNRESOLVED;
+        }
+        let next = self.fresh.len() as u32;
+        let id = *self.fresh.entry(name.to_owned()).or_insert(next);
+        if self.fresh.len() > self.headroom {
+            self.no_rows = true;
+        }
+        if !self.no_rows {
+            self.rows.fixups.push((slot, id));
+        }
+        Symbol::UNRESOLVED
+    }
+
+    /// `Vec<WireNode>`.
+    fn read_loops<D: Deserializer>(&mut self, d: &mut D) -> Result<(), D::Error> {
+        d.begin_seq()?;
+        while d.next_element()? {
+            (self.nodes, self.depth) = (0, 0);
+            self.read_node(d, 1)?;
+            self.count.add_loop(self.nodes, self.depth);
+            let rows = std::mem::take(&mut self.rows);
+            if !self.no_rows {
+                self.loops.push(rows);
+            }
+        }
+        Ok(())
+    }
+
+    /// One [`WireNode`] at `depth`, its row opened before its fields are
+    /// read (they come in any order).
+    fn read_node<D: Deserializer>(&mut self, d: &mut D, depth: usize) -> Result<(), D::Error> {
+        self.nodes += 1;
+        self.depth = self.depth.max(depth);
+        if !self.refused && self.count.refused(self.nodes, self.depth) {
+            (self.refused, self.no_rows) = (true, true);
+        }
+        let row = (!self.no_rows).then(|| {
+            let rows = &mut self.rows;
+            let i = rows.kinds.len() as u32;
+            rows.kinds.push(Symbol::UNRESOLVED);
+            rows.subtree_end.push(i + 1);
+            let end = rows.attrs.len() as u32;
+            rows.spans.push((end, end));
+            i
+        });
+        let (mut kind, mut attrs, mut children) = (None, None, None);
+        d.begin_map()?;
+        while let Some(field) = next_field(d, node_field)? {
+            match field {
+                0 => field_with(d, &mut kind, "kind", |d| {
+                    let sym = self.resolve(d.parse_str()?, Slot::Kind(row.unwrap_or(0)));
+                    if let (Some(i), false) = (row, self.no_rows) {
+                        self.rows.kinds[i as usize] = sym;
+                    }
+                    Ok(())
+                })?,
+                1 => field_with(d, &mut attrs, "attrs", |d| self.read_attrs(d, row))?,
+                _ => field_with(d, &mut children, "children", |d| {
+                    d.begin_seq()?;
+                    while d.next_element()? {
+                        self.read_node(d, depth + 1)?;
+                    }
+                    Ok(())
+                })?,
+            }
+        }
+        required::<_, D::Error>(kind, "kind")?;
+        required::<_, D::Error>(attrs, "attrs")?;
+        required::<_, D::Error>(children, "children")?;
+        if let (Some(i), false) = (row, self.no_rows) {
+            self.rows.subtree_end[i as usize] = self.rows.kinds.len() as u32;
+        }
+        Ok(())
+    }
+
+    /// `Vec<(String, WireAttr)>` of node `row`.
+    fn read_attrs<D: Deserializer>(&mut self, d: &mut D, row: Option<u32>) -> Result<(), D::Error> {
+        let start = self.rows.attrs.len() as u32;
+        d.begin_seq()?;
+        while d.next_element()? {
+            d.begin_seq()?;
+            let at = Slot::AttrName(self.rows.attrs.len() as u32);
+            let name = element_with(d, 0, 2, |d| Ok(self.resolve(d.parse_str()?, at)))?;
+            let value = element_with(d, 1, 2, |d| self.read_attr_value(d))?;
+            end_tuple(d, 2)?;
+            if row.is_some() && !self.no_rows {
+                self.rows.attrs.push((name, value));
+            }
+        }
+        if let (Some(i), false) = (row, self.no_rows) {
+            self.rows.spans[i as usize] = (start, self.rows.attrs.len() as u32);
+        }
+        Ok(())
+    }
+
+    /// A [`WireAttr`], read as the [`AttrValue`] it becomes.
+    fn read_attr_value<D: Deserializer>(&mut self, d: &mut D) -> Result<AttrValue, D::Error> {
+        let (variant, payload) = begin_variant(d, "WireAttr", |k| match k {
+            "Num" => Some(0),
+            "Bool" => Some(1),
+            "Enum" => Some(2),
+            _ => None,
+        })?;
+        let value = match variant {
+            0 => {
+                require_payload::<D::Error>(payload, "Num")?;
+                AttrValue::Num(f64::deserialize(d)?)
+            }
+            1 => {
+                require_payload::<D::Error>(payload, "Bool")?;
+                AttrValue::Bool(bool::deserialize(d)?)
+            }
+            _ => {
+                require_payload::<D::Error>(payload, "Enum")?;
+                let at = Slot::AttrEnum(self.rows.attrs.len() as u32);
+                AttrValue::Enum(self.resolve(d.parse_str()?, at))
+            }
+        };
+        end_variant(d, payload)?;
+        Ok(value)
+    }
+
+    /// The admission verdict on the whole batch; an admitted batch has its
+    /// fresh strings interned (only now) and each loop's rows finished and
+    /// keyed.
+    fn finish(self) -> Result<Vec<AdmittedLoop>, AdmissionError> {
+        let RowReader {
+            table,
+            headroom,
+            count,
+            fresh,
+            loops,
+            ..
+        } = self;
+        count.verdict(fresh.len(), headroom)?;
+        drop(table);
+        let mut interned = vec![Symbol::UNRESOLVED; fresh.len()];
+        let mut fresh: Vec<(String, u32)> = fresh.into_iter().collect();
+        fresh.sort_unstable_by_key(|&(_, id)| id);
+        for (name, id) in fresh {
+            interned[id as usize] = Symbol::intern(&name);
+        }
+        let rows: Vec<ArenaRows> = loops
+            .into_iter()
+            .map(|mut l| {
+                for &(slot, id) in &l.fixups {
+                    let sym = interned[id as usize];
+                    match slot {
+                        Slot::Kind(i) => l.kinds[i as usize] = sym,
+                        Slot::AttrName(j) => l.attrs[j as usize].0 = sym,
+                        Slot::AttrEnum(j) => l.attrs[j as usize].1 = AttrValue::Enum(sym),
+                    }
+                }
+                ArenaRows::from_spans(l.kinds, l.subtree_end, &l.spans, l.attrs)
+            })
+            .collect();
+        let table = ir::symbol_table();
+        Ok(rows
+            .into_iter()
+            .map(|rows| AdmittedLoop {
+                key: rows_key(&rows, &table),
+                rows,
+            })
+            .collect())
+    }
+}
+
+/// A struct variant's one field `name`, read as the derived decoder reads
+/// it.
+fn one_field<D: Deserializer, T: Deserialize>(d: &mut D, name: &str) -> Result<T, D::Error> {
+    d.begin_map()?;
+    let mut slot = None;
+    while next_field(d, |k| (k == name).then_some(0))?.is_some() {
+        field(d, &mut slot, name)?;
+    }
+    required(slot, name)
+}
+
+/// A request read off `d`, before the admission verdict on a `Predict`.
+enum Read {
+    Predict { id: u64, reader: Box<RowReader> },
+    Other(Inbound),
+}
+
+/// Reads a [`ServeRequest`] as its derived decoder does (same shapes, same
+/// errors), but a `Predict`'s loops into a [`RowReader`].
+fn read_request<D: Deserializer>(d: &mut D, symbol_cap: usize) -> Result<Read, D::Error> {
+    let (variant, payload) = begin_variant(d, "ServeRequest", |k| match k {
+        "Hello" => Some(0),
+        "Predict" => Some(1),
+        "Stats" => Some(2),
+        "Reload" => Some(3),
+        "Shutdown" => Some(4),
+        _ => None,
+    })?;
+    let read = match variant {
+        0 => {
+            require_payload::<D::Error>(payload, "Hello")?;
+            Read::Other(Inbound::Hello {
+                protocol: one_field(d, "protocol")?,
+            })
+        }
+        1 => {
+            require_payload::<D::Error>(payload, "Predict")?;
+            let mut reader = Box::new(RowReader::new(symbol_cap));
+            let (mut id, mut loops) = (None, None);
+            d.begin_map()?;
+            while let Some(f) = next_field(d, |k| match k {
+                "id" => Some(0),
+                "loops" => Some(1),
+                _ => None,
+            })? {
+                match f {
+                    0 => field(d, &mut id, "id")?,
+                    _ => field_with(d, &mut loops, "loops", |d| reader.read_loops(d))?,
+                }
+            }
+            let id = required::<_, D::Error>(id, "id")?;
+            required::<_, D::Error>(loops, "loops")?;
+            Read::Predict { id, reader }
+        }
+        2 => {
+            require_payload::<D::Error>(payload, "Stats")?;
+            Read::Other(Inbound::Stats {
+                id: one_field(d, "id")?,
+            })
+        }
+        3 => {
+            require_payload::<D::Error>(payload, "Reload")?;
+            Read::Other(Inbound::Reload {
+                id: one_field(d, "id")?,
+            })
+        }
+        _ => {
+            if payload {
+                d.skip_value()?;
+            }
+            Read::Other(Inbound::Shutdown)
+        }
+    };
+    end_variant(d, payload)?;
+    Ok(read)
+}
+
+/// Decodes a frame payload the way the daemon serves it, in one pass: a
+/// `Predict`'s JSON goes straight into preorder arena rows while the
+/// admission caps are counted and names resolved under one read lock of
+/// the symbol table. Only when the whole payload has been read and the
+/// batch admitted are its fresh strings interned; a refused batch interns
+/// nothing. Accepts exactly what [`decode_request`] accepts, with the same
+/// error text, and refuses exactly what [`validate_batch`] refuses.
+///
+/// # Errors
+///
+/// [`decode_request`]'s detail string for a payload it cannot decode.
+pub fn decode_inbound(payload: &[u8], symbol_cap: usize) -> Result<Inbound, String> {
+    let text = std::str::from_utf8(payload).map_err(|e| format!("non-UTF-8 payload: {e}"))?;
+    let mut d = serde_json::Deserializer::from_str(text);
+    let read = read_request(&mut d, symbol_cap)
+        .and_then(|read| d.end().map(|()| read))
+        .map_err(|e| format!("undecodable request: {e}"))?;
+    Ok(match read {
+        Read::Predict { id, reader } => Inbound::Predict {
+            id,
+            loops: reader.finish(),
+        },
+        Read::Other(inbound) => inbound,
+    })
 }
 
 /// Client → daemon messages.

@@ -1,9 +1,10 @@
 //! Train/serve parity: a served model makes exactly the decisions the
 //! offline pipeline makes with the same model.
 //!
-//! The served path is the deployment path: exported IR → `WireNode` →
-//! `to_ir` → arena → compiled evaluation → `DecisionTree::predict`. The
-//! offline path is the one `fegen_bench::methods` deploys with:
+//! The served path is the daemon's one path: exported IR → `WireNode` →
+//! an encoded `Predict` frame → `serve_connection` → arena rows decoded
+//! straight from the JSON → compiled evaluation → `DecisionTree::predict`.
+//! The offline path is the one `fegen_bench::methods` deploys with:
 //! `FeatureSearch::feature_matrix` over the exported IR, then the same
 //! tree. Both must agree on every loop of the quick suite, including the
 //! loops where a feature fails and is answered with the deployment default
@@ -13,9 +14,14 @@ mod common;
 
 use fegen::bench::stages::paper_features;
 use fegen::bench::{try_build_suite_data, ExperimentConfig};
-use fegen::core::serve::{ModelArtifact, ServeEngine, ServeOptions, WireNode, MAX_BATCH};
-use fegen::core::{parse_feature, FeatureSearch, Telemetry, TrainingExample};
+use fegen::core::gp::transport::duplex;
+use fegen::core::serve::{
+    decode_response, encode_request, serve_connection, ModelArtifact, ServeEngine, ServeOptions,
+    ServeRequest, ServeResponse, WireNode, MAX_BATCH, SERVE_PROTOCOL,
+};
+use fegen::core::{parse_feature, FeatureSearch, FrameTransport, Telemetry, TrainingExample};
 use fegen::suite::SuiteConfig;
+use std::sync::Arc;
 
 #[test]
 fn served_decisions_equal_offline_predictions_on_every_quick_suite_loop() {
@@ -70,16 +76,45 @@ fn served_decisions_equal_offline_predictions_on_every_quick_suite_loop() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("model.fgm");
     artifact.save(&path).expect("artifact saves");
-    let engine = ServeEngine::new(path, ServeOptions::default(), Telemetry::disabled())
-        .expect("engine starts");
+    let engine = Arc::new(
+        ServeEngine::new(path, ServeOptions::default(), Telemetry::disabled())
+            .expect("engine starts"),
+    );
+    let (mut client, mut server) = duplex();
+    let daemon = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || serve_connection(&mut server, &engine))
+    };
+    let mut ask = |request: &ServeRequest| {
+        client
+            .send(&encode_request(request).expect("request encodes"))
+            .expect("request sends");
+        decode_response(&client.recv().expect("reply arrives")).expect("reply decodes")
+    };
+    let hello = ask(&ServeRequest::Hello {
+        protocol: SERVE_PROTOCOL,
+    });
+    assert!(matches!(hello, ServeResponse::HelloAck { .. }), "{hello:?}");
     let batch = 256;
     assert!(batch <= MAX_BATCH);
     let mut served = Vec::with_capacity(loops.len());
-    for chunk in loops.chunks(batch) {
+    for (id, chunk) in loops.chunks(batch).enumerate() {
         let wire: Vec<WireNode> = chunk.iter().map(|e| WireNode::from_ir(&e.ir)).collect();
-        let decisions = engine.predict(&wire).expect("batch admitted");
-        served.extend(decisions.iter().map(|d| d.unroll));
+        let id = id as u64;
+        match ask(&ServeRequest::Predict { id, loops: wire }) {
+            ServeResponse::Decisions { id: got, decisions } => {
+                assert_eq!(got, id);
+                assert_eq!(decisions.len(), chunk.len());
+                served.extend(decisions.iter().map(|d| d.unroll));
+            }
+            other => panic!("batch {id}: expected Decisions, got {other:?}"),
+        }
     }
+    drop(client);
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("connection closes cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(served.len(), offline.len());
