@@ -26,10 +26,13 @@
 //! Version 3 holds every in-flight GP run as an [`IslandsSnapshot`] — a
 //! single-population search is the one-island case — with per-island
 //! populations and statuses plus the digest-guarded migration ledger.
-//! Retries are telemetry-only, so no restart counter is stored. Older
-//! versions are refused with [`CheckpointError::VersionMismatch`]. The
-//! snapshot is also the wire format of process-level island workers —
-//! there is no second serialization path.
+//! Retries are telemetry-only, so no restart counter is stored. Version 4
+//! drops each GP run's panic-generation count and degraded-evaluation flag
+//! (fitness evaluation within a generation is sequential; island worker
+//! slots are the one parallel layer). Older versions are refused with
+//! [`CheckpointError::VersionMismatch`]. The snapshot is also the wire
+//! format of process-level island workers — there is no second
+//! serialization path.
 
 use crate::error::CheckpointError;
 use crate::faults::fnv1a;
@@ -39,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Format version written to and expected from checkpoint files.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// File name used inside a checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "search.ckpt.json";
@@ -342,7 +345,7 @@ mod tests {
                 err,
                 CheckpointError::VersionMismatch {
                     found: 2,
-                    expected: 3,
+                    expected: 4,
                     ..
                 }
             ),

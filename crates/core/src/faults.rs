@@ -6,12 +6,13 @@
 //! the search. [`FaultInjector`] wraps any [`FitnessFn`] and injects those
 //! failures at seeded, reproducible points:
 //!
-//! - [`FaultTrigger::OnCall`] fires on the Nth fitness call — exact with
-//!   `threads = 1`, approximate (but still bounded) under parallel
-//!   evaluation, which is all cooperative cancellation needs.
+//! - [`FaultTrigger::OnCall`] fires on the Nth fitness call — exact on one
+//!   island worker slot, approximate (but still bounded) when several
+//!   slots step islands concurrently, which is all cooperative
+//!   cancellation needs.
 //! - [`FaultTrigger::OnMatch`] fires on candidates whose expression text
 //!   hashes into a residue class — a property of the *candidate*, so the
-//!   same individuals fail regardless of thread count or evaluation order.
+//!   same individuals fail regardless of worker count or evaluation order.
 //!   This is what the determinism tests use.
 //! - [`FaultTrigger::OnKeyPrefix`] fires on every event whose key starts
 //!   with a given prefix — the natural trigger for non-fitness layers

@@ -15,10 +15,9 @@
 //!   timeout) and increments [`GpState::panics`], never the whole run.
 //! - Non-finite fitness values are sanitized to "invalid" so a NaN can never
 //!   poison tournament comparisons or the best-so-far record.
-//! - If panics keep occurring ([`GpEngine::DEGRADE_AFTER_PANIC_GENS`]
-//!   generations with at least one panic each), parallel evaluation degrades
-//!   to sequential for the rest of the run — the conservative mode when the
-//!   evaluator is evidently unsound under concurrency.
+//!
+//! Evaluation within a generation is sequential; concurrency lives one layer
+//! up, in the island worker slots of [`crate::gp::island`].
 //!
 //! # Stepping and checkpointing
 //!
@@ -84,8 +83,6 @@ pub struct GpConfig {
     pub regrow_depth: usize,
     /// Number of elite individuals copied unchanged into each generation.
     pub elitism: usize,
-    /// Worker threads for fitness evaluation (1 = sequential).
-    pub threads: usize,
     /// Hard cap on individual size; larger candidates are regenerated.
     /// Parsimony already biases against bloat; the cap keeps printing and
     /// evaluation bounded.
@@ -109,7 +106,6 @@ impl GpConfig {
             init_depth: 6,
             regrow_depth: 4,
             elitism: 2,
-            threads: 1,
             max_size: 250,
             parsimony: true,
         }
@@ -245,12 +241,8 @@ pub struct GpState {
     pub evaluations: usize,
     /// Fitness calls that panicked and were isolated.
     pub panics: usize,
-    /// Generations in which at least one panic occurred.
-    panic_generations: usize,
-    /// Whether parallel evaluation has been degraded to sequential.
-    degraded: bool,
-    /// Fitness memo keyed by structural hash. Shared across generations;
-    /// also what makes panic outcomes identical across thread counts.
+    /// Fitness memo keyed by structural hash, shared across generations: a
+    /// repeated candidate — panicked ones included — is never re-evaluated.
     memo: Memo,
     /// The run's private RNG stream.
     rng: StdRng,
@@ -303,10 +295,6 @@ pub struct GpSnapshot {
     pub evaluations: usize,
     /// Panics isolated so far.
     pub panics: usize,
-    /// Generations with at least one panic.
-    pub panic_generations: usize,
-    /// Whether evaluation has degraded to sequential.
-    pub degraded: bool,
     /// Fitness memo, sorted by key for canonical output.
     pub memo: Vec<(String, Option<f64>)>,
     /// RNG stream state.
@@ -336,8 +324,6 @@ impl GpState {
             generations: self.generations,
             evaluations: self.evaluations,
             panics: self.panics,
-            panic_generations: self.panic_generations,
-            degraded: self.degraded,
             memo,
             rng: self.rng.state(),
         }
@@ -379,8 +365,6 @@ impl GpState {
             generations: snapshot.generations,
             evaluations: snapshot.evaluations,
             panics: snapshot.panics,
-            panic_generations: snapshot.panic_generations,
-            degraded: snapshot.degraded,
             memo,
             rng: StdRng::from_state(snapshot.rng),
             last_gen: None,
@@ -406,11 +390,6 @@ pub struct GpEngine<'a> {
 }
 
 impl<'a> GpEngine<'a> {
-    /// After this many generations that each saw at least one isolated
-    /// panic, parallel evaluation degrades to sequential for the rest of
-    /// the run.
-    pub const DEGRADE_AFTER_PANIC_GENS: usize = 3;
-
     /// Creates an engine over `grammar` with the given configuration.
     pub fn new(grammar: &'a Grammar, config: GpConfig) -> Self {
         GpEngine { grammar, config }
@@ -439,8 +418,6 @@ impl<'a> GpEngine<'a> {
             generations: 0,
             evaluations: 0,
             panics: 0,
-            panic_generations: 0,
-            degraded: false,
             memo: HashMap::new(),
             rng,
             last_gen: None,
@@ -449,10 +426,8 @@ impl<'a> GpEngine<'a> {
 
     /// Runs the search, maximising `fitness`.
     ///
-    /// Deterministic for a given seed and fitness function (also with
-    /// `threads > 1`: parallelism only affects evaluation order, and fitness
-    /// values — including isolated panics — are memoised by structural
-    /// hash).
+    /// Deterministic for a given seed and fitness function: fitness values
+    /// — including isolated panics — are memoised by structural hash.
     pub fn run<F: FitnessFn>(&self, fitness: &F, rng: &mut StdRng) -> GpRun {
         let mut state = self.init_state(rng.clone());
         while let GpStatus::Running = self.step(&mut state, fitness) {}
@@ -546,10 +521,9 @@ impl<'a> GpEngine<'a> {
 
     /// Evaluates the population, reading and feeding the memo.
     ///
-    /// Duplicate individuals are evaluated once; the memo is updated with
-    /// every distinct new expression — deterministically, whatever the
-    /// thread count. Panicking fitness calls are caught and recorded as
-    /// invalid.
+    /// Duplicate individuals are evaluated once, in first-appearance order;
+    /// the memo is updated with every distinct new expression. Panicking
+    /// fitness calls are caught and recorded as invalid.
     ///
     /// Returns `None` — without touching `state` — when `cancel` flips.
     /// The gate sits *after* result collection and *before* memo
@@ -598,40 +572,13 @@ impl<'a> GpEngine<'a> {
         };
 
         let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let threads = self.config.threads;
-        let results: Vec<(Option<f64>, bool)> = if threads <= 1
-            || state.degraded
-            || pending.len() <= 1
-        {
-            let mut out = Vec::with_capacity(pending.len());
-            for &i in &pending {
-                if cancelled() {
-                    return None;
-                }
-                out.push(eval_one(&state.population[i]));
+        let mut results: Vec<(Option<f64>, bool)> = Vec::with_capacity(pending.len());
+        for &i in &pending {
+            if cancelled() {
+                return None;
             }
-            out
-        } else {
-            let exprs: Vec<&FeatureExpr> =
-                pending.iter().map(|&i| &state.population[i]).collect();
-            let mut out: Vec<(Option<f64>, bool)> = vec![(None, false); exprs.len()];
-            let chunk = exprs.len().div_ceil(threads);
-            let eval_one = &eval_one;
-            let cancelled = &cancelled;
-            std::thread::scope(|s| {
-                for (expr_chunk, out_chunk) in exprs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (expr, slot) in expr_chunk.iter().zip(out_chunk.iter_mut()) {
-                            if cancelled() {
-                                break;
-                            }
-                            *slot = eval_one(expr);
-                        }
-                    });
-                }
-            });
-            out
-        };
+            results.push(eval_one(&state.population[i]));
+        }
 
         // Commit gate: once the token flips, *nothing* from this
         // generation may reach the memo — some results above may be
@@ -640,7 +587,6 @@ impl<'a> GpEngine<'a> {
             return None;
         }
 
-        let mut generation_panics = 0usize;
         for (&i, (quality, panicked)) in pending.iter().zip(results) {
             memo_insert(
                 &mut state.memo,
@@ -651,16 +597,6 @@ impl<'a> GpEngine<'a> {
             state.evaluations += 1;
             if panicked {
                 state.panics += 1;
-                generation_panics += 1;
-            }
-        }
-        if generation_panics > 0 {
-            state.panic_generations += 1;
-            if state.panic_generations >= Self::DEGRADE_AFTER_PANIC_GENS && threads > 1 {
-                // The evaluator keeps dying; stop trusting it under
-                // concurrency. Results are unchanged (the memo is shared),
-                // only the execution strategy degrades.
-                state.degraded = true;
             }
         }
 
@@ -890,26 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let (g, ir) = grammar_and_ir();
-        let fit = |e: &FeatureExpr| e.eval_with_budget(&ir, 10_000).ok();
-        let run_with = |threads: usize| {
-            let cfg = GpConfig {
-                threads,
-                max_generations: 8,
-                ..GpConfig::quick()
-            };
-            let engine = GpEngine::new(&g, cfg);
-            engine.run(&fit, &mut StdRng::seed_from_u64(21))
-        };
-        let seq = run_with(1);
-        let par = run_with(3);
-        assert_eq!(seq.best, par.best, "threading must not change results");
-        assert_eq!(seq.generations, par.generations);
-        assert_eq!(seq.evaluations, par.evaluations);
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let (g, ir) = grammar_and_ir();
         let fit = |e: &FeatureExpr| e.eval_with_budget(&ir, 10_000).ok();
@@ -944,32 +860,6 @@ mod tests {
         if let Some(best) = &run.best {
             assert!(!best.expr.to_string().contains("depth"));
         }
-    }
-
-    #[test]
-    fn panic_isolation_is_thread_count_invariant() {
-        let (g, ir) = grammar_and_ir();
-        let fit = |e: &FeatureExpr| -> Option<f64> {
-            let text = e.to_string();
-            if crate::faults::fnv1a(text.as_bytes()).is_multiple_of(5) {
-                panic!("injected: hash-selected panic");
-            }
-            e.eval_with_budget(&ir, 10_000).ok()
-        };
-        let run_with = |threads: usize| {
-            let cfg = GpConfig {
-                threads,
-                max_generations: 6,
-                ..GpConfig::quick()
-            };
-            GpEngine::new(&g, cfg).run(&fit, &mut StdRng::seed_from_u64(33))
-        };
-        let seq = run_with(1);
-        let par = run_with(4);
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.generations, par.generations);
-        assert_eq!(seq.panics, par.panics);
-        assert!(seq.panics > 0, "the fault pattern should have fired");
     }
 
     #[test]

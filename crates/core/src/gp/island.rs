@@ -426,6 +426,11 @@ struct StepOutcome {
     step_us: u64,
 }
 
+/// Heartbeat deadline of an island step, in milliseconds. The monitor is
+/// observational: a missed deadline is reported, never acted on
+/// (wall-clock events must not alter the trajectory).
+pub const HEARTBEAT_DEADLINE_MS: u64 = 2_000;
+
 /// Heartbeat sentinel: the island has not been picked up this round.
 const HB_QUEUED: u64 = u64::MAX;
 /// Heartbeat sentinel: the island finished its step this round.
@@ -441,10 +446,6 @@ pub struct Supervision<'a> {
     /// Worker slots stepping islands each round. Slot 0 runs on the
     /// calling thread, every other slot on a scoped thread.
     pub workers: usize,
-    /// Heartbeat deadline in milliseconds; 0 disables the monitor. The
-    /// monitor is observational: a missed deadline is reported, never
-    /// acted on (wall-clock events must not alter the trajectory).
-    pub heartbeat_deadline_ms: u64,
     /// Cooperative cancellation token, polled before every attempt.
     pub cancel: Option<&'a CancelToken>,
     /// Fault injector consulted once per step attempt (keys
@@ -462,7 +463,6 @@ pub struct IslandCoordinator<'a, E> {
     topology: IslandTopology,
     parsimony: bool,
     workers: usize,
-    heartbeat_deadline_ms: u64,
     cancel: Option<&'a CancelToken>,
     injector: Option<&'a FaultInjector>,
     telemetry: Telemetry,
@@ -484,7 +484,6 @@ impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
     ) -> Self {
         let Supervision {
             workers,
-            heartbeat_deadline_ms,
             cancel,
             injector,
             telemetry,
@@ -495,7 +494,6 @@ impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
             topology,
             parsimony,
             workers,
-            heartbeat_deadline_ms,
             cancel,
             injector,
             telemetry,
@@ -536,7 +534,7 @@ impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
         let (finished, slots_done) = mpsc::channel::<()>();
         let this = &*self;
         std::thread::scope(|s| {
-            if this.heartbeat_deadline_ms > 0 && this.telemetry.is_enabled() {
+            if this.telemetry.is_enabled() {
                 let (active, heartbeats, epoch) = (&active, &heartbeats, &epoch);
                 s.spawn(move || this.monitor(active, heartbeats, slots_done, epoch));
             }
@@ -744,7 +742,7 @@ impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
         slots_done: Receiver<()>,
         epoch: &Instant,
     ) {
-        let poll = Duration::from_millis((self.heartbeat_deadline_ms / 4).clamp(2, 250));
+        let poll = Duration::from_millis((HEARTBEAT_DEADLINE_MS / 4).min(250));
         let mut reported = vec![false; active.len()];
         while let Err(RecvTimeoutError::Timeout) = slots_done.recv_timeout(poll) {
             let now = millis_since(epoch);
@@ -754,13 +752,13 @@ impl<'a, E: IslandExecutor> IslandCoordinator<'a, E> {
                     continue;
                 }
                 let overdue = now.saturating_sub(beat);
-                if overdue > self.heartbeat_deadline_ms {
+                if overdue > HEARTBEAT_DEADLINE_MS {
                     reported[pos] = true;
                     self.telemetry
                         .event("island_heartbeat_missed")
                         .u64("island", active[pos] as u64)
                         .u64("overdue_ms", overdue)
-                        .u64("deadline_ms", self.heartbeat_deadline_ms)
+                        .u64("deadline_ms", HEARTBEAT_DEADLINE_MS)
                         .emit();
                     self.telemetry.counter_add("island.heartbeat_missed", 1);
                 }
@@ -912,7 +910,6 @@ mod tests {
             engine.config().parsimony,
             Supervision {
                 workers,
-                heartbeat_deadline_ms: 2_000,
                 cancel: None,
                 injector,
                 telemetry: telemetry.clone(),
@@ -1050,7 +1047,7 @@ mod tests {
 
     #[test]
     fn a_cheap_round_does_not_wait_for_the_monitor_poll() {
-        // At the default 2 s deadline the monitor polls every 250 ms; a
+        // At the 2 s heartbeat deadline the monitor polls every 250 ms; a
         // round whose steps are cheap must still return as soon as they
         // finish, not at the monitor's next poll.
         let (g, _) = grammar_and_ir();
@@ -1067,7 +1064,6 @@ mod tests {
             engine.config().parsimony,
             Supervision {
                 workers: 2,
-                heartbeat_deadline_ms: 2_000,
                 cancel: None,
                 injector: None,
                 telemetry,

@@ -53,7 +53,7 @@ use std::time::Duration;
 /// vocabulary and its order — checked in the `Hello` handshake. The frame
 /// header's [`crate::gp::transport::PROTOCOL_VERSION`] is separate: the
 /// serve protocol shares the frame layout, not this conversation.
-pub const WORKER_PROTOCOL_VERSION: u32 = 2;
+pub const WORKER_PROTOCOL_VERSION: u32 = 3;
 
 /// The invariants of one search that a worker needs to rebuild the
 /// deterministic fitness pipeline: the search configuration, the
@@ -423,15 +423,13 @@ fn msg_name(msg: &WireMsg) -> &'static str {
     }
 }
 
-/// How the worker's stdio is wired to the supervisor.
+/// How the worker's stdio is wired to the supervisor. Anonymous pipes are
+/// the one carrier; the enum stays as the `WorkerLauncher::Command` field's
+/// type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelKind {
     /// Anonymous stdin/stdout pipes.
     Stdio,
-    /// A Unix-domain socket pair installed as the child's stdin and stdout
-    /// (one bidirectional descriptor instead of two pipes). Falls back to
-    /// [`ChannelKind::Stdio`] on non-Unix targets.
-    UnixSocket,
 }
 
 /// How the supervisor obtains a connected worker.
@@ -453,19 +451,11 @@ pub enum WorkerLauncher {
 }
 
 impl WorkerLauncher {
-    /// Stable name of the carrier, for telemetry (`loopback`, `stdio`,
-    /// `unix-socket`).
+    /// Stable name of the carrier, for telemetry (`loopback`, `stdio`).
     pub fn kind(&self) -> &'static str {
         match self {
             WorkerLauncher::Loopback => "loopback",
-            WorkerLauncher::Command {
-                channel: ChannelKind::Stdio,
-                ..
-            } => "stdio",
-            WorkerLauncher::Command {
-                channel: ChannelKind::UnixSocket,
-                ..
-            } => "unix-socket",
+            WorkerLauncher::Command { .. } => "stdio",
         }
     }
 
@@ -487,14 +477,11 @@ impl WorkerLauncher {
                     begun: None,
                 })
             }
-            WorkerLauncher::Command { argv, channel } => {
+            WorkerLauncher::Command { argv, .. } => {
                 let (program, args) = argv
                     .split_first()
                     .ok_or_else(|| TransportError::Io("empty worker argv".into()))?;
-                match channel {
-                    ChannelKind::Stdio => spawn_stdio(program, args),
-                    ChannelKind::UnixSocket => spawn_unix_socket(program, args),
-                }
+                spawn_stdio(program, args)
             }
         }
     }
@@ -522,40 +509,6 @@ fn spawn_stdio(program: &str, args: &[String]) -> Result<WorkerHandle, Transport
         thread: None,
         begun: None,
     })
-}
-
-#[cfg(unix)]
-fn spawn_unix_socket(program: &str, args: &[String]) -> Result<WorkerHandle, TransportError> {
-    use std::os::fd::OwnedFd;
-    use std::os::unix::net::UnixStream;
-    let (parent_end, child_end) = UnixStream::pair()
-        .map_err(|e| TransportError::Io(format!("socketpair: {e}")))?;
-    let child_in: OwnedFd = child_end
-        .try_clone()
-        .map_err(|e| TransportError::Io(format!("clone socket: {e}")))?
-        .into();
-    let child_out: OwnedFd = child_end.into();
-    let child = Command::new(program)
-        .args(args)
-        .stdin(Stdio::from(child_in))
-        .stdout(Stdio::from(child_out))
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| TransportError::Io(format!("spawn {program}: {e}")))?;
-    let reader = parent_end
-        .try_clone()
-        .map_err(|e| TransportError::Io(format!("clone socket: {e}")))?;
-    Ok(WorkerHandle {
-        transport: Some(Box::new(StreamTransport::new(reader, parent_end))),
-        child: Some(child),
-        thread: None,
-        begun: None,
-    })
-}
-
-#[cfg(not(unix))]
-fn spawn_unix_socket(program: &str, args: &[String]) -> Result<WorkerHandle, TransportError> {
-    spawn_stdio(program, args)
 }
 
 /// One live worker connection. Dropping it severs the transport (a child

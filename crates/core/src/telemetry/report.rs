@@ -723,10 +723,10 @@ mod tests {
     #[test]
     fn summarizes_framed_islands_with_frame_counters() {
         let dir = tmp_dir("framed");
-        island_log(&dir, "unix-socket");
+        island_log(&dir, "stdio");
         let summary = summarize_dir(&dir).expect("summarize");
         assert!(
-            summary.contains("islands: 4 island(s), 2 worker(s), executor unix-socket"),
+            summary.contains("islands: 4 island(s), 2 worker(s), executor stdio"),
             "{summary}"
         );
         assert!(

@@ -43,7 +43,6 @@
 //! --island-restart-limit <n>  crashed step retries before an island is frozen (default 3)
 //! --workers <n>            in-process worker threads stepping islands (results identical)
 //! --workers-proc <n>       step islands in n worker *processes* instead (results identical)
-//! --worker-channel <name>  process-worker channel: stdio (default) | unix-socket
 //! ```
 //!
 //! Every search, single-population included, runs one supervised round loop
@@ -196,7 +195,6 @@ fn print_usage() {
     println!("  --island-restart-limit <n>  crashed retries before freezing an island (default 3)");
     println!("  --workers <n>            in-process worker threads (results identical for any n)");
     println!("  --workers-proc <n>       worker processes instead of threads (results identical)");
-    println!("  --worker-channel <name>  process-worker channel: stdio (default) | unix-socket");
     println!();
     println!("train-model flags:");
     println!("  --out <path>             artifact path (default model.fgm)");
@@ -526,7 +524,6 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     let mut island_restart_limit: Option<usize> = None;
     let mut workers = 1usize;
     let mut workers_proc: Option<usize> = None;
-    let mut worker_channel = fegen::core::ChannelKind::Stdio;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, Anyhow> {
@@ -557,18 +554,6 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
             }
             "--workers" => workers = parse_num(&value("--workers")?)?.max(1),
             "--workers-proc" => workers_proc = Some(parse_num(&value("--workers-proc")?)?.max(1)),
-            "--worker-channel" => {
-                worker_channel = match value("--worker-channel")?.as_str() {
-                    "stdio" => fegen::core::ChannelKind::Stdio,
-                    "unix" | "unix-socket" => fegen::core::ChannelKind::UnixSocket,
-                    other => {
-                        return Err(format!(
-                            "unknown worker channel `{other}` (expected `stdio` or `unix-socket`)"
-                        )
-                        .into())
-                    }
-                };
-            }
             "--telemetry-dir" => telemetry_dir = Some(value("--telemetry-dir")?),
             "--log-json" => log_json = true,
             "--progress" => progress = true,
@@ -619,12 +604,12 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     let mut driver: SearchDriver = search.driver().workers(workers);
     if let Some(n) = workers_proc {
         // Re-invoke this very binary as the worker; the supervisor owns all
-        // robustness policy, so the launcher is just argv + channel.
+        // robustness policy, so the launcher is just argv over stdio.
         let exe = std::env::current_exe()
             .map_err(|e| format!("locating the fegen binary for worker spawn: {e}"))?;
         let launcher = fegen::core::WorkerLauncher::Command {
             argv: vec![exe.to_string_lossy().into_owned(), "island-worker".into()],
-            channel: worker_channel,
+            channel: fegen::core::ChannelKind::Stdio,
         };
         driver = driver.process_workers(n, launcher);
     }

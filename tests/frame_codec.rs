@@ -67,8 +67,6 @@ fn all_message_kinds() -> Vec<WireMsg> {
             generations: 3,
             evaluations: 40,
             panics: 1,
-            panic_generations: 1,
-            degraded: false,
             memo: vec![
                 ("count(//*)".to_owned(), Some(1.25)),
                 ("sum(//*, @num-iter)".to_owned(), None),

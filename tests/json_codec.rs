@@ -78,7 +78,6 @@ fn gp_config() -> GpConfig {
         init_depth: 6,
         regrow_depth: 4,
         elitism: 2,
-        threads: 1,
         max_size: 250,
         parsimony: true,
     }
@@ -119,8 +118,6 @@ fn gp_snapshot(seed: u64) -> GpSnapshot {
         generations: 7,
         evaluations: 168,
         panics: 0,
-        panic_generations: 0,
-        degraded: false,
         memo: vec![
             ("count(//*)".into(), Some(1.0625)),
             ("get-attr(@mode)".into(), None),
@@ -153,7 +150,7 @@ fn gen_stats() -> GenStats {
 
 fn worker_spec() -> WorkerSpec {
     WorkerSpec {
-        protocol: 2,
+        protocol: 3,
         config: search_config(),
         engine: EvalEngine::Compiled,
         grammar_digest: 0x9e37_79b9_7f4a_7c15,
@@ -309,7 +306,7 @@ fn serve_responses() -> Vec<(&'static str, ServeResponse)> {
 
 fn checkpoint() -> SearchCheckpoint {
     SearchCheckpoint {
-        version: 3,
+        version: 4,
         config_fingerprint: 11,
         examples_digest: 0xdead_beef_dead_beef,
         rng: [1, 2, 3, u64::MAX],
@@ -483,7 +480,7 @@ fn golden_corpus_is_reproduced_byte_for_byte() {
         golden(name, &resp);
         cases += 1;
     }
-    golden("checkpoint_v3", &checkpoint());
+    golden("checkpoint_v4", &checkpoint());
     golden("dataset_shard", &shard());
     golden("model_artifact", &artifact());
     golden("training_examples", &examples());
@@ -549,7 +546,7 @@ fn on_disk_formats_still_load() {
     // Checkpoint and model artifact: the recorded pretty files load.
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("search.ckpt.json");
-    std::fs::write(&ckpt, fixture("checkpoint_v3.pretty.json")).unwrap();
+    std::fs::write(&ckpt, fixture("checkpoint_v4.pretty.json")).unwrap();
     assert_eq!(SearchCheckpoint::load(&ckpt).unwrap(), checkpoint());
     let model = dir.join("model.json");
     std::fs::write(&model, fixture("model_artifact.pretty.json")).unwrap();

@@ -54,7 +54,7 @@ fn synthetic_examples(n: usize) -> Vec<TrainingExample> {
         .collect()
 }
 
-fn small_config(threads: usize) -> SearchConfig {
+fn small_config() -> SearchConfig {
     let mut config = SearchConfig::quick();
     config.seed = 41;
     config.max_features = 2;
@@ -62,7 +62,15 @@ fn small_config(threads: usize) -> SearchConfig {
     config.gp.population = 14;
     config.gp.max_generations = 6;
     config.gp.stagnation_limit = 6;
-    config.gp.threads = threads;
+    config
+}
+
+/// [`small_config`] on a two-island ring, with the outer budget doubled so
+/// each island gets as many generations as the single population.
+fn ring_config() -> SearchConfig {
+    let mut config = small_config();
+    config.max_total_generations = 48;
+    config.topology = IslandTopology::ring(2);
     config
 }
 
@@ -77,11 +85,13 @@ fn checkpoint_bytes(path: &Path) -> Vec<u8> {
     std::fs::read(path).expect("checkpoint file readable")
 }
 
-/// Interrupted search (cancel injected on the `on_call`th evaluation) with
-/// the given telemetry; returns the checkpoint path.
+/// Interrupted search on `workers` island worker slots (cancel injected on
+/// the `on_call`th evaluation) with the given telemetry; returns the
+/// checkpoint path.
 fn interrupted_run(
     search: &FeatureSearch,
     examples: &[TrainingExample],
+    workers: usize,
     ckpt_dir: &Path,
     telemetry: Telemetry,
     on_call: u64,
@@ -92,6 +102,7 @@ fn interrupted_run(
     }]);
     let err = search
         .driver()
+        .workers(workers)
         .checkpoint(ckpt_dir, 2)
         .fault_injector(&injector)
         .telemetry(telemetry)
@@ -108,10 +119,11 @@ fn interrupted_run(
 
 /// Neutrality proof #1 + #3: identical checkpoints with telemetry on/off,
 /// identical resumed outcomes, and a well-formed merged JSONL across the
-/// kill point — sequential and parallel fitness evaluation.
-fn checkpoint_neutral(threads: usize, tag: &str) {
+/// kill point — on one population, and on a two-island ring stepped by
+/// `workers` worker slots.
+fn checkpoint_neutral(config: SearchConfig, workers: usize, tag: &str) {
     let examples = synthetic_examples(40);
-    let search = FeatureSearch::from_examples(&examples, small_config(threads));
+    let search = FeatureSearch::from_examples(&examples, config);
     let reference = search.try_run(&examples).expect("reference run completes");
     assert!(!reference.features.is_empty(), "task must be solvable");
 
@@ -120,9 +132,16 @@ fn checkpoint_neutral(threads: usize, tag: &str) {
     let tel_dir = temp_dir(&format!("events-{tag}"));
     std::fs::create_dir_all(&tel_dir).expect("telemetry dir");
 
-    let ckpt_off = interrupted_run(&search, &examples, &dir_off, Telemetry::disabled(), 25);
+    let ckpt_off = interrupted_run(
+        &search,
+        &examples,
+        workers,
+        &dir_off,
+        Telemetry::disabled(),
+        25,
+    );
     let telemetry = Telemetry::to_dir(&tel_dir).expect("telemetry opens");
-    let ckpt_on = interrupted_run(&search, &examples, &dir_on, telemetry, 25);
+    let ckpt_on = interrupted_run(&search, &examples, workers, &dir_on, telemetry, 25);
 
     // The checkpoint fingerprint (and every byte around it) must not see
     // telemetry.
@@ -136,11 +155,13 @@ fn checkpoint_neutral(threads: usize, tag: &str) {
     // to the same event log, exercising the killed-and-resumed path.
     let resumed_off = search
         .driver()
+        .workers(workers)
         .resume(&ckpt_off, &examples)
         .expect("resume (off) completes");
     let telemetry = Telemetry::to_dir(&tel_dir).expect("telemetry reopens");
     let resumed_on = search
         .driver()
+        .workers(workers)
         .telemetry(telemetry)
         .resume(&ckpt_on, &examples)
         .expect("resume (on) completes");
@@ -170,12 +191,12 @@ fn checkpoint_neutral(threads: usize, tag: &str) {
 
 #[test]
 fn search_checkpoints_are_telemetry_neutral_sequential() {
-    checkpoint_neutral(1, "seq");
+    checkpoint_neutral(small_config(), 1, "seq");
 }
 
 #[test]
 fn search_checkpoints_are_telemetry_neutral_parallel() {
-    checkpoint_neutral(4, "par");
+    checkpoint_neutral(ring_config(), 2, "par");
 }
 
 /// Neutrality proof #1 for the *process-worker* supervisor: the same
@@ -187,7 +208,7 @@ fn search_checkpoints_are_telemetry_neutral_parallel() {
 #[test]
 fn process_worker_checkpoints_are_telemetry_neutral() {
     let examples = synthetic_examples(40);
-    let mut config = small_config(1);
+    let mut config = small_config();
     config.max_total_generations = 48;
     config.topology = IslandTopology {
         islands: 2,

@@ -9,7 +9,7 @@
 //! over both real exported loops and randomly generated IR trees, and then
 //! prove the end-to-end consequence: a search run on the compiled engine —
 //! including one interrupted and resumed mid-GP — reproduces the
-//! interpreter run byte for byte at any thread count.
+//! interpreter run byte for byte at any island worker count.
 
 use fegen::core::grammar::Grammar;
 use fegen::core::ir::{IrArena, IrNode};
@@ -17,7 +17,7 @@ use fegen::core::lang::{parse_feature, EvalError, Evaluator, FeatureExpr, Progra
 use fegen::core::search::TrainingExample;
 use fegen::core::{
     CancelToken, EvalEngine, EvalPool, FaultInjector, FaultKind, FaultPlan, FaultTrigger,
-    FeatureSearch, SearchConfig, SearchError,
+    FeatureSearch, IslandTopology, SearchConfig, SearchError,
 };
 use fegen::rtl::export::export_loop;
 use fegen::rtl::lower::lower_program;
@@ -283,7 +283,7 @@ fn synthetic_examples(n: usize) -> Vec<TrainingExample> {
         .collect()
 }
 
-fn small_config(threads: usize) -> SearchConfig {
+fn small_config() -> SearchConfig {
     let mut config = SearchConfig::quick();
     config.seed = 41;
     config.max_features = 2;
@@ -291,7 +291,15 @@ fn small_config(threads: usize) -> SearchConfig {
     config.gp.population = 14;
     config.gp.max_generations = 6;
     config.gp.stagnation_limit = 6;
-    config.gp.threads = threads;
+    config
+}
+
+/// [`small_config`] on a two-island ring, with the outer budget doubled so
+/// each island gets as many generations as the single population.
+fn ring_config() -> SearchConfig {
+    let mut config = small_config();
+    config.max_total_generations = 48;
+    config.topology = IslandTopology::ring(2);
     config
 }
 
@@ -302,35 +310,44 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The full search is byte-identical between the interpreter and the
-/// compiled engine, at one thread and at several — the four runs must
-/// produce one single outcome.
+/// compiled engine: on one population, and on a two-island ring at one
+/// island worker slot and at two — the four ring runs must produce one
+/// single outcome.
 #[test]
 fn search_outcome_is_engine_and_thread_invariant() {
     let examples = synthetic_examples(40);
-    let run = |engine: EvalEngine, threads: usize| {
-        FeatureSearch::from_examples(&examples, small_config(threads))
+    let run = |config: &SearchConfig, engine: EvalEngine, workers: usize| {
+        FeatureSearch::from_examples(&examples, config.clone())
             .with_engine(engine)
-            .try_run(&examples)
+            .driver()
+            .workers(workers)
+            .run(&examples)
             .expect("search completes")
     };
-    let reference = run(EvalEngine::Interpreter, 1);
+    let single = small_config();
+    let reference = run(&single, EvalEngine::Interpreter, 1);
     assert!(
         !reference.features.is_empty(),
         "the synthetic task must be solvable, or the test proves nothing"
     );
-    assert_eq!(run(EvalEngine::Compiled, 1), reference);
-    assert_eq!(run(EvalEngine::Compiled, 4), reference);
-    assert_eq!(run(EvalEngine::Interpreter, 4), reference);
+    assert_eq!(run(&single, EvalEngine::Compiled, 1), reference);
+
+    let ring = ring_config();
+    let reference = run(&ring, EvalEngine::Interpreter, 1);
+    assert!(!reference.features.is_empty(), "the ring must solve it too");
+    assert_eq!(run(&ring, EvalEngine::Compiled, 1), reference);
+    assert_eq!(run(&ring, EvalEngine::Compiled, 2), reference);
+    assert_eq!(run(&ring, EvalEngine::Interpreter, 2), reference);
 }
 
 /// Kill-and-resume on the compiled engine: an injected mid-GP cancellation
 /// followed by a resume reproduces, byte for byte, the outcome of an
-/// *uninterrupted interpreter* run — checkpoint/resume (PR 1) and the
-/// compiled engine compose.
+/// *uninterrupted interpreter* run — checkpoint/resume and the compiled
+/// engine compose, here on a two-island ring stepped by two worker slots.
 #[test]
 fn compiled_engine_kill_and_resume_matches_interpreter_reference() {
     let examples = synthetic_examples(40);
-    let config = small_config(4);
+    let config = ring_config();
 
     let reference = FeatureSearch::from_examples(&examples, config.clone())
         .with_engine(EvalEngine::Interpreter)
@@ -347,6 +364,7 @@ fn compiled_engine_kill_and_resume_matches_interpreter_reference() {
     }]);
     let err = compiled
         .driver()
+        .workers(2)
         .checkpoint(&dir, 2)
         .fault_injector(&injector)
         .run(&examples)
@@ -361,6 +379,7 @@ fn compiled_engine_kill_and_resume_matches_interpreter_reference() {
 
     let resumed = compiled
         .driver()
+        .workers(2)
         .resume(&checkpoint, &examples)
         .expect("resume completes");
     assert_eq!(

@@ -64,7 +64,6 @@ fn a_cancelled_process_mode_search_still_shuts_its_workers_down() {
     config.seed = 41;
     config.gp.population = 12;
     config.gp.max_generations = 6;
-    config.gp.threads = 1;
     config.topology = IslandTopology {
         islands: 2,
         migration_every: 1,
