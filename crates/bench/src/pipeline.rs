@@ -174,9 +174,12 @@ pub fn try_compile(b: &Benchmark) -> Result<CompiledBenchmark, PipelineError> {
 /// digest`](RtlProgram::content_digest) is folded into the campaign
 /// fingerprint so a dataset records exactly which compile state produced
 /// it. [`BenchmarkSnapshot::fork`] measures one `(site, factor)` cell by
-/// cloning only the mutable state of that cell — the site function's
-/// unrolled body and a fresh machine — and is bit-identical to the scratch
-/// path ([`fegen_sim::oracle::measure_site`] on the pre-unroll RTL).
+/// building only the mutable state of that cell — the site function's
+/// unrolled instruction list and a fresh machine — and is bit-identical to
+/// the scratch path ([`fegen_sim::oracle::measure_site`] on the pre-unroll
+/// RTL). The unrolled list shares its instruction bodies with the
+/// snapshot's RTL: only relabelled labels and jumps and the unroller's
+/// guard code are new bodies.
 #[derive(Debug)]
 pub struct BenchmarkSnapshot {
     /// The compiled benchmark (name, suite, pre-unroll RTL, workload).

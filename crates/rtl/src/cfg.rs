@@ -79,7 +79,7 @@ impl Cfg {
             if i == n || leader[i] {
                 let index = blocks.len();
                 for insn in &insns[start..i] {
-                    if let InsnBody::Label(l) = insn.body {
+                    if let InsnBody::Label(l) = *insn.body {
                         label_block.insert(l, index);
                     }
                 }
@@ -97,7 +97,7 @@ impl Cfg {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for b in 0..blocks.len() {
             let last = &insns[blocks[b].end - 1];
-            match &last.body {
+            match &*last.body {
                 InsnBody::Jump { target } => {
                     if let Some(&t) = label_block.get(target) {
                         edges.push((b, t));

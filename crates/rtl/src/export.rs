@@ -86,7 +86,7 @@ fn export_insn(
 ) -> IrNode {
     let mut node = IrNode::new(insn.kind_name());
     node.attr_num("uid", f64::from(insn.uid));
-    match &insn.body {
+    match &*insn.body {
         InsnBody::Label(l) => {
             node.attr_num("label", f64::from(*l));
         }

@@ -193,7 +193,7 @@ impl RtlFunction {
     pub fn label_index(&self, label: LabelId) -> Option<usize> {
         self.insns
             .iter()
-            .position(|i| matches!(i.body, InsnBody::Label(l) if l == label))
+            .position(|i| matches!(*i.body, InsnBody::Label(l) if l == label))
     }
 
     /// Allocates a fresh label id.
@@ -275,30 +275,37 @@ impl RtlProgram {
     /// Content digest of the whole lowered program (functions in order,
     /// bodies, loop regions, memory layout) — FNV-1a over an exhaustive,
     /// *canonical* rendering: the functions' `Debug` form (every field,
-    /// deterministic — only `Vec`s and scalars) followed by the memory
+    /// deterministic — only `Vec`s, scalars and `Arc`s, which print their
+    /// contents) followed by the memory
     /// layout's allocations sorted by name, so the `HashMap`'s per-instance
     /// iteration order cannot leak in. Two independently lowered programs
     /// digest equal iff a simulation could not tell them apart, so the
     /// digest pins the exact pre-unroll compile state a measurement
     /// campaign forks from, independent of how it was configured.
     pub fn content_digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut feed = |text: String| {
-            for byte in text.bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        use std::fmt::Write;
+        /// FNV-1a fed the rendering piece by piece, never materialised.
+        struct Fnv(u64);
+        impl Write for Fnv {
+            fn write_str(&mut self, text: &str) -> std::fmt::Result {
+                for byte in text.bytes() {
+                    self.0 ^= u64::from(byte);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
             }
-        };
+        }
+        let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
         for f in &self.functions {
-            feed(format!("{f:?}|"));
+            let _ = write!(hash, "{f:?}|");
         }
         let mut arrays: Vec<_> = self.layout.iter().collect();
         arrays.sort_by(|a, b| a.0.cmp(b.0));
         for (name, info) in arrays {
-            feed(format!("{name}={info:?};"));
+            let _ = write!(hash, "{name}={info:?};");
         }
-        feed(format!("next={}", self.layout.total_cells()));
-        hash
+        let _ = write!(hash, "next={}", self.layout.total_cells());
+        hash.0
     }
 }
 
@@ -388,6 +395,29 @@ mod tests {
             }
         };
         assert_eq!(build().content_digest(), build().content_digest());
+    }
+
+    #[test]
+    fn digest_and_debug_text_ignore_sharing() {
+        let ast = fegen_lang::parse_program(
+            "int a[16];\n\
+             int f(int n) { int i; int s; s = 0;\n\
+               for (i = 0; i < n; i = i + 1) { s = s + a[i]; } return s; }",
+        )
+        .unwrap();
+        let p = crate::lower::lower_program(&ast).unwrap();
+        let c = p.clone();
+        // Recorded from the digest of a program whose bodies were not
+        // shared: the sharing must not show in it.
+        assert_eq!(p.content_digest(), 0x3145_76eb_628c_a327);
+        assert_eq!(c.content_digest(), p.content_digest());
+        assert_eq!(format!("{c:?}"), format!("{p:?}"));
+        // The digest reads `Debug` text, in which a shared body shows as
+        // its contents.
+        assert_eq!(
+            format!("{:?}", Insn::new(3, InsnBody::Jump { target: 1 })),
+            "Insn { uid: 3, body: Jump { target: 1 } }"
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn num_loop_branches(func: &RtlFunction, region: &LoopRegion) -> usize {
     match func.loop_span(region) {
         Some((s, e)) => func.insns[s..e]
             .iter()
-            .filter(|i| matches!(i.body, InsnBody::CondJump { .. }))
+            .filter(|i| matches!(*i.body, InsnBody::CondJump { .. }))
             .count(),
         None => 0,
     }

@@ -53,7 +53,7 @@ impl std::error::Error for InlineError {}
 pub fn call_sites(func: &RtlFunction) -> Vec<CallSite> {
     func.insns
         .iter()
-        .filter_map(|i| match &i.body {
+        .filter_map(|i| match &*i.body {
             InsnBody::Call { name, .. } => Some(CallSite {
                 insn_uid: i.uid,
                 callee: name.clone(),
@@ -113,9 +113,9 @@ pub fn inline_call(
     let call_index = caller
         .insns
         .iter()
-        .position(|i| i.uid == site.insn_uid && matches!(i.body, InsnBody::Call { .. }))
+        .position(|i| i.uid == site.insn_uid && matches!(*i.body, InsnBody::Call { .. }))
         .ok_or(InlineError::NoSuchSite)?;
-    let InsnBody::Call { args, dest, .. } = caller.insns[call_index].body.clone() else {
+    let InsnBody::Call { args, dest, .. } = InsnBody::clone(&caller.insns[call_index].body) else {
         return Err(InlineError::NoSuchSite);
     };
 
@@ -124,7 +124,7 @@ pub fn inline_call(
     caller.reg_modes.extend(callee.reg_modes.iter().copied());
     let mut label_map: HashMap<LabelId, LabelId> = HashMap::new();
     for insn in &callee.insns {
-        if let InsnBody::Label(l) = insn.body {
+        if let InsnBody::Label(l) = *insn.body {
             label_map.insert(l, caller.fresh_label());
         }
     }
@@ -157,7 +157,7 @@ pub fn inline_call(
     let map_label = |l: LabelId| *label_map.get(&l).expect("labels collected");
     let mut body: Vec<InsnBody> = Vec::with_capacity(callee.insns.len());
     for insn in &callee.insns {
-        let rewritten = match &insn.body {
+        let rewritten = match &*insn.body {
             InsnBody::Label(l) => InsnBody::Label(map_label(*l)),
             InsnBody::Set { dest, src } => InsnBody::Set {
                 dest: rewrite_rtx(dest, reg_offset, &symbols),
@@ -212,14 +212,9 @@ pub fn inline_call(
     // Splice: prologue + body + continue label replace the call insn.
     let mut spliced: Vec<Insn> = Vec::with_capacity(prologue.len() + body.len() + 1);
     for b in prologue.into_iter().chain(body) {
-        let uid = caller.fresh_uid();
-        spliced.push(Insn { uid, body: b });
+        spliced.push(Insn::new(caller.fresh_uid(), b));
     }
-    let uid = caller.fresh_uid();
-    spliced.push(Insn {
-        uid,
-        body: InsnBody::Label(l_continue),
-    });
+    spliced.push(Insn::new(caller.fresh_uid(), InsnBody::Label(l_continue)));
     caller.insns.splice(call_index..=call_index, spliced);
 
     // Import the callee's loop regions.
@@ -253,7 +248,7 @@ pub fn size_heuristic(callee: &RtlFunction, max_insns: usize) -> bool {
 pub fn has_calls(func: &RtlFunction) -> bool {
     func.insns
         .iter()
-        .any(|i| matches!(i.body, InsnBody::Call { .. }))
+        .any(|i| matches!(*i.body, InsnBody::Call { .. }))
 }
 
 /// Exports a call site for the feature generator: the call instruction,
@@ -390,7 +385,7 @@ mod tests {
                 .insns
                 .iter()
                 .enumerate()
-                .filter_map(|(i, insn)| match insn.body {
+                .filter_map(|(i, insn)| match *insn.body {
                     InsnBody::Label(l) => Some((l, i)),
                     _ => None,
                 })
@@ -400,7 +395,7 @@ mod tests {
             while pc < func.insns.len() {
                 steps += 1;
                 assert!(steps < 1_000_000, "runaway test program");
-                match &func.insns[pc].body {
+                match &*func.insns[pc].body {
                     InsnBody::Label(_) => pc += 1,
                     InsnBody::Set { dest, src } => {
                         let v = eval(program, src, &regs, &fregs, memory);

@@ -213,7 +213,7 @@ fn lower_function(
 
     // Implicit return.
     let needs_return = !matches!(
-        lw.func.insns.last().map(|i| &i.body),
+        lw.func.insns.last().map(|i| &*i.body),
         Some(InsnBody::Return { .. })
     );
     if needs_return {
@@ -229,7 +229,7 @@ fn lower_function(
 impl<'a> Lowerer<'a> {
     fn emit(&mut self, body: InsnBody) {
         let uid = self.func.fresh_uid();
-        self.func.insns.push(Insn { uid, body });
+        self.func.insns.push(Insn::new(uid, body));
     }
 
     fn emit_label(&mut self, label: u32) {
@@ -868,10 +868,10 @@ mod tests {
         let p = lower("int g; void f() { g = g + 1; }");
         let f = &p.functions[0];
         let has_load = f.insns.iter().any(|i| {
-            matches!(&i.body, InsnBody::Set { src, .. } if src.code == RtxCode::Mem)
+            matches!(&*i.body, InsnBody::Set { src, .. } if src.code == RtxCode::Mem)
         });
         let has_store = f.insns.iter().any(|i| {
-            matches!(&i.body, InsnBody::Set { dest, .. } if dest.code == RtxCode::Mem)
+            matches!(&*i.body, InsnBody::Set { dest, .. } if dest.code == RtxCode::Mem)
         });
         assert!(has_load && has_store);
         assert!(p.layout.get("g").is_some());
@@ -884,7 +884,7 @@ mod tests {
         // Somewhere a (mult ... (const_int 6)) must appear.
         let mut found = false;
         for i in &f.insns {
-            if let InsnBody::Set { src, .. } = &i.body {
+            if let InsnBody::Set { src, .. } = &*i.body {
                 src.visit(&mut |n| {
                     if n.code == RtxCode::Mult
                         && n.ops.iter().any(|o| o.as_const_int() == Some(6))
@@ -909,7 +909,7 @@ mod tests {
         let f = &p.functions[0];
         let mut has_float_conv = false;
         for i in &f.insns {
-            if let InsnBody::Set { src, .. } = &i.body {
+            if let InsnBody::Set { src, .. } = &*i.body {
                 src.visit(&mut |n| has_float_conv |= n.code == RtxCode::Float);
             }
         }
@@ -926,7 +926,7 @@ mod tests {
         let call = f
             .insns
             .iter()
-            .find_map(|i| match &i.body {
+            .find_map(|i| match &*i.body {
                 InsnBody::Call { name, args, dest } => Some((name, args, dest)),
                 _ => None,
             })
@@ -943,7 +943,7 @@ mod tests {
         let n_condjump = f
             .insns
             .iter()
-            .filter(|i| matches!(i.body, InsnBody::CondJump { .. }))
+            .filter(|i| matches!(*i.body, InsnBody::CondJump { .. }))
             .count();
         assert_eq!(n_condjump, 1);
     }
@@ -952,7 +952,7 @@ mod tests {
     fn implicit_return_added_for_void() {
         let p = lower("void f() { }");
         assert!(matches!(
-            p.functions[0].insns.last().unwrap().body,
+            *p.functions[0].insns.last().unwrap().body,
             InsnBody::Return { value: None }
         ));
     }
@@ -963,7 +963,7 @@ mod tests {
         let f = &p.functions[0];
         let mut has_and = false;
         for i in &f.insns {
-            if let InsnBody::Set { src, .. } = &i.body {
+            if let InsnBody::Set { src, .. } = &*i.body {
                 has_and |= src.code == RtxCode::And;
             }
         }

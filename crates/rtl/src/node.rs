@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Machine mode of an RTL expression (GCC's `machine_mode`, reduced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -350,20 +351,31 @@ pub struct Insn {
     /// simulator treat copies as distinct static branch sites via their
     /// position instead).
     pub uid: u32,
-    /// Decoded body.
-    pub body: InsnBody,
+    /// Decoded body, shared: cloning an instruction (or the function that
+    /// holds it) bumps a refcount instead of copying the `Rtx` trees, so an
+    /// unrolled copy allocates a new body only where it renames a label.
+    /// `Debug` and serde see through the `Arc`.
+    pub body: Arc<InsnBody>,
 }
 
 impl Insn {
+    /// An instruction owning a fresh `body`.
+    pub fn new(uid: u32, body: InsnBody) -> Insn {
+        Insn {
+            uid,
+            body: Arc::new(body),
+        }
+    }
+
     /// Whether this instruction is a `code_label`.
     pub fn is_label(&self) -> bool {
-        matches!(self.body, InsnBody::Label(_))
+        matches!(*self.body, InsnBody::Label(_))
     }
 
     /// Whether this instruction ends a basic block.
     pub fn is_control(&self) -> bool {
         matches!(
-            self.body,
+            *self.body,
             InsnBody::CondJump { .. } | InsnBody::Jump { .. } | InsnBody::Return { .. }
         )
     }
@@ -371,7 +383,7 @@ impl Insn {
     /// The GCC-style kind name used on export (`insn`, `jump_insn`,
     /// `call_insn`, `code_label`).
     pub fn kind_name(&self) -> &'static str {
-        match self.body {
+        match *self.body {
             InsnBody::Label(_) => "code_label",
             InsnBody::Set { .. } => "insn",
             InsnBody::CondJump { .. } | InsnBody::Jump { .. } => "jump_insn",
@@ -383,7 +395,7 @@ impl Insn {
 
 impl fmt::Display for Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.body {
+        match &*self.body {
             InsnBody::Label(l) => write!(f, "L{l}:"),
             InsnBody::Set { dest, src } => write!(f, "  (set {dest} {src})"),
             InsnBody::CondJump { cond, target } => {
@@ -412,9 +424,9 @@ mod tests {
 
     fn sample_set() -> Insn {
         // (set (reg:SI 1) (plus:SI (reg:SI 2) (const_int 4)))
-        Insn {
-            uid: 7,
-            body: InsnBody::Set {
+        Insn::new(
+            7,
+            InsnBody::Set {
                 dest: Rtx::reg(Mode::SI, 1),
                 src: Rtx::binary(
                     RtxCode::Plus,
@@ -423,7 +435,7 @@ mod tests {
                     Rtx::const_int(4),
                 ),
             },
-        }
+        )
     }
 
     #[test]
@@ -437,11 +449,8 @@ mod tests {
 
     #[test]
     fn size_and_regs_used() {
-        let Insn {
-            body: InsnBody::Set { src, .. },
-            ..
-        } = sample_set()
-        else {
+        let insn = sample_set();
+        let InsnBody::Set { src, .. } = &*insn.body else {
             unreachable!()
         };
         assert_eq!(src.size(), 3);
@@ -469,25 +478,17 @@ mod tests {
 
     #[test]
     fn insn_classification() {
-        assert!(Insn {
-            uid: 0,
-            body: InsnBody::Label(3)
-        }
-        .is_label());
-        assert!(Insn {
-            uid: 0,
-            body: InsnBody::Jump { target: 1 }
-        }
-        .is_control());
+        assert!(Insn::new(0, InsnBody::Label(3)).is_label());
+        assert!(Insn::new(0, InsnBody::Jump { target: 1 }).is_control());
         assert_eq!(sample_set().kind_name(), "insn");
         assert_eq!(
-            Insn {
-                uid: 0,
-                body: InsnBody::CondJump {
+            Insn::new(
+                0,
+                InsnBody::CondJump {
                     cond: Rtx::const_int(1),
                     target: 2
                 }
-            }
+            )
             .kind_name(),
             "jump_insn"
         );

@@ -106,7 +106,7 @@ pub fn stateml_features(func: &RtlFunction, region: &LoopRegion) -> Vec<f64> {
     let mut total_latency = 0u64;
 
     for insn in span {
-        match &insn.body {
+        match &*insn.body {
             InsnBody::Label(_) => continue,
             InsnBody::CondJump { cond, .. } => {
                 num_branches += 1;

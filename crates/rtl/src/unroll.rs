@@ -21,11 +21,17 @@
 //! with the epilogue (or first copy), which keeps nested
 //! [`crate::func::LoopRegion`]s addressable — callers unroll innermost
 //! loops first (see [`apply_factors`]).
+//!
+//! Copies share instruction bodies with the input function (see
+//! [`Insn::body`]): a copied span bumps refcounts and builds a new body
+//! only for a renamed `Label` and for a `Jump`/`CondJump` whose target it
+//! renames.
 
 use crate::func::{Bound, RtlFunction};
 use crate::node::{Insn, InsnBody, LabelId, Mode, Rtx, RtxCode};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The largest factor the paper enumerates.
 pub const MAX_FACTOR: usize = 15;
@@ -75,6 +81,18 @@ pub fn apply_factors(
     func: &RtlFunction,
     factors: &HashMap<usize, usize>,
 ) -> Result<RtlFunction, UnrollError> {
+    apply_factors_with(func, |id| factors.get(&id).copied().unwrap_or(0))
+}
+
+/// [`apply_factors`] with the factor of each loop id given by `factor_of`.
+///
+/// # Errors
+///
+/// See [`UnrollError`].
+pub fn apply_factors_with(
+    func: &RtlFunction,
+    factor_of: impl Fn(usize) -> usize,
+) -> Result<RtlFunction, UnrollError> {
     let mut out = func.clone();
     let mut order: Vec<(usize, usize)> = out
         .loops
@@ -85,7 +103,7 @@ pub fn apply_factors(
     // first keeps earlier spans untouched).
     order.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
     for (id, _) in order {
-        let factor = factors.get(&id).copied().unwrap_or(0);
+        let factor = factor_of(id);
         if factor > 1 {
             unroll_in_place(&mut out, id, factor)?;
         }
@@ -128,10 +146,7 @@ fn unroll_in_place(
     let body_insns: Vec<Insn> = func.insns[idx_body..idx_step].to_vec();
     // Step without the trailing back-edge jump.
     let step_end = idx_exit - 1;
-    debug_assert!(matches!(
-        func.insns[step_end].body,
-        InsnBody::Jump { .. }
-    ));
+    debug_assert!(matches!(*func.insns[step_end].body, InsnBody::Jump { .. }));
     let step_insns: Vec<Insn> = func.insns[idx_step..step_end].to_vec();
 
     let mut new_span: Vec<Insn> = Vec::new();
@@ -244,7 +259,7 @@ fn unroll_in_place(
             // Epilogue: the original loop, new header label.
             push(func, &mut new_span, InsnBody::Label(l_epi_cond));
             for insn in &cond_insns {
-                push(func, &mut new_span, insn.body.clone());
+                push(func, &mut new_span, Arc::clone(&insn.body));
             }
             new_span.extend(body_insns.iter().cloned());
             new_span.extend(step_insns.iter().cloned());
@@ -286,38 +301,50 @@ fn unroll_in_place(
     Ok(())
 }
 
-fn push(func: &mut RtlFunction, out: &mut Vec<Insn>, body: InsnBody) {
+fn push(func: &mut RtlFunction, out: &mut Vec<Insn>, body: impl Into<Arc<InsnBody>>) {
     let uid = func.fresh_uid();
-    out.push(Insn { uid, body });
+    out.push(Insn {
+        uid,
+        body: body.into(),
+    });
 }
 
-/// Clones a span, renaming labels *defined inside it* (and branches to
-/// them) to fresh labels; branches to outside labels are preserved.
+/// Copies a span, renaming labels *defined inside it* (and branches to
+/// them) to fresh labels; branches to outside labels are preserved. Every
+/// other body is shared with `span`.
 fn copy_span_fresh(func: &mut RtlFunction, span: &[Insn]) -> Vec<Insn> {
-    let mut rename: HashMap<LabelId, LabelId> = HashMap::new();
+    // A span defines a handful of labels: a linear scan beats hashing.
+    let mut rename: Vec<(LabelId, LabelId)> = Vec::new();
     for insn in span {
-        if let InsnBody::Label(l) = insn.body {
-            rename.insert(l, func.fresh_label());
+        if let InsnBody::Label(l) = *insn.body {
+            rename.push((l, func.fresh_label()));
         }
     }
-    let map = |rename: &HashMap<LabelId, LabelId>, l: LabelId| -> LabelId {
-        rename.get(&l).copied().unwrap_or(l)
+    let renamed = |l: LabelId| {
+        rename
+            .iter()
+            .find(|(from, _)| *from == l)
+            .map(|&(_, to)| to)
     };
     span.iter()
         .map(|insn| {
-            let body = match &insn.body {
-                InsnBody::Label(l) => InsnBody::Label(map(&rename, *l)),
-                InsnBody::Jump { target } => InsnBody::Jump {
-                    target: map(&rename, *target),
-                },
-                InsnBody::CondJump { cond, target } => InsnBody::CondJump {
-                    cond: cond.clone(),
-                    target: map(&rename, *target),
-                },
-                other => other.clone(),
+            let body = match &*insn.body {
+                InsnBody::Label(l) => renamed(*l).map(InsnBody::Label),
+                InsnBody::Jump { target } => {
+                    renamed(*target).map(|target| InsnBody::Jump { target })
+                }
+                InsnBody::CondJump { cond, target } => {
+                    renamed(*target).map(|target| InsnBody::CondJump {
+                        cond: cond.clone(),
+                        target,
+                    })
+                }
+                _ => None,
             };
-            let uid = func.fresh_uid();
-            Insn { uid, body }
+            Insn {
+                uid: func.fresh_uid(),
+                body: body.map_or_else(|| Arc::clone(&insn.body), Arc::new),
+            }
         })
         .collect()
 }
@@ -336,7 +363,7 @@ mod tests {
     fn count_jumps(f: &RtlFunction) -> usize {
         f.insns
             .iter()
-            .filter(|i| matches!(i.body, InsnBody::Jump { .. } | InsnBody::CondJump { .. }))
+            .filter(|i| matches!(*i.body, InsnBody::Jump { .. } | InsnBody::CondJump { .. }))
             .count()
     }
 
@@ -362,7 +389,7 @@ mod tests {
             f.insns
                 .iter()
                 .filter(|i| {
-                    matches!(&i.body, InsnBody::Set { dest, .. } if dest.code == RtxCode::Mem)
+                    matches!(&*i.body, InsnBody::Set { dest, .. } if dest.code == RtxCode::Mem)
                 })
                 .count()
         };
@@ -382,7 +409,7 @@ mod tests {
         let cond_jumps = u3
             .insns
             .iter()
-            .filter(|i| matches!(i.body, InsnBody::CondJump { .. }))
+            .filter(|i| matches!(*i.body, InsnBody::CondJump { .. }))
             .count();
         assert_eq!(cond_jumps, 3, "{}", u3.dump());
     }
@@ -409,13 +436,13 @@ mod tests {
         let u = unroll_loop(&p.functions[0], 0, 6).unwrap();
         let mut seen = std::collections::HashSet::new();
         for insn in &u.insns {
-            if let InsnBody::Label(l) = insn.body {
+            if let InsnBody::Label(l) = *insn.body {
                 assert!(seen.insert(l), "duplicate label {l}:\n{}", u.dump());
             }
         }
         // Every jump target resolves.
         for insn in &u.insns {
-            let target = match insn.body {
+            let target = match *insn.body {
                 InsnBody::Jump { target } | InsnBody::CondJump { target, .. } => Some(target),
                 _ => None,
             };
@@ -441,11 +468,102 @@ mod tests {
         let u = apply_factors(f, &factors).unwrap();
         let mut seen = std::collections::HashSet::new();
         for insn in &u.insns {
-            if let InsnBody::Label(l) = insn.body {
+            if let InsnBody::Label(l) = *insn.body {
                 assert!(seen.insert(l), "duplicate label {l}");
             }
         }
         assert!(u.insns.len() > f.insns.len() * 3);
+    }
+
+    /// Asserts that `out`, unrolled from `input`, allocated a body only
+    /// where unrolling must: a label, jump or conditional jump it renamed
+    /// or synthesised, and guard arithmetic on fresh registers. Every other
+    /// body of `out`, and every `Set`/`Call`/`Return` body of `input`, is
+    /// shared with `input`.
+    fn assert_bodies_shared(input: &RtlFunction, out: &RtlFunction) {
+        let shared = |b: &Arc<InsnBody>| input.insns.iter().any(|i| Arc::ptr_eq(&i.body, b));
+        let fresh_label = |l: LabelId| l >= input.next_label;
+        let fresh_reg = |r: &Rtx| {
+            r.as_reg()
+                .is_some_and(|r| r as usize >= input.reg_modes.len())
+        };
+        let cond_labels: Vec<LabelId> = input.loops.iter().map(|l| l.cond_label).collect();
+        let mut allocated = 0;
+        for insn in out.insns.iter().filter(|i| !shared(&i.body)) {
+            let allowed = match &*insn.body {
+                InsnBody::Label(l) | InsnBody::Jump { target: l } => {
+                    fresh_label(*l) || cond_labels.contains(l)
+                }
+                InsnBody::CondJump { target, .. } => fresh_label(*target),
+                InsnBody::Set { dest, .. } => fresh_reg(dest),
+                _ => false,
+            };
+            assert!(allowed, "unshared body `{insn}` in\n{}", out.dump());
+            allocated += 1;
+        }
+        for insn in &input.insns {
+            if matches!(
+                *insn.body,
+                InsnBody::Set { .. } | InsnBody::Call { .. } | InsnBody::Return { .. }
+            ) {
+                assert!(
+                    out.insns.iter().any(|o| Arc::ptr_eq(&o.body, &insn.body)),
+                    "input body `{insn}` was copied, not shared"
+                );
+            }
+        }
+        // Most of the unrolled function is shared.
+        assert!(
+            allocated * 2 < out.insns.len(),
+            "{allocated} of {}",
+            out.insns.len()
+        );
+    }
+
+    #[test]
+    fn unrolled_copies_share_unrelabelled_bodies() {
+        let nested = lower(
+            "void f(int m[8][8], int n) {\n\
+               int i; int j;\n\
+               for (i = 0; i < n; i = i + 1) {\n\
+                 for (j = 0; j < 8; j = j + 1) {\n\
+                   if (m[i][j] > 3) { m[i][j] = i + j; }\n\
+                 }\n\
+               }\n\
+             }",
+        );
+        let f = &nested.functions[0];
+        assert!(f.loops.iter().all(|l| l.induction.is_some()));
+        let u = apply_factors(f, &HashMap::from([(0usize, 4usize), (1usize, 3usize)])).unwrap();
+        assert_bodies_shared(f, &u);
+        // The unrolled function's clone shares every body.
+        let c = u.clone();
+        assert!(c
+            .insns
+            .iter()
+            .zip(&u.insns)
+            .all(|(a, b)| Arc::ptr_eq(&a.body, &b.body)));
+
+        let runtime = lower(
+            "void f(int a[64], int n) {\n\
+               int i; i = 0;\n\
+               while (i < n) { if (a[i] > 0) { a[i] = 0; } i = i + 1; }\n\
+             }",
+        );
+        let f = &runtime.functions[0];
+        assert!(f.loops[0].induction.is_none());
+        let u = apply_factors(f, &HashMap::from([(0usize, 5usize)])).unwrap();
+        assert_bodies_shared(f, &u);
+        // Each of the five copies keeps its exit test, and the four fresh
+        // copies share it: its target (the exit label) is not renamed.
+        let exit = f.loops[0].exit_label;
+        let exits: Vec<&Insn> = u
+            .insns
+            .iter()
+            .filter(|i| matches!(*i.body, InsnBody::CondJump { target, .. } if target == exit))
+            .collect();
+        assert_eq!(exits.len(), 5, "{}", u.dump());
+        assert!(exits.iter().all(|i| Arc::ptr_eq(&i.body, &exits[0].body)));
     }
 
     #[test]

@@ -185,7 +185,7 @@ mod tests {
         let p = lower(src);
         let mut regs = std::collections::HashSet::new();
         for insn in &p.functions[0].insns {
-            if let fegen_rtl::node::InsnBody::Set { dest, src } = &insn.body {
+            if let fegen_rtl::node::InsnBody::Set { dest, src } = &*insn.body {
                 let mut used = Vec::new();
                 src.regs_used(&mut used);
                 dest.regs_used(&mut used);

@@ -574,7 +574,7 @@ impl<'a> Decoder<'a> {
             self.img.insn_start.push(self.img.ops.len() as u32);
             self.temps_used = 0;
             self.insn(i, &insn.body);
-            if matches!(insn.body, InsnBody::Call { .. }) {
+            if matches!(*insn.body, InsnBody::Call { .. }) {
                 self.close_run(i + 1);
             }
         }

@@ -943,7 +943,7 @@ mod tests {
         );
         let f = p.function_mut("f").unwrap();
         for insn in &mut f.insns {
-            if let fegen_rtl::node::InsnBody::Call { args, .. } = &mut insn.body {
+            if let fegen_rtl::node::InsnBody::Call { args, .. } = Arc::make_mut(&mut insn.body) {
                 edit(args);
             }
         }
@@ -997,7 +997,7 @@ mod tests {
         // A float `mod` has no meaning; put one inside the `if`.
         let f = p.function_mut("f").unwrap();
         for insn in &mut f.insns {
-            if let InsnBody::Set { src, .. } = &mut insn.body {
+            if let InsnBody::Set { src, .. } = Arc::make_mut(&mut insn.body) {
                 if src.code == RtxCode::Plus {
                     *src = Rtx::binary(
                         RtxCode::Mod,

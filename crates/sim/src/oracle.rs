@@ -10,7 +10,7 @@
 use crate::interp::{Arg, Machine, MachineState, ProgramImage, SimConfig, SimError};
 use fegen_rtl::heuristic::{gcc_default_factors, GccParams};
 use fegen_rtl::node::InsnBody;
-use fegen_rtl::unroll::{apply_factors, UnrollError};
+use fegen_rtl::unroll::{apply_factors, apply_factors_with, UnrollError};
 use fegen_rtl::RtlProgram;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -148,7 +148,7 @@ fn reachable_functions<'a>(
     for f in &program.functions {
         let mut out = Vec::new();
         for insn in &f.insns {
-            if let InsnBody::Call { name, .. } = &insn.body {
+            if let InsnBody::Call { name, .. } = &*insn.body {
                 out.push(name.as_str());
             }
         }
@@ -416,8 +416,13 @@ pub struct ProgramSnapshot {
     default_program: RtlProgram,
     workload: Workload,
     kernel_funcs: Vec<String>,
-    /// GCC default factors per kernel function (computed on original bodies).
+    /// GCC default factors per kernel function (computed on original bodies,
+    /// also for a function whose default unroll failed).
     default_factors: HashMap<String, HashMap<usize, usize>>,
+    /// Per kernel function: the default variant's functions a fork of one
+    /// of its sites serves from the snapshot (every function not named
+    /// like it).
+    images_reused_per_fork: HashMap<String, u64>,
     /// Default-unroll errors deferred to fork time, keyed by function.
     default_errors: HashMap<String, UnrollError>,
     /// Decoded images of every function of the default variant.
@@ -470,13 +475,27 @@ impl ProgramSnapshot {
             match apply_factors(f, &factors) {
                 Ok(new_f) => {
                     *default_program.function_mut(name).expect("present") = new_f;
-                    default_factors.insert(name.clone(), factors);
                 }
                 Err(e) => {
                     default_errors.insert(name.clone(), e);
                 }
             }
+            default_factors.insert(name.clone(), factors);
         }
+        let images_reused_per_fork = kernel_funcs
+            .iter()
+            .map(|name| {
+                let substituted = default_program
+                    .functions
+                    .iter()
+                    .filter(|f| &f.name == name)
+                    .count();
+                (
+                    name.clone(),
+                    (default_program.functions.len() - substituted) as u64,
+                )
+            })
+            .collect();
         let image = ProgramImage::build(&default_program, &config.sim.model);
         let positions: HashMap<String, usize> = program
             .functions
@@ -509,6 +528,7 @@ impl ProgramSnapshot {
             workload: workload.clone(),
             kernel_funcs: kernel_funcs.to_vec(),
             default_factors,
+            images_reused_per_fork,
             default_errors,
             image,
             init_state,
@@ -581,13 +601,14 @@ impl ProgramSnapshot {
                     .original
                     .function(name)
                     .ok_or_else(|| OracleError::UnknownFunction(name.clone()))?;
-                let mut factors = self
-                    .default_factors
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_else(|| gcc_default_factors(orig, &self.config.gcc));
-                factors.insert(site.loop_id, factor);
-                overlay = Some(apply_factors(orig, &factors)?);
+                let defaults = &self.default_factors[name];
+                overlay = Some(apply_factors_with(orig, |id| {
+                    if id == site.loop_id {
+                        factor
+                    } else {
+                        defaults.get(&id).copied().unwrap_or(0)
+                    }
+                })?);
             } else if let Some(e) = self.default_errors.get(name) {
                 return Err(OracleError::Unroll(e.clone()));
             }
@@ -619,18 +640,10 @@ impl ProgramSnapshot {
         for call in relevant {
             m.call(&call.func, &call.args)?;
         }
-        let substituted = self
-            .default_program
-            .functions
-            .iter()
-            .filter(|f| f.name == site.func)
-            .count() as u64;
         self.forks.fetch_add(1, Ordering::Relaxed);
         self.images_built.fetch_add(1, Ordering::Relaxed);
-        self.images_reused.fetch_add(
-            self.default_program.functions.len() as u64 - substituted,
-            Ordering::Relaxed,
-        );
+        self.images_reused
+            .fetch_add(self.images_reused_per_fork[&site.func], Ordering::Relaxed);
         self.sim_insns
             .fetch_add(m.insns_executed() - start, Ordering::Relaxed);
         Ok(m.cycles_of(&site.func))

@@ -28,6 +28,7 @@ use fegen_sim::oracle::{
 use fegen_sim::{Arg, Machine, SimConfig};
 use fegen_suite::{generate_suite, ArgDesc, CallDesc, SuiteConfig};
 use std::fmt::Write;
+use std::sync::Arc;
 
 const TINY_FIXTURE: &str = "tests/fixtures/cycle_golden_tiny.txt";
 
@@ -172,9 +173,9 @@ fn error_cases() -> Vec<(String, String)> {
     let jump = f
         .insns
         .iter()
-        .rposition(|i| matches!(i.body, InsnBody::Jump { .. }))
+        .rposition(|i| matches!(*i.body, InsnBody::Jump { .. }))
         .unwrap();
-    f.insns[jump].body = InsnBody::Jump { target: 999 };
+    f.insns[jump].body = Arc::new(InsnBody::Jump { target: 999 });
     cases.push((
         "bad_label".into(),
         outcome(&program, SimConfig::default(), "f", &[Arg::Int(10)]),
@@ -183,7 +184,7 @@ fn error_cases() -> Vec<(String, String)> {
     let mut program = lower("int f(int x) { if (x > 100) { x = x + 1; } return x; }");
     let f = program.function_mut("f").unwrap();
     for insn in &mut f.insns {
-        if let InsnBody::CondJump { target, .. } = &mut insn.body {
+        if let InsnBody::CondJump { target, .. } = Arc::make_mut(&mut insn.body) {
             *target = 999;
         }
     }
@@ -219,14 +220,14 @@ fn error_cases() -> Vec<(String, String)> {
     g.reg_modes.push(fegen_rtl::node::Mode::SI);
     g.insns.insert(
         ret,
-        fegen_rtl::node::Insn {
-            uid: 900,
-            body: InsnBody::Call {
+        fegen_rtl::node::Insn::new(
+            900,
+            InsnBody::Call {
                 name: "g".into(),
                 args: vec![Rtx::const_int(1)],
                 dest: Some(Rtx::reg(fegen_rtl::node::Mode::SI, reg)),
             },
-        },
+        ),
     );
     cases.push((
         "call_depth".into(),
@@ -241,7 +242,7 @@ fn error_cases() -> Vec<(String, String)> {
     ));
     let mut program = lower(LIMIT_KERNEL);
     for insn in &mut program.function_mut("f").unwrap().insns {
-        if let InsnBody::Call { name, .. } = &mut insn.body {
+        if let InsnBody::Call { name, .. } = Arc::make_mut(&mut insn.body) {
             *name = "nosuch".into();
         }
     }
@@ -280,7 +281,7 @@ fn error_cases() -> Vec<(String, String)> {
          int f(int x) { return s(b, x) + x; }",
     );
     for insn in &mut program.function_mut("f").unwrap().insns {
-        if let InsnBody::Call { args, .. } = &mut insn.body {
+        if let InsnBody::Call { args, .. } = Arc::make_mut(&mut insn.body) {
             args[0] = Rtx::const_int(0);
         }
     }
@@ -293,7 +294,7 @@ fn error_cases() -> Vec<(String, String)> {
     let reg = f.reg_modes.len() as u32;
     f.reg_modes.push(fegen_rtl::node::Mode::SI);
     for insn in &mut f.insns {
-        if let InsnBody::Call { dest, .. } = &mut insn.body {
+        if let InsnBody::Call { dest, .. } = Arc::make_mut(&mut insn.body) {
             *dest = Some(Rtx::reg(fegen_rtl::node::Mode::SI, reg));
         }
     }
@@ -323,7 +324,7 @@ fn rename_symbols(f: &mut fegen_rtl::RtlFunction, from: &str, to: &str) {
         }
     }
     for insn in &mut f.insns {
-        match &mut insn.body {
+        match Arc::make_mut(&mut insn.body) {
             InsnBody::Set { dest, src } => {
                 walk(dest, from, to);
                 walk(src, from, to);

@@ -25,12 +25,12 @@ fn check_function(name: &str, f: &RtlFunction) {
     // 1. Labels unique, every branch target defined.
     let mut labels = HashSet::new();
     for insn in &f.insns {
-        if let InsnBody::Label(l) = insn.body {
+        if let InsnBody::Label(l) = *insn.body {
             assert!(labels.insert(l), "{name}: duplicate label {l}");
         }
     }
     for insn in &f.insns {
-        let target = match insn.body {
+        let target = match *insn.body {
             InsnBody::Jump { target } | InsnBody::CondJump { target, .. } => Some(target),
             _ => None,
         };
@@ -41,7 +41,7 @@ fn check_function(name: &str, f: &RtlFunction) {
     // 2. Registers referenced are all allocated.
     for insn in &f.insns {
         let mut used = Vec::new();
-        match &insn.body {
+        match &*insn.body {
             InsnBody::Set { dest, src } => {
                 dest.regs_used(&mut used);
                 src.regs_used(&mut used);
