@@ -29,7 +29,10 @@
 //! Retries are telemetry-only, so no restart counter is stored. Version 4
 //! drops each GP run's panic-generation count and degraded-evaluation flag
 //! (fitness evaluation within a generation is sequential; island worker
-//! slots are the one parallel layer). Older versions are refused with
+//! slots are the one parallel layer). Version 5 digests the training
+//! examples by content, over the rows process workers receive
+//! ([`examples_digest`]), instead of over `Debug` text that held
+//! process-local symbol indices. Older versions are refused with
 //! [`CheckpointError::VersionMismatch`]. The snapshot is also the wire
 //! format of process-level island workers — there is no second
 //! serialization path.
@@ -38,11 +41,12 @@ use crate::error::CheckpointError;
 use crate::faults::fnv1a;
 use crate::gp::island::IslandsSnapshot;
 use crate::search::{SearchConfig, TrainingExample};
+use crate::training_rows::TrainingRows;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Format version written to and expected from checkpoint files.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// File name used inside a checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "search.ckpt.json";
@@ -91,15 +95,12 @@ pub fn config_fingerprint(config: &SearchConfig) -> u64 {
     fnv1a(format!("{config:?}").as_bytes())
 }
 
-/// Stable digest of the training examples, for checkpoint identity.
+/// Content digest of the training examples, for checkpoint identity: the
+/// [`TrainingRows::digest`] of their rows, which names symbols by text, so
+/// the same examples digest the same in every process whatever order their
+/// names were interned in.
 pub fn examples_digest(examples: &[TrainingExample]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for e in examples {
-        let text = format!("{:?}|{:?}", e.ir, e.cycles);
-        h ^= fnv1a(text.as_bytes());
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    TrainingRows::from_examples_uncapped(examples).digest()
 }
 
 /// Resolves a user-supplied checkpoint path: a directory means "the
@@ -189,12 +190,14 @@ impl SearchCheckpoint {
         Ok(checkpoint)
     }
 
-    /// Verifies that this checkpoint belongs to the given search identity.
+    /// Verifies that this checkpoint belongs to the given search identity:
+    /// `config` and the training set whose [`examples_digest`] is
+    /// `examples_digest`.
     pub fn verify_identity(
         &self,
         path: &Path,
         config: &SearchConfig,
-        examples: &[TrainingExample],
+        examples_digest: u64,
     ) -> Result<(), CheckpointError> {
         if self.config_fingerprint != config_fingerprint(config) {
             return Err(CheckpointError::StateMismatch {
@@ -202,7 +205,7 @@ impl SearchCheckpoint {
                 detail: "search configuration differs from the checkpointed run".into(),
             });
         }
-        if self.examples_digest != examples_digest(examples) {
+        if self.examples_digest != examples_digest {
             return Err(CheckpointError::StateMismatch {
                 path: path.to_path_buf(),
                 detail: "training examples differ from the checkpointed run".into(),
@@ -345,7 +348,7 @@ mod tests {
                 err,
                 CheckpointError::VersionMismatch {
                     found: 2,
-                    expected: 4,
+                    expected: 5,
                     ..
                 }
             ),
@@ -365,21 +368,88 @@ mod tests {
         ckpt.config_fingerprint = config_fingerprint(&config);
         ckpt.examples_digest = examples_digest(&examples);
         let path = Path::new("x.json");
-        assert!(ckpt.verify_identity(path, &config, &examples).is_ok());
+        let digest = examples_digest(&examples);
+        assert!(ckpt.verify_identity(path, &config, digest).is_ok());
 
         let mut other_config = config.clone();
         other_config.seed ^= 1;
         assert!(matches!(
-            ckpt.verify_identity(path, &other_config, &examples),
+            ckpt.verify_identity(path, &other_config, digest),
             Err(CheckpointError::StateMismatch { .. })
         ));
 
         let mut other_examples = examples.clone();
         other_examples[0].cycles.push(9.0);
         assert!(matches!(
-            ckpt.verify_identity(path, &config, &other_examples),
+            ckpt.verify_identity(path, &config, examples_digest(&other_examples)),
             Err(CheckpointError::StateMismatch { .. })
         ));
+    }
+
+    /// Prints the examples digest of one fixed loop whose names this
+    /// process interns in the order `names` gives, with the interning
+    /// index of `probe-insn`; run alone in a fresh process by
+    /// `digest_ignores_interning_order`.
+    #[allow(clippy::print_stdout)] // the parent test reads the line
+    fn digest_probe(names: [&str; 3]) {
+        for name in names {
+            crate::ir::Symbol::intern(name);
+        }
+        let ir = IrNode::build("probe-loop", |l| {
+            l.attr_num("probe-trip", 12.0);
+            l.attr_enum("probe-mode", "probe-si");
+            l.child("probe-insn", |_| {});
+        });
+        let examples = [TrainingExample {
+            ir,
+            cycles: vec![10.0, 8.5],
+        }];
+        println!(
+            "probe digest={:016x} first={}",
+            examples_digest(&examples),
+            crate::ir::Symbol::intern("probe-insn").index()
+        );
+    }
+
+    #[test]
+    #[ignore = "run in a fresh process by digest_ignores_interning_order"]
+    fn digest_probe_forward() {
+        digest_probe(["probe-insn", "probe-loop", "probe-mode"]);
+    }
+
+    #[test]
+    #[ignore = "run in a fresh process by digest_ignores_interning_order"]
+    fn digest_probe_reverse() {
+        digest_probe(["probe-mode", "probe-loop", "probe-insn"]);
+    }
+
+    /// The symbol interner is process-global, so two interning orders of
+    /// the same names need two processes: each probe runs alone in a fresh
+    /// copy of this test binary.
+    #[test]
+    fn digest_ignores_interning_order() {
+        let probe = |name: &str| -> (String, String) {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--ignored", "--exact", "--nocapture", "--test-threads=1"])
+                .arg(format!("checkpoint::tests::{name}"))
+                .output()
+                .expect("the test binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            // The harness prints the test's name on the probe's line.
+            let line = stdout
+                .split_once("probe digest=")
+                .and_then(|(_, rest)| rest.lines().next())
+                .unwrap_or_else(|| panic!("{name} printed no digest: {stdout}"));
+            let (digest, first) = line.split_once(" first=").expect("digest and index");
+            (digest.to_owned(), first.to_owned())
+        };
+        let (forward, forward_first) = probe("digest_probe_forward");
+        let (reverse, reverse_first) = probe("digest_probe_reverse");
+        // `probe-insn` is interned first in one process and last in the
+        // other...
+        assert_ne!(forward_first, reverse_first);
+        // ...and the digest does not see it.
+        assert_eq!(forward, reverse);
     }
 
     #[test]

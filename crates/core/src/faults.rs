@@ -188,7 +188,7 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
-    fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
         }

@@ -11,12 +11,12 @@
 //! # Division of labour
 //!
 //! The **worker** is deliberately dumb: it rebuilds the deterministic
-//! fitness pipeline once from the search's [`WorkerSpec`] (examples,
-//! config, engine), adopts each GP run's settings and base feature columns
-//! from a `Begin`, then answers `Step` requests by advancing the received
-//! island state exactly one generation. It holds no retry logic, no
-//! timers, no policy — if anything is wrong it exits with a typed
-//! [`WorkerError`].
+//! fitness pipeline once from the search's [`WorkerSpec`] (examples as
+//! [`TrainingRows`], config, engine), adopts each GP run's settings and
+//! base feature columns from a `Begin`, then answers `Step` requests by
+//! advancing the received island state exactly one generation. It holds
+//! no retry logic, no timers, no policy — if anything is wrong it exits
+//! with a typed [`WorkerError`].
 //!
 //! The **[`Framed`] executor** owns the connections for the whole search:
 //! it spawns and handshakes workers, begins every GP run on each of them,
@@ -43,6 +43,7 @@ use crate::grammar::Grammar;
 use crate::lang::EvalEngine;
 use crate::search::{FeatureSearch, FitnessHarness, SearchConfig, TrainingExample};
 use crate::telemetry::Telemetry;
+use crate::training_rows::TrainingRows;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::process::{Child, Command, Stdio};
@@ -53,7 +54,7 @@ use std::time::Duration;
 /// vocabulary and its order — checked in the `Hello` handshake. The frame
 /// header's [`crate::gp::transport::PROTOCOL_VERSION`] is separate: the
 /// serve protocol shares the frame layout, not this conversation.
-pub const WORKER_PROTOCOL_VERSION: u32 = 3;
+pub const WORKER_PROTOCOL_VERSION: u32 = 4;
 
 /// The invariants of one search that a worker needs to rebuild the
 /// deterministic fitness pipeline: the search configuration, the
@@ -77,8 +78,10 @@ pub struct WorkerSpec {
     /// two disagree — a split-brain grammar would silently change the
     /// search space.
     pub grammar_digest: u64,
-    /// The training examples (cycle tables round-trip bit-exactly).
-    pub examples: Vec<TrainingExample>,
+    /// The training examples as rows (cycle tables and attribute values
+    /// round-trip bit-exactly); the worker validates them as it rebuilds
+    /// its trees.
+    pub examples: TrainingRows,
 }
 
 /// Content digest of a grammar — the compact stand-in for shipping the
@@ -116,20 +119,26 @@ pub fn grammar_digest(grammar: &Grammar) -> u64 {
 }
 
 impl WorkerSpec {
-    /// Builds the spec a supervisor hands its workers.
+    /// Builds the spec a supervisor hands its workers, with the examples
+    /// as rows. A loop deeper than a worker accepts is a typed
+    /// [`SearchError::WireEncode`] here, before any worker spawns.
     pub fn new(
         config: SearchConfig,
         engine: EvalEngine,
         grammar: &Grammar,
         examples: &[TrainingExample],
-    ) -> Self {
-        WorkerSpec {
+    ) -> Result<Self, SearchError> {
+        let examples =
+            TrainingRows::from_examples(examples).map_err(|e| SearchError::WireEncode {
+                detail: format!("Hello: {e}"),
+            })?;
+        Ok(WorkerSpec {
             protocol: WORKER_PROTOCOL_VERSION,
             config,
             engine,
             grammar_digest: grammar_digest(grammar),
-            examples: examples.to_vec(),
-        }
+            examples,
+        })
     }
 }
 
@@ -231,8 +240,9 @@ pub enum WorkerError {
         /// What was violated.
         detail: String,
     },
-    /// The spec was well-formed on the wire but unusable (grammar digest
-    /// mismatch, unparseable base feature, invalid configuration).
+    /// The spec was well-formed on the wire but unusable (hostile training
+    /// rows, grammar digest mismatch, unparseable base feature, invalid
+    /// configuration).
     Spec {
         /// What was wrong.
         detail: String,
@@ -288,12 +298,19 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
         ));
     }
     let spec_digest = adopted_digest(&hello)?;
+    let examples = match spec.examples.to_examples() {
+        Ok(examples) => examples,
+        Err(e) => {
+            let detail = format!("training rows: {e}");
+            return Err(refuse(transport, WorkerError::Spec { detail }));
+        }
+    };
 
     // Rebuild the exact deterministic fitness pipeline the supervisor's
     // in-process path would use: same grammar derivation, same harness,
     // same base columns — byte-identical `f64` trajectories.
-    let search = FeatureSearch::from_examples(&spec.examples, spec.config.clone())
-        .with_engine(spec.engine);
+    let search =
+        FeatureSearch::from_examples(&examples, spec.config.clone()).with_engine(spec.engine);
     if grammar_digest(search.grammar()) != spec.grammar_digest {
         let detail = format!(
             "grammar digest mismatch: derived {:016x}, supervisor expects {:016x}",
@@ -302,9 +319,11 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
         );
         return Err(refuse(transport, WorkerError::Spec { detail }));
     }
-    let mut harness = search.harness(&spec.examples).map_err(|e| WorkerError::Spec {
+    let mut harness = search.harness(&examples).map_err(|e| WorkerError::Spec {
         detail: format!("harness: {e}"),
     })?;
+    // Everything the connection needs is rebuilt; the rows can go.
+    drop(hello);
     transport.send(&encode_msg(&WireMsg::HelloAck { spec_digest })?)?;
 
     // The current run's engine and the base features adopted so far.
@@ -537,14 +556,19 @@ impl WorkerHandle {
             .map_or_else(TransportStats::default, |t| t.stats())
     }
 
-    /// Graceful shutdown: ask politely, sever the transport, wait.
-    fn shutdown(mut self) {
+    /// First half of a graceful shutdown: ask politely, then sever the
+    /// transport.
+    fn ask_to_exit(&mut self) {
         if let Some(t) = self.transport.as_mut() {
             let _ = encode_msg(&WireMsg::Shutdown).and_then(|m| t.send(&m));
         }
         // EOF unblocks a worker waiting in recv even if the Shutdown
         // message never made it through a poisoned stream.
         self.transport = None;
+    }
+
+    /// Second half: wait for the worker to exit.
+    fn reap(mut self) {
         if let Some(mut child) = self.child.take() {
             let _ = child.wait();
         }
@@ -718,15 +742,19 @@ impl Framed {
             .counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
     }
 
-    /// Shuts every worker down gracefully: `Shutdown` message, EOF, reap —
-    /// tallying each connection's frame counters first.
+    /// Shuts every worker down gracefully: `Shutdown` message and EOF to
+    /// each, tallying each connection's frame counters first, then reaps
+    /// them all, so the workers exit side by side rather than in turn.
     pub fn shutdown(self) {
-        for slot in 0..self.slots.len() {
-            let handle = self.slot(slot).take();
-            if let Some(handle) = handle {
-                self.count_frames(&handle);
-                handle.shutdown();
-            }
+        let mut handles: Vec<WorkerHandle> = (0..self.slots.len())
+            .filter_map(|slot| self.slot(slot).take())
+            .collect();
+        for handle in &mut handles {
+            self.count_frames(handle);
+            handle.ask_to_exit();
+        }
+        for handle in handles {
+            handle.reap();
         }
     }
 }
@@ -844,7 +872,7 @@ mod tests {
             .collect();
         let config = SearchConfig::quick();
         let search = FeatureSearch::from_examples(&examples, config.clone());
-        WorkerSpec::new(config, EvalEngine::default(), search.grammar(), &examples)
+        WorkerSpec::new(config, EvalEngine::default(), search.grammar(), &examples).unwrap()
     }
 
     fn begin_msg(base_features: &[&str]) -> WireMsg {
@@ -856,7 +884,8 @@ mod tests {
 
     /// One island of a fresh run over `spec`'s grammar.
     fn first_island(spec: &WorkerSpec) -> Island {
-        let search = FeatureSearch::from_examples(&spec.examples, spec.config.clone());
+        let examples = spec.examples.to_examples().unwrap();
+        let search = FeatureSearch::from_examples(&examples, spec.config.clone());
         let engine = GpEngine::new(search.grammar(), spec.config.gp.clone());
         let mut rng = StdRng::seed_from_u64(5);
         IslandsState::init(&engine, &IslandTopology::single(), &mut rng)
@@ -911,7 +940,7 @@ mod tests {
             digest
         };
         assert_eq!(digest(&a), digest(&b));
-        b.examples[0].cycles[1] += 1.0;
+        b.examples.loops[0].cycles[1] += 1.0;
         assert_ne!(digest(&a), digest(&b));
     }
 
@@ -926,6 +955,74 @@ mod tests {
         assert!(matches!(reply, WireMsg::WorkerError { .. }));
         let err = worker.join().unwrap().unwrap_err();
         assert!(matches!(err, WorkerError::Handshake { .. }), "got {err}");
+    }
+
+    /// Hostile training rows in an otherwise valid `Hello`: the worker
+    /// answers each with a courtesy `WorkerError` and exits with a typed
+    /// spec error naming the fault, never a panic or a hang.
+    #[test]
+    fn worker_refuses_hostile_training_rows_typed() {
+        type Spoil = fn(&mut TrainingRows);
+        let deep = |rows: &mut TrainingRows| {
+            // A chain one level past the cap: every node has one child.
+            let kind = rows.loops[0].nodes[0];
+            let mut nodes = Vec::new();
+            for level in 0..=crate::serve::wire::MAX_IR_DEPTH {
+                let children = u32::from(level < crate::serve::wire::MAX_IR_DEPTH);
+                nodes.extend([kind, children, 0]);
+            }
+            rows.loops[0] = crate::training_rows::LoopRows {
+                nodes,
+                nums: Vec::new(),
+                cycles: rows.loops[0].cycles.clone(),
+            };
+        };
+        // Loop 0's rows: `loop` [kind, 1 child, 1 attr, @n, num], then
+        // `insn` [kind, 0 children, 1 attr, @mode, enum code].
+        let cases: [(&str, Spoil, &str); 7] = [
+            (
+                "kind index",
+                |r| r.loops[0].nodes[0] = 999,
+                "past the string table",
+            ),
+            (
+                "enum index",
+                |r| {
+                    let n = r.symbols.len() as u32;
+                    r.loops[0].nodes[9] = crate::training_rows::VALUE_ENUM + n;
+                },
+                "past the string table",
+            ),
+            (
+                "child count",
+                |r| r.loops[0].nodes[1] += 1,
+                "runs out of node rows",
+            ),
+            (
+                "numbers short",
+                |r| r.loops[0].nums.clear(),
+                "runs out of numbers",
+            ),
+            ("rows left over", |r| r.loops[0].nodes.push(0), "unread"),
+            ("numbers left over", |r| r.loops[0].nums.push(1.0), "unread"),
+            ("depth", deep, "nests deeper than"),
+        ];
+        for (tag, spoil, needle) in cases {
+            let mut spec = tiny_spec();
+            spoil(&mut spec.examples);
+            let (mut sup, mut wrk) = duplex();
+            let worker = std::thread::spawn(move || run_worker(&mut wrk));
+            let reply = ask(&mut sup, &WireMsg::Hello { spec });
+            assert!(
+                matches!(&reply, WireMsg::WorkerError { detail } if detail.contains(needle)),
+                "{tag}: got {reply:?}"
+            );
+            let err = worker.join().unwrap().unwrap_err();
+            assert!(
+                matches!(&err, WorkerError::Spec { detail } if detail.contains(needle)),
+                "{tag}: got {err}"
+            );
+        }
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl Deserialize for Symbol {
 }
 
 /// The value of a node attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue {
     /// Numeric attribute, e.g. `@num-iter`, `@freq`.
     Num(f64),
@@ -193,7 +193,7 @@ impl fmt::Display for AttrValue {
 ///
 /// Attribute lists are kept sorted by attribute-name symbol so lookup is a
 /// binary search and construction order does not affect equality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IrNode {
     kind: Symbol,
     attrs: Vec<(Symbol, AttrValue)>,

@@ -32,6 +32,9 @@
 //! - [`error`] — the typed error hierarchy of the search runtime.
 //! - [`checkpoint`] — versioned, atomically-written snapshots of a running
 //!   search, enabling deterministic kill-and-resume.
+//! - [`training_rows`] — the training set as compact rows: what
+//!   process-level island workers receive and what checkpoint identities
+//!   digest.
 //! - [`faults`] — a seeded fault-injection harness (panicking, budget-
 //!   exhausting or NaN-returning evaluators, cooperative cancellation) used
 //!   to *prove* the runtime's fault tolerance in tests.
@@ -78,6 +81,7 @@ pub mod lru;
 pub mod search;
 pub mod serve;
 pub mod telemetry;
+pub mod training_rows;
 
 pub use checkpoint::{SearchCheckpoint, CHECKPOINT_FILE, CHECKPOINT_VERSION};
 pub use error::{CheckpointError, SearchError};

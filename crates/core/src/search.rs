@@ -39,11 +39,9 @@ use std::path::{Path, PathBuf};
 ///
 /// `cycles[k]` is the cycle count of the function containing the loop when
 /// the loop is compiled with heuristic value `k` (unroll factor; `k = 0` is
-/// no unrolling).
-/// Serializable so it can travel in the [`crate::gp::worker_proc::WorkerSpec`]
-/// handed to process-level island workers (the vendored JSON layer
-/// round-trips `f64` exactly, so a worker rebuilds bit-identical cycles).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// no unrolling). Process-level island workers receive examples as
+/// [`crate::training_rows::TrainingRows`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingExample {
     /// Exported IR of the loop.
     pub ir: IrNode,
@@ -680,8 +678,35 @@ impl<'a> SearchDriver<'a> {
             .sum::<f64>()
             / harness.splits().len() as f64;
 
+        // Process workers get the training set as rows, built once here so
+        // a loop they cannot take is refused before any worker spawns. The
+        // workers themselves connect on the first step of the first GP run
+        // and stay for the whole search (each run only sends a `Begin`);
+        // `publish` shuts them down on every exit path after the loop.
+        let workers = match &self.launcher {
+            Some(launcher) => Some((
+                WorkerSpec::new(cfg.clone(), search.engine(), &search.grammar, examples)?,
+                launcher,
+            )),
+            None => None,
+        };
         let fingerprint = checkpoint::config_fingerprint(cfg);
-        let digest = checkpoint::examples_digest(examples);
+        // The examples digest identifies a checkpoint, so it is computed
+        // only to write or resume one (from the workers' rows when there
+        // are any); a search without either never reads it.
+        let digest = if self.checkpoint_dir.is_some() || resume.is_some() {
+            workers.as_ref().map_or_else(
+                || checkpoint::examples_digest(examples),
+                |(spec, _)| spec.examples.digest(),
+            )
+        } else {
+            0
+        };
+        let mut framed = workers
+            .map(|(spec, launcher)| {
+                Framed::new(spec, launcher.clone(), self.workers, &self.telemetry)
+            })
+            .transpose()?;
 
         let _search_span = self.telemetry.span("search");
         self.telemetry
@@ -738,7 +763,7 @@ impl<'a> SearchDriver<'a> {
                 rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
             }
             Some((path, ckpt)) => {
-                ckpt.verify_identity(&path, cfg, examples)?;
+                ckpt.verify_identity(&path, cfg, digest)?;
                 rng = StdRng::from_state(ckpt.rng);
                 for text in &ckpt.features {
                     let expr = crate::lang::parse_feature(text).map_err(|e| {
@@ -824,10 +849,6 @@ impl<'a> SearchDriver<'a> {
             .bool("resumed_mid_round", pending_islands.is_some())
             .emit();
 
-        // Process-level workers, when a launcher is set: created at the
-        // first GP run, kept for the whole search (each run only sends a
-        // `Begin`), shut down once by `publish` on every exit path.
-        let mut framed: Option<Framed> = None;
         while features.len() < cfg.max_features
             && failed < cfg.max_failed_additions
             && total_generations < cfg.max_total_generations
@@ -867,7 +888,7 @@ impl<'a> SearchDriver<'a> {
                 total_generations,
                 islands: None,
             };
-            let run = self.drive(&engine, islands, &progress, &harness, examples, &mut framed);
+            let run = self.drive(&engine, islands, &progress, &harness, framed.as_mut());
             let run = match run {
                 Ok(run) => run,
                 Err(e) => {
@@ -1005,10 +1026,8 @@ impl<'a> SearchDriver<'a> {
     }
 
     /// Drives one per-feature GP run through the island round loop, on
-    /// worker processes when a launcher is set and in process otherwise.
-    /// Worker processes rebuild the identical fitness harness from the
-    /// wire spec once per search, connecting on the first run into
-    /// `framed`; in process, the fault injector wraps the fitness function
+    /// the search's worker processes when there are any and in process
+    /// otherwise. In process, the fault injector wraps the fitness function
     /// as well as keying the island steps.
     fn drive(
         &self,
@@ -1016,26 +1035,12 @@ impl<'a> SearchDriver<'a> {
         state: IslandsState,
         progress: &SearchCheckpoint,
         harness: &FitnessHarness<'_>,
-        examples: &[TrainingExample],
-        framed: &mut Option<Framed>,
+        framed: Option<&mut Framed>,
     ) -> Result<GpRun, SearchError> {
         let cancel = self.cancel.as_ref();
         let fitness = |expr: &FeatureExpr| harness.fitness(expr);
-        match (&self.launcher, self.injector) {
-            (Some(launcher), _) => {
-                if framed.is_none() {
-                    let search = self.search;
-                    let spec = WorkerSpec::new(
-                        search.config.clone(),
-                        search.engine(),
-                        &search.grammar,
-                        examples,
-                    );
-                    let executor =
-                        Framed::new(spec, launcher.clone(), self.workers, &self.telemetry)?;
-                    *framed = Some(executor);
-                }
-                let executor = framed.as_mut().expect("created above");
+        match (framed, self.injector) {
+            (Some(executor), _) => {
                 // `Begin` ships the *effective* GP config — with
                 // `max_generations` already clamped to the remaining outer
                 // budget — so the worker's convergence decisions match the

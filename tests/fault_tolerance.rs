@@ -327,10 +327,31 @@ const V3_CHECKPOINT: &str = r#"{
   }
 }"#;
 
+/// A version-4 checkpoint: the layout version 5 still has, but its
+/// examples digest hashed `Debug` text holding process-local symbol
+/// indices.
+const V4_CHECKPOINT: &str = r#"{
+  "version": 4,
+  "config_fingerprint": 11,
+  "examples_digest": 22,
+  "rng": [1, 2, 3, 4],
+  "features": [],
+  "steps": [],
+  "best_speedup": 1.0,
+  "failed": 0,
+  "total_generations": 0,
+  "islands": null
+}"#;
+
 #[test]
 fn a_version_2_checkpoint_is_refused_by_library_and_cli() {
     let expected = fegen::core::CHECKPOINT_VERSION;
-    for (version, text) in [(2u32, V2_CHECKPOINT), (3, V3_CHECKPOINT)] {
+    assert_eq!(expected, 5);
+    for (version, text) in [
+        (2u32, V2_CHECKPOINT),
+        (3, V3_CHECKPOINT),
+        (4, V4_CHECKPOINT),
+    ] {
         let dir = temp_dir(&format!("v{version}"));
         std::fs::create_dir_all(&dir).expect("checkpoint dir");
         let path = dir.join(fegen::core::CHECKPOINT_FILE);

@@ -50,7 +50,7 @@ fn tiny_spec() -> WorkerSpec {
         restart_limit: 1,
     };
     let grammar = Grammar::derive(examples.iter().map(|e| &e.ir));
-    WorkerSpec::new(config, EvalEngine::Compiled, &grammar, &examples)
+    WorkerSpec::new(config, EvalEngine::Compiled, &grammar, &examples).expect("rows build")
 }
 
 /// One message of every wire kind, with a real (non-trivial) island

@@ -4,7 +4,7 @@
 //! pretty encodings of a fixed value of every derived shape the workspace
 //! puts on the wire or on disk: island-worker messages, serve requests and
 //! responses, a checkpoint, a dataset shard file, a model artifact, plus the
-//! IR, feature-AST, RTL and ML types they are built from. Frame-payload
+//! training rows, feature-AST, RTL and ML types they are built from. Frame-payload
 //! digests, checkpoint identities and shard checksums all hash these bytes,
 //! so the codec must reproduce every fixture byte for byte and decode it
 //! back to an equal value.
@@ -21,6 +21,7 @@ use fegen::core::gp::GpConfig;
 use fegen::core::serve::wire::{
     Decision, PoolStatsWire, ServeRequest, ServeResponse, ServeStatsSnapshot, WireAttr, WireNode,
 };
+use fegen::core::training_rows::TrainingRows;
 use fegen::core::{
     parse_feature, AttrValue, EvalEngine, FeatureExpr, IrNode, IslandStatus, IslandTopology,
     IslandsSnapshot, MigrationRecord, ModelArtifact, SearchCheckpoint, SearchConfig,
@@ -148,13 +149,17 @@ fn gen_stats() -> GenStats {
     }
 }
 
+fn training_rows() -> TrainingRows {
+    TrainingRows::from_examples(&examples()).unwrap()
+}
+
 fn worker_spec() -> WorkerSpec {
     WorkerSpec {
-        protocol: 3,
+        protocol: 4,
         config: search_config(),
         engine: EvalEngine::Compiled,
         grammar_digest: 0x9e37_79b9_7f4a_7c15,
-        examples: examples(),
+        examples: training_rows(),
     }
 }
 
@@ -306,7 +311,7 @@ fn serve_responses() -> Vec<(&'static str, ServeResponse)> {
 
 fn checkpoint() -> SearchCheckpoint {
     SearchCheckpoint {
-        version: 4,
+        version: 5,
         config_fingerprint: 11,
         examples_digest: 0xdead_beef_dead_beef,
         rng: [1, 2, 3, u64::MAX],
@@ -480,10 +485,10 @@ fn golden_corpus_is_reproduced_byte_for_byte() {
         golden(name, &resp);
         cases += 1;
     }
-    golden("checkpoint_v4", &checkpoint());
+    golden("checkpoint_v5", &checkpoint());
     golden("dataset_shard", &shard());
     golden("model_artifact", &artifact());
-    golden("training_examples", &examples());
+    golden("training_rows", &training_rows());
     golden("feature_exprs", &features());
     golden("ml_dataset", &ml_dataset());
     golden(
@@ -546,7 +551,7 @@ fn on_disk_formats_still_load() {
     // Checkpoint and model artifact: the recorded pretty files load.
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("search.ckpt.json");
-    std::fs::write(&ckpt, fixture("checkpoint_v4.pretty.json")).unwrap();
+    std::fs::write(&ckpt, fixture("checkpoint_v5.pretty.json")).unwrap();
     assert_eq!(SearchCheckpoint::load(&ckpt).unwrap(), checkpoint());
     let model = dir.join("model.json");
     std::fs::write(&model, fixture("model_artifact.pretty.json")).unwrap();
@@ -707,9 +712,9 @@ fn real_payloads_stay_under_the_depth_limit() {
         fegen::suite::SuiteConfig::paper(),
     ] {
         let mut loops = common::suite_loops(&config);
-        // An IR node encodes two levels deeper than its children (its map
+        // A wire node encodes two levels deeper than its children (its map
         // and the `children` sequence), so the deepest loops give the
-        // deepest payloads: a request, and a Hello carrying them.
+        // deepest request; a Hello carries them as flat rows.
         loops.sort_by_key(|ir| std::cmp::Reverse(ir.depth()));
         loops.truncate(8);
         let req = ServeRequest::Predict {
@@ -719,14 +724,15 @@ fn real_payloads_stay_under_the_depth_limit() {
         let text = serde_json::to_string(&req).unwrap();
         deepest = deepest.max(nesting(&text));
         assert_eq!(serde_json::from_str::<ServeRequest>(&text).unwrap(), req);
+        let examples: Vec<TrainingExample> = loops
+            .into_iter()
+            .map(|ir| TrainingExample {
+                ir,
+                cycles: vec![1.0, 2.0],
+            })
+            .collect();
         let spec = WorkerSpec {
-            examples: loops
-                .into_iter()
-                .map(|ir| TrainingExample {
-                    ir,
-                    cycles: vec![1.0, 2.0],
-                })
-                .collect(),
+            examples: TrainingRows::from_examples(&examples).unwrap(),
             ..worker_spec()
         };
         let hello = WireMsg::Hello { spec };
@@ -749,6 +755,7 @@ fn real_payloads_stay_under_the_depth_limit() {
 mod props {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn text() -> impl Strategy<Value = String> {
         let pool = vec![
@@ -763,27 +770,60 @@ mod props {
         (0u64..u64::MAX).prop_map(f64::from_bits)
     }
 
-    fn attr() -> impl Strategy<Value = WireAttr> {
+    /// Any `f64`, with `-0.0`, NaN, the infinities and subnormals drawn
+    /// often.
+    fn edge_float() -> BoxedStrategy<f64> {
+        let edges = vec![
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            1e15,
+        ];
+        prop_oneof![float(), prop::sample::select(edges)].boxed()
+    }
+
+    fn attr_with(num: BoxedStrategy<f64>) -> BoxedStrategy<WireAttr> {
         prop_oneof![
-            float().prop_map(WireAttr::Num),
+            num.prop_map(WireAttr::Num),
             (0u8..2).prop_map(|b| WireAttr::Bool(b == 1)),
             text().prop_map(WireAttr::Enum),
         ]
+        .boxed()
+    }
+
+    /// Fisher–Yates over a splitmix64 stream seeded with `seed`.
+    fn shuffle<T>(items: &mut [T], mut seed: u64) {
+        for i in (1..items.len()).rev() {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            items.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
     }
 
     fn wire_node() -> BoxedStrategy<WireNode> {
+        wire_node_with(float().boxed())
+    }
+
+    fn wire_node_with(num: BoxedStrategy<f64>) -> BoxedStrategy<WireNode> {
+        let leaf_attr = attr_with(num.clone());
         let leaf =
-            (text(), prop::collection::vec((text(), attr()), 0..3)).prop_map(|(kind, attrs)| {
+            (text(), prop::collection::vec((text(), leaf_attr), 0..3)).prop_map(|(kind, attrs)| {
                 WireNode {
                     kind,
                     attrs,
                     children: Vec::new(),
                 }
             });
-        leaf.prop_recursive(4, 32, 3, |inner| {
+        leaf.prop_recursive(4, 32, 3, move |inner| {
             (
                 text(),
-                prop::collection::vec((text(), attr()), 0..3),
+                prop::collection::vec((text(), attr_with(num.clone())), 0..3),
                 prop::collection::vec(inner, 0..3),
             )
                 .prop_map(|(kind, attrs, children)| WireNode {
@@ -828,22 +868,65 @@ mod props {
         }
 
         #[test]
-        fn training_examples_roundtrip(node in wire_node(), cycles in prop::collection::vec(float(), 0..6)) {
-            // Training IR is interned: keep its vocabulary small and fixed.
-            let mut node = node;
-            let mut stack = vec![&mut node];
-            while let Some(n) = stack.pop() {
-                n.kind = format!("k{}", n.kind.len());
-                for (name, value) in &mut n.attrs {
-                    *name = format!("a{}", name.len());
-                    if let WireAttr::Enum(s) = value {
-                        *s = format!("e{}", s.len());
+        fn training_rows_roundtrip(
+            node in wire_node_with(edge_float()),
+            cycles in prop::collection::vec(edge_float(), 0..6),
+            order in 0u64..u64::MAX,
+        ) {
+            // Two copies of the tree under fresh names, each copy's names
+            // interned in a different shuffled order. The prefixes have one
+            // length, so both copies sort their names alike.
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let copy = |tag: char| {
+                let mut node = node.clone();
+                let mut names = Vec::new();
+                let mut stack = vec![&mut node];
+                while let Some(n) = stack.pop() {
+                    n.kind = format!("rows{case:06}{tag}-k{}", n.kind.len());
+                    names.push(n.kind.clone());
+                    for (name, value) in &mut n.attrs {
+                        *name = format!("rows{case:06}{tag}-a{}", name.len());
+                        names.push(name.clone());
+                        if let WireAttr::Enum(s) = value {
+                            *s = format!("rows{case:06}{tag}-e{}", s.len());
+                            names.push(s.clone());
+                        }
                     }
+                    stack.extend(n.children.iter_mut());
                 }
-                stack.extend(n.children.iter_mut());
+                (node, names)
+            };
+            let (a, mut names_a) = copy('a');
+            let (b, mut names_b) = copy('b');
+            shuffle(&mut names_a, order);
+            shuffle(&mut names_b, order.rotate_left(17) ^ 0x5bd1_e995);
+            for name in names_a.iter().chain(&names_b) {
+                fegen::core::Symbol::intern(name);
             }
-            let comparable = !has_nan(&node) && !cycles.iter().any(|c| c.is_nan());
-            roundtrip(&TrainingExample { ir: node.to_ir(), cycles }, comparable);
+            let rows_of = |tree: &WireNode| {
+                let example = TrainingExample { ir: tree.to_ir(), cycles: cycles.clone() };
+                TrainingRows::from_examples(&[example]).unwrap()
+            };
+            let (rows_a, rows_b) = (rows_of(&a), rows_of(&b));
+            // Byte-stable encode, and an equal value whenever `PartialEq`
+            // can say so.
+            let comparable = !has_nan(&a) && !cycles.iter().any(|c| c.is_nan());
+            roundtrip(&rows_a, comparable);
+            // The interning order is invisible: the rows differ only in
+            // the names' prefix.
+            let text_a = serde_json::to_string(&rows_a).unwrap();
+            let text_b = serde_json::to_string(&rows_b).unwrap();
+            prop_assert_eq!(
+                text_a.replace(&format!("rows{case:06}a-"), "*"),
+                text_b.replace(&format!("rows{case:06}b-"), "*")
+            );
+            // Rebuilding the trees and taking their rows again gives the
+            // same bytes.
+            let back = rows_a.to_examples().unwrap();
+            let again = TrainingRows::from_examples(&back).unwrap();
+            prop_assert_eq!(serde_json::to_string(&again).unwrap(), text_a);
+            prop_assert_eq!(again.digest(), rows_a.digest());
         }
     }
 }

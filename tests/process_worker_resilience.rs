@@ -23,7 +23,11 @@
 //!    out-of-order conversations (a `Step` before any `Begin`, a `Begin`
 //!    whose base features do not extend the adopted ones) make
 //!    `fegen island-worker` exit nonzero with a typed error — it never
-//!    hangs and never panics.
+//!    hangs and never panics. So do `Hello`s whose training rows are
+//!    hostile (a symbol index past the string table, a child count that
+//!    overruns the rows, a tree past the depth cap); a training loop too
+//!    deep for the rows is refused by the supervisor before any worker
+//!    spawns.
 //!
 //! Workers live for the whole search: one handshake per worker, however
 //! many GP runs it spans, and a worker respawned in a later run re-adopts
@@ -667,6 +671,8 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
     use fegen::core::gp::island::IslandSnapshot;
     use fegen::core::gp::transport::encode_frame;
     use fegen::core::gp::worker_proc::{encode_msg, WireMsg, WorkerSpec};
+    use fegen::core::serve::wire::MAX_IR_DEPTH;
+    use fegen::core::training_rows::LoopRows;
 
     // Not a frame at all: the magic check must reject it.
     let garbage = b"this is not a frame, not even close, padding padding!".to_vec();
@@ -684,9 +690,33 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
     let examples = synthetic_examples(40);
     let config = island_config(2);
     let search = FeatureSearch::from_examples(&examples, config.clone());
-    let hello = WireMsg::Hello {
-        spec: WorkerSpec::new(config.clone(), search.engine(), search.grammar(), &examples),
+    let conversation = |msgs: &[WireMsg]| -> Vec<u8> {
+        msgs.iter()
+            .enumerate()
+            .flat_map(|(seq, msg)| {
+                encode_frame(seq as u64, &encode_msg(msg).expect("message encodes"))
+                    .expect("frame encodes")
+            })
+            .collect()
     };
+    let spec = WorkerSpec::new(config.clone(), search.engine(), search.grammar(), &examples)
+        .expect("rows build");
+    // Hostile training rows inside an otherwise valid Hello.
+    let hostile = |spoil: &dyn Fn(&mut LoopRows)| {
+        let mut spec = spec.clone();
+        spoil(&mut spec.examples.loops[0]);
+        conversation(&[WireMsg::Hello { spec }])
+    };
+    let rows_symbol = hostile(&|l| l.nodes[0] = u32::MAX);
+    let rows_overrun = hostile(&|l| l.nodes[1] = u32::MAX);
+    let rows_too_deep = hostile(&|l| {
+        let kind = l.nodes[0];
+        l.nodes = (0..=MAX_IR_DEPTH)
+            .flat_map(|level| [kind, u32::from(level < MAX_IR_DEPTH), 0])
+            .collect();
+        l.nums.clear();
+    });
+    let hello = WireMsg::Hello { spec };
     let begin = |base: &str| WireMsg::Begin {
         gp: config.gp.clone(),
         base_features: vec![base.to_owned()],
@@ -707,15 +737,6 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
             },
         },
     };
-    let conversation = |msgs: &[WireMsg]| -> Vec<u8> {
-        msgs.iter()
-            .enumerate()
-            .flat_map(|(seq, msg)| {
-                encode_frame(seq as u64, &encode_msg(msg).expect("message encodes"))
-                    .expect("frame encodes")
-            })
-            .collect()
-    };
     let step_before_begin = conversation(&[hello.clone(), step]);
     let begin_not_extending =
         conversation(&[hello, begin("count(//*)"), begin("count(/*)")]);
@@ -727,6 +748,9 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
         ("eof", eof, "transport"),
         ("step-before-begin", step_before_begin, "Step before Begin"),
         ("begin-not-extending", begin_not_extending, "do not extend"),
+        ("rows-symbol-index", rows_symbol, "past the string table"),
+        ("rows-child-overrun", rows_overrun, "runs out of node rows"),
+        ("rows-too-deep", rows_too_deep, "nests deeper than"),
     ] {
         let (ok, stderr) = drive_worker_with(&bytes);
         assert!(!ok, "{tag}: the worker must exit nonzero, stderr: {stderr}");
@@ -735,4 +759,35 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
             "{tag}: expected a typed `{needle}` error on stderr, got: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_loop_too_deep_for_the_rows_is_refused_before_any_worker_spawns() {
+    use fegen::core::serve::wire::MAX_IR_DEPTH;
+    let mut examples = synthetic_examples(40);
+    let mut deep = IrNode::new("insn");
+    for _ in 0..MAX_IR_DEPTH {
+        let mut parent = IrNode::new("loop");
+        parent.push_child(deep);
+        deep = parent;
+    }
+    examples.push(TrainingExample {
+        ir: deep,
+        cycles: vec![100.0, 90.0, 95.0, 99.0],
+    });
+    let config = island_config(2);
+    let search = FeatureSearch::from_examples(&examples, config);
+    let telemetry = Telemetry::memory();
+    let err = search
+        .driver()
+        .telemetry(telemetry.clone())
+        .process_workers(2, WorkerLauncher::Loopback)
+        .run(&examples)
+        .expect_err("the deep loop cannot travel to a worker");
+    assert!(
+        matches!(&err, SearchError::WireEncode { detail }
+            if detail.contains("training example 40 nests deeper than")),
+        "got {err}"
+    );
+    assert_eq!(telemetry.counter_value("worker.handshakes"), 0);
 }
