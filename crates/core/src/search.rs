@@ -30,10 +30,13 @@ use fegen_ml::data::Dataset;
 use fegen_ml::metrics;
 use fegen_ml::tree::{DecisionTree, Presorted, TreeConfig};
 use fegen_ml::KFold;
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One training loop: its exported IR and the measured cycle table.
 ///
@@ -351,6 +354,9 @@ impl FeatureSearch {
             budget: cfg.eval_budget_per_example,
             base_columns: Vec::new(),
             base_presorted: Presorted::default(),
+            memo: Mutex::new(ColumnMemo::new(FITNESS_MEMO_BYTES)),
+            judged: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
         })
     }
 }
@@ -376,6 +382,16 @@ pub(crate) fn model_speedup(
 /// harnesses built from the same `(examples, config, base features)` —
 /// whether in the driver's process or a worker process on the other end of
 /// a pipe — produce the identical `f64` sequence.
+///
+/// Because fitness is a pure function of the candidate's column once the
+/// base columns are fixed, the harness judges each distinct column once:
+/// a map from the column's bits ([`memo_key`]; every constant column is
+/// one key) to the fitness it was judged answers every later candidate
+/// whose column repeats it. [`FitnessHarness::push_base_column`] clears
+/// the map, since a new base column changes every judgment. Past
+/// [`FITNESS_MEMO_BYTES`] of keys, new columns are still judged but no
+/// longer stored. The map sits behind a mutex because island worker
+/// threads share one harness; the lock is never held while judging.
 pub(crate) struct FitnessHarness<'e> {
     pool: EvalPool<'e>,
     labels: Vec<usize>,
@@ -388,11 +404,78 @@ pub(crate) struct FitnessHarness<'e> {
     /// The base columns' orderings, sorted once as each is accepted: a
     /// candidate then sorts only its own column.
     base_presorted: Presorted,
+    /// The fitness each distinct column was judged against the current
+    /// base columns.
+    memo: Mutex<ColumnMemo>,
+    /// Fitness calls that trained trees.
+    judged: AtomicU64,
+    /// Fitness calls answered from `memo`.
+    reused: AtomicU64,
+}
+
+/// Past this many bytes of stored keys the harness stops remembering new
+/// columns. A column costs 8 bytes per example (≈9 KB on a quick-suite
+/// fold), and a paper-scale GP run can produce thousands of distinct ones.
+const FITNESS_MEMO_BYTES: usize = 32 << 20;
+
+/// The fitness judged for each distinct candidate column, with the bytes
+/// its keys hold.
+struct ColumnMemo {
+    fitness: HashMap<Box<[u64]>, f64>,
+    bytes: usize,
+    budget: usize,
+}
+
+impl ColumnMemo {
+    fn new(budget: usize) -> Self {
+        ColumnMemo {
+            fitness: HashMap::new(),
+            bytes: 0,
+            budget,
+        }
+    }
+
+    /// The bytes one entry under `key` costs: the key and the map slot.
+    fn entry_bytes(key: &[u64]) -> usize {
+        std::mem::size_of_val(key) + std::mem::size_of::<(Box<[u64]>, f64)>()
+    }
+
+    /// Stores `fitness` under `key` unless that would pass the budget.
+    fn insert(&mut self, key: Box<[u64]>, fitness: f64) {
+        let cost = Self::entry_bytes(&key);
+        if self.bytes + cost <= self.budget && self.fitness.insert(key, fitness).is_none() {
+            self.bytes += cost;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.fitness.clear();
+        self.bytes = 0;
+    }
+}
+
+/// A column's identity: the bits of its values. Columns with equal keys
+/// are the same column, both for fitness reuse and for the driver's
+/// duplicate-feature refusal.
+fn bit_key(column: &[f64]) -> Box<[u64]> {
+    column.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fitness-memo key of a candidate column: its [`bit_key`], except
+/// that every constant column shares the empty key. The trainer skips a
+/// feature whose first and last sorted values compare equal (DESIGN §19),
+/// so a constant candidate never offers a threshold at any node: its trees
+/// are the base-only trees whatever its value.
+fn memo_key(column: &[f64]) -> Box<[u64]> {
+    match column.first() {
+        Some(&first) if column.iter().all(|&v| v == first) => Box::default(),
+        _ => bit_key(column),
+    }
 }
 
 impl<'e> FitnessHarness<'e> {
-    /// Candidate fitness: evaluate the column, append it to the base
-    /// columns, train/validate on every internal split, average.
+    /// Candidate fitness: evaluate the column, then judge it — or reuse
+    /// the judgment of a column with the same [`memo_key`].
     ///
     /// The cancellable column may return a spurious `None` once the
     /// driver's token flips; the GP engine's commit gate then discards the
@@ -401,12 +484,33 @@ impl<'e> FitnessHarness<'e> {
     /// and never cancels.
     pub(crate) fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
         let column = self.pool.column_cancellable(expr, self.budget)?;
-        let Some(data) = fitness_dataset(&self.base_columns, &column, &self.labels, self.n_classes)
+        Some(self.column_fitness(&column))
+    }
+
+    /// The fitness of `column`: the stored judgment of its key, or a fresh
+    /// one, stored while the budget allows.
+    fn column_fitness(&self, column: &[f64]) -> f64 {
+        let key = memo_key(column);
+        let stored = self.memo.lock().fitness.get(&key).copied();
+        if let Some(fitness) = stored {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return fitness;
+        }
+        let fitness = self.judge(column);
+        self.judged.fetch_add(1, Ordering::Relaxed);
+        self.memo.lock().insert(key, fitness);
+        fitness
+    }
+
+    /// Judges `column`: append it to the base columns, train/validate on
+    /// every internal split, average.
+    fn judge(&self, column: &[f64]) -> f64 {
+        let Some(data) = fitness_dataset(&self.base_columns, column, &self.labels, self.n_classes)
         else {
-            return Some(0.0);
+            return 0.0;
         };
         let mut presorted = self.base_presorted.clone();
-        presorted.push_column(&column);
+        presorted.push_column(column);
         let total: f64 = self
             .splits
             .iter()
@@ -414,7 +518,15 @@ impl<'e> FitnessHarness<'e> {
                 model_speedup(&data, &presorted, &self.tables, train_idx, valid_idx, &self.tree)
             })
             .sum();
-        Some(total / self.splits.len() as f64)
+        total / self.splits.len() as f64
+    }
+
+    /// Fitness calls so far: `(judged, reused)`.
+    pub(crate) fn fitness_counts(&self) -> (u64, u64) {
+        (
+            self.judged.load(Ordering::Relaxed),
+            self.reused.load(Ordering::Relaxed),
+        )
     }
 
     /// Uncancellable column of `expr` over all examples (base-feature
@@ -425,16 +537,16 @@ impl<'e> FitnessHarness<'e> {
 
     /// Whether `column` is bit-identical to an accepted base column.
     pub(crate) fn has_base_column(&self, column: &[f64]) -> bool {
-        let bits = column.iter().map(|v| v.to_bits());
-        self.base_columns
-            .iter()
-            .any(|base| base.iter().map(|v| v.to_bits()).eq(bits.clone()))
+        let key = bit_key(column);
+        self.base_columns.iter().any(|base| bit_key(base) == key)
     }
 
-    /// Appends an accepted feature's column to the base set.
+    /// Appends an accepted feature's column to the base set, forgetting
+    /// every judgment made against the old base.
     pub(crate) fn push_base_column(&mut self, column: Vec<f64>) {
         self.base_presorted.push_column(&column);
         self.base_columns.push(column);
+        self.memo.get_mut().clear();
     }
 
     /// Routes the driver's cancel token into the pool (see
@@ -1015,13 +1127,16 @@ impl<'a> SearchDriver<'a> {
     }
 
     /// Shuts the search's worker processes down, if any — tallying their
-    /// frame counters — then publishes the pool statistics and every
-    /// metric.
+    /// frame counters — then publishes the pool statistics, this process's
+    /// fitness reuse counts and every metric.
     fn publish(&self, framed: Option<Framed>, harness: &FitnessHarness<'_>) {
         if let Some(executor) = framed {
             executor.shutdown();
         }
         harness.pool().record_telemetry(&self.telemetry);
+        let (judged, reused) = harness.fitness_counts();
+        self.telemetry.gauge_set("fitness.judged", judged as f64);
+        self.telemetry.gauge_set("fitness.reused", reused as f64);
         self.telemetry.emit_metrics("eval_pool");
     }
 
@@ -1281,6 +1396,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reused_fitness_equals_a_fresh_judgment() {
+        let examples = rediscovery_examples(40);
+        let mut config = SearchConfig::quick();
+        config.gp.population = 14;
+        config.gp.max_generations = 8;
+        config.gp.stagnation_limit = 8;
+        let search = FeatureSearch::from_examples(&examples, config.clone());
+        let mut harness = search.harness(&examples).expect("harness");
+        let mut rng = StdRng::seed_from_u64(3);
+        // One GP run against an empty base, one against its winner.
+        for run in 0..2 {
+            let engine = GpEngine::new(&search.grammar, config.gp.clone());
+            // The engine catches a panicking fitness, so the comparisons
+            // are collected here and asserted after the run.
+            let seen = Mutex::new(Vec::new());
+            let fitness = |expr: &FeatureExpr| {
+                let got = harness.fitness(expr)?;
+                let column = harness.column(expr).expect("a judged column evaluates again");
+                let fresh = harness.judge(&column);
+                seen.lock().push((expr.to_string(), got.to_bits(), fresh.to_bits()));
+                Some(got)
+            };
+            let best = engine.run(&fitness, &mut rng).best.expect("a valid winner");
+            let seen = seen.into_inner();
+            assert!(!seen.is_empty());
+            for (expr, got, fresh) in &seen {
+                assert_eq!(got, fresh, "run {run}: `{expr}` reused a stale fitness");
+            }
+            let (judged, reused) = harness.fitness_counts();
+            assert!(judged > 0 && reused > 0, "run {run}: {judged} judged, {reused} reused");
+            let column = harness.column(&best.expr).expect("the winner evaluates");
+            harness.push_base_column(column);
+        }
+    }
+
+    #[test]
+    fn constant_columns_score_alike() {
+        let examples = synthetic_examples(30);
+        let n = examples.len();
+        let search = FeatureSearch::from_examples(&examples, SearchConfig::quick());
+        let mut harness = search.harness(&examples).expect("harness");
+        let informative = crate::lang::parse_feature("count(filter(/*, is-type(insn)))").expect("parses");
+        for base in [None, Some(informative)] {
+            if let Some(expr) = base {
+                let column = harness.column(&expr).expect("evaluates");
+                harness.push_base_column(column);
+            }
+            let (judged, reused) = harness.fitness_counts();
+            let expected = harness.judge(&vec![0.0; n]).to_bits();
+            for value in [0.0, 7.0, -3.5] {
+                let column = vec![value; n];
+                assert_eq!(harness.judge(&column).to_bits(), expected, "fresh {value}");
+                assert_eq!(harness.column_fitness(&column).to_bits(), expected, "{value}");
+            }
+            assert_eq!(harness.fitness_counts(), (judged + 1, reused + 2));
+        }
+    }
+
+    #[test]
+    fn a_new_base_column_forgets_every_judgment() {
+        let examples = synthetic_examples(30);
+        let search = FeatureSearch::from_examples(&examples, SearchConfig::quick());
+        let mut harness = search.harness(&examples).expect("harness");
+        let expr = crate::lang::parse_feature("count(filter(/*, is-type(insn)))").expect("parses");
+        let first = harness.fitness(&expr).expect("evaluates");
+        assert_eq!(harness.fitness(&expr), Some(first));
+        assert_eq!(harness.fitness_counts(), (1, 1));
+        let column = harness.column(&expr).expect("evaluates");
+        harness.push_base_column(column.clone());
+        let again = harness.fitness(&expr).expect("evaluates");
+        assert_eq!(harness.fitness_counts(), (2, 1), "judged afresh");
+        assert_eq!(again.to_bits(), harness.judge(&column).to_bits());
+    }
+
+    #[test]
+    fn past_the_byte_budget_columns_are_judged_but_not_stored() {
+        let examples = synthetic_examples(30);
+        let n = examples.len();
+        let search = FeatureSearch::from_examples(&examples, SearchConfig::quick());
+        let mut harness = search.harness(&examples).expect("harness");
+        let columns: Vec<Vec<f64>> = (2..6)
+            .map(|k| (0..n).map(|i| (i * k % 7) as f64).collect())
+            .collect();
+        // Room for exactly one column.
+        let entry = ColumnMemo::entry_bytes(&bit_key(&columns[0]));
+        *harness.memo.get_mut() = ColumnMemo::new(entry);
+        for _ in 0..2 {
+            for column in &columns {
+                let fresh = harness.judge(column).to_bits();
+                assert_eq!(harness.column_fitness(column).to_bits(), fresh);
+            }
+        }
+        assert_eq!(harness.fitness_counts(), (4 + 3, 1));
+        let memo = harness.memo.get_mut();
+        assert_eq!((memo.fitness.len(), memo.bytes), (1, entry));
     }
 
     #[test]

@@ -327,6 +327,15 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         if fast + plan > 0 {
             let _ = writeln!(out, "  vm paths:      {fast} fast / {plan} loop-nest");
         }
+        let judged = get("fitness.judged");
+        let reused = get("fitness.reused");
+        if judged + reused > 0 {
+            let _ = writeln!(
+                out,
+                "  fitness reuse: {} ({reused} reused / {judged} judged)",
+                rate(reused, judged),
+            );
+        }
     }
 
     // Fork-once campaign accounting: snapshots built, cells forked off
@@ -585,6 +594,8 @@ mod tests {
         t.counter_add("eval.program_misses", 2);
         t.counter_add("eval.path_fast", 6);
         t.counter_add("eval.path_plan", 4);
+        t.gauge_set("fitness.judged", 144.0);
+        t.gauge_set("fitness.reused", 330.0);
         t.counter_add("campaign.snapshot_builds", 3);
         t.counter_add("campaign.forks", 320);
         t.counter_add("campaign.init_forks", 300);
@@ -609,6 +620,10 @@ mod tests {
         assert!(summary.contains("12 evaluation(s)"), "{summary}");
         assert!(
             summary.contains("vm paths:      6 fast / 4 loop-nest\n"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("fitness reuse: 69.6% (330 reused / 144 judged)\n"),
             "{summary}"
         );
         assert!(
