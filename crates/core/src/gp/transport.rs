@@ -18,9 +18,16 @@
 //!      4     4  version      PROTOCOL_VERSION
 //!      8     8  seq          per-connection sequence number
 //!     16     4  payload_len  bounds-checked against MAX_FRAME_LEN
-//!     20     8  digest       stable_hash (FNV-1a) of the payload
+//!     20     8  digest       frame_digest of the payload
 //!     28     …  payload
 //! ```
+//!
+//! The digest covers the payload only; the magic, version and length
+//! fields are each checked on their own before it, and the sequence field
+//! is deliberately unsealed (see below). [`frame_digest`] reads the payload
+//! eight bytes per step, so sealing and checking a frame costs a fraction
+//! of the byte-at-a-time FNV-1a [`stable_hash`](crate::faults::stable_hash)
+//! that checkpoint, shard and handshake digests keep using.
 //!
 //! The sequence number gives the receiver a one-frame dedup window: a
 //! frame repeating the previous sequence number is dropped without being
@@ -40,20 +47,64 @@
 //! workers — loopback still encodes and decodes every frame, so the two
 //! modes execute the identical codec path.
 
-use crate::faults::stable_hash;
 use std::fmt;
 use std::io::{PipeReader, PipeWriter, Read, Write};
 
 /// First four bytes of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"FGN1";
 /// Wire protocol version; bumped on any incompatible frame or message
-/// change. Checked on every frame *and* in the handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// change. Checked on every frame *and* in the handshake. Version 2 seals
+/// payloads with [`frame_digest`] (version 1 used FNV-1a).
+pub const PROTOCOL_VERSION: u32 = 2;
 /// Hard upper bound on a payload; anything larger is rejected before
 /// allocation (a hostile or corrupt length field cannot OOM the reader).
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// Size of the fixed frame header.
 pub const FRAME_HEADER_LEN: usize = 28;
+
+/// Odd multiplier of every [`frame_digest`] step (2^64 / φ, rounded to odd).
+const DIGEST_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// State before the length is mixed in.
+const DIGEST_SEED: u64 = 0x6a09_e667_f3bc_c909;
+
+/// One digest step: xor, odd multiply, rotate. For a fixed `h` it is a
+/// bijection of `word`, and for a fixed `word` a bijection of `h`.
+#[inline(always)]
+fn digest_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(DIGEST_MUL).rotate_left(31)
+}
+
+/// The payload digest in every frame header: the payload length, then the
+/// payload eight bytes (one little-endian word) per step, the last partial
+/// word zero-padded, then murmur3's 64-bit finalizer.
+///
+/// Every step and the finalizer are bijections of the state, so two
+/// payloads of one length that differ in a single word — a single-bit flip
+/// among them — always digest differently. A payload of another length
+/// starts from another state, and its frame is caught earlier anyway: the
+/// reader trusts only the header's length field.
+#[must_use]
+pub fn frame_digest(payload: &[u8]) -> u64 {
+    let mut h = digest_step(DIGEST_SEED, payload.len() as u64);
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        h = digest_step(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = digest_step(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
 
 /// Typed frame/connection failures. Every decoding error names what was
 /// violated; none of them can panic the peer.
@@ -146,7 +197,7 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Result<Vec<u8>, TransportError>
     buf.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&stable_hash(payload).to_le_bytes());
+    buf.extend_from_slice(&frame_digest(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     Ok(buf)
 }
@@ -189,7 +240,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>), TransportError> {
         });
     }
     let payload = &bytes[FRAME_HEADER_LEN..want];
-    let found = stable_hash(payload);
+    let found = frame_digest(payload);
     if found != expected {
         return Err(TransportError::DigestMismatch { expected, found });
     }
@@ -315,7 +366,7 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
         let expected = u64::from_le_bytes(header[20..28].try_into().expect("8-byte slice"));
         let mut payload = vec![0u8; len as usize];
         self.read_exact_or_torn(&mut payload, false)?;
-        let found = stable_hash(&payload);
+        let found = frame_digest(&payload);
         if found != expected {
             return Err(TransportError::DigestMismatch { expected, found });
         }

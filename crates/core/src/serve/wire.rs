@@ -3,8 +3,8 @@
 //!
 //! Messages travel as JSON payloads inside the digest-sealed frames of
 //! [`crate::gp::transport`] — the daemon deliberately reuses the island
-//! worker's codec (magic, version, sequence and FNV-1a digest checks, 64
-//! MiB length cap) instead of inventing a second wire format. Frame-level
+//! worker's codec (magic, version, sequence and payload digest checks,
+//! 64 MiB length cap) instead of inventing a second wire format. Frame-level
 //! violations poison the connection; *payload*-level violations (garbage
 //! JSON, hostile IR) are answered with a typed [`ServeResponse::Error`]
 //! and the connection stays up.

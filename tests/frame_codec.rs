@@ -2,16 +2,17 @@
 //! round-trips exactly, and every corruption a real transport can produce
 //! — truncation, over-length claims, version skew, bit flips — is rejected
 //! with a *typed* [`TransportError`], never a panic and never silently
-//! accepted bytes.
+//! accepted bytes. The payload digest itself is pinned by test vectors.
 
-use fegen::core::gp::transport::{
-    decode_frame, encode_frame, TransportError, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
-};
 use fegen::core::gp::engine::GpSnapshot;
+use fegen::core::gp::transport::{
+    decode_frame, encode_frame, frame_digest, FrameTransport, StreamTransport, TransportError,
+    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use fegen::core::gp::worker_proc::{decode_msg, encode_msg, WireMsg, WorkerSpec};
 use fegen::core::ir::IrNode;
 use fegen::core::search::TrainingExample;
+use fegen::core::stable_hash;
 use fegen::core::{EvalEngine, Grammar, IslandTopology, SearchConfig};
 use proptest::prelude::*;
 
@@ -155,6 +156,61 @@ fn non_message_payloads_are_rejected_typed() {
     }
 }
 
+/// The payload digest is pinned: a change to it is a wire format change
+/// and must bump [`PROTOCOL_VERSION`]. The vectors cover the empty payload,
+/// every tail length of the first two words and a 4 KiB payload.
+#[test]
+fn frame_digest_test_vectors() {
+    let nine = b"fegenwire";
+    let expected: [u64; 10] = [
+        0x1a4b_72c8_6fe0_0352,
+        0x46d3_24bf_16b5_4733,
+        0xe3ea_2ed6_a23f_1635,
+        0x5612_78e2_fe81_288f,
+        0x9666_6d19_c319_8944,
+        0xad86_72ae_b5f9_3caa,
+        0x9188_e364_d574_cea8,
+        0x7629_f66e_c187_e235,
+        0xc4a3_f116_95b9_93a8,
+        0x41ed_2581_2ecf_e568,
+    ];
+    for (len, want) in expected.into_iter().enumerate() {
+        let got = frame_digest(&nine[..len]);
+        assert_eq!(got, want, "digest of {:?}: {got:#018x}", &nine[..len]);
+    }
+    let page: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(31) ^ (i >> 8)) as u8)
+        .collect();
+    let got = frame_digest(&page);
+    assert_eq!(
+        got, 0xb1f3_c4aa_aa26_b453,
+        "digest of the 4 KiB page: {got:#018x}"
+    );
+}
+
+/// A well-formed version-1 frame — FNV-1a digest and all — is refused
+/// with a typed `VersionSkew` naming both versions, by the in-memory
+/// decoder and by a stream reader.
+#[test]
+fn a_version_1_frame_is_refused_as_version_skew() {
+    let payload = br#"{"Hello":{"protocol":2}}"#;
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&0u64.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&stable_hash(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let skew = TransportError::VersionSkew {
+        found: 1,
+        expected: 2,
+    };
+    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(decode_frame(&frame), Err(skew.clone()));
+    let mut reader = StreamTransport::new(std::io::Cursor::new(frame), std::io::sink());
+    assert_eq!(reader.recv(), Err(skew));
+}
+
 // ---------------------------------------------------------------------------
 // Properties over arbitrary payload bytes and corruptions.
 // ---------------------------------------------------------------------------
@@ -162,6 +218,17 @@ fn non_message_payloads_are_rejected_typed() {
 /// An arbitrary byte (the vendored proptest drives ranges, not `any`).
 fn byte() -> impl Strategy<Value = u8> {
     (0u16..256).prop_map(|v| v as u8)
+}
+
+/// Up to 16 KiB of arbitrary bytes, at least one word long.
+fn body() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(byte(), 8..16 * 1024 + 8)
+}
+
+/// `body` cut to whole words and then `tail` (0–7) bytes more: the
+/// payloads of one case end in every partial word the digest pads.
+fn with_tail(body: &[u8], tail: usize) -> &[u8] {
+    &body[..(body.len() - 8) / 8 * 8 + tail]
 }
 
 proptest! {
@@ -185,17 +252,19 @@ proptest! {
     #[test]
     fn every_truncation_is_a_typed_torn_frame(
         seq in 0u64..u64::MAX,
-        payload in prop::collection::vec(byte(), 0..256),
+        body in body(),
         cut in 0.0f64..1.0,
     ) {
-        let frame = encode_frame(seq, &payload).expect("frame encodes");
-        let keep = (frame.len() as f64 * cut) as usize; // always < len
-        match decode_frame(&frame[..keep]) {
-            Err(TransportError::TornFrame { expected, got }) => {
-                prop_assert_eq!(got, keep);
-                prop_assert!(expected > keep, "expected must exceed what arrived");
+        for tail in 0..8 {
+            let frame = encode_frame(seq, with_tail(&body, tail)).expect("frame encodes");
+            let keep = (frame.len() as f64 * cut) as usize; // always < len
+            match decode_frame(&frame[..keep]) {
+                Err(TransportError::TornFrame { expected, got }) => {
+                    prop_assert_eq!(got, keep);
+                    prop_assert!(expected > keep, "expected must exceed what arrived");
+                }
+                other => prop_assert!(false, "truncation to {keep} gave {other:?}"),
             }
-            other => prop_assert!(false, "truncation to {keep} gave {other:?}"),
         }
     }
 
@@ -203,32 +272,40 @@ proptest! {
     /// a typed error, or — only when the flip landed inside the sequence
     /// field, which carries no integrity of its own — yields the original
     /// payload under a different sequence number. No panic, no silent
-    /// payload corruption.
+    /// payload corruption. A flip in the digest field or the payload is
+    /// always a `DigestMismatch`.
     #[test]
     fn any_single_bit_flip_is_caught_or_harmless(
         seq in 0u64..u64::MAX,
-        payload in prop::collection::vec(byte(), 0..256),
+        body in body(),
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut frame = encode_frame(seq, &payload).expect("frame encodes");
-        let pos = ((frame.len() as f64 * pos_frac) as usize).min(frame.len() - 1);
-        frame[pos] ^= 1 << bit;
-        match decode_frame(&frame) {
-            Ok((got_seq, got_payload)) => {
-                // The seq field occupies header bytes 8..16.
-                prop_assert!((8..16).contains(&pos), "flip at {pos} slipped through");
-                prop_assert_ne!(got_seq, seq);
-                prop_assert_eq!(got_payload, payload);
+        for tail in 0..8 {
+            let payload = with_tail(&body, tail);
+            let good = encode_frame(seq, payload).expect("frame encodes");
+            // Anywhere, and in the last byte: the padded partial word.
+            let anywhere = ((good.len() as f64 * pos_frac) as usize).min(good.len() - 1);
+            for pos in [anywhere, good.len() - 1] {
+                let mut frame = good.clone();
+                frame[pos] ^= 1 << bit;
+                match decode_frame(&frame) {
+                    Ok((got_seq, got_payload)) => {
+                        // The seq field occupies header bytes 8..16.
+                        prop_assert!((8..16).contains(&pos), "flip at {pos} slipped through");
+                        prop_assert_ne!(got_seq, seq);
+                        prop_assert_eq!(got_payload, payload);
+                    }
+                    Err(TransportError::DigestMismatch { .. }) => {}
+                    Err(
+                        TransportError::BadMagic { .. }
+                        | TransportError::VersionSkew { .. }
+                        | TransportError::OverLength { .. }
+                        | TransportError::TornFrame { .. },
+                    ) if pos < 20 => {}
+                    Err(other) => prop_assert!(false, "flip at {pos} gave {other:?}"),
+                }
             }
-            Err(
-                TransportError::BadMagic { .. }
-                | TransportError::VersionSkew { .. }
-                | TransportError::OverLength { .. }
-                | TransportError::TornFrame { .. }
-                | TransportError::DigestMismatch { .. },
-            ) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind {other:?}"),
         }
     }
 
