@@ -10,13 +10,15 @@
 //!
 //! # Division of labour
 //!
-//! The **worker** is deliberately dumb: it rebuilds the deterministic
-//! fitness pipeline once from the search's [`WorkerSpec`] (examples as
-//! [`TrainingRows`], config, engine), adopts each GP run's settings and
+//! The **worker** is deliberately dumb: it builds the deterministic
+//! fitness pipeline once from the search's [`WorkerSpec`] — the
+//! supervisor's grammar as is, the examples as [`TrainingRows`] read
+//! straight into arenas, the config — adopts each GP run's settings and
 //! base feature columns from a `Begin`, then answers `Step` requests by
-//! advancing the received island state exactly one generation. It holds
-//! no retry logic, no timers, no policy — if anything is wrong it exits
-//! with a typed [`WorkerError`].
+//! advancing the received island state exactly one generation. It derives
+//! nothing the supervisor sent and builds no IR tree. It holds no retry
+//! logic, no timers, no policy — if anything is wrong it exits with a
+//! typed [`WorkerError`].
 //!
 //! The **[`Framed`] executor** owns the connections for the whole search:
 //! it spawns and handshakes workers, begins every GP run on each of them,
@@ -40,8 +42,8 @@ use crate::gp::transport::{
     duplex, FrameTransport, SendFault, StreamTransport, TransportError, TransportStats,
 };
 use crate::grammar::Grammar;
-use crate::lang::EvalEngine;
-use crate::search::{FeatureSearch, FitnessHarness, SearchConfig, TrainingExample};
+use crate::lang::EvalPool;
+use crate::search::{FitnessHarness, SearchConfig, TrainingExample};
 use crate::telemetry::Telemetry;
 use crate::training_rows::TrainingRows;
 use serde::{Deserialize, Serialize};
@@ -54,13 +56,13 @@ use std::time::Duration;
 /// vocabulary and its order — checked in the `Hello` handshake. The frame
 /// header's [`crate::gp::transport::PROTOCOL_VERSION`] is separate: the
 /// serve protocol shares the frame layout, not this conversation.
-pub const WORKER_PROTOCOL_VERSION: u32 = 4;
+pub const WORKER_PROTOCOL_VERSION: u32 = 5;
 
-/// The invariants of one search that a worker needs to rebuild the
-/// deterministic fitness pipeline: the search configuration, the
-/// evaluation engine, the grammar digest and the training examples. Sent
-/// once per connection in the [`WireMsg::Hello`] handshake; what changes
-/// from one GP run to the next travels in [`WireMsg::Begin`].
+/// The invariants of one search that a worker needs to build the
+/// deterministic fitness pipeline: the search configuration, the grammar
+/// and the training examples. Sent once per connection in the
+/// [`WireMsg::Hello`] handshake; what changes from one GP run to the next
+/// travels in [`WireMsg::Begin`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSpec {
     /// [`WORKER_PROTOCOL_VERSION`] of the supervisor; checked in the
@@ -70,52 +72,13 @@ pub struct WorkerSpec {
     /// Full search configuration. Each run's effective GP settings travel
     /// in its `Begin`.
     pub config: SearchConfig,
-    /// Feature-evaluation engine (execution strategy; identical values
-    /// either way, shipped so worker telemetry matches supervisor intent).
-    pub engine: EvalEngine,
-    /// Digest of the supervisor's grammar (`Debug` form). The worker
-    /// re-derives its grammar from the examples and refuses the spec if the
-    /// two disagree — a split-brain grammar would silently change the
-    /// search space.
-    pub grammar_digest: u64,
+    /// The supervisor's grammar, adopted as is: the `HelloAck` digest of
+    /// the re-encoded `Hello` proves the worker holds it bit for bit.
+    pub grammar: Grammar,
     /// The training examples as rows (cycle tables and attribute values
-    /// round-trip bit-exactly); the worker validates them as it rebuilds
-    /// its trees.
+    /// round-trip bit-exactly); the worker validates them as it reads them
+    /// into arenas.
     pub examples: TrainingRows,
-}
-
-/// Content digest of a grammar — the compact stand-in for shipping the
-/// (non-serializable) grammar itself. Rendered from resolved names, not
-/// `Debug` (which leaks process-local symbol-interner state and would make
-/// a freshly spawned worker reject a supervisor with identical grammar).
-pub fn grammar_digest(grammar: &Grammar) -> u64 {
-    let mut canon = String::new();
-    canon.push_str("kinds:");
-    for k in grammar.kinds() {
-        canon.push_str(k.as_str());
-        canon.push(';');
-    }
-    canon.push_str("|num:");
-    for a in grammar.num_attrs() {
-        canon.push_str(&format!("{}[{:?},{:?}];", a.name.as_str(), a.min, a.max));
-    }
-    canon.push_str("|bool:");
-    for a in grammar.bool_attrs() {
-        canon.push_str(a.as_str());
-        canon.push(';');
-    }
-    canon.push_str("|enum:");
-    for a in grammar.enum_attrs() {
-        canon.push_str(a.name.as_str());
-        canon.push('{');
-        for v in &a.values {
-            canon.push_str(v.as_str());
-            canon.push(',');
-        }
-        canon.push_str("};");
-    }
-    canon.push_str(&format!("|max_children:{}", grammar.max_children()));
-    stable_hash(canon.as_bytes())
 }
 
 impl WorkerSpec {
@@ -124,7 +87,6 @@ impl WorkerSpec {
     /// [`SearchError::WireEncode`] here, before any worker spawns.
     pub fn new(
         config: SearchConfig,
-        engine: EvalEngine,
         grammar: &Grammar,
         examples: &[TrainingExample],
     ) -> Result<Self, SearchError> {
@@ -135,8 +97,7 @@ impl WorkerSpec {
         Ok(WorkerSpec {
             protocol: WORKER_PROTOCOL_VERSION,
             config,
-            engine,
-            grammar_digest: grammar_digest(grammar),
+            grammar: grammar.clone(),
             examples,
         })
     }
@@ -241,8 +202,8 @@ pub enum WorkerError {
         detail: String,
     },
     /// The spec was well-formed on the wire but unusable (hostile training
-    /// rows, grammar digest mismatch, unparseable base feature, invalid
-    /// configuration).
+    /// rows, an enum attribute with no values, unparseable base feature,
+    /// invalid configuration).
     Spec {
         /// What was wrong.
         detail: String,
@@ -267,7 +228,7 @@ impl From<TransportError> for WorkerError {
     }
 }
 
-/// The worker main loop: handshake, rebuild the fitness pipeline, then
+/// The worker main loop: handshake, build the fitness pipeline, then
 /// adopt each GP run's `Begin` and answer its `Step` requests until
 /// `Shutdown` or EOF.
 ///
@@ -298,31 +259,29 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
         ));
     }
     let spec_digest = adopted_digest(&hello)?;
-    let examples = match spec.examples.to_examples() {
-        Ok(examples) => examples,
+    // The one grammar a generator cannot draw from without panicking.
+    let enums = spec.grammar.enum_attrs();
+    if let Some(attr) = enums.iter().find(|a| a.values.is_empty()) {
+        let detail = format!("grammar: enum attribute @{} has no values", attr.name);
+        return Err(refuse(transport, WorkerError::Spec { detail }));
+    }
+    let rows = &spec.examples;
+    let arenas = match rows.to_arenas() {
+        Ok(arenas) => arenas,
         Err(e) => {
             let detail = format!("training rows: {e}");
             return Err(refuse(transport, WorkerError::Spec { detail }));
         }
     };
-
-    // Rebuild the exact deterministic fitness pipeline the supervisor's
-    // in-process path would use: same grammar derivation, same harness,
-    // same base columns — byte-identical `f64` trajectories.
-    let search =
-        FeatureSearch::from_examples(&examples, spec.config.clone()).with_engine(spec.engine);
-    if grammar_digest(search.grammar()) != spec.grammar_digest {
-        let detail = format!(
-            "grammar digest mismatch: derived {:016x}, supervisor expects {:016x}",
-            grammar_digest(search.grammar()),
-            spec.grammar_digest
-        );
-        return Err(refuse(transport, WorkerError::Spec { detail }));
-    }
-    let mut harness = search.harness(&examples).map_err(|e| WorkerError::Spec {
-        detail: format!("harness: {e}"),
-    })?;
-    // Everything the connection needs is rebuilt; the rows can go.
+    // The same harness the supervisor's in-process path builds, over the
+    // same arenas and cycle tables: byte-identical `f64` trajectories.
+    let tables = rows.loops.iter().map(|l| l.cycles.clone()).collect();
+    let mut harness = FitnessHarness::new(EvalPool::from_arenas(arenas), tables, &spec.config)
+        .map_err(|e| WorkerError::Spec {
+            detail: format!("harness: {e}"),
+        })?;
+    let grammar = spec.grammar.clone();
+    // Everything the connection needs is built; the rows can go.
     drop(hello);
     transport.send(&encode_msg(&WireMsg::HelloAck { spec_digest })?)?;
 
@@ -352,7 +311,7 @@ pub fn run_worker<T: FrameTransport>(transport: &mut T) -> Result<(), WorkerErro
                     adopt_base(&mut harness, text)?;
                     adopted.push(text.clone());
                 }
-                engine = Some(GpEngine::new(search.grammar(), gp.clone()));
+                engine = Some(GpEngine::new(&grammar, gp.clone()));
                 transport.send(&encode_msg(&WireMsg::BeginAck { digest })?)?;
             }
             WireMsg::Step { island } => {
@@ -870,9 +829,8 @@ mod tests {
                 }
             })
             .collect();
-        let config = SearchConfig::quick();
-        let search = FeatureSearch::from_examples(&examples, config.clone());
-        WorkerSpec::new(config, EvalEngine::default(), search.grammar(), &examples).unwrap()
+        let grammar = Grammar::derive(examples.iter().map(|e| &e.ir));
+        WorkerSpec::new(SearchConfig::quick(), &grammar, &examples).unwrap()
     }
 
     fn begin_msg(base_features: &[&str]) -> WireMsg {
@@ -884,9 +842,7 @@ mod tests {
 
     /// One island of a fresh run over `spec`'s grammar.
     fn first_island(spec: &WorkerSpec) -> Island {
-        let examples = spec.examples.to_examples().unwrap();
-        let search = FeatureSearch::from_examples(&examples, spec.config.clone());
-        let engine = GpEngine::new(search.grammar(), spec.config.gp.clone());
+        let engine = GpEngine::new(&spec.grammar, spec.config.gp.clone());
         let mut rng = StdRng::seed_from_u64(5);
         IslandsState::init(&engine, &IslandTopology::single(), &mut rng)
             .islands
@@ -1023,6 +979,31 @@ mod tests {
                 "{tag}: got {err}"
             );
         }
+    }
+
+    /// A `Hello` whose grammar has an enum attribute with no values (a
+    /// generator would panic drawing one) gets a courtesy `WorkerError`
+    /// and a typed spec error, never a panic.
+    #[test]
+    fn worker_refuses_an_enum_attribute_with_no_values_typed() {
+        let hello = encode_msg(&WireMsg::Hello { spec: tiny_spec() }).unwrap();
+        let hello = String::from_utf8(hello).unwrap();
+        let values = r#"{"name":"mode","values":["SI"]}"#;
+        assert_eq!(hello.matches(values).count(), 1, "the one enum attribute");
+        let hostile = hello.replace(values, r#"{"name":"mode","values":[]}"#);
+        let (mut sup, mut wrk) = duplex();
+        let worker = std::thread::spawn(move || run_worker(&mut wrk));
+        sup.send(hostile.as_bytes()).unwrap();
+        let reply = decode_msg(&sup.recv().unwrap()).unwrap();
+        assert!(
+            matches!(&reply, WireMsg::WorkerError { detail } if detail.contains("@mode has no values")),
+            "got {reply:?}"
+        );
+        let err = worker.join().expect("no panic").unwrap_err();
+        assert!(
+            matches!(&err, WorkerError::Spec { detail } if detail.contains("@mode has no values")),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -23,11 +23,12 @@
 use crate::ir::{AttrValue, IrNode, Symbol};
 use crate::lang::{ArithOp, BoolExpr, CmpOp, FeatureExpr, SeqExpr};
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
 /// Observed statistics for a numeric attribute.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NumAttr {
     /// Attribute name.
     pub name: Symbol,
@@ -38,7 +39,7 @@ pub struct NumAttr {
 }
 
 /// Observed values for an enumerated attribute.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnumAttr {
     /// Attribute name.
     pub name: Symbol,
@@ -47,7 +48,10 @@ pub struct EnumAttr {
 }
 
 /// A feature grammar derived from a corpus of exported IR.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Serializable because process-level island workers adopt the
+/// supervisor's grammar from their `Hello` instead of deriving their own.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grammar {
     kinds: Vec<Symbol>,
     num_attrs: Vec<NumAttr>,

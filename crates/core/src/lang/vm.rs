@@ -1197,10 +1197,7 @@ impl Program {
 }
 
 /// Which engine an [`EvalPool`] (and the search built on it) uses.
-/// Serializable so a process-level island worker can be told which engine
-/// to rebuild (both engines are bit-identical, so this is a speed knob,
-/// not a correctness one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalEngine {
     /// Compiled loop-nest plans over arena-flattened loops (default).
     #[default]

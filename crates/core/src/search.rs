@@ -58,11 +58,17 @@ pub struct TrainingExample {
 /// [`metrics::oracle_choice_tolerant`]).
 pub const LABEL_TOLERANCE: f64 = 0.01;
 
+/// The training label of a cycle table: the smallest heuristic value within
+/// [`LABEL_TOLERANCE`] of the cycle minimum.
+pub(crate) fn label(cycles: &[f64]) -> usize {
+    metrics::oracle_choice_tolerant(cycles, LABEL_TOLERANCE)
+}
+
 impl TrainingExample {
     /// The training label: the smallest heuristic value within
     /// [`LABEL_TOLERANCE`] of the cycle minimum.
     pub fn best_value(&self) -> usize {
-        metrics::oracle_choice_tolerant(&self.cycles, LABEL_TOLERANCE)
+        label(&self.cycles)
     }
 
     /// Speedup of choosing heuristic value `k` over the baseline.
@@ -202,19 +208,17 @@ impl FeatureSearch {
         }
     }
 
-    /// Selects the feature-evaluation engine. The engine is an execution
-    /// strategy, not a search parameter: both engines produce identical
-    /// values, errors and budget decisions, so the search trajectory — and
-    /// the checkpoint identity — is the same either way (which is why this
-    /// lives outside [`SearchConfig`] and its fingerprint).
+    /// Selects the feature-evaluation engine of this process. The engine
+    /// is an execution strategy, not a search parameter: both engines
+    /// produce identical values, errors and budget decisions, so the search
+    /// trajectory — and the checkpoint identity — is the same either way
+    /// (which is why this lives outside [`SearchConfig`] and its
+    /// fingerprint). In process only: island worker processes always run
+    /// compiled plans. The interpreter engine is the reference the compiled
+    /// one is checked against.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The feature-evaluation engine in use.
-    pub fn engine(&self) -> EvalEngine {
-        self.engine
     }
 
     /// Builds an evaluation pool over the examples' IR using this search's
@@ -323,41 +327,14 @@ impl FeatureSearch {
             .collect()
     }
 
-    /// Builds the candidate-fitness harness over `examples`: pool, labels,
-    /// cycle tables, internal splits — everything a fitness evaluation
-    /// touches, with no base features yet. Both the in-process driver and
-    /// process-level island workers construct their fitness through this
-    /// one path, which is what makes the two modes byte-identical.
+    /// Builds the candidate-fitness harness over `examples` (see
+    /// [`FitnessHarness::new`]).
     pub(crate) fn harness<'e>(
         &self,
         examples: &'e [TrainingExample],
     ) -> Result<FitnessHarness<'e>, SearchError> {
-        let cfg = &self.config;
-        if examples.is_empty() {
-            return Err(SearchError::EmptyTrainingSet);
-        }
-        let Some(n_classes) = examples.iter().map(|e| e.cycles.len()).max() else {
-            return Err(SearchError::EmptyTrainingSet);
-        };
-        if n_classes == 0 {
-            return Err(SearchError::InvalidConfig {
-                detail: "training examples must have non-empty cycle tables".into(),
-            });
-        }
-        Ok(FitnessHarness {
-            pool: self.pool(examples),
-            labels: examples.iter().map(|e| e.best_value()).collect(),
-            tables: examples.iter().map(|e| e.cycles.clone()).collect(),
-            splits: internal_splits(cfg, examples.len()),
-            n_classes,
-            tree: cfg.tree.clone(),
-            budget: cfg.eval_budget_per_example,
-            base_columns: Vec::new(),
-            base_presorted: Presorted::default(),
-            memo: Mutex::new(ColumnMemo::new(FITNESS_MEMO_BYTES)),
-            judged: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-        })
+        let tables = examples.iter().map(|e| e.cycles.clone()).collect();
+        FitnessHarness::new(self.pool(examples), tables, &self.config)
     }
 }
 
@@ -474,6 +451,40 @@ fn memo_key(column: &[f64]) -> Box<[u64]> {
 }
 
 impl<'e> FitnessHarness<'e> {
+    /// The harness over `pool`'s loops and their cycle `tables`: labels,
+    /// internal splits and everything else a fitness evaluation touches,
+    /// with no base features yet. Both the in-process driver and
+    /// process-level island workers construct their fitness through this
+    /// one path, which is what makes the two modes byte-identical.
+    pub(crate) fn new(
+        pool: EvalPool<'e>,
+        tables: Vec<Vec<f64>>,
+        cfg: &SearchConfig,
+    ) -> Result<Self, SearchError> {
+        let Some(n_classes) = tables.iter().map(Vec::len).max() else {
+            return Err(SearchError::EmptyTrainingSet);
+        };
+        if n_classes == 0 {
+            return Err(SearchError::InvalidConfig {
+                detail: "training examples must have non-empty cycle tables".into(),
+            });
+        }
+        Ok(FitnessHarness {
+            pool,
+            labels: tables.iter().map(|c| label(c)).collect(),
+            splits: internal_splits(cfg, tables.len()),
+            tables,
+            n_classes,
+            tree: cfg.tree.clone(),
+            budget: cfg.eval_budget_per_example,
+            base_columns: Vec::new(),
+            base_presorted: Presorted::default(),
+            memo: Mutex::new(ColumnMemo::new(FITNESS_MEMO_BYTES)),
+            judged: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
+        })
+    }
+
     /// Candidate fitness: evaluate the column, then judge it — or reuse
     /// the judgment of a column with the same [`memo_key`].
     ///
@@ -797,12 +808,11 @@ impl<'a> SearchDriver<'a> {
         // `publish` shuts them down on every exit path after the loop.
         let workers = match &self.launcher {
             Some(launcher) => Some((
-                WorkerSpec::new(cfg.clone(), search.engine(), &search.grammar, examples)?,
+                WorkerSpec::new(cfg.clone(), &search.grammar, examples)?,
                 launcher,
             )),
             None => None,
         };
-        let fingerprint = checkpoint::config_fingerprint(cfg);
         // The examples digest identifies a checkpoint, so it is computed
         // only to write or resume one (from the workers' rows when there
         // are any); a search without either never reads it.
@@ -961,6 +971,35 @@ impl<'a> SearchDriver<'a> {
             .bool("resumed_mid_round", pending_islands.is_some())
             .emit();
 
+        // The outer loop's progress as a checkpoint with no GP run in
+        // flight: written at each outer boundary, and the base of the next
+        // run's mid-run checkpoints.
+        let fingerprint = checkpoint::config_fingerprint(cfg);
+        let outer = |rng: &StdRng,
+                     features: &[FeatureExpr],
+                     steps: &[SearchStep],
+                     best_speedup: f64,
+                     failed: usize,
+                     total_generations: usize| SearchCheckpoint {
+            version: CHECKPOINT_VERSION,
+            config_fingerprint: fingerprint,
+            examples_digest: digest,
+            rng: rng.state(),
+            features: features.iter().map(|f| f.to_string()).collect(),
+            steps: steps
+                .iter()
+                .map(|s| StepRecord {
+                    feature: s.feature.to_string(),
+                    speedup: s.speedup,
+                    generations: s.generations,
+                })
+                .collect(),
+            best_speedup,
+            failed,
+            total_generations,
+            islands: None,
+        };
+
         while features.len() < cfg.max_features
             && failed < cfg.max_failed_additions
             && total_generations < cfg.max_total_generations
@@ -981,25 +1020,14 @@ impl<'a> SearchDriver<'a> {
             // The outer loop's progress, captured with the RNG state *after*
             // this run's seed draw so mid-GP checkpoints describe the
             // enclosing search.
-            let progress = SearchCheckpoint {
-                version: CHECKPOINT_VERSION,
-                config_fingerprint: fingerprint,
-                examples_digest: digest,
-                rng: rng.state(),
-                features: features.iter().map(|f| f.to_string()).collect(),
-                steps: steps
-                    .iter()
-                    .map(|s| StepRecord {
-                        feature: s.feature.to_string(),
-                        speedup: s.speedup,
-                        generations: s.generations,
-                    })
-                    .collect(),
+            let progress = outer(
+                &rng,
+                &features,
+                &steps,
                 best_speedup,
                 failed,
                 total_generations,
-                islands: None,
-            };
+            );
             let run = self.drive(&engine, islands, &progress, &harness, framed.as_mut());
             let run = match run {
                 Ok(run) => run,
@@ -1065,25 +1093,14 @@ impl<'a> SearchDriver<'a> {
             // Outer-boundary checkpoint: the completed step is durable even
             // if the next GP run never writes one.
             if self.checkpoint_dir.is_some() {
-                let progress = SearchCheckpoint {
-                    version: CHECKPOINT_VERSION,
-                    config_fingerprint: fingerprint,
-                    examples_digest: digest,
-                    rng: rng.state(),
-                    features: features.iter().map(|f| f.to_string()).collect(),
-                    steps: steps
-                        .iter()
-                        .map(|s| StepRecord {
-                            feature: s.feature.to_string(),
-                            speedup: s.speedup,
-                            generations: s.generations,
-                        })
-                        .collect(),
+                let progress = outer(
+                    &rng,
+                    &features,
+                    &steps,
                     best_speedup,
                     failed,
                     total_generations,
-                    islands: None,
-                };
+                );
                 if let Err(e) = self.write_checkpoint(&progress, None) {
                     self.publish(framed.take(), &harness);
                     return Err(e);
@@ -1432,6 +1449,44 @@ mod tests {
             let column = harness.column(&best.expr).expect("the winner evaluates");
             harness.push_base_column(column);
         }
+    }
+
+    /// A worker builds its harness over the arenas its rows read into; it
+    /// must judge every candidate exactly as the supervisor's harness over
+    /// the trees does, before and after a base column is accepted.
+    #[test]
+    fn a_harness_over_the_rows_judges_as_the_supervisors_does() {
+        let examples = rediscovery_examples(40);
+        let config = SearchConfig::quick();
+        let search = FeatureSearch::from_examples(&examples, config.clone());
+        let mut supervisor = search.harness(&examples).expect("harness");
+        let rows = crate::training_rows::TrainingRows::from_examples(&examples).expect("rows");
+        let tables = rows.loops.iter().map(|l| l.cycles.clone()).collect();
+        let pool = EvalPool::from_arenas(rows.to_arenas().expect("arenas"));
+        let mut worker = FitnessHarness::new(pool, tables, &config).expect("harness");
+        assert_eq!(worker.labels(), supervisor.labels());
+        let bits = |column: Option<Vec<f64>>| {
+            column.map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut evaluated = 0;
+        for base in 0..2 {
+            for _ in 0..150 {
+                let expr = search.grammar.gen_feature(&mut rng, 5);
+                let column = bits(supervisor.column(&expr));
+                assert_eq!(bits(worker.column(&expr)), column, "base {base}: `{expr}`");
+                assert_eq!(
+                    worker.fitness(&expr).map(f64::to_bits),
+                    supervisor.fitness(&expr).map(f64::to_bits),
+                    "base {base}: `{expr}`"
+                );
+                evaluated += usize::from(column.is_some());
+            }
+            let accepted = crate::lang::parse_feature("get-attr(@trip)").expect("parses");
+            worker.push_base_column(worker.column(&accepted).expect("evaluates"));
+            supervisor.push_base_column(supervisor.column(&accepted).expect("evaluates"));
+        }
+        assert!(evaluated > 100, "only {evaluated} candidates evaluated");
     }
 
     #[test]

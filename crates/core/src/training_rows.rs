@@ -15,19 +15,23 @@
 //! - `nums`: the numeric attribute values, in row order.
 //! - `cycles`: the loop's cycle table.
 //!
+//! A worker reads the rows straight into arenas ([`TrainingRows::to_arenas`]),
+//! the form its evaluation pool runs on, and builds no tree on the way.
+//!
 //! The rows do not nest, so the JSON decoder's depth limit no longer bounds
 //! the trees they describe: both directions enforce
 //! [`MAX_IR_DEPTH`](crate::serve::wire::MAX_IR_DEPTH) explicitly, and the
-//! rebuild reads every index and count through checked accessors, so
+//! reader reads every index and count through checked accessors, so
 //! hostile rows are a typed [`RowsError`], never a panic or a runaway
 //! loop.
 
 use crate::faults::Fnv1a;
-use crate::ir::{AttrValue, IrNode, Symbol};
+use crate::ir::{ArenaRows, AttrValue, IrArena, IrNode, Symbol};
 use crate::search::TrainingExample;
 use crate::serve::wire::MAX_IR_DEPTH;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Value code of a numeric attribute: its value is the loop's next `nums`
 /// entry.
@@ -62,7 +66,7 @@ pub struct LoopRows {
     pub cycles: Vec<f64>,
 }
 
-/// Why rows cannot be built from, or rebuilt into, training examples.
+/// Why rows cannot be built from training examples, or read into arenas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowsError {
     /// The string table is not sorted and distinct at entry `at`.
@@ -234,8 +238,11 @@ impl TrainingRows {
         Ok(TrainingRows { symbols, loops })
     }
 
-    /// Rebuilds the training examples, validating every row on the way.
-    pub fn to_examples(&self) -> Result<Vec<TrainingExample>, RowsError> {
+    /// Reads each loop's rows straight into an arena, validating every
+    /// row on the way. The rows list a node's attributes in name (text)
+    /// order, an arena in [`Symbol`] (interning) order;
+    /// [`ArenaRows::from_spans`] sorts them whenever the two differ.
+    pub fn to_arenas(&self) -> Result<Vec<Arc<IrArena>>, RowsError> {
         if let Some(at) = self.symbols.windows(2).position(|w| w[0] >= w[1]) {
             return Err(RowsError::UnsortedSymbols { at: at + 1 });
         }
@@ -250,7 +257,7 @@ impl TrainingRows {
                     nodes: &rows.nodes,
                     nums: &rows.nums,
                 };
-                let ir = reader.node(1)?;
+                let arena = reader.arena()?;
                 if !reader.nodes.is_empty() || !reader.nums.is_empty() {
                     return Err(RowsError::Leftover {
                         example,
@@ -258,10 +265,7 @@ impl TrainingRows {
                         nums: reader.nums.len(),
                     });
                 }
-                Ok(TrainingExample {
-                    ir,
-                    cycles: rows.cycles.clone(),
-                })
+                Ok(Arc::new(arena))
             })
             .collect()
     }
@@ -295,8 +299,8 @@ impl TrainingRows {
     }
 }
 
-/// Reads one loop's rows back into a tree, consuming `nodes` and `nums`
-/// from the front.
+/// Reads one loop's rows into an arena, consuming `nodes` and `nums` from
+/// the front.
 struct Reader<'a> {
     symbols: &'a [Symbol],
     example: usize,
@@ -333,41 +337,60 @@ impl Reader<'_> {
             })
     }
 
-    /// The node at the front of the rows, `depth` levels deep. Every
-    /// attribute and child consumes at least one row, so hostile counts
-    /// run out of rows instead of looping.
-    fn node(&mut self, depth: usize) -> Result<IrNode, RowsError> {
-        if depth > MAX_IR_DEPTH {
-            return Err(RowsError::TooDeep {
-                example: self.example,
-            });
-        }
-        let kind = self.row()?;
-        let kind = self.symbol(kind)?;
-        let children = self.row()?;
-        let attrs = self.row()?;
-        let mut node = IrNode::new(kind);
-        let mut last: Option<u32> = None;
-        for _ in 0..attrs {
-            let name = self.row()?;
-            if last.is_some_and(|prev| prev >= name) {
-                return Err(RowsError::UnsortedAttrs {
+    /// The tree at the front of the rows, as an arena. Every node consumes
+    /// at least three rows and every attribute two, so hostile counts run
+    /// out of rows instead of looping.
+    fn arena(&mut self) -> Result<IrArena, RowsError> {
+        let mut kinds = Vec::new();
+        let mut subtree_end = Vec::new();
+        let mut spans = Vec::new();
+        let mut attrs = Vec::new();
+        // Nodes whose subtree is still open, each with the children it has
+        // left to read, innermost last.
+        let mut open: Vec<(usize, u32)> = Vec::new();
+        loop {
+            if open.len() >= MAX_IR_DEPTH {
+                return Err(RowsError::TooDeep {
                     example: self.example,
                 });
             }
-            last = Some(name);
-            let value = match self.row()? {
-                VALUE_NUM => AttrValue::Num(self.num()?),
-                VALUE_FALSE => AttrValue::Bool(false),
-                VALUE_TRUE => AttrValue::Bool(true),
-                code => AttrValue::Enum(self.symbol(code - VALUE_ENUM)?),
-            };
-            node.set_attr(self.symbol(name)?, value);
+            let kind = self.row()?;
+            kinds.push(self.symbol(kind)?);
+            let children = self.row()?;
+            let count = self.row()?;
+            let lo = attrs.len() as u32;
+            let mut last: Option<u32> = None;
+            for _ in 0..count {
+                let name = self.row()?;
+                if last.is_some_and(|prev| prev >= name) {
+                    return Err(RowsError::UnsortedAttrs {
+                        example: self.example,
+                    });
+                }
+                last = Some(name);
+                let value = match self.row()? {
+                    VALUE_NUM => AttrValue::Num(self.num()?),
+                    VALUE_FALSE => AttrValue::Bool(false),
+                    VALUE_TRUE => AttrValue::Bool(true),
+                    code => AttrValue::Enum(self.symbol(code - VALUE_ENUM)?),
+                };
+                attrs.push((self.symbol(name)?, value));
+            }
+            spans.push((lo, attrs.len() as u32));
+            subtree_end.push(0); // patched when the subtree closes
+            open.push((kinds.len() - 1, children));
+            while let Some(&(node, 0)) = open.last() {
+                subtree_end[node] = kinds.len() as u32;
+                open.pop();
+            }
+            // The next node is a child of the innermost open one.
+            match open.last_mut() {
+                Some((_, left)) => *left -= 1,
+                None => break,
+            }
         }
-        for _ in 0..children {
-            node.push_child(self.node(depth + 1)?);
-        }
-        Ok(node)
+        let rows = ArenaRows::from_spans(kinds, subtree_end, &spans, attrs);
+        Ok(IrArena::from_rows(rows))
     }
 }
 
@@ -385,7 +408,7 @@ mod tests {
             l.attr_num("rows-test-alpha", i as f64 + 0.5);
             l.attr_bool("rows-test-flag", i.is_multiple_of(2));
             l.child("rows-test-insn", |x| {
-                x.attr_enum("rows-test-mode", "SI");
+                x.attr_enum("rows-test-mode", if i == 0 { "SI" } else { "XI" });
                 x.attr_bool("rows-test-flag", true);
             });
             l.child("rows-test-insn", |_| {});
@@ -411,20 +434,39 @@ mod tests {
         node
     }
 
-    #[test]
-    fn rows_round_trip_through_trees() {
-        let examples = [example(0), example(1)];
-        let rows = TrainingRows::from_examples(&examples).unwrap();
-        let back = rows.to_examples().unwrap();
-        for (a, b) in examples.iter().zip(&back) {
-            assert_eq!(a.ir, b.ir);
-            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.cycles), bits(&b.cycles));
+    /// Asserts that `got` holds `want`'s nodes, node by node.
+    fn assert_same_arena(got: &IrArena, want: &IrArena) {
+        assert_eq!(got.len(), want.len());
+        for i in 0..want.len() as u32 {
+            assert_eq!(got.kind(i), want.kind(i), "node {i}");
+            assert_eq!(got.subtree_end(i), want.subtree_end(i), "node {i}");
+            assert_eq!(got.child_count(i), want.child_count(i), "node {i}");
+            let bits = |a: &IrArena| {
+                a.attrs(i)
+                    .iter()
+                    .map(|&(name, value)| match value {
+                        AttrValue::Num(v) => (name, Some(v.to_bits()), None),
+                        other => (name, None, Some(other)),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(got), bits(want), "node {i}");
         }
-        let again = TrainingRows::from_examples(&back).unwrap();
-        assert_eq!(again.digest(), rows.digest());
-        assert_eq!(again.symbols, rows.symbols);
-        assert_eq!(again.loops[0].nodes, rows.loops[0].nodes);
+    }
+
+    #[test]
+    fn rows_read_into_the_arenas_of_their_trees() {
+        // `zeta` is interned before `alpha`, so the rows' name order and
+        // the arena's `Symbol` order disagree.
+        let examples = [example(0), example(1)];
+        let arenas = TrainingRows::from_examples(&examples)
+            .unwrap()
+            .to_arenas()
+            .unwrap();
+        assert_eq!(arenas.len(), examples.len());
+        for (arena, e) in arenas.iter().zip(&examples) {
+            assert_same_arena(arena, &IrArena::from_tree(&e.ir));
+        }
     }
 
     #[test]
@@ -473,13 +515,13 @@ mod tests {
         let mut rows = rows();
         rows.symbols.swap(0, 1);
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::UnsortedSymbols { at: 1 }
         );
         let mut rows = self::rows();
         rows.symbols[1] = rows.symbols[0].clone();
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::UnsortedSymbols { at: 1 }
         );
     }
@@ -491,7 +533,7 @@ mod tests {
         for (at, value) in [(0, n), (3, n + 7), (15, VALUE_ENUM + n)] {
             let mut rows = rows();
             rows.loops[1].nodes[at] = value;
-            let err = rows.to_examples().unwrap_err();
+            let err = rows.to_arenas().unwrap_err();
             assert!(
                 matches!(err, RowsError::SymbolOutOfRange { example: 1, .. }),
                 "row {at}: {err}"
@@ -507,7 +549,7 @@ mod tests {
         nodes.swap(3, 5);
         nodes.swap(4, 6);
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::UnsortedAttrs { example: 0 }
         );
     }
@@ -520,7 +562,7 @@ mod tests {
             let mut rows = rows();
             rows.loops[0].nodes[at] = value;
             assert_eq!(
-                rows.to_examples().unwrap_err(),
+                rows.to_arenas().unwrap_err(),
                 RowsError::Truncated {
                     example: 0,
                     what: "node rows"
@@ -531,7 +573,7 @@ mod tests {
         let mut rows = rows();
         rows.loops[0].nums.pop();
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::Truncated {
                 example: 0,
                 what: "numbers"
@@ -540,7 +582,7 @@ mod tests {
         let mut rows = self::rows();
         rows.loops[0].nodes.clear();
         assert!(matches!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::Truncated { example: 0, .. }
         ));
     }
@@ -550,7 +592,7 @@ mod tests {
         let mut rows = rows();
         rows.loops[1].nodes.extend([0, 0, 0]);
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::Leftover {
                 example: 1,
                 rows: 3,
@@ -560,7 +602,7 @@ mod tests {
         let mut rows = self::rows();
         rows.loops[1].nums.push(2.0);
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::Leftover {
                 example: 1,
                 rows: 0,
@@ -576,17 +618,17 @@ mod tests {
             cycles: vec![1.0],
         };
         let at_cap = TrainingRows::from_examples(&[deep(MAX_IR_DEPTH)]).unwrap();
-        assert_eq!(at_cap.to_examples().unwrap()[0].ir.depth(), MAX_IR_DEPTH);
+        assert_eq!(at_cap.to_arenas().unwrap()[0].len(), MAX_IR_DEPTH);
         let over = [example(0), deep(MAX_IR_DEPTH + 1)];
         assert_eq!(
             TrainingRows::from_examples(&over).unwrap_err(),
             RowsError::TooDeep { example: 1 }
         );
         // Rows built without the cap (the in-process digest) are refused
-        // by the rebuild.
+        // by the reader.
         let rows = TrainingRows::from_examples_uncapped(&over);
         assert_eq!(
-            rows.to_examples().unwrap_err(),
+            rows.to_arenas().unwrap_err(),
             RowsError::TooDeep { example: 1 }
         );
     }

@@ -37,7 +37,6 @@
 //! --resume <path>          continue from a checkpoint file or directory
 //! --seed <n>               master seed (default from the quick preset)
 //! --paper                  paper-scale budgets instead of the quick preset
-//! --engine <name>          feature evaluation engine: compiled (default) | interp
 //! --islands <n>            island populations per GP run (default 1)
 //! --migration-every <n>    rounds between elite migrations (default 5)
 //! --island-restart-limit <n>  crashed step retries before an island is frozen (default 3)
@@ -84,7 +83,7 @@
 
 use fegen::core::search::SearchDriver;
 use fegen::core::{
-    parse_feature, EvalEngine, FeatureExpr, FeatureSearch, Grammar, SearchConfig, SearchError,
+    parse_feature, FeatureExpr, FeatureSearch, Grammar, SearchConfig, SearchError,
     SearchOutcome, TrainingExample,
 };
 use fegen::rtl::export::export_loop;
@@ -189,7 +188,6 @@ fn print_usage() {
     println!("  --resume <path>          continue from a checkpoint file or directory");
     println!("  --seed <n>               master seed");
     println!("  --paper                  paper-scale budgets (default: quick preset)");
-    println!("  --engine <name>          evaluation engine: compiled (default) | interp");
     println!("  --islands <n>            island populations per GP run (default 1)");
     println!("  --migration-every <n>    rounds between elite migrations (default 5)");
     println!("  --island-restart-limit <n>  crashed retries before freezing an island (default 3)");
@@ -515,7 +513,6 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     let mut resume: Option<String> = None;
     let mut seed: Option<u64> = None;
     let mut paper = false;
-    let mut engine = EvalEngine::default();
     let mut telemetry_dir: Option<String> = None;
     let mut log_json = false;
     let mut progress = false;
@@ -557,18 +554,6 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
             "--telemetry-dir" => telemetry_dir = Some(value("--telemetry-dir")?),
             "--log-json" => log_json = true,
             "--progress" => progress = true,
-            "--engine" => {
-                engine = match value("--engine")?.as_str() {
-                    "compiled" | "vm" => EvalEngine::Compiled,
-                    "interp" | "interpreter" => EvalEngine::Interpreter,
-                    other => {
-                        return Err(format!(
-                            "unknown engine `{other}` (expected `compiled` or `interp`)"
-                        )
-                        .into())
-                    }
-                };
-            }
             other => return Err(format!("unknown search flag `{other}`").into()),
         }
     }
@@ -600,7 +585,7 @@ fn cmd_search(path: &str, flags: &[String]) -> Result<(), Anyhow> {
     if let Some(n) = island_restart_limit {
         config.topology.restart_limit = n;
     }
-    let search = FeatureSearch::from_examples(&examples, config).with_engine(engine);
+    let search = FeatureSearch::from_examples(&examples, config);
     let mut driver: SearchDriver = search.driver().workers(workers);
     if let Some(n) = workers_proc {
         // Re-invoke this very binary as the worker; the supervisor owns all

@@ -13,7 +13,7 @@ use fegen::core::gp::worker_proc::{decode_msg, encode_msg, WireMsg, WorkerSpec};
 use fegen::core::ir::IrNode;
 use fegen::core::search::TrainingExample;
 use fegen::core::stable_hash;
-use fegen::core::{EvalEngine, Grammar, IslandTopology, SearchConfig};
+use fegen::core::{Grammar, IslandTopology, SearchConfig};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ fn tiny_spec() -> WorkerSpec {
         restart_limit: 1,
     };
     let grammar = Grammar::derive(examples.iter().map(|e| &e.ir));
-    WorkerSpec::new(config, EvalEngine::Compiled, &grammar, &examples).expect("rows build")
+    WorkerSpec::new(config, &grammar, &examples).expect("rows build")
 }
 
 /// One message of every wire kind, with a real (non-trivial) island
@@ -106,7 +106,7 @@ fn all_message_kinds() -> Vec<WireMsg> {
             }),
         },
         WireMsg::WorkerError {
-            detail: "grammar digest mismatch".to_owned(),
+            detail: "grammar: enum attribute @mode has no values".to_owned(),
         },
         WireMsg::Shutdown,
     ]

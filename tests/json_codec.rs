@@ -23,7 +23,7 @@ use fegen::core::serve::wire::{
 };
 use fegen::core::training_rows::TrainingRows;
 use fegen::core::{
-    parse_feature, AttrValue, EvalEngine, FeatureExpr, IrNode, IslandStatus, IslandTopology,
+    parse_feature, AttrValue, FeatureExpr, Grammar, IrArena, IrNode, IslandStatus, IslandTopology,
     IslandsSnapshot, MigrationRecord, ModelArtifact, SearchCheckpoint, SearchConfig,
     TrainingExample,
 };
@@ -155,10 +155,9 @@ fn training_rows() -> TrainingRows {
 
 fn worker_spec() -> WorkerSpec {
     WorkerSpec {
-        protocol: 4,
+        protocol: 5,
         config: search_config(),
-        engine: EvalEngine::Compiled,
-        grammar_digest: 0x9e37_79b9_7f4a_7c15,
+        grammar: Grammar::derive(examples().iter().map(|e| &e.ir)),
         examples: training_rows(),
     }
 }
@@ -904,11 +903,12 @@ mod props {
             for name in names_a.iter().chain(&names_b) {
                 fegen::core::Symbol::intern(name);
             }
-            let rows_of = |tree: &WireNode| {
-                let example = TrainingExample { ir: tree.to_ir(), cycles: cycles.clone() };
+            let rows_of = |ir: &IrNode| {
+                let example = TrainingExample { ir: ir.clone(), cycles: cycles.clone() };
                 TrainingRows::from_examples(&[example]).unwrap()
             };
-            let (rows_a, rows_b) = (rows_of(&a), rows_of(&b));
+            let ir_a = a.to_ir();
+            let (rows_a, rows_b) = (rows_of(&ir_a), rows_of(&b.to_ir()));
             // Byte-stable encode, and an equal value whenever `PartialEq`
             // can say so.
             let comparable = !has_nan(&a) && !cycles.iter().any(|c| c.is_nan());
@@ -921,12 +921,28 @@ mod props {
                 text_a.replace(&format!("rows{case:06}a-"), "*"),
                 text_b.replace(&format!("rows{case:06}b-"), "*")
             );
-            // Rebuilding the trees and taking their rows again gives the
-            // same bytes.
-            let back = rows_a.to_examples().unwrap();
-            let again = TrainingRows::from_examples(&back).unwrap();
-            prop_assert_eq!(serde_json::to_string(&again).unwrap(), text_a);
-            prop_assert_eq!(again.digest(), rows_a.digest());
+            // The rows read into the arena the tree flattens into, node by
+            // node, although the names were interned out of text order.
+            let arenas = rows_a.to_arenas().unwrap();
+            prop_assert_eq!(arenas.len(), 1);
+            let (got, want) = (&arenas[0], IrArena::from_tree(&ir_a));
+            prop_assert_eq!(got.len(), want.len());
+            let attrs = |arena: &IrArena, i: u32| -> Vec<(fegen::core::Symbol, String)> {
+                arena
+                    .attrs(i)
+                    .iter()
+                    .map(|&(name, value)| match value {
+                        AttrValue::Num(v) => (name, format!("num {:016x}", v.to_bits())),
+                        other => (name, format!("{other:?}")),
+                    })
+                    .collect()
+            };
+            for i in 0..want.len() as u32 {
+                prop_assert_eq!(got.kind(i), want.kind(i));
+                prop_assert_eq!(got.subtree_end(i), want.subtree_end(i));
+                prop_assert_eq!(got.child_count(i), want.child_count(i));
+                prop_assert_eq!(attrs(got, i), attrs(&want, i));
+            }
         }
     }
 }

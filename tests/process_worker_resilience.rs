@@ -699,8 +699,7 @@ fn malformed_handshakes_exit_nonzero_with_typed_errors() {
             })
             .collect()
     };
-    let spec = WorkerSpec::new(config.clone(), search.engine(), search.grammar(), &examples)
-        .expect("rows build");
+    let spec = WorkerSpec::new(config.clone(), search.grammar(), &examples).expect("rows build");
     // Hostile training rows inside an otherwise valid Hello.
     let hostile = |spoil: &dyn Fn(&mut LoopRows)| {
         let mut spec = spec.clone();

@@ -439,6 +439,108 @@ fn failed_reload_keeps_the_old_model_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The decisions `artifact` makes offline on `loops`: every feature
+/// evaluated on the loop's tree, a failure as `0.0`, then the tree.
+fn offline_decisions(artifact: &ModelArtifact, loops: &[WireNode]) -> Vec<usize> {
+    let features = artifact.parsed_features().expect("features parse");
+    loops
+        .iter()
+        .map(|wire| {
+            let ir = wire.to_ir();
+            let row: Vec<f64> = features
+                .iter()
+                .map(|f| f.eval_with_budget(&ir, artifact.eval_budget).unwrap_or(0.0))
+                .collect();
+            artifact.tree.predict(&row)
+        })
+        .collect()
+}
+
+/// Sends one `Predict` of `loops` and returns the unroll decisions.
+fn served_decisions<T: FrameTransport>(client: &mut T, id: u64, loops: &[WireNode]) -> Vec<usize> {
+    client
+        .send(&frame(&ServeRequest::Predict {
+            id,
+            loops: loops.to_vec(),
+        }))
+        .expect("predict sends");
+    let reply = client.recv().expect("decisions arrive");
+    match decode_response(&reply).expect("decisions decode") {
+        ServeResponse::Decisions { id: got, decisions } => {
+            assert_eq!(got, id);
+            decisions.iter().map(|d| d.unroll).collect()
+        }
+        other => panic!("expected Decisions, got {other:?}"),
+    }
+}
+
+/// The default reload path: no `Reload` request, the daemon checks the
+/// artifact's file every `reload_check_every` predicts. A changed artifact
+/// is adopted at the next check; an unreadable one is counted as a failed
+/// reload and the model in service keeps serving.
+#[test]
+fn polled_reload_adopts_a_new_model_and_survives_a_broken_one() {
+    let dir = tmp_dir("reload-poll");
+    let path = staged_model(&dir);
+    let old = ModelArtifact::load(&path).expect("artifact loads");
+    // A constant feature: the new tree predicts one class everywhere.
+    let new = artifact_with(&["count(filter(//*, is-type(reg)))"]);
+    let loops: Vec<WireNode> = (0..6)
+        .map(|i| WireNode {
+            kind: "loop".into(),
+            attrs: vec![("num-iter".into(), WireAttr::Num(4.0 + i as f64))],
+            children: (0..=i)
+                .map(|_| WireNode {
+                    kind: "insn".into(),
+                    attrs: vec![("mode".into(), WireAttr::Enum("SI".into()))],
+                    children: vec![],
+                })
+                .collect(),
+        })
+        .collect();
+    let (old_decisions, new_decisions) = (
+        offline_decisions(&old, &loops),
+        offline_decisions(&new, &loops),
+    );
+    assert_ne!(old_decisions, new_decisions, "the models must differ");
+    let opts = ServeOptions {
+        reload_check_every: 2,
+        ..ServeOptions::default()
+    };
+    let engine = Arc::new(
+        ServeEngine::new(path.clone(), opts, Telemetry::disabled()).expect("engine starts"),
+    );
+    let server_engine = Arc::clone(&engine);
+    let (mut client, mut server) = duplex();
+    let handle = std::thread::spawn(move || serve_connection(&mut server, &server_engine));
+    hello(&mut client);
+    assert_eq!(served_decisions(&mut client, 1, &loops), old_decisions);
+
+    // A new artifact lands; the check after predict 2 adopts it.
+    new.save(&path).expect("replacement artifact saves");
+    served_decisions(&mut client, 2, &loops);
+    assert_eq!(served_decisions(&mut client, 3, &loops), new_decisions);
+    assert_eq!(engine.stats().reloads, 1);
+    assert_eq!(engine.model().features.len(), 1, "new model is active");
+
+    // An unreadable artifact; the check after predict 4 fails.
+    std::fs::write(&path, b"{ this is no artifact").expect("corrupt artifact writes");
+    served_decisions(&mut client, 4, &loops);
+    assert_eq!(served_decisions(&mut client, 5, &loops), new_decisions);
+    client
+        .send(&frame(&ServeRequest::Stats { id: 6 }))
+        .expect("stats sends");
+    match decode_response(&client.recv().expect("stats arrive")).expect("stats decode") {
+        ServeResponse::StatsReport { stats, .. } => {
+            assert_eq!((stats.reloads, stats.reload_failures), (1, 1));
+        }
+        other => panic!("expected StatsReport, got {other:?}"),
+    }
+    drop(client);
+    handle.join().expect("thread").expect("clean close");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A feature that fails on some loops is answered with the deployment
 /// default `0.0`: decisions equal the offline prediction on the defaulted
 /// row, and every failing (loop, feature) pair is counted in `Stats`.
