@@ -98,16 +98,17 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shapes the loop-nest planner and columnar sweep specialize: leaf
-/// aggregates over postings, nested children-base aggregates gathered as
-/// columns, leaf-comparison counts, child-probe counts and predicate
-/// covers. One bench per shape, both engines, so a regression in any
-/// single lowering tier is visible in isolation.
+/// One bench per plan shape, both engines: leaf sums over postings and the
+/// inner-edge closed form, nested children-base aggregates gathered as
+/// columns, and predicate covers take their own forms; leaf-comparison
+/// and child-probe counts time the general element loop and the
+/// predicate scan. A regression in any one of them is visible in
+/// isolation.
 fn shape_set() -> Vec<(&'static str, &'static str)> {
     vec![
         ("leaf_sum_attr", "sum(//*, get-attr(@n-insns))"),
         ("leaf_sum_childcount", "sum(//*, count(/*))"),
-        ("count_leaf_cmp", "count(filter(//*, 2 < count(/*)))"),
+        ("count_leaf_compare", "count(filter(//*, 2 < count(/*)))"),
         (
             "count_child_probe",
             "count(filter(//*, /[1][is-type(insn)]))",

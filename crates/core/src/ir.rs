@@ -385,8 +385,6 @@ pub struct IrArena {
     attr_off: Vec<u32>,
     attrs: Vec<(Symbol, AttrValue)>,
     child_count: Vec<u32>,
-    /// Preorder index of each node's parent (the root maps to itself).
-    parents: Vec<u32>,
     kind_postings: HashMap<Symbol, Vec<u32>>,
     attr_postings: HashMap<Symbol, Vec<u32>>,
 }
@@ -395,7 +393,7 @@ pub struct IrArena {
 /// exclusive end of its subtree and its attributes, sorted by name with no
 /// duplicates. [`IrArena::from_tree`] flattens a tree into rows; the serve daemon
 /// decodes a request's JSON straight into rows, keys them by their dump
-/// and builds the arena's parents and postings only on a cache miss.
+/// and builds the arena's child counts and postings only on a cache miss.
 #[derive(Debug, Clone)]
 pub struct ArenaRows {
     kinds: Vec<Symbol>,
@@ -554,7 +552,7 @@ impl IrArena {
         IrArena::from_rows(ArenaRows::from_tree(root))
     }
 
-    /// Builds the arena over `rows`: child counts, parents and the kind and
+    /// Builds the arena over `rows`: child counts and the kind and
     /// attribute postings, in one pass over the rows.
     pub fn from_rows(rows: ArenaRows) -> IrArena {
         let ArenaRows {
@@ -565,7 +563,6 @@ impl IrArena {
         } = rows;
         let n = kinds.len();
         let mut child_count = vec![0u32; n];
-        let mut parents = vec![0u32; n];
         let mut kind_postings: HashMap<Symbol, Vec<u32>> = HashMap::new();
         let mut attr_postings: HashMap<Symbol, Vec<u32>> = HashMap::new();
         // Ancestors of the current node, innermost last.
@@ -577,12 +574,9 @@ impl IrArena {
             {
                 open.pop();
             }
-            // The root maps to itself.
-            let parent = open.last().copied().unwrap_or(i);
-            if parent != i {
+            if let Some(&parent) = open.last() {
                 child_count[parent as usize] += 1;
             }
-            parents[i as usize] = parent;
             open.push(i);
             kind_postings.entry(kinds[i as usize]).or_default().push(i);
             let (lo, hi) = (
@@ -599,7 +593,6 @@ impl IrArena {
             attr_off,
             attrs,
             child_count,
-            parents,
             kind_postings,
             attr_postings,
         }
@@ -638,13 +631,6 @@ impl IrArena {
     #[inline]
     pub fn descendant_count(&self, i: u32) -> u32 {
         self.subtree_end[i as usize] - i - 1
-    }
-
-    /// Preorder index of node `i`'s parent; the root maps to itself. The
-    /// columnar aggregate sweep scatters child values bottom-up with it.
-    #[inline]
-    pub fn parent(&self, i: u32) -> u32 {
-        self.parents[i as usize]
     }
 
     /// Attributes of node `i`, sorted by name symbol.

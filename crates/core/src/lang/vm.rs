@@ -17,7 +17,7 @@
 //! loop, budget), so they are invariant under thread count — the
 //! determinism argument is spelled out in DESIGN.md §11.
 
-use super::ast::{ArithOp, CmpOp, FeatureExpr, Fingerprint};
+use super::ast::{ArithOp, FeatureExpr, Fingerprint};
 use super::compile::{
     AggKind, BoolView, CountMeta, CoverSrc, LeafArg, PlanAgg, PlanBool, PlanExpr, PlanPred,
     Program, ProgramPath, PureAtom, PureExpr, PurePred,
@@ -33,161 +33,54 @@ use std::sync::Arc;
 
 /// Computes one indexed-count site at context node `ctx`: the exact step
 /// total the interpreter would charge and the matching-element count.
+/// A single atom over `//*` is counted from the postings in closed form;
+/// every other predicate is one scan over the base elements.
 fn indexed_count_at(arena: &IrArena, ctx: u32, meta: &CountMeta) -> (u64, u64) {
-    if meta.children_base {
-        let c = u64::from(arena.child_count(ctx));
-        match &meta.pred {
-            None => (1 + c, c),
-            Some(PurePred::Atom {
-                atom,
-                negated,
-                cost,
-            }) => {
-                let mut m = 0u64;
-                for j in arena.children(ctx) {
-                    if pure_atom_matches(arena, j, atom) {
-                        m += 1;
-                    }
-                }
-                let m = if *negated { c - m } else { m };
-                (1 + c * (1 + cost), m)
-            }
-            Some(PurePred::Tree { expr, .. }) => {
-                let mut steps = 0u64;
-                let mut m = 0u64;
-                for j in arena.children(ctx) {
-                    steps += 1; // the per-element `for_each` charge
-                    if eval_pure(arena, j, expr, &mut steps) {
-                        m += 1;
-                    }
-                }
-                (1 + steps, m)
-            }
-        }
-    } else {
-        let d = u64::from(arena.descendant_count(ctx));
-        let (lo, hi) = (ctx + 1, arena.subtree_end(ctx));
-        match &meta.pred {
-            None => (1 + d, d),
-            Some(PurePred::Atom {
-                atom,
-                negated,
-                cost,
-            }) => {
-                let m = match *atom {
-                    PureAtom::IsType(k) => u64::from(arena.count_kind_in(k, lo, hi)),
-                    PureAtom::HasAttr(a) => u64::from(arena.count_attr_in(a, lo, hi)),
-                    PureAtom::AttrEq(a, v, view) => arena
-                        .attr_nodes_in(a, lo, hi)
-                        .iter()
-                        .filter(|&&j| attr_eq(arena, j, a, v, view))
-                        .count() as u64,
-                    PureAtom::AttrCmp(a, op, k) => arena
-                        .attr_nodes_in(a, lo, hi)
-                        .iter()
-                        .filter(|&&j| {
-                            matches!(
-                                arena.attr(j, a).and_then(|x| x.as_num()),
-                                Some(v) if op.apply(v, k)
-                            )
-                        })
-                        .count() as u64,
-                };
-                let m = if *negated { d - m } else { m };
-                (1 + d * (1 + cost), m)
-            }
-            Some(PurePred::Tree { expr, kinds }) => {
-                if kinds.is_none() {
-                    if let PureExpr::Child(idx, inner) = expr {
-                        if let PureExpr::Atom(atom) = &**inner {
-                            return child_probe_count(arena, lo, hi, *idx, atom, d);
-                        }
-                    }
-                }
-                let mut steps = 0u64;
-                let mut m = 0u64;
-                if let Some(table) = kinds {
-                    // Kinds-only tree: verdict and cost were tabled at
-                    // compile time, so the scan is one kind load and a
-                    // probe of a few mentioned kinds per element.
-                    for j in lo..hi {
-                        let k = arena.kind(j);
-                        let (matched, cost) = table
-                            .entries
-                            .iter()
-                            .find(|&&(s, ..)| s == k)
-                            .map_or(table.default, |&(_, matched, cost)| (matched, cost));
-                        steps += 1 + cost;
-                        if matched {
-                            m += 1;
-                        }
-                    }
-                } else {
-                    for j in lo..hi {
-                        steps += 1; // the per-element `for_each` charge
-                        if eval_pure(arena, j, expr, &mut steps) {
-                            m += 1;
-                        }
-                    }
-                }
-                (1 + steps, m)
-            }
-        }
-    }
-}
-
-/// Counts `filter(//*, /[idx][atom])` without probing every element.
-///
-/// Matches are found backwards: instead of walking to every element's
-/// `idx`-th child, iterate the atom's postings list and keep the nodes
-/// that sit in child position `idx` under an in-range parent. The step
-/// total is closed-form — the interpreter charges each element one
-/// `for_each` step, one `Child` probe step, and one atom step only when
-/// the probed child exists (`child_count > idx`).
-fn child_probe_count(
-    arena: &IrArena,
-    lo: u32,
-    hi: u32,
-    idx: u32,
-    atom: &PureAtom,
-    d: u64,
-) -> (u64, u64) {
-    let mut probed = 0u64;
-    for j in lo..hi {
-        if arena.child_count(j) > idx {
-            probed += 1;
-        }
-    }
-    let in_position = |&&k: &&u32| {
-        let p = arena.parent(k);
-        p >= lo && arena.nth_child(p, idx as usize) == Some(k)
+    let (lo, hi) = (ctx + 1, arena.subtree_end(ctx));
+    let Some(pred) = &meta.pred else {
+        let c = u64::from(if meta.children_base {
+            arena.child_count(ctx)
+        } else {
+            arena.descendant_count(ctx)
+        });
+        return (1 + c, c);
     };
-    let m = match *atom {
-        PureAtom::IsType(kind) => arena.kind_nodes_in(kind, lo, hi).iter().filter(in_position),
-        PureAtom::HasAttr(a) => arena.attr_nodes_in(a, lo, hi).iter().filter(in_position),
-        PureAtom::AttrEq(a, v, view) => {
-            let m = arena
+    if let (
+        false,
+        PurePred::Atom {
+            atom,
+            negated,
+            cost,
+        },
+    ) = (meta.children_base, pred)
+    {
+        let d = u64::from(hi - lo);
+        let m = match *atom {
+            PureAtom::IsType(k) => u64::from(arena.count_kind_in(k, lo, hi)),
+            PureAtom::HasAttr(a) => u64::from(arena.count_attr_in(a, lo, hi)),
+            PureAtom::AttrEq(a, ..) | PureAtom::AttrCmp(a, ..) => arena
                 .attr_nodes_in(a, lo, hi)
                 .iter()
-                .filter(|&&k| attr_eq(arena, k, a, v, view))
-                .filter(in_position)
-                .count() as u64;
-            return (1 + 2 * d + probed, m);
-        }
-        PureAtom::AttrCmp(a, op, cmp_k) => {
-            let m = arena
-                .attr_nodes_in(a, lo, hi)
-                .iter()
-                .filter(|&&k| {
-                    matches!(arena.attr(k, a).and_then(|x| x.as_num()), Some(v) if op.apply(v, cmp_k))
-                })
-                .filter(in_position)
-                .count() as u64;
-            return (1 + 2 * d + probed, m);
-        }
+                .filter(|&&j| pure_atom_matches(arena, j, atom))
+                .count() as u64,
+        };
+        let m = if *negated { d - m } else { m };
+        return (1 + d * (1 + cost), m);
     }
-    .count() as u64;
-    (1 + 2 * d + probed, m)
+    let (mut steps, mut m) = (1u64, 0u64);
+    let mut j = lo;
+    while j < hi {
+        steps += 1; // the per-element `for_each` charge
+        if pure_pred_matches(arena, j, pred, &mut steps) {
+            m += 1;
+        }
+        j = if meta.children_base {
+            arena.subtree_end(j)
+        } else {
+            j + 1
+        };
+    }
+    (steps, m)
 }
 
 /// Evaluates a compiled feature's plan tree with exact interpreter step
@@ -248,14 +141,6 @@ impl PlanEval<'_> {
     /// sibling jumps, or a preorder range scan), filters, accumulates.
     fn agg(&self, ctx: u32, plan: &PlanAgg, steps: &mut u64) -> Result<f64, EvalError> {
         *steps += 1; // the aggregate node's entry charge
-        if let (AggKind::Count, false, None, [PlanPred::Dyn(PlanBool::LeafCmp(op, a, b))]) = (
-            plan.kind,
-            plan.children_base,
-            &plan.body,
-            plan.preds.as_slice(),
-        ) {
-            return self.count_leaf_cmp(ctx, *op, *a, *b, steps);
-        }
         let mut acc = 0.0f64;
         let mut n = 0u64;
         let mut started = false;
@@ -508,11 +393,11 @@ impl PlanEval<'_> {
             .unwrap_or(0.0)
     }
 
-    /// A predicate-free aggregate with a leaf body: one bulk-charged arena
-    /// loop. Over `//*` the charge total is closed-form per body kind and
-    /// only genuine error points (non-finite attribute values) are visited
-    /// individually; over `/*` the sibling-jump loop is short enough that
-    /// per-element charging is already cheap.
+    /// A predicate-free aggregate with a leaf body. Over `//*` three bodies
+    /// have closed forms — a literal, `sum`/`avg` of an attribute (only its
+    /// postings are read) and `sum`/`avg` of `count(/*)` (the subtree's
+    /// inner edge count); every other body, and every `/*` base, is one
+    /// element loop that charges each element as it goes.
     fn leaf_agg(
         &self,
         ctx: u32,
@@ -522,81 +407,29 @@ impl PlanEval<'_> {
         steps: &mut u64,
     ) -> Result<f64, EvalError> {
         *steps += 1; // the aggregate node's entry charge
-        if children_base {
-            let end = self.arena.subtree_end(ctx);
-            let (mut acc, mut n, mut started) = (0.0f64, 0u64, false);
-            let mut j = ctx + 1;
-            while j < end {
-                let (c, v) = self.leaf_arg_at(j, body);
-                *steps += 1 + c; // `for_each` + the body's charge
-                if !v.is_finite() {
-                    return Err(self.non_finite(*steps));
-                }
-                n += 1;
-                match kind {
-                    AggKind::Sum | AggKind::Avg => acc += v,
-                    AggKind::Max => acc = if started { acc.max(v) } else { v },
-                    AggKind::Min => acc = if started { acc.min(v) } else { v },
-                    AggKind::Count => unreachable!("count aggregates have no body"),
-                }
-                started = true;
-                j = self.arena.subtree_end(j);
-            }
-            let v = match kind {
-                AggKind::Avg => {
-                    if n == 0 {
-                        0.0
-                    } else {
-                        acc / n as f64
-                    }
-                }
-                _ => {
-                    if started {
-                        acc
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            return self.finite(v, *steps);
-        }
         let (lo, hi) = (ctx + 1, self.arena.subtree_end(ctx));
-        let n = u64::from(hi - lo);
-        let v = match body {
-            LeafArg::Const(c) => {
-                if n > 0 && !c.is_finite() {
-                    // The first element's body raises at exactly this
-                    // prefix (`for_each` + the literal's entry charge).
-                    *steps += 2;
-                    return Err(self.non_finite(*steps));
-                }
-                *steps += 2 * n;
-                match kind {
-                    AggKind::Sum | AggKind::Avg => {
-                        // Repeated addition, not multiplication: identical
-                        // rounding to the interpreter's fold.
-                        let mut acc = 0.0;
-                        for _ in 0..n {
-                            acc += c;
-                        }
-                        if matches!(kind, AggKind::Avg) && n > 0 {
-                            acc / n as f64
-                        } else {
-                            acc
-                        }
+        let n = hi - lo;
+        let sum_like = matches!(kind, AggKind::Sum | AggKind::Avg);
+        if !children_base {
+            match body {
+                LeafArg::Const(c) => {
+                    if n > 0 && !c.is_finite() {
+                        // The first element's body raises at exactly this
+                        // prefix (`for_each` + the literal's entry charge).
+                        *steps += 2;
+                        return Err(self.non_finite(*steps));
                     }
-                    AggKind::Max | AggKind::Min => {
-                        if n > 0 {
-                            c
-                        } else {
-                            0.0
-                        }
-                    }
-                    AggKind::Count => unreachable!("count aggregates have no body"),
+                    *steps += 2 * u64::from(n);
+                    // Repeated addition, not multiplication: identical
+                    // rounding to the interpreter's fold.
+                    let acc = if sum_like {
+                        (0..n).fold(0.0, |acc, _| acc + c)
+                    } else {
+                        c
+                    };
+                    return self.finite(finish_agg(kind, acc, n), *steps);
                 }
-            }
-            LeafArg::Attr(name) => match kind {
-                AggKind::Sum | AggKind::Avg => {
+                LeafArg::Attr(name) if sum_like => {
                     // Only elements carrying the attribute can contribute a
                     // non-zero (or non-finite) value; the rest add +0.0,
                     // an exact identity here (the accumulator starts at
@@ -613,157 +446,46 @@ impl PlanEval<'_> {
                         }
                         acc += v;
                     }
-                    *steps += 2 * n;
-                    if matches!(kind, AggKind::Avg) && n > 0 {
-                        acc / n as f64
-                    } else {
-                        acc
-                    }
+                    *steps += 2 * u64::from(n);
+                    return self.finite(finish_agg(kind, acc, n), *steps);
                 }
-                AggKind::Max | AggKind::Min => {
-                    // Missing attributes contribute 0.0 to the fold, so
-                    // every element participates; keep the fold order.
-                    let (mut acc, mut started) = (0.0f64, false);
-                    for j in lo..hi {
-                        *steps += 2;
-                        let v = self.attr_num(j, name);
-                        if !v.is_finite() {
-                            return Err(self.non_finite(*steps));
-                        }
-                        acc = match (started, kind) {
-                            (false, _) => v,
-                            (true, AggKind::Max) => acc.max(v),
-                            _ => acc.min(v),
-                        };
-                        started = true;
-                    }
-                    if started {
-                        acc
-                    } else {
-                        0.0
-                    }
+                LeafArg::ChildCount if sum_like => {
+                    // Σ child-count over `lo..hi` is the subtree's inner
+                    // edge count: every descendant's parent edge except
+                    // those from `ctx` itself. All values are small
+                    // integers, so the interpreter's f64 fold is exact.
+                    let edges = n - self.arena.child_count(ctx);
+                    *steps += 2 * u64::from(n) + u64::from(edges);
+                    return Ok(finish_agg(kind, f64::from(edges), n));
                 }
-                AggKind::Count => unreachable!("count aggregates have no body"),
-            },
-            LeafArg::ChildCount => {
-                // Σ child-count over `lo..hi` is the subtree's inner edge
-                // count: every descendant's parent edge except those from
-                // `ctx` itself. All values are small integers, so the
-                // interpreter's f64 fold is exact and order-free.
-                let edges = n - u64::from(self.arena.child_count(ctx));
-                *steps += 2 * n + edges;
-                match kind {
-                    AggKind::Sum => edges as f64,
-                    AggKind::Avg => {
-                        if n == 0 {
-                            0.0
-                        } else {
-                            edges as f64 / n as f64
-                        }
-                    }
-                    AggKind::Max | AggKind::Min => {
-                        let it = (lo..hi).map(|j| self.arena.child_count(j));
-                        let m = match kind {
-                            AggKind::Max => it.max(),
-                            _ => it.min(),
-                        };
-                        m.map_or(0.0, f64::from)
-                    }
-                    AggKind::Count => unreachable!("count aggregates have no body"),
-                }
-            }
-            LeafArg::DescCount => {
-                // Charge per element is 2 + its descendant count; the f64
-                // fold mirrors the interpreter's exactly (all integers).
-                let mut charged = 2 * n;
-                let (mut acc, mut started) = (0.0f64, false);
-                for j in lo..hi {
-                    let d = self.arena.descendant_count(j);
-                    charged += u64::from(d);
-                    let v = f64::from(d);
-                    acc = match (started, kind) {
-                        (false, _) => v,
-                        (true, AggKind::Sum) | (true, AggKind::Avg) => acc + v,
-                        (true, AggKind::Max) => acc.max(v),
-                        (true, AggKind::Min) => acc.min(v),
-                        (true, AggKind::Count) => {
-                            unreachable!("count aggregates have no body")
-                        }
-                    };
-                    started = true;
-                }
-                *steps += charged;
-                match kind {
-                    AggKind::Avg => {
-                        if n == 0 {
-                            0.0
-                        } else {
-                            acc / n as f64
-                        }
-                    }
-                    _ => {
-                        if started {
-                            acc
-                        } else {
-                            0.0
-                        }
-                    }
-                }
-            }
-        };
-        self.finite(v, *steps)
-    }
-
-    /// `count(filter(//*, <leaf> OP <leaf>))`: one flat pass over the
-    /// subtree range with no per-element dispatch. When neither operand
-    /// reads an attribute the loop is error-free (counts and literals are
-    /// always finite), so only the cumulative step total matters and the
-    /// charge is applied in bulk after the scan.
-    fn count_leaf_cmp(
-        &self,
-        ctx: u32,
-        op: CmpOp,
-        a: LeafArg,
-        b: LeafArg,
-        steps: &mut u64,
-    ) -> Result<f64, EvalError> {
-        let (lo, hi) = (ctx + 1, self.arena.subtree_end(ctx));
-        let attr_free = !matches!(a, LeafArg::Attr(_)) && !matches!(b, LeafArg::Attr(_));
-        let mut n = 0u64;
-        if attr_free {
-            let mut total = 0u64;
-            for j in lo..hi {
-                let (ca, x) = self.leaf_arg_at(j, a);
-                let (cb, y) = self.leaf_arg_at(j, b);
-                total += 2 + ca + cb; // `for_each` + the Cmp node's entry
-                n += u64::from(op.apply(x, y));
-            }
-            *steps += total;
-        } else {
-            for j in lo..hi {
-                *steps += 2; // `for_each` + the Cmp node's entry
-                let (ca, x) = self.leaf_arg_at(j, a);
-                *steps += ca;
-                if !x.is_finite() {
-                    return Err(self.non_finite(*steps));
-                }
-                let (cb, y) = self.leaf_arg_at(j, b);
-                *steps += cb;
-                if !y.is_finite() {
-                    return Err(self.non_finite(*steps));
-                }
-                n += u64::from(op.apply(x, y));
+                _ => {}
             }
         }
-        self.finite(n as f64, *steps)
+        let (mut acc, mut count) = (0.0f64, 0u32);
+        let mut j = lo;
+        while j < hi {
+            let (c, v) = self.leaf_arg_at(j, body);
+            *steps += 1 + c; // `for_each` + the body's charge
+            if !v.is_finite() {
+                return Err(self.non_finite(*steps));
+            }
+            acc = accumulate(kind, acc, v, count == 0);
+            count += 1;
+            j = if children_base {
+                self.arena.subtree_end(j)
+            } else {
+                j + 1
+            };
+        }
+        self.finite(finish_agg(kind, acc, count), *steps)
     }
 
     /// Columnar evaluation of a predicate-free descendants aggregate with
     /// a column-supported body: bottom-up passes produce the body's value
     /// column and exact per-element step-cost column for every element at
-    /// once (children-base sub-aggregates scatter child values to their
-    /// parents through the arena's parent array), then a single in-order
-    /// fold finishes the aggregate.
+    /// once (each children-base sub-aggregate gathers its children's values
+    /// by sibling jumps), then a single in-order fold finishes the
+    /// aggregate.
     ///
     /// Exactness: every per-parent accumulation visits children in
     /// increasing preorder — the interpreter's iteration order — so each
@@ -902,11 +624,6 @@ impl PlanEval<'_> {
             }
             // `column_supported` guarantees `children_base` here.
             PlanExpr::LeafAgg { kind, body, .. } => {
-                if matches!(kind, AggKind::Sum | AggKind::Avg) {
-                    if let LeafArg::Attr(name) = body {
-                        return self.col_leaf_attr_sum(*kind, *name, lo, hi, pool, ok);
-                    }
-                }
                 let mut out = acquire(pool, n, 0.0, 1);
                 if let LeafArg::Const(c) = body {
                     *ok &= c.is_finite();
@@ -925,7 +642,7 @@ impl PlanEval<'_> {
                             fin &= lv.is_finite();
                         }
                         cost += 1 + lc;
-                        acc = scatter_accum(*kind, acc, lv, count == 0);
+                        acc = accumulate(*kind, acc, lv, count == 0);
                         count += 1;
                         k = self.arena.subtree_end(k);
                     }
@@ -955,7 +672,7 @@ impl PlanEval<'_> {
                     while k < end {
                         let ki = (k - lo) as usize;
                         cost += 1 + b.cost[ki];
-                        acc = scatter_accum(inner.kind, acc, b.val[ki], count == 0);
+                        acc = accumulate(inner.kind, acc, b.val[ki], count == 0);
                         count += 1;
                         k = self.arena.subtree_end(k);
                     }
@@ -971,50 +688,6 @@ impl PlanEval<'_> {
             }
             PlanExpr::Count(_) => unreachable!("column_supported rejects Count"),
         }
-    }
-
-    /// Sparse column for `sum`/`avg` over a children-base attribute leaf.
-    /// Missing attributes contribute `+0.0`, which is an exact identity on
-    /// the running sum (a sum of non-`-0.0` addends is never `-0.0`), so
-    /// only the attribute-carrying children — found through the postings
-    /// list — are scattered to their parents. The step cost per element is
-    /// closed-form: one aggregate entry plus `for_each` + leaf for each
-    /// child.
-    fn col_leaf_attr_sum(
-        &self,
-        kind: AggKind,
-        name: Symbol,
-        lo: u32,
-        hi: u32,
-        pool: &mut Vec<ColBuf>,
-        ok: &mut bool,
-    ) -> ColBuf {
-        let n = (hi - lo) as usize;
-        let mut out = acquire(pool, n, 0.0, 1);
-        for i in lo..hi {
-            out.cost[(i - lo) as usize] = 1 + 2 * u64::from(self.arena.child_count(i));
-        }
-        let mut fin = true;
-        for &j in self.arena.attr_nodes_in(name, lo, hi) {
-            let p = self.arena.parent(j);
-            if p < lo {
-                continue;
-            }
-            let v = self.attr_num(j, name);
-            fin &= v.is_finite();
-            out.val[(p - lo) as usize] += v;
-        }
-        for (idx, v) in out.val.iter_mut().enumerate() {
-            let c = self.arena.child_count(lo + idx as u32);
-            if c == 0 {
-                *v = 0.0;
-            } else if matches!(kind, AggKind::Avg) {
-                *v /= f64::from(c);
-            }
-            fin &= v.is_finite();
-        }
-        *ok &= fin;
-        out
     }
 }
 
@@ -1048,9 +721,9 @@ fn acquire(pool: &mut Vec<ColBuf>, n: usize, v0: f64, c0: u64) -> ColBuf {
     b
 }
 
-/// Finishes one gathered children-base aggregate: empty aggregates yield
-/// `0.0` and `Avg` divides by the child count, exactly as the interpreter
-/// does at aggregate exit.
+/// Finishes one aggregate fold over `count` elements: empty aggregates
+/// yield `0.0` and `Avg` divides by the element count, exactly as the
+/// interpreter does at aggregate exit.
 #[inline]
 fn finish_agg(kind: AggKind, acc: f64, count: u32) -> f64 {
     if count == 0 {
@@ -1062,11 +735,11 @@ fn finish_agg(kind: AggKind, acc: f64, count: u32) -> f64 {
     }
 }
 
-/// One child value arriving at its parent's accumulator. `first` is true
-/// for the parent's first child (preorder index `parent + 1`), which seeds
+/// One element's body value arriving at its aggregate's accumulator.
+/// `first` is true for the aggregate's first element, which seeds
 /// `Max`/`Min` exactly like the interpreter's `started` flag.
 #[inline]
-fn scatter_accum(kind: AggKind, acc: f64, v: f64, first: bool) -> f64 {
+fn accumulate(kind: AggKind, acc: f64, v: f64, first: bool) -> f64 {
     match kind {
         AggKind::Sum | AggKind::Avg => acc + v,
         AggKind::Max => {
@@ -1083,13 +756,13 @@ fn scatter_accum(kind: AggKind, acc: f64, v: f64, first: bool) -> f64 {
                 acc.min(v)
             }
         }
-        AggKind::Count => unreachable!("count sub-aggregates never take the columnar path"),
+        AggKind::Count => unreachable!("count aggregates have no body"),
     }
 }
 
 /// Whether `e` can be evaluated as a column over a preorder range:
 /// per-node leaves, arithmetic, and predicate-free children-base
-/// aggregates (which scatter child values to parents in one pass).
+/// aggregates (one gather pass per level).
 /// Descendants-base sub-aggregates are excluded — their range folds
 /// cannot reuse prefix sums without changing floating-point rounding.
 fn column_supported(e: &PlanExpr) -> bool {
@@ -1574,6 +1247,17 @@ mod tests {
         "count(filter(filter(//*, is-type(set)), count(//*) > 1))",
         "sum(filter(//*, is-type(reg) || /[0][count(/*) > 0]), 1)",
         "min(filter(//*, !(count(/*) > 2)), max(/*, get-attr(@value)) - 1)",
+        // Shapes the general loops answer: a child probe that finds
+        // children, a scan whose last element matches, children-base
+        // attribute sums under a columnar sweep, and leaf bodies without a
+        // closed form over `//*`.
+        "count(filter(//*, /[0][is-type(set)]))",
+        "count(filter(//*, is-type(jump_insn) || is-type(reg)))",
+        "sum(//*, sum(/*, get-attr(@value)))",
+        "avg(//*, avg(/*, get-attr(@value)))",
+        "max(//*, get-attr(@value))",
+        "min(//*, count(//*))",
+        "avg(//*, count(//*))",
     ];
 
     #[test]

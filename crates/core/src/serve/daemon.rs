@@ -257,6 +257,9 @@ pub fn run_stdio_serve(engine: &ServeEngine) -> Result<(), ServeError> {
 /// Binds `socket_path` and serves connections until a client sends
 /// `Shutdown`. Each connection gets its own thread over the shared
 /// engine; a connection's transport error never takes the daemon down.
+/// After `Shutdown` no new connection is accepted, but the daemon waits
+/// for the connections still open to close before it removes the socket
+/// file and exits.
 ///
 /// # Errors
 ///

@@ -453,11 +453,14 @@ impl Event<'_> {
     /// (and, when mirroring, to stderr).
     pub fn emit(self) {
         let Some(inner) = self.inner else { return };
+        // Number the line under the sink's lock: threads that emit at once
+        // then write their lines in sequence order.
+        let mut sink = inner.sink.as_ref().map(|s| s.lock());
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let ts = now_ms();
         let line = format!("{{\"seq\":{seq},\"ts_ms\":{ts}{}}}", self.buf);
-        if let Some(sink) = &inner.sink {
-            match &mut *sink.lock() {
+        if let Some(sink) = sink.as_deref_mut() {
+            match sink {
                 SinkKind::File(f) => {
                     // One write per line keeps the log well-formed under an
                     // abrupt kill (modulo at most one truncated tail line,
@@ -468,6 +471,7 @@ impl Event<'_> {
                 SinkKind::Memory(lines) => lines.push(line.clone()),
             }
         }
+        drop(sink);
         if inner.mirror_stderr {
             let mut err = io::stderr().lock();
             let _ = writeln!(err, "{line}");
@@ -582,6 +586,28 @@ mod tests {
         assert_eq!(field_f64(&v, "x"), Some(1.5));
         assert_eq!(field(&v, "bad"), Some(&serde::Value::Unit));
         assert_eq!(field_bool(&v, "ok"), Some(true));
+    }
+
+    #[test]
+    fn concurrent_events_land_in_sequence_order() {
+        let t = Telemetry::memory();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..2_000 {
+                        t.event("tick").u64("i", i).emit();
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = t
+            .drain_memory()
+            .iter()
+            .filter_map(|l| scan_seq(l))
+            .collect();
+        assert_eq!(seqs, (0..8_000).collect::<Vec<u64>>());
     }
 
     #[test]

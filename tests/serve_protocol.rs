@@ -817,3 +817,120 @@ fn real_daemon_refuses_a_version_skewed_artifact_at_startup() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Kills and reaps a spawned daemon when dropped, so a failing assertion
+/// never leaves a socket daemon running.
+#[cfg(unix)]
+struct Reaped(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `fegen serve --socket`: two clients at once on one daemon. Each gets the
+/// offline decisions; after one hangs up, the other sees both clients'
+/// requests in `Stats` and shuts the daemon down, which exits zero and
+/// removes its socket file. Every wait is bounded.
+#[cfg(unix)]
+#[test]
+fn real_socket_daemon_serves_two_clients_and_shuts_down_cleanly() {
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let dir = tmp_dir("socket");
+    let model = staged_model(&dir);
+    let artifact = ModelArtifact::load(&model).expect("artifact loads");
+    let socket = dir.join("serve.sock");
+    let mut daemon = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_fegen"))
+            .arg("serve")
+            .arg("--model")
+            .arg(&model)
+            .arg("--socket")
+            .arg(&socket)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon spawns"),
+    );
+    let listening_by = Instant::now() + Duration::from_secs(30);
+    let connect = || loop {
+        match UnixStream::connect(&socket) {
+            Ok(stream) => {
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .expect("read timeout sets");
+                let reader = stream.try_clone().expect("stream clones");
+                break StreamTransport::new(reader, stream);
+            }
+            Err(_) if Instant::now() < listening_by => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("daemon never listened on {}: {e}", socket.display()),
+        }
+    };
+    let mut first = connect();
+    let mut second = connect();
+    hello(&mut first);
+    hello(&mut second);
+
+    let loops: Vec<WireNode> = examples()
+        .iter()
+        .map(|e| WireNode::from_ir(&e.ir))
+        .collect();
+    let want = offline_decisions(&artifact, &loops);
+    assert_eq!(served_decisions(&mut first, 1, &loops), want);
+    assert_eq!(served_decisions(&mut second, 1, &loops[..3]), want[..3]);
+    drop(first);
+
+    second
+        .send(&frame(&ServeRequest::Stats { id: 2 }))
+        .expect("stats sends");
+    match decode_response(&second.recv().expect("stats arrive")).expect("stats decode") {
+        ServeResponse::StatsReport { stats, .. } => {
+            assert_eq!(stats.requests, 2, "both clients' predicts are counted");
+            assert_eq!(stats.loops_evaluated, loops.len() as u64 + 3);
+            assert_eq!(stats.errors, 0);
+        }
+        other => panic!("expected StatsReport, got {other:?}"),
+    }
+    second
+        .send(&frame(&ServeRequest::Shutdown))
+        .expect("shutdown sends");
+    assert!(matches!(
+        decode_response(&second.recv().expect("bye arrives")).expect("bye decodes"),
+        ServeResponse::Bye
+    ));
+    drop(second);
+
+    let exit_by = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        match daemon.0.try_wait().expect("try_wait") {
+            Some(status) => break status,
+            None if Instant::now() > exit_by => panic!("daemon did not exit after Shutdown"),
+            None => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr readable");
+    assert!(
+        status.success(),
+        "clean shutdown must exit zero: {status}: {stderr}"
+    );
+    assert!(
+        !socket.exists(),
+        "the daemon removes its socket file on exit"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
