@@ -63,31 +63,24 @@ const GEN_DEPTHS: [usize; 3] = [3, 4, 5];
 /// Generated features per depth.
 const GEN_PER_DEPTH: usize = 8;
 
-/// Passes per second of `pass` over roughly `window`, after one untimed
-/// warm-up pass that keeps lazy setup (interning, page faults) out of the
-/// timed region.
-fn passes_per_sec(window: Duration, mut pass: impl FnMut() -> f64) -> f64 {
-    std::hint::black_box(pass());
-    let start = Instant::now();
-    let mut passes = 0u64;
-    while start.elapsed() < window {
-        std::hint::black_box(pass());
-        passes += 1;
-    }
-    passes.max(1) as f64 / start.elapsed().as_secs_f64()
-}
+/// One timed window of the `eval` stage.
+const EVAL_WINDOW: Duration = Duration::from_millis(10);
 
 /// Times `compiled` — one pass evaluates every feature of `features` on
-/// every loop — against the interpreter sweeping the same pairs. Returns
-/// `(compiled, interpreter)` evaluations per second.
+/// every loop — against the interpreter sweeping the same pairs. After one
+/// untimed warm-up pass each (lazy setup such as interning and page faults
+/// stays out of the timed region), the two alternate [`EVAL_WINDOW`]s until
+/// each has `side` of timed passes, so a slow spell of the host hits both;
+/// each side's rate is the median of its windows', so one stalled window
+/// moves neither. Returns `(compiled, interpreter)` evaluations per second.
 fn vs_interpreter(
-    window: Duration,
+    side: Duration,
     features: &[FeatureExpr],
     loops: &[IrNode],
-    compiled: impl FnMut() -> f64,
+    mut compiled: impl FnMut() -> f64,
 ) -> (f64, f64) {
     let per_pass = (features.len() * loops.len()) as f64;
-    let interp = passes_per_sec(window, || {
+    let mut interp = || {
         let mut acc = 0.0;
         for f in features {
             for ir in loops {
@@ -95,11 +88,31 @@ fn vs_interpreter(
             }
         }
         acc
-    });
-    (
-        passes_per_sec(window, compiled) * per_pass,
-        interp * per_pass,
-    )
+    };
+    let mut passes: [&mut dyn FnMut() -> f64; 2] = [&mut interp, &mut compiled];
+    for pass in &mut passes {
+        std::hint::black_box(pass());
+    }
+    let mut rates: [Vec<f64>; 2] = Default::default();
+    let mut timed = [Duration::ZERO; 2];
+    while timed.iter().any(|&t| t < side) {
+        for (i, pass) in passes.iter_mut().enumerate() {
+            if timed[i] >= side {
+                continue;
+            }
+            let start = Instant::now();
+            let mut n = 0u64;
+            while start.elapsed() < EVAL_WINDOW {
+                std::hint::black_box(pass());
+                n += 1;
+            }
+            let elapsed = start.elapsed();
+            timed[i] += elapsed;
+            rates[i].push(n as f64 / elapsed.as_secs_f64());
+        }
+    }
+    let [interp, compiled] = rates.map(|mut r| median(&mut r) * per_pass);
+    (compiled, interp)
 }
 
 /// Every loop of the tiny suite, exported.
@@ -127,7 +140,7 @@ fn tiny_suite_loops() -> Result<Vec<IrNode>, BenchError> {
 /// [`BenchError::Check`] before anything is timed when the engines
 /// disagree on any (feature, loop) outcome.
 pub(crate) fn eval(quick: bool) -> Result<StageRun, BenchError> {
-    let window = Duration::from_millis(if quick { 120 } else { 600 });
+    let side = Duration::from_millis(if quick { 120 } else { 600 });
     let loops = tiny_suite_loops()?;
     let grammar = Grammar::derive(loops.iter());
     let mut features = paper_features();
@@ -155,7 +168,8 @@ pub(crate) fn eval(quick: bool) -> Result<StageRun, BenchError> {
     let mut records = vec![
         rec("loops".into(), loops.len() as f64),
         rec("budget".into(), EVAL_BUDGET as f64),
-        rec("window_ms".into(), window.as_millis() as f64),
+        rec("window_ms".into(), EVAL_WINDOW.as_millis() as f64),
+        rec("side_ms".into(), side.as_millis() as f64),
     ];
     // Five cold groups: compiled programs over flattened loops, without
     // the pool. The paper-shaped and generated groups carry the floors;
@@ -175,7 +189,7 @@ pub(crate) fn eval(quick: bool) -> Result<StageRun, BenchError> {
     for (group, range) in groups {
         let programs = &programs[range.clone()];
         records.push(rec(format!("{group}.features"), range.len() as f64));
-        let (vm, interp) = vs_interpreter(window, &features[range], &loops, || {
+        let (vm, interp) = vs_interpreter(side, &features[range], &loops, || {
             let mut acc = 0.0;
             for p in programs {
                 for arena in &arenas {
@@ -199,7 +213,7 @@ pub(crate) fn eval(quick: bool) -> Result<StageRun, BenchError> {
     // The pool as the search drives it: warm program cache, every feature
     // by column.
     let pool = EvalPool::new(loops.iter(), EvalEngine::Compiled);
-    let (warm, interp) = vs_interpreter(window, &features, &loops, || {
+    let (warm, interp) = vs_interpreter(side, &features, &loops, || {
         let mut acc = 0.0;
         for f in &features {
             for (i, v) in pool
